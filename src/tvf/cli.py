@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 domain or verification failure, 2 budget
 exhausted, 64 usage errors.  Artifact-writing commands (--out, --cert-out)
 emit a sibling <path>.manifest.json recording input/output digests, the
 seed, and timing; identical inputs and seed reproduce byte-identical
-artifacts.  The TVF_BUDGET environment variable overrides the face and
-search budgets.
+artifacts.  The TVF_BUDGET environment variable, a positive integer,
+overrides the face and search budgets; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -48,12 +48,30 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _face_budget() -> int:
-    return int(os.environ.get("TVF_BUDGET", 0)) or cx.DEFAULT_FACE_BUDGET
+class UsageError(Exception):
+    """Bad invocation found after argument parsing (exit 64)."""
 
 
-def _search_budget() -> int:
-    return int(os.environ.get("TVF_BUDGET", 0)) or tv.DEFAULT_SEARCH_BUDGET
+def _env_budget() -> int | None:
+    """TVF_BUDGET as a positive integer, or None when it is unset."""
+    raw = os.environ.get("TVF_BUDGET")
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"TVF_BUDGET must be a positive integer, got {raw!r}")
+    return value
+
+
+def _face_budget(run: _Run) -> int:
+    return run.budget or cx.DEFAULT_FACE_BUDGET
+
+
+def _search_budget(run: _Run) -> int:
+    return run.budget or tv.DEFAULT_SEARCH_BUDGET
 
 
 class _Run:
@@ -66,6 +84,7 @@ class _Run:
         self.inputs: list[tuple[str, str]] = []
         self.outputs: list[tuple[str, str]] = []
         self.stdout_digest: str | None = None
+        self.budget = _env_budget()
 
     def read(self, path: str) -> str:
         text = _read(path)
@@ -291,8 +310,8 @@ def cmd_complex_ind(run: _Run) -> int:
 def cmd_complex_betti(run: _Run) -> int:
     S = _load_complex(run)
     if run.args.k is not None:
-        S = cx.skeleton(S, run.args.k, _face_budget())
-    b = cx.betti(S, _face_budget())
+        S = cx.skeleton(S, run.args.k, _face_budget(run))
+    b = cx.betti(S, _face_budget(run))
     run.emit(_dumps({"dim": S.dim, "min_dim": -1, "numbers": list(b.numbers)}), None)
     return 0
 
@@ -310,7 +329,7 @@ def cmd_complex_vd(run: _Run) -> int:
 
 def cmd_complex_check_prop(run: _Run) -> int:
     G = run.graph(run.args.graph)
-    report = cx.check_prop_isvd(G, run.args.k, _face_budget())
+    report = cx.check_prop_isvd(G, run.args.k, _face_budget(run))
     obj = {
         "betti": list(report.betti_numbers.numbers),
         "decomposable": report.decomposable,
@@ -336,7 +355,7 @@ def cmd_tverberg_search(run: _Run) -> int:
     args = run.args
     G = run.graph(args.graph)
     cfg = tv.parse_points(run.read(args.points))
-    witness = tv.search_witness(G, cfg, args.q, _search_budget())
+    witness = tv.search_witness(G, cfg, args.q, _search_budget(run))
     if witness is None:
         run.emit(_dumps({"witness": None}), args.out)
         return 1
@@ -348,7 +367,7 @@ def cmd_tverberg_corollary(run: _Run) -> int:
     args = run.args
     G = run.graph(args.graph)
     cfg = tv.parse_points(run.read(args.points))
-    report = tv.corollary_pipeline(G, cfg, args.q, args.epsilon, _search_budget())
+    report = tv.corollary_pipeline(G, cfg, args.q, args.epsilon, _search_budget(run))
     run.emit(_dumps(report.to_obj()), args.out)
     return 0 if report.witness is not None else 1
 
@@ -491,11 +510,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.command_path = " ".join(p for p in (args.group, getattr(args, "command", "")) if p)
-    run = _Run(args, argv)
     try:
+        run = _Run(args, argv)
         code = args.func(run)
         run.finish()
         return code
+    except UsageError as exc:
+        sys.stderr.write(_dumps({"error": str(exc), "kind": "usage"}))
+        return USAGE_EXIT
     except BudgetExceeded as exc:
         sys.stderr.write(_dumps({"error": str(exc), "kind": "budget"}))
         return 2

@@ -2,16 +2,17 @@
 
 Covers independence complexes, skeleta, links and deletions, vertex
 decomposability with shelling-order extraction, an independent shelling
-validator, and reduced rational Betti numbers via exact boundary-matrix
-ranks.  Face enumeration is budgeted (faces of product graphs explode);
-the default cap is 2e6 generated faces.
+validator, and reduced rational Betti numbers.  The Betti numbers come from
+boundary-matrix ranks over Q, computed by sparse exact elimination on
+integer columns.  Face enumeration is budgeted (faces of product graphs
+explode); the default cap is 2e6 generated faces.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
@@ -205,13 +206,12 @@ class VertexDecomposition:
         return self.ok
 
 
-_vd_memo: dict[tuple[Face, ...], Optional[tuple[Face, ...]]] = {}
-
-
-def _vd_shelling(S: SimplicialComplex) -> Optional[tuple[Face, ...]]:
+def _vd_shelling(
+    S: SimplicialComplex, memo: dict[tuple[Face, ...], Optional[tuple[Face, ...]]]
+) -> Optional[tuple[Face, ...]]:
     key = S.facets
-    if key in _vd_memo:
-        return _vd_memo[key]
+    if key in memo:
+        return memo[key]
     result: Optional[tuple[Face, ...]] = None
     if S.is_pure():
         if S.facets == ((),):
@@ -219,10 +219,10 @@ def _vd_shelling(S: SimplicialComplex) -> Optional[tuple[Face, ...]]:
         else:
             for v in S.vertices:
                 lk, dl = link_and_delete(S, v)
-                shell_dl = _vd_shelling(dl)
+                shell_dl = _vd_shelling(dl, memo)
                 if shell_dl is None:
                     continue
-                shell_lk = _vd_shelling(lk)
+                shell_lk = _vd_shelling(lk, memo)
                 if shell_lk is None:
                     continue
                 joined = tuple(tuple(sorted(f + (v,))) for f in shell_lk)
@@ -232,18 +232,18 @@ def _vd_shelling(S: SimplicialComplex) -> Optional[tuple[Face, ...]]:
                 else:
                     result = shell_dl + joined
                 break
-    _vd_memo[key] = result
+    memo[key] = result
     return result
 
 
 def is_vertex_decomposable(S: SimplicialComplex) -> VertexDecomposition:
-    """Exhaustive, memoized test of the recursive definition.
+    """Exhaustive test of the recursive definition, memoized within the call.
 
     On success the returned shelling lists the deletion's facets before the
     link's facets joined with the pivot, recursively (the usual way a
     decomposition is turned into a shelling order).
     """
-    shelling = _vd_shelling(S)
+    shelling = _vd_shelling(S, {})
     if shelling is None:
         return VertexDecomposition(False)
     return VertexDecomposition(True, shelling)
@@ -317,42 +317,65 @@ class BettiVector:
         return {i - 1: b for i, b in enumerate(self.numbers)}
 
 
-def _rank(rows: list[list[int]]) -> int:
-    # exact Gaussian elimination over the rationals
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < cols:
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col] / pv
-            if factor:
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _clear(v: dict[int, int], p: dict[int, int], k: int) -> dict[int, int]:
+    """s*v - t*p with row k cleared, for the least s > 0 keeping it integral.
+
+    A unit pivot gives s == 1 and updates v in place; otherwise this is the
+    fraction-free step, and the result is divided by its content.
+    """
+    g = gcd(v[k], p[k])
+    s, t = p[k] // g, v[k] // g
+    if s < 0:
+        s, t = -s, -t
+    if s != 1:
+        v = {r: s * x for r, x in v.items()}
+    for r, x in p.items():
+        y = v.get(r, 0) - t * x
+        if y:
+            v[r] = y
+        else:
+            del v[r]
+    if s != 1:
+        content = gcd(*v.values())
+        if content > 1:
+            v = {r: x // content for r, x in v.items()}
+    return v
 
 
 def _boundary_rank(lower: Sequence[Face], upper: Sequence[Face]) -> int:
+    """Rank over Q of the boundary map from the faces in upper to those in lower.
+
+    Each face becomes a sparse integer column {row: +-1}, which is reduced
+    against pivot columns keyed by their leading (largest) row until its
+    leading row is free.  Pivots are linearly independent, so their number
+    is the rank.  When a stored pivot's leading entry is not a unit but the
+    incoming column's is, the two swap places, so a pivot row holds a unit
+    whenever some column offered one there and most steps need no scaling.
+    """
     if not lower or not upper:
         return 0
     index = {f: i for i, f in enumerate(lower)}
-    rows: list[list[int]] = [[0] * len(upper) for _ in lower]
-    for j, face in enumerate(upper):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1 :]
-            rows[index[sub]][j] = (-1) ** pos
-    return _rank(rows)
+    pivots: dict[int, dict[int, int]] = {}
+    for face in upper:
+        v = {index[face[:i] + face[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(face))}
+        while v:
+            k = max(v)
+            p = pivots.get(k)
+            if p is None:
+                pivots[k] = v
+                break
+            if abs(p[k]) != 1 and abs(v[k]) == 1:
+                pivots[k], v, p = v, p, v
+            v = _clear(v, p, k)
+    return len(pivots)
 
 
 def betti(S: SimplicialComplex, budget: int = DEFAULT_FACE_BUDGET) -> BettiVector:
-    """Reduced Betti numbers over the rationals, dimensions -1..dim."""
+    """Reduced Betti numbers over the rationals, dimensions -1..dim.
+
+    Boundary ranks come from sparse exact elimination over the integers
+    (see _boundary_rank); only face enumeration is budgeted.
+    """
     by_dim = faces_by_dim(S, budget)
     top = S.dim
     ranks: dict[int, int] = {}
@@ -441,11 +464,16 @@ def check_prop_isvd(G: Graph, k: int, budget: int = DEFAULT_FACE_BUDGET) -> Skel
 
 def parse_facets(text: str) -> SimplicialComplex:
     facets = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        facets.append(tuple(int(x) for x in line.split()))
+        try:
+            facets.append(tuple(int(x) for x in line.split()))
+        except ValueError:
+            raise ComplexError(
+                f"line {lineno}: expected integer vertex labels, got {line!r}"
+            ) from None
     return SimplicialComplex(facets)
 
 

@@ -228,6 +228,13 @@ def label_to_product_vertex(G: Graph, q: int, label: int) -> ProductVertex:
 # 0..n-1; blank lines and lines starting with "#" are ignored.
 
 
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_edgelist(text: str) -> Graph:
     n = None
     m = None
@@ -242,13 +249,13 @@ def parse_edgelist(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: repeated problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'p <n> <m>'")
-            n, m = int(parts[1]), int(parts[2])
+            n, m = _int(parts[1], lineno), _int(parts[2], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before the problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _int(parts[1], lineno), _int(parts[2], lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"line {lineno}: endpoint outside 0..{n - 1}")
             edges.append((u, v))

@@ -2,11 +2,13 @@
 
 Each oracle is deliberately written against different data structures than
 the library path it checks: certificate search runs on vertex frozensets
-with naive label-order pivoting, and the planar hull oracle does case
+with naive label-order pivoting, the planar hull oracle does case
 analysis on exact 2-D geometry (hull vertices and edge crossings) instead
-of linear programming.
+of linear programming, and the homology oracle runs dense Gaussian
+elimination on Fractions over faces enumerated straight from the facets.
 """
 
+import itertools
 from fractions import Fraction
 
 from tvf.vd import LeafAny, LeafEdgeless, Node
@@ -139,3 +141,54 @@ def hulls_intersect_oracle(parts):
                     if c is not None:
                         candidates.add(c)
     return any(all(point_in_hull(c, h) for h in hulls) for c in candidates)
+
+
+# ---------------------------------------------------------------------------
+# Rational homology (dense)
+# ---------------------------------------------------------------------------
+
+
+def dense_rational_rank(rows):
+    # exact Gaussian elimination over the rationals
+    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    col = 0
+    while rank < len(mat) and col < cols:
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            factor = mat[r][col] / pv
+            if factor:
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def boundary_matrix(lower, upper):
+    """Dense matrix of the simplicial boundary map: rows lower, columns upper."""
+    index = {f: i for i, f in enumerate(lower)}
+    rows = [[0] * len(upper) for _ in lower]
+    for j, face in enumerate(upper):
+        for pos in range(len(face)):
+            rows[index[face[:pos] + face[pos + 1 :]]][j] = (-1) ** pos
+    return rows
+
+
+def dense_betti(facets):
+    """Reduced rational Betti numbers, dimensions -1..dim, as a tuple."""
+    by_size = {}
+    for facet in facets:
+        facet = tuple(sorted(facet))
+        for r in range(len(facet) + 1):
+            by_size.setdefault(r, set()).update(itertools.combinations(facet, r))
+    faces = [sorted(by_size.get(r, ())) for r in range(max(by_size) + 1)]
+    ranks = [0] + [
+        dense_rational_rank(boundary_matrix(faces[r - 1], faces[r])) for r in range(1, len(faces))
+    ] + [0]
+    return tuple(len(faces[r]) - ranks[r] - ranks[r + 1] for r in range(len(faces)))

@@ -214,6 +214,34 @@ def test_usage_errors_exit_64(files, capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("p 2 1\ne 0 x\n", 2), ("# labels\np x 1\n", 2)],
+    ids=["edge-label", "vertex-count"],
+)
+def test_non_integer_edgelist_token_is_graph_error(files, capsys, text, line):
+    (files / "bad.txt").write_text(text)
+    code, _, err = run(capsys, "vd", "max", "--graph", files / "bad.txt")
+    obj = json.loads(err)
+    assert code == 1 and obj["kind"] == "GraphError" and f"line {line}" in obj["error"]
+
+
+def test_non_integer_facet_label_is_complex_error(files, capsys):
+    (files / "facets.txt").write_text("0 1\n0 y\n")
+    code, _, err = run(capsys, "complex", "betti", "--facets", files / "facets.txt")
+    obj = json.loads(err)
+    assert code == 1 and obj["kind"] == "ComplexError" and "line 2" in obj["error"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_budget_is_usage_error(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("TVF_BUDGET", value)
+    code, out, err = run(capsys, "complex", "betti", "--graph", files / "c5.txt")
+    obj = json.loads(err)
+    assert code == 64 and obj["kind"] == "usage" and "TVF_BUDGET" in obj["error"]
+    assert out == ""
+
+
 def test_domain_error_exit_1(files, capsys):
     code, _, err = run(capsys, "vd", "max", "--graph", files / "missing.txt")
     assert code == 1 and "error" in err

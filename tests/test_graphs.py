@@ -155,6 +155,10 @@ def test_edgelist_round_trip_and_errors():
         parse_edgelist("p 2 1\ne 0 5\n")
     with pytest.raises(GraphError):
         parse_edgelist("p 2 2\ne 0 1\n")
+    with pytest.raises(GraphError, match="line 2"):
+        parse_edgelist("p 2 1\ne 0 x\n")
+    with pytest.raises(GraphError, match="line 1"):
+        parse_edgelist("p x 1\n")
     with pytest.raises(GraphError):
         format_edgelist(Graph([1, 2], [(1, 2)]))
     H, mapping = relabeled(Graph([1, 2], [(1, 2)]))
