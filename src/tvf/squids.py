@@ -34,15 +34,15 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (
-    Graph,
-    ProductVertex,
-    distance_two_set,
-    neighbor_masks,
-    product_with_complete,
-)
+from .graphs import Graph, ProductVertex, distance_two_set, product_with_complete
 from .schemes import SizeScheme, validate_scheme
-from .vd import VdCertificate, LeafAny, assemble_pivot_decomposition
+from .vd import (
+    CertificateBuilder,
+    LeafAny,
+    MaskView,
+    VdCertificate,
+    assemble_pivot_decomposition,
+)
 
 
 class SquidError(ValueError):
@@ -329,16 +329,29 @@ class RemovalTrace:
             scheme = None if obj.get("scheme") is None else SizeScheme.from_obj(obj["scheme"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SquidError(f"malformed trace object: {exc}") from exc
+        if q < 1:
+            raise SquidError(f"malformed trace object: q must be positive, got {q}")
         gi = {v: i for i, v in enumerate(G.vertices)}
         full = (1 << (G.n * q)) - 1
+
+        def label(base, row) -> int:
+            if type(base) is not int or base not in gi or type(row) is not int or not 1 <= row <= q:
+                raise ValueError(f"({base!r}, {row!r}) is not a vertex of the product")
+            return gi[base] * q + (row - 1)
+
+        def product_vertex(pair) -> ProductVertex:
+            base, row = pair
+            label(base, row)
+            return ProductVertex(base, row)
 
         def squid_mask(s: Squid) -> int:
             mask = 0
             for pv in s.vertices:
-                mask |= 1 << (gi[pv.base] * q + (pv.row - 1))
+                mask |= 1 << label(pv.base, pv.row)
             return mask
 
         built: dict[int, TraceNode] = {}
+        open_ids: set[int] = set()  # nodes whose children are being built
 
         def build(idx: int, mask: int) -> TraceNode:
             if idx in built:
@@ -346,37 +359,57 @@ class RemovalTrace:
                 if node.residual_mask != mask:
                     raise SquidError(f"node {idx} is reached with two different residuals")
                 return node
-            o = node_objs[idx]
-            if o["residual_size"] != bin(mask).count("1"):
+            if idx in open_ids:
+                raise SquidError(f"node {idx} is its own descendant")
+            try:
+                if not 0 <= idx < len(node_objs):
+                    raise IndexError(f"no node with id {idx}")
+                o = node_objs[idx]
+                size = o["residual_size"]
+                level = int(o["level"])
+                arms = []
+                for ch in o["children"]:
+                    sq = Squid.from_obj(ch["squid"])
+                    arms.append((sq, squid_mask(sq), int(ch["node"]), product_vertex(ch["w"])))
+                link = None
+                if o.get("link") is not None:
+                    sq = Squid.from_obj(o["link"]["squid"])
+                    link = (sq, squid_mask(sq), int(o["link"]["node"]))
+                pivot = None if o["pivot"] is None else product_vertex(o["pivot"])
+                rows_used = o.get("rows_used")
+                rows_used = None if rows_used is None else tuple(rows_used)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise SquidError(
+                    f"node {idx}: malformed trace node ({type(exc).__name__}: {exc})"
+                ) from exc
+            if size != bin(mask).count("1"):
                 raise SquidError(f"node {idx}: residual size does not replay")
-            arm_children = []
-            for ch in o["children"]:
-                s = Squid.from_obj(ch["squid"])
-                child = build(int(ch["node"]), mask & ~squid_mask(s))
-                arm_children.append(
-                    TraceChild(squid=s, node=child, w=ProductVertex(*ch["w"]))
-                )
+            open_ids.add(idx)
+            arm_children = tuple(
+                TraceChild(squid=sq, node=build(child, mask & ~sm), w=w)
+                for sq, sm, child, w in arms
+            )
             link_child = None
-            if o.get("link") is not None:
-                s = Squid.from_obj(o["link"]["squid"])
-                link_child = TraceChild(
-                    squid=s, node=build(int(o["link"]["node"]), mask & ~squid_mask(s))
-                )
-            pivot = None if o["pivot"] is None else ProductVertex(*o["pivot"])
-            rows_used = o.get("rows_used")
+            if link is not None:
+                sq, sm, child = link
+                link_child = TraceChild(squid=sq, node=build(child, mask & ~sm))
+            open_ids.discard(idx)
             node = TraceNode(
-                level=int(o["level"]),
+                level=level,
                 residual_mask=mask,
                 pivot=pivot,
-                arm_children=tuple(arm_children),
+                arm_children=arm_children,
                 link_child=link_child,
                 block_row=o.get("block_row"),
-                rows_used=None if rows_used is None else tuple(rows_used),
+                rows_used=rows_used,
             )
             built[idx] = node
             return node
 
-        root = build(root_id, full)
+        try:
+            root = build(root_id, full)
+        except RecursionError:
+            raise SquidError("trace nodes are nested too deeply to read") from None
         return cls(graph=G, q=q, m=m, kind=kind, root=root, mode=obj.get("mode", "walk"), scheme=scheme)
 
     @classmethod
@@ -394,13 +427,13 @@ class _Engine:
         self.G = G
         self.q = q
         self.P = product_with_complete(G, q)
-        _, _, self.nbr = neighbor_masks(self.P)
+        self.view = MaskView(self.P)  # product labels are bit indices
+        self.nbr = self.view.nbr
         self.total = G.n * q
         self.full = (1 << self.total) - 1
         self.base_of = [G.vertices[lab // q] for lab in range(self.total)]
         self.row_of = [lab % q + 1 for lab in range(self.total)]
         self.gi = {v: i for i, v in enumerate(G.vertices)}
-        self._graphs: dict[int, Graph] = {}
 
     def pv(self, label: int) -> ProductVertex:
         return ProductVertex(self.base_of[label], self.row_of[label])
@@ -418,15 +451,6 @@ class _Engine:
             out.append(self.pv(low.bit_length() - 1))
             mask ^= low
         return frozenset(out)
-
-    def subgraph(self, mask: int) -> Graph:
-        got = self._graphs.get(mask)
-        if got is None:
-            keep = [lab for lab in range(self.total) if mask >> lab & 1]
-            keepset = set(keep)
-            got = Graph(keep, [(u, v) for u, v in self.P.edges if u in keepset and v in keepset])
-            self._graphs[mask] = got
-        return got
 
     def classify_arm_squid(self, w_label: int, pivot_label: int, squid_mask: int) -> Squid:
         v, i = self.base_of[pivot_label], self.row_of[pivot_label]
@@ -653,8 +677,13 @@ def extract_certificate(trace: RemovalTrace) -> VdCertificate:
     Each node's children supply exactly the ingredient certificates of the
     pivot decomposition (neighbor-chain deletions and the closed-neighborhood
     deletion), assembled bottom-up with subtree sharing per (residual, level).
+    Everything runs on residual bitmasks of the product: one
+    CertificateBuilder serves every node, so isolated-vertex lifts repeated
+    across pivot decompositions are built once, and no Graph is built per
+    node.
     """
     eng = _Engine(trace.graph, trace.q)
+    builder = CertificateBuilder(eng.view)
     cache: dict[tuple[int, int], VdCertificate] = {}
 
     def certify(node: TraceNode) -> VdCertificate:
@@ -669,10 +698,15 @@ def extract_certificate(trace: RemovalTrace) -> VdCertificate:
                 raise SquidError(f"trace incomplete at level {node.level}")
             arm_certs = [certify(ch.node) for ch in node.arm_children]
             link_cert = certify(node.link_child.node)
-            H = eng.subgraph(node.residual_mask)
             order = [eng.label(ch.w) for ch in node.arm_children]
             cert = assemble_pivot_decomposition(
-                H, eng.label(node.pivot), order, arm_certs, link_cert, node.level
+                builder,
+                node.residual_mask,
+                eng.label(node.pivot),
+                order,
+                arm_certs,
+                link_cert,
+                node.level,
             )
         cache[key] = cert
         return cert

@@ -8,6 +8,15 @@ Certificates are binary derivation trees mirroring that recursion.  They
 are plain immutable values, independently re-checkable by
 verify_certificate, and serializable to a nested JSON form with explicit
 levels so third parties can re-verify them.
+
+Every recursion over induced subgraphs runs on the bitmasks of one root
+graph (MaskView): bit i is the i-th smallest label, H - u is
+``mask & ~(1 << i)`` and H - N[u] is ``mask & ~closed[i]``.  The decision
+solver, the verifier and the certificate builder (isolated-vertex lifting,
+pivot assembly, the degree-bound construction) all work there, and each
+memo belongs to an object made for one call.  The JSON reader shares
+structurally equal subtrees, so verification follows unique nodes rather
+than the size of the expanded tree.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import Graph, GraphError, delete_vertices, neighbor_masks
+from .graphs import Graph, GraphError, neighbor_masks
 
 
 class VdError(ValueError):
@@ -59,24 +68,26 @@ class Node:
 
 VdCertificate = Union[LeafAny, LeafEdgeless, Node]
 
+_ANY = LeafAny()
+
 
 # ---------------------------------------------------------------------------
-# Decision procedure
+# Mask view and decision procedure
 # ---------------------------------------------------------------------------
 
 
-class _Solver:
-    """Bitmask recursion over the induced subgraphs of one root graph.
+class MaskView:
+    """Bitmask view of the induced subgraphs of one root graph.
 
-    Memoized on (vertex bitmask, level); bit i is the i-th smallest label.
-    All entries are immutable once computed, so a solver can be shared.
+    verts[i] is the i-th smallest label and index maps labels back to bits;
+    nbr[i] and closed[i] are the open and closed neighborhood masks of bit
+    i.  The edgeless test is cached per view.
     """
 
     def __init__(self, G: Graph):
         self.verts, self.index, self.nbr = neighbor_masks(G)
         self.closed = [m | (1 << i) for i, m in enumerate(self.nbr)]
         self.full = (1 << len(self.verts)) - 1
-        self._memo: dict[tuple[int, int], bool] = {}
         self._edgeless: dict[int, bool] = {}
 
     def edgeless(self, mask: int) -> bool:
@@ -94,6 +105,26 @@ class _Solver:
             rest ^= low
         self._edgeless[mask] = result
         return result
+
+    def labels(self, mask: int) -> tuple[int, ...]:
+        """Labels of the set bits, smallest first."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.verts[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+
+class _Solver(MaskView):
+    """Level recursion over the induced subgraphs of one root graph.
+
+    Memoized on (vertex bitmask, level) for the life of the solver.
+    """
+
+    def __init__(self, G: Graph):
+        super().__init__(G)
+        self._memo: dict[tuple[int, int], bool] = {}
 
     def vd(self, mask: int, k: int) -> bool:
         if k == 0:
@@ -126,28 +157,17 @@ class _Solver:
         return result
 
 
-_solvers: dict[Graph, _Solver] = {}
-
-
-def _solver(G: Graph) -> _Solver:
-    s = _solvers.get(G)
-    if s is None:
-        s = _Solver(G)
-        _solvers[G] = s
-    return s
-
-
 def is_vd(G: Graph, k: int) -> bool:
-    """Whether G satisfies the level-k recursion. Deterministic, memoized."""
+    """Whether G satisfies the level-k recursion. Deterministic, memoized per call."""
     if k < 0:
         raise VdError(f"level must be non-negative, got {k}")
-    s = _solver(G)
+    s = _Solver(G)
     return s.vd(s.full, k)
 
 
 def max_vd(G: Graph) -> int:
     """Largest k with is_vd(G, k); well-defined since levels are downward closed."""
-    s = _solver(G)
+    s = _Solver(G)
     best = 0
     for k in range(1, G.n + 1):
         if not s.vd(s.full, k):
@@ -181,7 +201,7 @@ def verify_certificate(G: Graph, cert: VdCertificate) -> CertCheck:
     distinct (subtree, subgraph) pair, so shared subtrees verify in time
     polynomial in the tree's unique size.
     """
-    s = _solver(G)
+    s = MaskView(G)
     seen: set[tuple[int, int]] = set()
     stack: list[tuple[VdCertificate, int, tuple[str, ...]]] = [(cert, s.full, ())]
     while stack:
@@ -193,8 +213,8 @@ def verify_certificate(G: Graph, cert: VdCertificate) -> CertCheck:
         if isinstance(c, LeafAny):
             continue
         if isinstance(c, LeafEdgeless):
-            actual = frozenset(s.verts[i] for i in range(len(s.verts)) if mask >> i & 1)
-            if actual != frozenset(c.vertices):
+            actual = s.labels(mask)
+            if len(c.vertices) != len(actual) or frozenset(actual) != frozenset(c.vertices):
                 return CertCheck(False, path, "edgeless leaf lists a different vertex set")
             if not s.edgeless(mask):
                 return CertCheck(False, path, "edgeless leaf but the subgraph has an edge")
@@ -228,35 +248,78 @@ def verify_certificate(G: Graph, cert: VdCertificate) -> CertCheck:
 def edgeless_certificate(vertices, k: int) -> VdCertificate:
     """Certificate for the edgeless graph on these vertices at level k <= n."""
     verts = tuple(sorted(vertices))
-    if k < 0 or k > len(verts):
-        raise VdError(f"edgeless graph on {len(verts)} vertices is not at level {k}")
-    memo: dict[tuple[int, int], VdCertificate] = {}
-
-    def rec(n_kept: int, kk: int) -> VdCertificate:
-        # vertices used are always the last n_kept of verts (smallest removed first)
-        if kk == 0:
-            return LeafAny()
-        sub = verts[len(verts) - n_kept :]
-        if kk == n_kept:
-            return LeafEdgeless(sub)
-        key = (n_kept, kk)
-        got = memo.get(key)
-        if got is None:
-            got = Node(sub[0], rec(n_kept - 1, kk), rec(n_kept - 1, kk - 1), kk)
-            memo[key] = got
-        return got
-
-    return rec(len(verts), k)
+    n = len(verts)
+    if k < 0 or k > n:
+        raise VdError(f"edgeless graph on {n} vertices is not at level {k}")
+    # Built level by level: row[j] certifies the last kk + j vertices at
+    # level kk, pivoting on the smallest of them.
+    spare = n - k
+    row: list[VdCertificate] = [_ANY] * (spare + 1)
+    for kk in range(1, k + 1):
+        nxt: list[VdCertificate] = [LeafEdgeless(verts[n - kk :])]
+        for j in range(1, spare + 1):
+            nxt.append(Node(verts[n - kk - j], nxt[j - 1], row[j], kk))
+        row = nxt
+    return row[spare]
 
 
-def _level1_certificate(G: Graph) -> VdCertificate:
-    """Any nonempty graph is at level 1: peel minimum-label vertices."""
-    if G.n == 0:
-        raise VdError("the empty graph is not at level 1")
-    if G.is_edgeless():
-        return edgeless_certificate(G.vertices, 1)
-    v = G.vertices[0]
-    return Node(v, _level1_certificate(delete_vertices(G, [v])), LeafAny(), 1)
+class CertificateBuilder:
+    """Certificate construction on the bitmasks of one root graph.
+
+    Isolated-vertex lifts are memoized on (mask, isolated bit, id(cert))
+    for the life of the builder, so one builder serves every pivot
+    decomposition of a construction.  The memo keeps each keyed cert
+    referenced, so no id is reused while the builder lives.
+    """
+
+    def __init__(self, view: MaskView):
+        self.view = view
+        self._lifts: dict[tuple[int, int, int], tuple[VdCertificate, VdCertificate]] = {}
+
+    def edgeless(self, mask: int, k: int) -> VdCertificate:
+        return edgeless_certificate(self.view.labels(mask), k)
+
+    def level1(self, mask: int) -> VdCertificate:
+        """Any nonempty subgraph is at level 1: peel minimum-label vertices."""
+        if mask == 0:
+            raise VdError("the empty graph is not at level 1")
+        peeled = []
+        while not self.view.edgeless(mask):
+            low = mask & -mask
+            peeled.append(self.view.verts[low.bit_length() - 1])
+            mask ^= low
+        cert = self.edgeless(mask, 1)
+        for v in reversed(peeled):
+            cert = Node(v, cert, _ANY, 1)
+        return cert
+
+    def lift(self, mask: int, v: int, cert: VdCertificate) -> VdCertificate:
+        """Certificate for the subgraph `mask` one level above cert.
+
+        cert must certify the subgraph minus bit v, which is isolated in
+        it; the result is rebuilt along cert's own pivots.
+        """
+        key = (mask, v, id(cert))
+        got = self._lifts.get(key)
+        if got is not None:
+            return got[1]
+        view = self.view
+        if view.edgeless(mask):
+            out = self.edgeless(mask, cert.level + 1)
+        elif isinstance(cert, LeafAny):
+            out = self.level1(mask)
+        elif isinstance(cert, LeafEdgeless):
+            raise CertificateError("edgeless leaf given for a graph with edges")
+        else:
+            u = cert.pivot
+            i = view.index.get(u)
+            if i is None or not mask >> i & 1 or i == v:
+                raise CertificateError(f"pivot {u} does not exist in the lifted graph")
+            del_lift = self.lift(mask & ~(1 << i), v, cert.delete)
+            link_lift = self.lift(mask & ~view.closed[i], v, cert.link)
+            out = Node(u, del_lift, link_lift, cert.level + 1)
+        self._lifts[key] = (cert, out)
+        return out
 
 
 def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
@@ -270,56 +333,47 @@ def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
         raise GraphError(f"vertex {v} not in the graph")
     if G.neighbors(v):
         raise GraphError(f"vertex {v} is not isolated")
-    memo: dict[tuple[Graph, int], VdCertificate] = {}
-
-    def rec(H: Graph, c: VdCertificate) -> VdCertificate:
-        key = (H, id(c))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if H.is_edgeless():
-            out: VdCertificate = edgeless_certificate(H.vertices, c.level + 1)
-        elif isinstance(c, LeafAny):
-            out = _level1_certificate(H)
-        elif isinstance(c, LeafEdgeless):
-            raise CertificateError("edgeless leaf given for a graph with edges")
-        else:
-            u = c.pivot
-            if u not in H or u == v:
-                raise CertificateError(f"pivot {u} does not exist in the lifted graph")
-            del_lift = rec(delete_vertices(H, [u]), c.delete)
-            link_lift = rec(delete_vertices(H, H.neighbors(u) | {u}), c.link)
-            out = Node(u, del_lift, link_lift, c.level + 1)
-        memo[key] = out
-        return out
-
-    return rec(G, cert)
+    view = MaskView(G)
+    return CertificateBuilder(view).lift(view.full, view.index[v], cert)
 
 
 def assemble_pivot_decomposition(
-    G: Graph,
+    builder: CertificateBuilder,
+    mask: int,
     pivot: int,
     order: list[int],
     arm_certs: list[VdCertificate],
     link_cert: VdCertificate,
     level: int,
 ) -> VdCertificate:
-    """Certificate for G at `level` from certificates one level down.
+    """Certificate for the subgraph H on `mask` at `level`, from ingredients one level down.
 
-    order must enumerate the open neighborhood of pivot; arm_certs[i] must
-    certify G minus (closed neighborhood of order[i], plus order[:i]) and
-    link_cert must certify G minus the closed neighborhood of pivot, all at
-    level-1.  The construction peels order back-to-front and raises the
-    isolated pivot on the stripped core.
+    order must list the open neighborhood of pivot in H, each neighbor
+    once; arm_certs[i] must certify H minus (closed neighborhood of
+    order[i], plus order[:i]) and link_cert must certify H minus the closed
+    neighborhood of pivot, all at level-1.  The construction peels order
+    back-to-front and lifts the isolated pivot on the stripped core, through
+    the builder's memo.
     """
-    if set(order) != set(G.neighbors(pivot)):
-        raise VdError("order must enumerate the pivot's open neighborhood")
+    view = builder.view
+    p = view.index.get(pivot)
+    if p is None or not mask >> p & 1:
+        raise GraphError(f"unknown vertex {pivot}")
+    want = view.nbr[p] & mask
+    got = 0
+    for u in order:
+        i = view.index.get(u)
+        if i is None or got >> i & 1:  # unknown or repeated
+            got = -1
+            break
+        got |= 1 << i
+    if got != want:
+        raise VdError("order must enumerate the pivot's open neighborhood, each once")
     if len(arm_certs) != len(order):
         raise VdError("one arm certificate per neighbor is required")
     if link_cert.level != level - 1 or any(c.level != level - 1 for c in arm_certs):
         raise VdError("all ingredient certificates must claim level-1")
-    core = delete_vertices(G, order)
-    cert = lift_isolated(core, pivot, link_cert)
+    cert = builder.lift(mask & ~want, p, link_cert)
     for u, arm in zip(reversed(order), reversed(arm_certs)):
         cert = Node(u, cert, arm, level)
     return cert
@@ -337,29 +391,35 @@ def build_certificate_degree_bound(G: Graph) -> VdCertificate:
     if delta == 0:
         return LeafEdgeless(G.vertices)
     target = G.n // (2 * delta)
-    memo: dict[tuple[Graph, int], VdCertificate] = {}
+    view = MaskView(G)
+    builder = CertificateBuilder(view)
+    memo: dict[tuple[int, int], VdCertificate] = {}
 
-    def build(H: Graph, k: int) -> VdCertificate:
+    def build(mask: int, k: int) -> VdCertificate:
         if k == 0:
-            return LeafAny()
-        if H.is_edgeless():
-            return edgeless_certificate(H.vertices, k)
-        key = (H, k)
+            return _ANY
+        if view.edgeless(mask):
+            return builder.edgeless(mask, k)
+        key = (mask, k)
         got = memo.get(key)
         if got is not None:
             return got
-        v = H.vertices[0]
-        order = sorted(H.neighbors(v))
-        link_cert = build(delete_vertices(H, H.neighbors(v) | {v}), k - 1)
+        p = (mask & -mask).bit_length() - 1
+        order = view.labels(view.nbr[p] & mask)
+        link_cert = build(mask & ~view.closed[p], k - 1)
         arm_certs = []
-        for i, u in enumerate(order):
-            drop = (H.neighbors(u) | {u}) | set(order[:i])
-            arm_certs.append(build(delete_vertices(H, drop), k - 1))
-        cert = assemble_pivot_decomposition(H, v, order, arm_certs, link_cert, k)
+        prefix = 0
+        for u in order:
+            i = view.index[u]
+            arm_certs.append(build(mask & ~(view.closed[i] | prefix), k - 1))
+            prefix |= 1 << i
+        cert = assemble_pivot_decomposition(
+            builder, mask, view.verts[p], list(order), arm_certs, link_cert, k
+        )
         memo[key] = cert
         return cert
 
-    return build(G, target)
+    return build(view.full, target)
 
 
 # ---------------------------------------------------------------------------
@@ -396,39 +456,86 @@ def certificate_to_json(cert: VdCertificate) -> str:
     return "".join(parts)
 
 
+def _malformed(where, message: str) -> CertificateError:
+    """Error at a reader position, given as a (step, parent) chain from the root."""
+    steps = []
+    while where is not None:
+        step, where = where
+        steps.append(step)
+    path = "/".join(reversed(steps)) or "root"
+    return CertificateError(f"certificate path {path}: {message}")
+
+
 def certificate_from_obj(obj) -> VdCertificate:
+    """Certificate from its nested JSON object, sharing equal subtrees.
+
+    Structurally equal subtrees come back as one object: a single LeafAny,
+    one LeafEdgeless per vertex tuple, and one Node per (pivot, delete,
+    link, level) over children that are already shared.  The result is a
+    DAG that certificate_to_json expands to the same text, and on which
+    verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
+    levels and vertices must be JSON integers; anything malformed raises
+    CertificateError naming its path, as del/link steps from the root.
+    """
+    edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
+    nodes: dict[tuple[int, int, int, int], Node] = {}
     done: list[VdCertificate] = []
-    stack: list[tuple[dict, bool]] = [(obj, False)]
+    # (JSON object, its path as a (step, parent) chain, and, once its
+    # children are queued, the pivot node's body)
+    stack: list[tuple[object, object, object]] = [(obj, None, None)]
     while stack:
-        o, expanded = stack.pop()
-        if not isinstance(o, dict):
-            raise CertificateError("certificate JSON nodes must be objects")
+        o, where, body = stack.pop()
+        if body is not None:  # both children are read
+            link = done.pop()
+            delete = done.pop()
+            level = o.get("level", link.level + 1)
+            if type(level) is not int:
+                raise _malformed(where, "node level must be an integer")
+            key = (body["pivot"], id(delete), id(link), level)
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = Node(body["pivot"], delete, link, level)
+            done.append(node)
+            continue
+        if type(o) is not dict:
+            raise _malformed(where, "certificate JSON nodes must be objects")
         leaf = o.get("leaf")
         if leaf == "any":
             if o.get("level", 0) != 0:
-                raise CertificateError("leaf 'any' must be at level 0")
-            done.append(LeafAny())
+                raise _malformed(where, "leaf 'any' must be at level 0")
+            done.append(_ANY)
         elif leaf == "edgeless":
-            verts = tuple(sorted(int(v) for v in o.get("vertices", [])))
+            raw = o.get("vertices", [])
+            if type(raw) is not list or any(type(v) is not int for v in raw):
+                raise _malformed(where, "edgeless leaf vertices must be a list of integers")
+            verts = tuple(sorted(raw))
+            if len(set(verts)) != len(verts):
+                raise _malformed(where, "edgeless leaf lists a vertex twice")
             if o.get("level", len(verts)) != len(verts):
-                raise CertificateError("edgeless leaf level must equal its vertex count")
-            done.append(LeafEdgeless(verts))
+                raise _malformed(where, "edgeless leaf level must equal its vertex count")
+            got = edgeless.get(verts)
+            if got is None:
+                got = edgeless[verts] = LeafEdgeless(verts)
+            done.append(got)
         elif "node" in o:
-            if expanded:
-                link = done.pop()
-                delete = done.pop()
-                level = o.get("level", link.level + 1)
-                done.append(Node(int(o["node"]["pivot"]), delete, link, int(level)))
-            else:
-                stack.append((o, True))
-                stack.append((o["node"]["link"], False))
-                stack.append((o["node"]["del"], False))
+            body = o["node"]
+            if type(body) is not dict or "del" not in body or "link" not in body:
+                raise _malformed(where, "pivot node needs an object with 'del' and 'link'")
+            if type(body.get("pivot")) is not int:
+                raise _malformed(where, "pivot must be an integer")
+            stack.append((o, where, body))
+            stack.append((body["link"], ("link", where), None))
+            stack.append((body["del"], ("del", where), None))
         else:
-            raise CertificateError(f"unrecognized certificate object with keys {sorted(o)}")
+            raise _malformed(where, f"unrecognized certificate object with keys {sorted(o)}")
     if len(done) != 1:
         raise CertificateError("malformed certificate nesting")
     return done[0]
 
 
 def certificate_from_json(text: str) -> VdCertificate:
-    return certificate_from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise CertificateError("certificate JSON is nested too deeply to read") from None
+    return certificate_from_obj(obj)

@@ -6,12 +6,16 @@ with naive label-order pivoting, the planar hull oracle does case
 analysis on exact 2-D geometry (hull vertices and edge crossings) instead
 of linear programming, and the homology oracle runs dense Gaussian
 elimination on Fractions over faces enumerated straight from the facets.
+The certificate construction oracle (lifting, pivot assembly, the
+degree-bound builder and trace extraction) builds a Graph for every
+subgraph where the library works on bitmasks.
 """
 
 import itertools
 from fractions import Fraction
 
-from tvf.vd import LeafAny, LeafEdgeless, Node
+from tvf.graphs import Graph, GraphError, delete_vertices, induced_subgraph, product_label
+from tvf.vd import CertificateError, LeafAny, LeafEdgeless, Node, VdCertificate, VdError
 
 
 def brute_certificate_search(G, k):
@@ -192,3 +196,178 @@ def dense_betti(facets):
         dense_rational_rank(boundary_matrix(faces[r - 1], faces[r])) for r in range(1, len(faces))
     ] + [0]
     return tuple(len(faces[r]) - ranks[r] - ranks[r + 1] for r in range(len(faces)))
+
+
+# ---------------------------------------------------------------------------
+# Graph-space certificate construction (reference for the mask-space builder)
+# ---------------------------------------------------------------------------
+#
+# The construction as it ran before extraction moved to bitmasks: every
+# subgraph is a fresh Graph and each lift keeps its own memo.  Library
+# output must match it byte for byte.
+
+
+def edgeless_certificate(vertices, k: int) -> VdCertificate:
+    """Certificate for the edgeless graph on these vertices at level k <= n."""
+    verts = tuple(sorted(vertices))
+    if k < 0 or k > len(verts):
+        raise VdError(f"edgeless graph on {len(verts)} vertices is not at level {k}")
+    memo: dict[tuple[int, int], VdCertificate] = {}
+
+    def rec(n_kept: int, kk: int) -> VdCertificate:
+        # vertices used are always the last n_kept of verts (smallest removed first)
+        if kk == 0:
+            return LeafAny()
+        sub = verts[len(verts) - n_kept :]
+        if kk == n_kept:
+            return LeafEdgeless(sub)
+        key = (n_kept, kk)
+        got = memo.get(key)
+        if got is None:
+            got = Node(sub[0], rec(n_kept - 1, kk), rec(n_kept - 1, kk - 1), kk)
+            memo[key] = got
+        return got
+
+    return rec(len(verts), k)
+
+
+def _level1_certificate(G: Graph) -> VdCertificate:
+    """Any nonempty graph is at level 1: peel minimum-label vertices."""
+    if G.n == 0:
+        raise VdError("the empty graph is not at level 1")
+    if G.is_edgeless():
+        return edgeless_certificate(G.vertices, 1)
+    v = G.vertices[0]
+    return Node(v, _level1_certificate(delete_vertices(G, [v])), LeafAny(), 1)
+
+
+def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
+    """Raise a certificate for G minus an isolated vertex v by one level.
+
+    cert must certify G minus v at some level k-1; the result certifies G
+    at level k, rebuilt along cert's own pivots (each subgraph keeps v
+    isolated, so the rewrite recurses structurally).
+    """
+    if v not in G:
+        raise GraphError(f"vertex {v} not in the graph")
+    if G.neighbors(v):
+        raise GraphError(f"vertex {v} is not isolated")
+    memo: dict[tuple[Graph, int], VdCertificate] = {}
+
+    def rec(H: Graph, c: VdCertificate) -> VdCertificate:
+        key = (H, id(c))
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if H.is_edgeless():
+            out: VdCertificate = edgeless_certificate(H.vertices, c.level + 1)
+        elif isinstance(c, LeafAny):
+            out = _level1_certificate(H)
+        elif isinstance(c, LeafEdgeless):
+            raise CertificateError("edgeless leaf given for a graph with edges")
+        else:
+            u = c.pivot
+            if u not in H or u == v:
+                raise CertificateError(f"pivot {u} does not exist in the lifted graph")
+            del_lift = rec(delete_vertices(H, [u]), c.delete)
+            link_lift = rec(delete_vertices(H, H.neighbors(u) | {u}), c.link)
+            out = Node(u, del_lift, link_lift, c.level + 1)
+        memo[key] = out
+        return out
+
+    return rec(G, cert)
+
+
+def assemble_pivot_decomposition(
+    G: Graph,
+    pivot: int,
+    order: list[int],
+    arm_certs: list[VdCertificate],
+    link_cert: VdCertificate,
+    level: int,
+) -> VdCertificate:
+    """Certificate for G at `level` from certificates one level down.
+
+    order must enumerate the open neighborhood of pivot; arm_certs[i] must
+    certify G minus (closed neighborhood of order[i], plus order[:i]) and
+    link_cert must certify G minus the closed neighborhood of pivot, all at
+    level-1.  The construction peels order back-to-front and raises the
+    isolated pivot on the stripped core.
+    """
+    if set(order) != set(G.neighbors(pivot)):
+        raise VdError("order must enumerate the pivot's open neighborhood")
+    if len(arm_certs) != len(order):
+        raise VdError("one arm certificate per neighbor is required")
+    if link_cert.level != level - 1 or any(c.level != level - 1 for c in arm_certs):
+        raise VdError("all ingredient certificates must claim level-1")
+    core = delete_vertices(G, order)
+    cert = lift_isolated(core, pivot, link_cert)
+    for u, arm in zip(reversed(order), reversed(arm_certs)):
+        cert = Node(u, cert, arm, level)
+    return cert
+
+
+def build_certificate_degree_bound(G: Graph) -> VdCertificate:
+    """Constructive certificate at level floor(n / 2*maxdeg).
+
+    Follows the inductive peeling proof: fix the smallest-label pivot,
+    recurse on the closed-neighborhood deletion and on the neighbor-chain
+    deletions, then assemble.  An edgeless graph short-circuits to its
+    edgeless leaf at level n.
+    """
+    delta = G.max_degree()
+    if delta == 0:
+        return LeafEdgeless(G.vertices)
+    target = G.n // (2 * delta)
+    memo: dict[tuple[Graph, int], VdCertificate] = {}
+
+    def build(H: Graph, k: int) -> VdCertificate:
+        if k == 0:
+            return LeafAny()
+        if H.is_edgeless():
+            return edgeless_certificate(H.vertices, k)
+        key = (H, k)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        v = H.vertices[0]
+        order = sorted(H.neighbors(v))
+        link_cert = build(delete_vertices(H, H.neighbors(v) | {v}), k - 1)
+        arm_certs = []
+        for i, u in enumerate(order):
+            drop = (H.neighbors(u) | {u}) | set(order[:i])
+            arm_certs.append(build(delete_vertices(H, drop), k - 1))
+        cert = assemble_pivot_decomposition(H, v, order, arm_certs, link_cert, k)
+        memo[key] = cert
+        return cert
+
+    return build(G, target)
+
+
+def extract_certificate(trace):
+    """Certificate for a complete removal trace, one Graph per residual."""
+    P = trace.product()
+    cache = {}
+
+    def label(pv):
+        return product_label(trace.graph, trace.q, pv)
+
+    def certify(node):
+        key = (node.residual_mask, node.level)
+        got = cache.get(key)
+        if got is not None:
+            return got
+        if node.level == 0:
+            cert = LeafAny()
+        else:
+            arm_certs = [certify(ch.node) for ch in node.arm_children]
+            link_cert = certify(node.link_child.node)
+            H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
+            order = [label(ch.w) for ch in node.arm_children]
+            cert = assemble_pivot_decomposition(
+                H, label(node.pivot), order, arm_certs, link_cert, node.level
+            )
+        cache[key] = cert
+        return cert
+
+    return certify(trace.root)

@@ -259,3 +259,50 @@ def test_stdout_manifest_on_request(files, capsys):
     obj = json.loads(manifest.read_text())
     assert obj["stdout_sha256"] is not None and obj["seed"] == 0
     assert obj["version"]
+
+
+def _nest(bad, steps):
+    """Certificate JSON with `bad` at the del/link path `steps` below the root."""
+    any_leaf = {"leaf": "any", "level": 0}
+    for step in reversed(steps):
+        node = {"del": any_leaf, "link": any_leaf, "pivot": 0}
+        node[step] = bad
+        bad = {"level": 1, "node": node}
+    return json.dumps(bad)
+
+
+_DEEP = '{"level":1,"node":{"del":' * 3000 + '{"leaf":"any"}' + ',"link":{"leaf":"any"},"pivot":0}}' * 3000
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_nest({"level": 1, "node": {"del": {"leaf": "any"}, "pivot": 0}}, ["del", "link", "del"]), "del/link/del"),
+        (_nest({"level": 1, "node": 5}, ["link"]), "link"),
+        (_nest({"level": 1, "node": {"del": {"leaf": "any"}, "link": {"leaf": "any"}, "pivot": "x"}}, ["del"]), "del"),
+        (_nest({"leaf": "edgeless", "vertices": ["a"]}, ["del", "del"]), "del/del"),
+        (_DEEP, "nested too deeply"),
+    ],
+    ids=["missing-link", "node-not-object", "pivot-not-integer", "vertex-not-integer", "nested-3000-deep"],
+)
+def test_malformed_certificate_is_certificate_error(files, capsys, text, where):
+    (files / "bad.json").write_text(text)
+    code, out, err = run(capsys, "vd", "verify", "--graph", files / "k2.txt", "--cert", files / "bad.json")
+    obj = json.loads(err)
+    assert code == 1 and out == ""
+    assert set(obj) == {"error", "kind"} and obj["kind"] == "CertificateError"
+    assert where in obj["error"]
+
+
+def test_trace_node_without_residual_size_is_squid_error(files, capsys):
+    trace = files / "trace.json"
+    code, _, _ = run(capsys, "squid", "df1", "--graph", files / "k2.txt", "--q", "3", "--out", trace)
+    assert code == 0
+    obj = json.loads(trace.read_text())
+    del obj["nodes"][1]["residual_size"]
+    trace.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "squid", "extract", "--trace", trace)
+    obj = json.loads(err)
+    assert code == 1 and out == ""
+    assert set(obj) == {"error", "kind"} and obj["kind"] == "SquidError"
+    assert "node 1" in obj["error"] and "residual_size" in obj["error"]

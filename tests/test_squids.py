@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tvf.graphs import Graph, ProductVertex, product_with_complete
@@ -19,6 +21,7 @@ from tvf.squids import (
 )
 from tvf.vd import certificate_to_json, verify_certificate
 
+import oracles
 from conftest import all_labeled_graphs
 
 
@@ -265,3 +268,42 @@ def test_extract_depth_zero():
     cert = extract_certificate(trace)
     assert cert.level == 0
     assert verify_certificate(trace.product(), cert).ok
+
+
+def _relabeled_cycle(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph(range(n), [(perm[i], perm[(i + 1) % n]) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "make_trace",
+    [
+        lambda: run_df1(Graph.cycle(5), 7),
+        lambda: run_df1(_relabeled_cycle(6, 1), 7),
+        lambda: run_df1(_relabeled_cycle(6, 2), 7),
+        lambda: run_dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2)),
+    ],
+    ids=["C5xK7", "C6xK7-relabel1", "C6xK7-relabel2", "P4xK5-dynamic"],
+)
+def test_extraction_matches_graph_space_oracle(make_trace):
+    trace = make_trace()
+    assert certificate_to_json(extract_certificate(trace)) == certificate_to_json(
+        oracles.extract_certificate(trace)
+    )
+
+
+def test_trace_from_obj_names_the_malformed_node():
+    obj = run_df1(Graph.complete(2), 3).to_obj()
+    for key, value in (("residual_size", None), ("pivot", [9, 1]), ("children", 5)):
+        bad = {**obj, "nodes": [dict(n) for n in obj["nodes"]]}
+        if value is None:
+            del bad["nodes"][1][key]
+        else:
+            bad["nodes"][1][key] = value
+        with pytest.raises(SquidError, match="node 1"):
+            RemovalTrace.from_obj(bad)
+    cyclic = {**obj, "nodes": [dict(n) for n in obj["nodes"]]}
+    cyclic["nodes"][0]["link"] = {**cyclic["nodes"][0]["link"], "node": 0}
+    with pytest.raises(SquidError):
+        RemovalTrace.from_obj(cyclic)

@@ -1,13 +1,20 @@
+import copy
+import json
 import random
 
 import pytest
 
 from tvf.graphs import Graph, GraphError, delete_vertices
+from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
+    CertificateBuilder,
+    CertificateError,
     LeafAny,
     LeafEdgeless,
+    MaskView,
     Node,
     VdError,
+    assemble_pivot_decomposition,
     build_certificate_degree_bound,
     certificate_from_json,
     certificate_to_json,
@@ -18,6 +25,7 @@ from tvf.vd import (
     verify_certificate,
 )
 
+import oracles
 from conftest import all_labeled_graphs
 from oracles import brute_certificate_search
 
@@ -151,6 +159,7 @@ def test_lift_isolated_randomized_against_verifier():
         up = lift_isolated(iso, n, cert)
         assert up.level == k + 1
         assert verify_certificate(iso, up).ok
+        assert certificate_to_json(up) == certificate_to_json(oracles.lift_isolated(iso, n, cert))
 
 
 def test_certificate_json_round_trip():
@@ -167,3 +176,161 @@ def test_certificate_json_round_trip():
         certificate_from_json('{"leaf":"edgeless","level":1,"vertices":[0,1]}')
     with pytest.raises(VdError):
         certificate_from_json('{"leaf":"any","level":2}')
+
+
+def test_lift_isolated_has_no_recursion_limit():
+    G = Graph(range(2501), [(i, i + 1) for i in range(2499)])  # 2500 is isolated
+    cert = lift_isolated(G, 2500, LeafAny())
+    assert cert.level == 1
+    assert verify_certificate(G, cert).ok
+
+
+def test_build_certificate_matches_graph_space_oracle(atlas6):
+    for G in atlas6:
+        assert certificate_to_json(build_certificate_degree_bound(G)) == certificate_to_json(
+            oracles.build_certificate_degree_bound(G)
+        )
+
+
+def test_assembly_keeps_every_ingredient_check():
+    P3 = Graph.path(3)  # pivot 1 with neighbors 0 and 2
+    view = MaskView(P3)
+    builder = CertificateBuilder(view)
+    arms = [LeafAny(), LeafAny()]
+
+    def assemble(pivot=1, order=(0, 2), arm_certs=arms, link=LeafAny(), level=1, mask=view.full):
+        return assemble_pivot_decomposition(builder, mask, pivot, list(order), arm_certs, link, level)
+
+    cert = assemble()
+    assert certificate_to_json(cert) == certificate_to_json(
+        oracles.assemble_pivot_decomposition(P3, 1, [0, 2], arms, LeafAny(), 1)
+    )
+    assert verify_certificate(P3, cert).ok
+    for order in ((0,), (0, 2, 2), (0, 0), (2, 0, 9)):
+        with pytest.raises(VdError, match="open neighborhood"):
+            assemble(order=order)
+    with pytest.raises(VdError, match="one arm certificate"):
+        assemble(arm_certs=[LeafAny()])
+    with pytest.raises(VdError, match="level-1"):
+        assemble(link=LeafEdgeless((0,)))
+    with pytest.raises(GraphError):
+        assemble(mask=view.full & ~(1 << view.index[1]))  # pivot not in H
+    # lifting replays the link certificate inside H minus the pivot's neighbors
+    K2_plus = Graph([0, 1, 2], [(0, 1)])
+    with pytest.raises(CertificateError, match="edgeless leaf given"):
+        lift_isolated(K2_plus, 2, LeafEdgeless((0,)))
+    with pytest.raises(CertificateError, match="does not exist"):
+        lift_isolated(K2_plus, 2, Node(2, LeafAny(), LeafAny(), 1))
+    with pytest.raises(CertificateError, match="does not exist"):
+        lift_isolated(K2_plus, 2, Node(7, LeafAny(), LeafAny(), 1))
+
+
+def test_verify_rejects_edgeless_leaf_with_repeated_vertices():
+    # a repeated vertex would otherwise claim one level per repeat
+    single = Graph.empty(1)
+    assert not verify_certificate(single, LeafEdgeless((0, 0))).ok
+    with pytest.raises(CertificateError, match="twice"):
+        certificate_from_json('{"leaf":"edgeless","level":2,"vertices":[0,0]}')
+
+
+def _c5_certificate_text():
+    trace = run_df1(Graph.cycle(5), 7)
+    return trace.product(), certificate_to_json(extract_certificate(trace))
+
+
+def _unique_objects(cert):
+    out, stack = {}, [cert]
+    while stack:
+        c = stack.pop()
+        if id(c) not in out:
+            out[id(c)] = c
+            if isinstance(c, Node):
+                stack.extend((c.delete, c.link))
+    return out
+
+
+def test_reader_shares_each_distinct_subtree_once():
+    _, text = _c5_certificate_text()
+    cert = certificate_from_json(text)
+    assert certificate_to_json(cert) == text
+    objects = _unique_objects(cert)
+    # number structures bottom-up, by value only: equal subtrees get equal numbers
+    numbers: dict[int, int] = {}
+    shapes: dict[tuple, int] = {}
+    stack = [(cert, False)]
+    while stack:
+        c, ready = stack.pop()
+        if id(c) in numbers:
+            continue
+        if isinstance(c, Node) and not ready:
+            stack.extend(((c, True), (c.delete, False), (c.link, False)))
+            continue
+        if isinstance(c, Node):
+            shape = ("node", c.pivot, c.level, numbers[id(c.delete)], numbers[id(c.link)])
+        elif isinstance(c, LeafEdgeless):
+            shape = ("edgeless", c.vertices)
+        else:
+            shape = ("any",)
+        numbers[id(c)] = shapes.setdefault(shape, len(shapes))
+    assert len(shapes) == len(objects)
+    assert len(objects) < text.count('"level"')  # the tree itself repeats subtrees
+
+
+def _first_nonempty_leaf(o, path):
+    """First edgeless leaf with vertices below JSON object o, del-first, with its path."""
+    stack = [(o, path)]
+    while stack:
+        o, path = stack.pop()
+        if "node" in o:
+            p = o["node"]["pivot"]
+            stack.append((o["node"]["link"], path + (f"link@{p}",)))
+            stack.append((o["node"]["del"], path + (f"del@{p}",)))
+        elif o["leaf"] == "edgeless" and o["vertices"]:
+            return o, path
+    return None
+
+
+def test_tampered_occurrence_of_shared_subtree_is_reported_at_its_path():
+    G, text = _c5_certificate_text()
+    obj = json.loads(text)
+    cert = certificate_from_json(text)
+    # every occurrence of each (shared node, subgraph) pair: JSON steps, verifier path
+    occurrences: dict[tuple[int, frozenset], list] = {}
+    stack = [(obj, cert, frozenset(G.vertices), (), ())]
+    while stack:
+        o, c, verts, steps, path = stack.pop()
+        if isinstance(c, Node):
+            occurrences.setdefault((id(c), verts), []).append((o, steps, path))
+            p = c.pivot
+            stack.append((o["node"]["del"], c.delete, verts - {p}, steps + ("del",), path + (f"del@{p}",)))
+            link_verts = verts - G.neighbors(p) - {p}
+            stack.append((o["node"]["link"], c.link, link_verts, steps + ("link",), path + (f"link@{p}",)))
+    shared = [
+        occ
+        for occ in occurrences.values()
+        if len(occ) > 1 and _first_nonempty_leaf(occ[0][0], ()) is not None
+    ]
+    occ = max(shared, key=len)  # the verifier skips all but one of these
+    for _, steps, path in (occ[0], occ[-1]):
+        bad = copy.deepcopy(obj)
+        o = bad
+        for step in steps:
+            o = o["node"][step]
+        leaf, leaf_path = _first_nonempty_leaf(o, path)
+        leaf["vertices"][0] = 10**6
+        res = verify_certificate(G, certificate_from_json(json.dumps(bad)))
+        assert not res.ok
+        assert res.path == leaf_path and "different vertex set" in res.reason
+
+
+def test_shared_leaf_is_rechecked_at_each_subgraph():
+    # The reader makes both uses of LeafEdgeless((3,)) one object.  It is
+    # valid where the subgraph is {3} (checked first, on the link side) and
+    # wrong where it is {2}; skipping it there would accept a false claim.
+    leaf = LeafEdgeless((3,))
+    link_side = Node(1, Node(2, leaf, LeafAny(), 1), LeafAny(), 1)
+    delete_side = Node(1, LeafEdgeless((2, 3)), Node(3, leaf, LeafAny(), 1), 2)
+    text = certificate_to_json(Node(0, delete_side, link_side, 2))
+    res = verify_certificate(Graph.empty(4), certificate_from_json(text))
+    assert not res.ok
+    assert res.path == ("del@0", "link@1", "del@3")
