@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain or verification failure, 2 budget
-exhausted, 64 usage errors.  Artifact-writing commands (--out, --cert-out)
+exhausted or input too deep for the interpreter's recursion limit, 64 usage
+errors.  Artifact-writing commands (--out, --cert-out)
 emit a sibling <path>.manifest.json recording input/output digests, the
 seed, and timing; identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -46,6 +48,16 @@ def _sha256_text(text: str) -> str:
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type of --epsilon: an exact rational such as 1/5 or 0.2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational such as 1/5 or 0.2, got {text!r}"
+        ) from None
 
 
 class UsageError(Exception):
@@ -247,7 +259,7 @@ def cmd_squid_extract(run: _Run) -> int:
 
 
 def cmd_scheme_constants(run: _Run) -> int:
-    consts = sc.epsilon_constants(float(sc._to_fraction(run.args.epsilon)))
+    consts = sc.epsilon_constants(float(run.args.epsilon))
     run.emit(_dumps(consts.to_obj()), None)
     return 0
 
@@ -446,9 +458,9 @@ def build_parser() -> _Parser:
         dest="command", required=True, parser_class=_Parser
     )
     p = sub(c, "constants", cmd_scheme_constants, help="a, gamma, K_eps")
-    p.add_argument("--epsilon", required=True)
+    p.add_argument("--epsilon", type=_rational, required=True)
     p = sub(c, "build", cmd_scheme_build, help="geometric integer scheme")
-    p.add_argument("--epsilon", required=True)
+    p.add_argument("--epsilon", type=_rational, required=True)
     p.add_argument("--n", type=int, required=True, help="coverage target N")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -485,7 +497,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--epsilon", required=True)
+    p.add_argument("--epsilon", type=_rational, required=True)
     p.add_argument("--out")
     p = sub(t, "primes", cmd_tverberg_primes, help="prime power test, largest prime <= q")
     p.add_argument("--q", type=int, required=True)
@@ -520,6 +532,13 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except BudgetExceeded as exc:
         sys.stderr.write(_dumps({"error": str(exc), "kind": "budget"}))
+        return 2
+    except RecursionError:
+        # a recursion that follows input depth ran out of interpreter stack:
+        # a resource limit like the budgets, reported with their exit code
+        sys.stderr.write(
+            _dumps({"error": "input nested too deeply for the recursion limit", "kind": "depth"})
+        )
         return 2
     except _DOMAIN_ERRORS as exc:
         sys.stderr.write(_dumps({"error": str(exc), "kind": type(exc).__name__}))

@@ -1,24 +1,36 @@
 """Exact rational feasibility for {x >= 0 : A x = b}.
 
-Phase-1 simplex on Fractions with Bland's rule (smallest eligible index
-enters; ties in the ratio test leave by smallest basic index), which cannot
-cycle, so the answer is a definitive witness or a definitive infeasibility.
-No tolerances anywhere.
+Phase-1 simplex with Bland's rule (smallest eligible index enters; ties in
+the ratio test leave by smallest basic index), which cannot cycle, so the
+answer is a definitive witness or a definitive infeasibility.  No
+tolerances anywhere.
+
+The tableau is fraction-free (Edmonds' integer pivoting, as in Avis's lrs):
+the system is scaled once by the lcm of all its denominators and kept as
+integers over one common denominator D, the determinant of the current
+basis.  A pivot on p keeps the pivot row and maps every other entry x with
+pivot-column entry f and pivot-row entry y to (x*p - f*y) / D, a division
+Bareiss' identity makes exact; then D becomes p.  The rational tableau is
+the integer one over D, with the artificial columns scaled by one positive
+constant, so every sign and ratio comparison, and with them the pivot
+sequence and the returned x, are those of the plain rational simplex.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def solve_equality_feasibility(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    A: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
-    """Return x >= 0 with A x = b, or None when no such x exists."""
+    """Return x >= 0 with A x = b, or None when no such x exists.
+
+    Entries are ints or Fractions.  Raises ValueError on ragged input.
+    """
     m = len(A)
     if m == 0:
         return []
@@ -26,59 +38,64 @@ def solve_equality_feasibility(
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent system dimensions")
 
+    # one scale for the whole system: scaling rows apart would reweight the
+    # phase-1 objective and could change Bland's choices
+    scale = math.lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
     # rows with b_i < 0 are negated so the artificial basis is feasible
     tab = []
     rhs = []
-    for row, bi in zip(A, b):
-        if bi < 0:
-            tab.append([-Fraction(x) for x in row])
-            rhs.append(-Fraction(bi))
-        else:
-            tab.append([Fraction(x) for x in row])
-            rhs.append(Fraction(bi))
-    for i in range(m):
-        tab[i].extend(ONE if j == i else ZERO for j in range(m))
+    for i, (row, bi) in enumerate(zip(A, b)):
+        sign = -scale if bi < 0 else scale
+        tab.append([sign * v.numerator // v.denominator for v in row] + [0] * m)
+        tab[i][n + i] = 1
+        rhs.append(sign * bi.numerator // bi.denominator)
     basis = list(range(n, n + m))
+    D = 1
 
-    # phase-1 objective: minimize the artificial sum; reduced costs
-    red = [ZERO] * (n + m)
-    for j in range(n):
-        red[j] = -sum(tab[i][j] for i in range(m))
+    # phase-1 objective: minimize the artificial sum; reduced costs times D
+    red = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
     obj = -sum(rhs)
 
     while True:
-        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        enter = next((j for j, r in enumerate(red) if r < 0), None)
         if enter is None:
             break
         leave = None
-        best: Optional[Fraction] = None
-        for i in range(m):
-            coeff = tab[i][enter]
+        for i, row in enumerate(tab):
+            coeff = row[enter]
             if coeff > 0:
-                ratio = rhs[i] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, num, den = i, rhs[i], coeff
+                    continue
+                # rhs[i]/coeff against the best ratio num/den
+                lhs, cur = rhs[i] * den, num * coeff
+                if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                    leave, num, den = i, rhs[i], coeff
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded; malformed tableau")
-        pivot = tab[leave][enter]
-        tab[leave] = [x / pivot for x in tab[leave]]
-        rhs[leave] /= pivot
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-                rhs[i] -= f * rhs[leave]
-        if red[enter]:
-            f = red[enter]
-            red = [x - f * y for x, y in zip(red, tab[leave])]
-            obj -= f * rhs[leave]
+        prow = tab[leave]
+        p = prow[enter]
+        pr = rhs[leave]
+        for i, row in enumerate(tab):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                tab[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+                rhs[i] = (rhs[i] * p - f * pr) // D
+            else:
+                tab[i] = [x * p // D for x in row]
+                rhs[i] = rhs[i] * p // D
+        f = red[enter]
+        red = [(x * p - f * y) // D for x, y in zip(red, prow)]
+        obj = (obj * p - f * pr) // D
         basis[leave] = enter
+        D = p
 
     if obj != 0:
         return None
-    x = [ZERO] * n
+    x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = rhs[i]
+            x[var] = Fraction(rhs[i], D)
     return x

@@ -73,8 +73,18 @@ def parse_points(text: str) -> PointConfiguration:
         parts = line.split()
         if len(parts) < 2:
             raise TverbergError(f"line {lineno}: expected '<vertex> <coords...>'")
-        v = int(parts[0])
-        coords = tuple(Fraction(tok) for tok in parts[1:])
+        try:
+            v = int(parts[0])
+        except ValueError:
+            raise TverbergError(
+                f"line {lineno}: expected an integer vertex, got {parts[0]!r}"
+            ) from None
+        try:
+            coords = tuple(Fraction(tok) for tok in parts[1:])
+        except (ValueError, ZeroDivisionError):
+            raise TverbergError(
+                f"line {lineno}: expected rational coordinates, got {line!r}"
+            ) from None
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
@@ -124,23 +134,23 @@ def hulls_intersect(parts: Sequence[Sequence[Point]]) -> Optional[HullWitness]:
     for part in parts:
         offsets.append(total)
         total += len(part)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[Fraction | int]] = []
+    rhs: list[int] = []
     for c, part in enumerate(parts):
-        row = [Fraction(0)] * total
+        row = [0] * total
         for t in range(len(part)):
-            row[offsets[c] + t] = Fraction(1)
+            row[offsets[c] + t] = 1
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
     for c in range(1, len(parts)):
         for i in range(dim):
-            row = [Fraction(0)] * total
+            row = [0] * total
             for t, p in enumerate(parts[c]):
                 row[offsets[c] + t] = p[i]
             for t, p in enumerate(parts[0]):
                 row[offsets[0] + t] -= p[i]
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     sol = solve_equality_feasibility(rows, rhs)
     if sol is None:
         return None

@@ -6,6 +6,8 @@ with naive label-order pivoting, the planar hull oracle does case
 analysis on exact 2-D geometry (hull vertices and edge crossings) instead
 of linear programming, and the homology oracle runs dense Gaussian
 elimination on Fractions over faces enumerated straight from the facets.
+The LP oracle is the phase-1 simplex on a Fraction tableau that the
+library's fraction-free integer tableau replaced.
 The certificate construction oracle (lifting, pivot assembly, the
 degree-bound builder and trace extraction) builds a Graph for every
 subgraph where the library works on bitmasks.
@@ -13,6 +15,7 @@ subgraph where the library works on bitmasks.
 
 import itertools
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from tvf.graphs import Graph, GraphError, delete_vertices, induced_subgraph, product_label
 from tvf.vd import CertificateError, LeafAny, LeafEdgeless, Node, VdCertificate, VdError
@@ -145,6 +148,86 @@ def hulls_intersect_oracle(parts):
                     if c is not None:
                         candidates.add(c)
     return any(all(point_in_hull(c, h) for h in hulls) for c in candidates)
+
+
+# ---------------------------------------------------------------------------
+# Rational LP (Fraction tableau; reference for the fraction-free simplex)
+# ---------------------------------------------------------------------------
+#
+# The phase-1 simplex as it ran on Fractions, with the same Bland's rule.
+# The library's integer tableau must return exactly the same x or None.
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def fraction_simplex(
+    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> Optional[list[Fraction]]:
+    """Return x >= 0 with A x = b, or None when no such x exists."""
+    m = len(A)
+    if m == 0:
+        return []
+    n = len(A[0])
+    if any(len(row) != n for row in A) or len(b) != m:
+        raise ValueError("inconsistent system dimensions")
+
+    # rows with b_i < 0 are negated so the artificial basis is feasible
+    tab = []
+    rhs = []
+    for row, bi in zip(A, b):
+        if bi < 0:
+            tab.append([-Fraction(x) for x in row])
+            rhs.append(-Fraction(bi))
+        else:
+            tab.append([Fraction(x) for x in row])
+            rhs.append(Fraction(bi))
+    for i in range(m):
+        tab[i].extend(ONE if j == i else ZERO for j in range(m))
+    basis = list(range(n, n + m))
+
+    # phase-1 objective: minimize the artificial sum; reduced costs
+    red = [ZERO] * (n + m)
+    for j in range(n):
+        red[j] = -sum(tab[i][j] for i in range(m))
+    obj = -sum(rhs)
+
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best: Optional[Fraction] = None
+        for i in range(m):
+            coeff = tab[i][enter]
+            if coeff > 0:
+                ratio = rhs[i] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded; malformed tableau")
+        pivot = tab[leave][enter]
+        tab[leave] = [x / pivot for x in tab[leave]]
+        rhs[leave] /= pivot
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                rhs[i] -= f * rhs[leave]
+        if red[enter]:
+            f = red[enter]
+            red = [x - f * y for x, y in zip(red, tab[leave])]
+            obj -= f * rhs[leave]
+        basis[leave] = enter
+
+    if obj != 0:
+        return None
+    x = [ZERO] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rhs[i]
+    return x
 
 
 # ---------------------------------------------------------------------------

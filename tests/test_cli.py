@@ -306,3 +306,46 @@ def test_trace_node_without_residual_size_is_squid_error(files, capsys):
     assert code == 1 and out == ""
     assert set(obj) == {"error", "kind"} and obj["kind"] == "SquidError"
     assert "node 1" in obj["error"] and "residual_size" in obj["error"]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("0 0\na 1\n", 2), ("0 0\n1 x\n", 2), ("0 1/0\n1 1\n", 1)],
+    ids=["vertex-not-integer", "bad-coordinate", "zero-denominator"],
+)
+def test_bad_points_file_is_tverberg_error(files, capsys, text, line):
+    (files / "e2.txt").write_text("p 2 0\n")
+    (files / "bad.pts").write_text(text)
+    code, out, err = run(
+        capsys, "tverberg", "search", "--graph", files / "e2.txt", "--points", files / "bad.pts",
+        "--q", "2",
+    )
+    obj = json.loads(err)
+    assert code == 1 and out == ""
+    assert obj["kind"] == "TverbergError" and f"line {line}" in obj["error"]
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scheme", "constants"],
+        ["scheme", "build", "--n", "1000", "--delta", "10", "--q", "40"],
+        ["tverberg", "corollary", "--graph", "g.txt", "--points", "p.pts", "--q", "3"],
+    ],
+    ids=["scheme-constants", "scheme-build", "tverberg-corollary"],
+)
+def test_bad_epsilon_is_usage_error(files, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--epsilon", value])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "--epsilon" in err and repr(value) in err
+
+
+def test_recursion_too_deep_is_depth_error(files, capsys):
+    path = files / "p2500.txt"
+    path.write_text("p 2500 2499\n" + "".join(f"e {i} {i + 1}\n" for i in range(2499)))
+    code, out, err = run(capsys, "vd", "check", "--graph", path, "--k", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "depth"

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import tvf.tverberg
 from tvf.errors import BudgetExceeded
 from tvf.graphs import Graph
 from tvf.tverberg import (
@@ -19,9 +21,10 @@ from tvf.tverberg import (
     search_witness,
     tverberg_number,
     verify_witness,
+    witness_to_obj,
 )
 
-from oracles import hulls_intersect_oracle
+from oracles import fraction_simplex, hulls_intersect_oracle
 
 
 def _rand_point(rnd, d=2):
@@ -194,3 +197,54 @@ def test_points_file_round_trip():
         parse_points("")
     with pytest.raises(TverbergError):
         parse_points("1 2 3\n4 5\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, token",
+    [("0 1 2\na 1 2\n", 2, "'a'"), ("1 x 3\n", 1, "1 x 3"), ("0 1 2\n1 1/0 3\n", 2, "1/0")],
+    ids=["vertex-not-integer", "bad-coordinate", "zero-denominator"],
+)
+def test_points_file_errors_name_the_line(text, line, token):
+    with pytest.raises(TverbergError) as exc:
+        parse_points(text)
+    assert f"line {line}" in str(exc.value) and token in str(exc.value)
+
+
+def _planar(rnd, n, rational):
+    if rational:
+        return {v: (F(rnd.randint(-40, 40), rnd.randint(1, 9)), F(rnd.randint(-40, 40), rnd.randint(1, 9)))
+                for v in range(n)}
+    return {v: (rnd.randrange(1000) * 8 + rnd.randint(-3, 3), rnd.randrange(1000) * 8 + rnd.randint(-3, 3))
+            for v in range(n)}
+
+
+def _outputs(instances):
+    """JSON text of every search and corollary result, as the CLI prints it."""
+    out = []
+    for kind, G, cfg, q in instances:
+        if kind == "search":
+            w = search_witness(G, cfg, q)
+            out.append(json.dumps(None if w is None else witness_to_obj(w), sort_keys=True))
+        else:
+            out.append(json.dumps(corollary_pipeline(G, cfg, q, F(1, 5)).to_obj(), sort_keys=True))
+    return out
+
+
+def test_search_and_corollary_match_the_fraction_simplex(monkeypatch):
+    rnd = random.Random(21)
+    instances = [
+        ("search", Graph.path(10), PointConfiguration(2, _planar(rnd, 10, False)), 4),
+        ("search", Graph.empty(7), PointConfiguration(2, _planar(rnd, 7, False)), 3),
+        # nine points in general position have no 4-part partition in the
+        # plane, so this search refutes exhaustively
+        ("search", Graph.path(9), PointConfiguration(2, _planar(rnd, 9, False)), 4),
+        ("corollary", Graph.path(12), PointConfiguration(2, _planar(rnd, 12, False)), 4),
+    ]
+    for n in (7, 7, 8, 8):
+        G = Graph(range(n), [(v, v + 1) for v in range(n - 1) if rnd.random() < 0.5])
+        instances.append(("search", G, PointConfiguration(2, _planar(rnd, n, True)), 3))
+    instances.append(("corollary", Graph.path(8), PointConfiguration(2, _planar(rnd, 8, True)), 3))
+    fast = _outputs(instances)
+    assert fast[2] == "null" and any(o != "null" for o in fast)
+    monkeypatch.setattr(tvf.tverberg, "solve_equality_feasibility", fraction_simplex)
+    assert _outputs(instances) == fast
