@@ -7,6 +7,11 @@ emit a sibling <path>.manifest.json recording input/output digests, the
 seed, and timing; identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
 overrides the face and search budgets; any other value is a usage error.
+
+Depth errors come only from the recursions that still follow their input:
+certificate construction and lifting, trace extraction, and complex vertex
+decomposability.  The graph level decision behind vd check, vd max and
+complex check-prop runs on an explicit stack.
 """
 
 from __future__ import annotations

@@ -236,7 +236,7 @@ class TraceNode:
 
     @property
     def residual_size(self) -> int:
-        return bin(self.residual_mask).count("1")
+        return self.residual_mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -382,7 +382,7 @@ class RemovalTrace:
                 raise SquidError(
                     f"node {idx}: malformed trace node ({type(exc).__name__}: {exc})"
                 ) from exc
-            if size != bin(mask).count("1"):
+            if size != mask.bit_count():
                 raise SquidError(f"node {idx}: residual size does not replay")
             open_ids.add(idx)
             arm_children = tuple(

@@ -14,9 +14,13 @@ graph (MaskView): bit i is the i-th smallest label, H - u is
 ``mask & ~(1 << i)`` and H - N[u] is ``mask & ~closed[i]``.  The decision
 solver, the verifier and the certificate builder (isolated-vertex lifting,
 pivot assembly, the degree-bound construction) all work there, and each
-memo belongs to an object made for one call.  The JSON reader shares
-structurally equal subtrees, so verification follows unique nodes rather
-than the size of the expanded tree.
+memo belongs to an object made for one call.  The decision solver keeps
+one interval of proven and refuted levels per bitmask, bounds it from
+above by a greedy maximal independent set, and searches on an explicit
+stack, so its answer does not depend on the interpreter's recursion
+limit.  The JSON reader shares structurally equal subtrees, so
+verification follows unique nodes rather than the size of the expanded
+tree.
 """
 
 from __future__ import annotations
@@ -119,42 +123,106 @@ class MaskView:
 class _Solver(MaskView):
     """Level recursion over the induced subgraphs of one root graph.
 
-    Memoized on (vertex bitmask, level) for the life of the solver.
+    One memo entry per vertex bitmask, ``[lo, hi]``: level lo is proven and
+    level hi is refuted.  Levels are downward closed, so a query at k <= lo
+    is true and one at k >= hi is false without search; only lo < k < hi
+    searches the pivots, and its answer moves lo up or hi down to k.  The
+    memo lives as long as the solver, so max_vd's walk up the levels reuses
+    every earlier level's work.
+
+    Entries start from exact facts: an edgeless mask of s vertices is
+    ``[s, s+1]``, any other nonempty mask is at level 1, and a mask whose
+    greedy maximal independent set has m vertices is below level m + 1
+    (m < s when the mask has an edge, so it is not at level s either).
+
+    The independent-set bound: if G is at level k, every maximal
+    independent set I of G has at least k vertices.  By induction on the
+    recursion: k = 0 is trivial, and an edgeless G has I = V(G), |I| = k.
+    At a pivot v, if v is not in I then I is still maximal in G - v (each
+    other vertex outside I keeps its neighbor in I), and G - v is at level
+    k, so |I| >= k.  If v is in I then I - v is maximal in G - N[v] (a
+    vertex there with no neighbor in I - v would have none in I), and
+    G - N[v] is at level k-1, so |I| - 1 >= k - 1.  The greedy set takes
+    the lowest bit and drops its closed neighborhood until nothing is
+    left, O(|mask|) work per new mask.
+
+    The search runs on an explicit stack, so no input depth reaches the
+    interpreter's recursion limit.  Every rule only cuts a search short
+    with the answer the plain recursion would reach.
     """
 
     def __init__(self, G: Graph):
         super().__init__(G)
-        self._memo: dict[tuple[int, int], bool] = {}
+        self._bounds: dict[int, list[int]] = {}
+        self._bits = tuple(range(len(self.verts)))  # one int object per bit, shared by the frames
+
+    def _entry(self, mask: int) -> list[int]:
+        """The memo entry of mask, made from the exact facts on first use."""
+        entry = self._bounds.get(mask)
+        if entry is None:
+            m = 0
+            rest = mask
+            while rest:
+                rest &= ~self.closed[(rest & -rest).bit_length() - 1]
+                m += 1
+            size = mask.bit_count()
+            entry = self._bounds[mask] = [size, size + 1] if m == size else [1, m + 1]
+        return entry
+
+    def _pivots(self, mask: int) -> list[int]:
+        """The bits of mask, highest residual degree first, then lowest label."""
+        nbr = self.nbr
+        order = [i for i in self._bits[: mask.bit_length()] if mask >> i & 1]
+        order.sort(key=lambda i: -(nbr[i] & mask).bit_count())  # stable: label order stays
+        return order
 
     def vd(self, mask: int, k: int) -> bool:
-        if k == 0:
+        """Whether the subgraph on mask is at level k."""
+        if k <= 0:
             return True
-        size = bin(mask).count("1")
-        if k > size:
+        entry = self._entry(mask)
+        if k <= entry[0]:
+            return True
+        if k >= entry[1]:
             return False
-        key = (mask, k)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if self.edgeless(mask):
-            self._memo[key] = True
-            return True
-        # pivot heuristic: high residual degree first, label order as tie-break
-        bits = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            bits.append((-bin(self.nbr[i] & mask).count("1"), i))
-            rest ^= low
-        bits.sort()
-        result = False
-        for _, i in bits:
-            if self.vd(mask & ~(1 << i), k) and self.vd(mask & ~self.closed[i], k - 1):
-                result = True
-                break
-        self._memo[key] = result
-        return result
+        closed, bounds = self.closed, self._bounds
+        # frame: [entry, mask, k, pivots, position of the pivot tried, link query asked];
+        # a frame is searched only when lo < k < hi, so k >= 2 and its queries ask k >= 1
+        stack = [[entry, mask, k, self._pivots(mask), -1, False]]
+        answer = None  # answer to the top frame's last query, None for a fresh frame
+        while stack:
+            frame = stack[-1]
+            entry, fmask, fk, pivots, pos, linking = frame
+            while True:
+                if answer and linking:
+                    break  # both children hold at the pivot: proven
+                if answer:
+                    linking = True
+                    qmask, qk = fmask & ~closed[pivots[pos]], fk - 1
+                elif pos + 1 < len(pivots):
+                    pos += 1
+                    linking = False
+                    qmask, qk = fmask & ~(1 << pivots[pos]), fk
+                else:
+                    answer = False  # every pivot failed: refuted
+                    break
+                if qk == 1:  # level 1 holds exactly on the nonempty masks
+                    answer = qmask != 0
+                    continue
+                child = bounds.get(qmask) or self._entry(qmask)
+                if qk <= child[0]:
+                    answer = True
+                elif qk >= child[1]:
+                    answer = False
+                else:
+                    frame[4], frame[5] = pos, linking
+                    stack.append([child, qmask, qk, self._pivots(qmask), -1, False])
+                    answer = None
+                    break
+            if answer is not None:
+                entry[0 if answer else 1] = fk
+                stack.pop()
+        return answer
 
 
 def is_vd(G: Graph, k: int) -> bool:

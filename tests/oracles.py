@@ -10,7 +10,9 @@ The LP oracle is the phase-1 simplex on a Fraction tableau that the
 library's fraction-free integer tableau replaced.
 The certificate construction oracle (lifting, pivot assembly, the
 degree-bound builder and trace extraction) builds a Graph for every
-subgraph where the library works on bitmasks.
+subgraph where the library works on bitmasks.  The level decision oracle
+is the plain recursive solver, memoized on (mask, level), that the
+library's iterative interval solver replaced.
 """
 
 import itertools
@@ -18,7 +20,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from tvf.graphs import Graph, GraphError, delete_vertices, induced_subgraph, product_label
-from tvf.vd import CertificateError, LeafAny, LeafEdgeless, Node, VdCertificate, VdError
+from tvf.vd import (
+    CertificateError,
+    LeafAny,
+    LeafEdgeless,
+    MaskView,
+    Node,
+    VdCertificate,
+    VdError,
+)
 
 
 def brute_certificate_search(G, k):
@@ -51,6 +61,71 @@ def brute_certificate_search(G, k):
         return result
 
     return rec(frozenset(G.vertices), k)
+
+
+# ---------------------------------------------------------------------------
+# Recursive level solver
+# ---------------------------------------------------------------------------
+#
+# The decision procedure as it ran before the iterative interval solver:
+# one Python call per query, memoized on (mask, level), no bounds.  The
+# library must give the same answer at every level.
+
+
+class _Solver(MaskView):
+    """Level recursion over the induced subgraphs of one root graph.
+
+    Memoized on (vertex bitmask, level) for the life of the solver.
+    """
+
+    def __init__(self, G: Graph):
+        super().__init__(G)
+        self._memo: dict[tuple[int, int], bool] = {}
+
+    def vd(self, mask: int, k: int) -> bool:
+        if k == 0:
+            return True
+        size = bin(mask).count("1")
+        if k > size:
+            return False
+        key = (mask, k)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        if self.edgeless(mask):
+            self._memo[key] = True
+            return True
+        # pivot heuristic: high residual degree first, label order as tie-break
+        bits = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            bits.append((-bin(self.nbr[i] & mask).count("1"), i))
+            rest ^= low
+        bits.sort()
+        result = False
+        for _, i in bits:
+            if self.vd(mask & ~(1 << i), k) and self.vd(mask & ~self.closed[i], k - 1):
+                result = True
+                break
+        self._memo[key] = result
+        return result
+
+
+def recursive_levels(G: Graph) -> list[bool]:
+    """The recursive solver's answers at k = 0..n+1, on one solver.
+
+    Like max_vd, it stops searching at the first refuted level: levels are
+    downward closed, so every level above it is refuted.
+    """
+    s = _Solver(G)
+    answers = []
+    holds = True
+    for k in range(G.n + 2):
+        holds = holds and s.vd(s.full, k)
+        answers.append(holds)
+    return answers
 
 
 # ---------------------------------------------------------------------------

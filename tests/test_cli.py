@@ -343,9 +343,20 @@ def test_bad_epsilon_is_usage_error(files, capsys, command, value):
     assert "--epsilon" in err and repr(value) in err
 
 
-def test_recursion_too_deep_is_depth_error(files, capsys):
+def _path_2500(files):
     path = files / "p2500.txt"
     path.write_text("p 2500 2499\n" + "".join(f"e {i} {i + 1}\n" for i in range(2499)))
-    code, out, err = run(capsys, "vd", "check", "--graph", path, "--k", "2")
+    return path
+
+
+def test_vd_check_decides_a_2500_vertex_path(files, capsys):
+    code, out, err = run(capsys, "vd", "check", "--graph", _path_2500(files), "--k", "2")
+    assert code == 0 and err == ""
+    assert out == '{"k":2,"vd":true}\n'
+
+
+def test_recursion_too_deep_is_depth_error(files, capsys):
+    # the degree-bound construction still recurses once per peeled vertex
+    code, out, err = run(capsys, "vd", "build", "--graph", _path_2500(files))
     assert code == 2 and out == ""
     assert json.loads(err)["kind"] == "depth"

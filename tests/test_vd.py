@@ -1,10 +1,13 @@
 import copy
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tvf.graphs import Graph, GraphError, delete_vertices
+from tvf.graphs import Graph, GraphError, delete_vertices, product_with_complete
 from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
     CertificateBuilder,
@@ -56,6 +59,83 @@ def test_monotonicity_exhaustive_small():
             top = max_vd(G)
             for k in range(0, n + 2):
                 assert is_vd(G, k) == (k <= top)
+
+
+def _relabeled(G, rnd):
+    labels = rnd.sample(range(10 * G.n + 10), G.n)
+    to = dict(zip(G.vertices, labels))
+    return Graph(labels, [(to[u], to[v]) for u, v in G.edges])
+
+
+def _random_graph(rnd, max_n):
+    n = rnd.randint(0, max_n)
+    p = rnd.random()
+    labels = rnd.sample(range(100), n)
+    return Graph(labels, [e for e in itertools.combinations(labels, 2) if rnd.random() < p])
+
+
+def _assert_matches_recursive_solver(G):
+    want = oracles.recursive_levels(G)
+    assert [is_vd(G, k) for k in range(G.n + 2)] == want, G.edges
+    assert max_vd(G) == want.count(True) - 1, G.edges
+
+
+def test_solver_matches_recursive_solver_on_atlas6(atlas6):
+    for G in atlas6:
+        _assert_matches_recursive_solver(G)
+
+
+def test_solver_matches_recursive_solver_on_random_graphs():
+    rnd = random.Random(41)
+    for _ in range(300):
+        _assert_matches_recursive_solver(_random_graph(rnd, 13))
+
+
+def test_solver_matches_recursive_solver_on_relabeled_benchmark_graphs():
+    rnd = random.Random(43)
+    C5xK3 = product_with_complete(Graph.cycle(5), 3)
+    for G in (Graph.cycle(13), Graph.path(12), C5xK3):
+        _assert_matches_recursive_solver(_relabeled(G, rnd))
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(range(n), edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs())
+def test_solver_matches_recursive_solver_property(G):
+    _assert_matches_recursive_solver(G)
+
+
+def test_is_vd_decides_a_2500_vertex_path():
+    # about 1250 nested pivot searches, beyond the interpreter's recursion limit
+    assert is_vd(Graph.path(2500), 2) is True
+
+
+def test_maximal_independent_sets_reach_the_top_level(atlas):
+    """Every maximal independent set of a level-k graph has at least k vertices.
+
+    Checked apart from the solver: levels come from the exhaustive
+    certificate search and the sets from brute force.
+    """
+    for G in atlas:
+        top = 0
+        while brute_certificate_search(G, top + 1) is not None:
+            top += 1
+        smallest = G.n
+        for r in range(G.n + 1):
+            for S in itertools.combinations(G.vertices, r):
+                chosen = set(S)
+                independent = all(not (G.neighbors(v) & chosen) for v in S)
+                maximal = all(v in chosen or G.neighbors(v) & chosen for v in G.vertices)
+                if independent and maximal:
+                    smallest = min(smallest, r)
+        assert smallest >= top, G.edges
 
 
 def test_verify_certificate_hand_cases():
