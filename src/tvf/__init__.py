@@ -4,84 +4,9 @@ Library layout mirrors the pipeline: graphs -> vd (decomposability
 certificates) -> squids (removal schedules on G x K_q) -> schemes
 (block-size budgets) -> complexes (independence-complex checks) ->
 tverberg (exact witness search), unified by the `tvf` CLI.
+
+The library is used by module (`from tvf.vd import is_vd`); the package
+root exports nothing but __version__.
 """
 
 __version__ = "0.1.0"
-
-from .errors import BudgetExceeded
-from .graphs import (
-    Graph,
-    GraphError,
-    ProductVertex,
-    cartesian_product,
-    closed_neighborhood,
-    delete_vertices,
-    distance_two_set,
-    open_neighborhood,
-    parse_edgelist,
-    format_edgelist,
-    product_with_complete,
-)
-from .vd import (
-    CertificateError,
-    LeafAny,
-    LeafEdgeless,
-    Node,
-    VdError,
-    build_certificate_degree_bound,
-    certificate_from_json,
-    certificate_to_json,
-    edgeless_certificate,
-    is_vd,
-    lift_isolated,
-    max_vd,
-    verify_certificate,
-)
-from .squids import (
-    DfTuple,
-    RemovalTrace,
-    SchemeRunError,
-    Squid,
-    SquidError,
-    TheoremViolation,
-    df1_check,
-    df1_threshold,
-    extract_certificate,
-    residual,
-    run_df1,
-    run_dynamic,
-    squid_admissible,
-)
-from .schemes import (
-    EpsilonConstants,
-    InfeasibleScheme,
-    SchemeError,
-    SizeScheme,
-    build_scheme,
-    epsilon_constants,
-    validate_scheme,
-)
-from .complexes import (
-    BettiVector,
-    ComplexError,
-    SimplicialComplex,
-    betti,
-    check_prop_isvd,
-    check_shelling,
-    independence_complex,
-    is_vertex_decomposable,
-    link_and_delete,
-    skeleton,
-)
-from .tverberg import (
-    PointConfiguration,
-    TverbergError,
-    TverbergWitness,
-    corollary_pipeline,
-    hulls_intersect,
-    parse_points,
-    prime_utilities,
-    search_witness,
-    tverberg_number,
-    verify_witness,
-)

@@ -79,10 +79,6 @@ class SimplicialComplex:
         sizes = {len(f) for f in self._facets}
         return len(sizes) == 1
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        s = set(face)
-        return any(s.issubset(f) for f in self._facets)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -110,16 +106,6 @@ def faces_by_dim(
     for f in seen:
         out.setdefault(len(f) - 1, []).append(f)
     return {d: tuple(sorted(fs)) for d, fs in sorted(out.items())}
-
-
-def f_vector(S: SimplicialComplex, budget: int = DEFAULT_FACE_BUDGET) -> tuple[int, ...]:
-    """(f_-1, f_0, ..., f_dim)."""
-    by_dim = faces_by_dim(S, budget)
-    return tuple(len(by_dim.get(d, ())) for d in range(-1, S.dim + 1))
-
-
-def reduced_euler_characteristic(S: SimplicialComplex, budget: int = DEFAULT_FACE_BUDGET) -> int:
-    return sum((-1) ** d * len(fs) for d, fs in faces_by_dim(S, budget).items())
 
 
 def skeleton(S: SimplicialComplex, k: int, budget: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
@@ -154,10 +140,6 @@ def deletion(S: SimplicialComplex, v: int) -> SimplicialComplex:
     return SimplicialComplex(
         (f if v not in f else tuple(x for x in f if x != v)) for f in S.facets
     )
-
-
-def link_and_delete(S: SimplicialComplex, v: int) -> tuple[SimplicialComplex, SimplicialComplex]:
-    return link(S, v), deletion(S, v)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +200,7 @@ def _vd_shelling(
             result = ((),)
         else:
             for v in S.vertices:
-                lk, dl = link_and_delete(S, v)
+                lk, dl = link(S, v), deletion(S, v)
                 shell_dl = _vd_shelling(dl, memo)
                 if shell_dl is None:
                     continue
@@ -305,16 +287,6 @@ class BettiVector:
         if 0 <= i < len(self.numbers):
             return self.numbers[i]
         return 0
-
-    @property
-    def top_dim(self) -> int:
-        return len(self.numbers) - 2
-
-    def alternating_sum(self) -> int:
-        return sum((-1) ** (i - 1) * b for i, b in enumerate(self.numbers))
-
-    def as_dict(self) -> dict[int, int]:
-        return {i - 1: b for i, b in enumerate(self.numbers)}
 
 
 def _clear(v: dict[int, int], p: dict[int, int], k: int) -> dict[int, int]:

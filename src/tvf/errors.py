@@ -8,3 +8,17 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.used = used
         self.limit = limit
+
+
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer; floats, strings and bools raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(value, what: str) -> tuple[int, ...]:
+    """The entries of a JSON list of integers, as a tuple."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(json_int(v, f"{what} entry") for v in value)

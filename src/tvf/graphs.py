@@ -1,8 +1,8 @@
 """Finite simple graphs on non-negative integer labels.
 
-Graphs are immutable values: deletion returns a new graph, so the heavily
-branching recursions elsewhere in the package can share subgraphs freely
-(and across threads; nothing here mutates after construction).
+Graphs are immutable values; nothing here mutates after construction.
+The branching recursions elsewhere in the package do not build a Graph per
+subgraph: they work on bitmasks over neighbor_masks.
 """
 
 from __future__ import annotations
@@ -91,17 +91,11 @@ class Graph:
             raise GraphError(f"unknown vertex {v}")
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]
-
-    def is_edgeless(self) -> bool:
-        return not self._edges
 
     # -- standard small families used throughout the tests and CLI --
 
@@ -122,16 +116,6 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def open_neighborhood(G: Graph, v: int) -> frozenset[int]:
-    """Vertices adjacent to v; never contains v."""
-    return G.neighbors(v)
-
-
-def closed_neighborhood(G: Graph, v: int) -> frozenset[int]:
-    """Vertices adjacent to v, plus v itself."""
-    return G.neighbors(v) | {v}
 
 
 def distance_two_set(G: Graph, v: int, mode: str = "walk") -> frozenset[int]:
@@ -156,17 +140,6 @@ def distance_two_set(G: Graph, v: int, mode: str = "walk") -> frozenset[int]:
             out.update(G.neighbors(u))
         return frozenset(out - nbrs - {v})
     raise GraphError(f"unknown distance-two mode {mode!r}")
-
-
-def delete_vertices(G: Graph, drop: Iterable[int]) -> Graph:
-    """Induced subgraph on V(G) minus the given set; G is unchanged."""
-    dropset = set(drop)
-    unknown = dropset - set(G.vertices)
-    if unknown:
-        raise GraphError(f"cannot delete vertices not in the graph: {sorted(unknown)}")
-    keep = [v for v in G.vertices if v not in dropset]
-    keepset = set(keep)
-    return Graph(keep, [(u, v) for u, v in G.edges if u in keepset and v in keepset])
 
 
 def induced_subgraph(G: Graph, keep: Iterable[int]) -> Graph:
@@ -198,28 +171,10 @@ def cartesian_product(G: Graph, H: Graph) -> Graph:
 
 
 def product_with_complete(G: Graph, q: int) -> Graph:
-    """G x K_q with the canonical labeling of product_label."""
+    """G x K_q; (base, row) gets label index(base)*q + (row-1)."""
     if q < 1:
         raise GraphError("q must be a positive integer")
     return cartesian_product(G, Graph.complete(q))
-
-
-def product_label(G: Graph, q: int, pv: ProductVertex) -> int:
-    """Integer label of (base, row) in G x K_q: index(base)*q + (row-1)."""
-    if not 1 <= pv.row <= q:
-        raise GraphError(f"row {pv.row} outside 1..{q}")
-    try:
-        a = G.vertices.index(pv.base)
-    except ValueError:
-        raise GraphError(f"base {pv.base} is not a vertex of G") from None
-    return a * q + (pv.row - 1)
-
-
-def label_to_product_vertex(G: Graph, q: int, label: int) -> ProductVertex:
-    a, r = divmod(label, q)
-    if not 0 <= a < G.n:
-        raise GraphError(f"label {label} outside the product vertex range")
-    return ProductVertex(G.vertices[a], r + 1)
 
 
 # -- edge-list text format --
@@ -274,13 +229,6 @@ def format_edgelist(G: Graph) -> str:
     lines = [f"p {G.n} {G.m}"]
     lines.extend(f"e {u} {v}" for u, v in G.edges)
     return "\n".join(lines) + "\n"
-
-
-def relabeled(G: Graph) -> tuple[Graph, dict[int, int]]:
-    """Copy of G on labels 0..n-1 plus the old->new mapping."""
-    mapping = {v: i for i, v in enumerate(G.vertices)}
-    H = Graph(range(G.n), [(mapping[u], mapping[v]) for u, v in G.edges])
-    return H, mapping
 
 
 def neighbor_masks(G: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .errors import json_int, json_ints
+
 EpsilonLike = Union[int, float, str, Fraction]
 
 
@@ -37,15 +39,6 @@ class SchemeError(ValueError):
 
 class InfeasibleScheme(SchemeError):
     """The requested parameters admit no valid integer scheme."""
-
-
-def _to_fraction(value: EpsilonLike) -> Fraction:
-    # strings parse as exact decimals; floats contribute their binary value
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
 
 
 def format_real(x: float) -> str:
@@ -148,10 +141,10 @@ class SizeScheme:
     def from_obj(cls, obj: dict) -> "SizeScheme":
         try:
             return cls(
-                sizes=tuple(int(s) for s in obj["sizes"]),
-                n=int(obj["n"]),
-                q=int(obj["q"]),
-                delta=int(obj["delta"]),
+                sizes=json_ints(obj["sizes"], "sizes"),
+                n=json_int(obj["n"], "n"),
+                q=json_int(obj["q"], "q"),
+                delta=json_int(obj["delta"], "delta"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemeError(f"malformed scheme object: {exc}") from exc
@@ -241,7 +234,7 @@ def build_scheme(epsilon: EpsilonLike, N: int, delta: int, q: int) -> SchemeBuil
     InfeasibleScheme when no positive integer block survives rounding or the
     rounded scheme fails exact validation.
     """
-    eps = _to_fraction(epsilon)
+    eps = Fraction(epsilon)
     if eps <= 0:
         raise SchemeError(f"epsilon must be positive, got {epsilon}")
     if N < 1 or delta < 1 or q < 1:

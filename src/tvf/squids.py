@@ -18,9 +18,10 @@ that such schedules certify decomposability levels of the residual:
   assemble_pivot_decomposition needs, so a complete trace converts into a
   VdCertificate for the whole product at the root level.
 
-Every generated squid empties its body's column from the child residual,
-and satisfies one of the two admissibility patterns (squid_admissible)
-except the degenerate bare-pivot squid at an isolated residual pivot.
+Every generated squid empties its body's column from the child residual
+(the engine asserts this), and fits one of the two admissible patterns of
+the paper except the degenerate bare-pivot squid at an isolated residual
+pivot.
 
 Two pivot rules are provided: run_df1 takes the lexicographically smallest
 residual vertex (valid whenever q > |N2(v)| + 2|N(v)| for every v), and
@@ -34,6 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import json_int, json_ints
 from .graphs import Graph, ProductVertex, distance_two_set, product_with_complete
 from .schemes import SizeScheme, validate_scheme
 from .vd import (
@@ -58,7 +60,7 @@ class SchemeRunError(SquidError):
 
 
 # ---------------------------------------------------------------------------
-# Squids and DF-tuples
+# Squids
 # ---------------------------------------------------------------------------
 
 
@@ -104,92 +106,29 @@ class Squid:
     @classmethod
     def from_obj(cls, obj: dict) -> "Squid":
         try:
-            body = int(obj["body"])
-            vertices = {ProductVertex(int(b), int(r)) for b, r in obj["arms"]}
-            vertices.update(ProductVertex(body, int(r)) for r in obj["body_rows"])
+            body = json_int(obj["body"], "squid body")
+            kind = obj["kind"]
+            if kind not in ("I", "II"):
+                raise ValueError(f"squid kind must be 'I' or 'II', got {kind!r}")
+            arms = obj["arms"]
+            if type(arms) is not list:
+                raise ValueError(f"squid arms must be a list, got {arms!r}")
+            vertices = set()
+            for pair in arms:
+                b, r = json_ints(pair, "squid arm")
+                vertices.add(ProductVertex(b, r))
+            for r in json_ints(obj["body_rows"], "squid body_rows"):
+                vertices.add(ProductVertex(body, r))
             witness = obj.get("witness")
             return cls(
                 body=body,
-                kind=str(obj["kind"]),
-                rows=tuple(int(r) for r in obj["rows"]),
+                kind=kind,
+                rows=json_ints(obj["rows"], "squid rows"),
                 vertices=frozenset(vertices),
-                witness=None if witness is None else int(witness),
+                witness=None if witness is None else json_int(witness, "squid witness"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SquidError(f"malformed squid object: {exc}") from exc
-
-
-def check_squid(s: Squid, G: Graph, q: int) -> None:
-    """Raise SquidError unless s is a well-formed squid over G x K_q."""
-    if s.body not in G:
-        raise SquidError(f"body {s.body} is not a vertex of G")
-    for pv in s.vertices:
-        if pv.base not in G or not 1 <= pv.row <= q:
-            raise SquidError(f"{pv} is not a vertex of the product")
-    for h in s.hearts:
-        if h not in s.vertices:
-            raise SquidError(f"heart {h} is outside the squid's vertex set")
-    arms = s.arms
-    if s.kind == "I":
-        if len(s.rows) != 1:
-            raise SquidError("kind I squids mark exactly one row")
-        (i,) = s.rows
-        if s.witness is None:
-            if arms:
-                raise SquidError("kind I squids with arms need an adjacent witness")
-        else:
-            if not G.has_edge(s.witness, s.body):
-                raise SquidError(f"witness {s.witness} is not adjacent to body {s.body}")
-            allowed = G.neighbors(s.witness) | G.neighbors(s.body)
-            for pv in arms:
-                if pv.row != i or pv.base not in allowed:
-                    raise SquidError(f"arm {pv} outside the kind I pattern")
-    elif s.kind == "II":
-        if len(s.rows) != 2 or not s.rows[0] < s.rows[1]:
-            raise SquidError("kind II squids mark a row pair i < j")
-        allowed = G.neighbors(s.body)
-        for pv in arms:
-            if pv.row not in s.rows or pv.base not in allowed:
-                raise SquidError(f"arm {pv} outside the kind II pattern")
-    else:
-        raise SquidError(f"unknown squid kind {s.kind!r}")
-
-
-@dataclass(frozen=True)
-class DfTuple:
-    """State of a removal schedule: (G, q, j, squids, m) with |G| >= m >= j >= 0."""
-
-    G: Graph
-    q: int
-    squids: tuple[Squid, ...]
-    m: int
-
-    @property
-    def j(self) -> int:
-        return len(self.squids)
-
-    def validate(self) -> None:
-        if self.q < 1:
-            raise SquidError(f"q must be positive, got {self.q}")
-        if not self.G.n >= self.m >= self.j >= 0:
-            raise SquidError(
-                f"need |G| >= m >= j >= 0, got |G|={self.G.n}, m={self.m}, j={self.j}"
-            )
-        for s in self.squids:
-            check_squid(s, self.G, self.q)
-
-
-def residual(t: DfTuple) -> Graph:
-    """Induced subgraph of G x K_q on the vertices no squid covers."""
-    t.validate()
-    P = product_with_complete(t.G, t.q)
-    covered = set()
-    for s in t.squids:
-        for pv in s.vertices:
-            covered.add(t.G.vertices.index(pv.base) * t.q + (pv.row - 1))
-    keep = [v for v in P.vertices if v not in covered]
-    keepset = set(keep)
-    return Graph(keep, [(u, v) for u, v in P.edges if u in keepset and v in keepset])
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +260,11 @@ class RemovalTrace:
     def from_obj(cls, obj: dict) -> "RemovalTrace":
         try:
             G = Graph(obj["graph"]["vertices"], [tuple(e) for e in obj["graph"]["edges"]])
-            q = int(obj["q"])
-            m = int(obj["m"])
+            q = json_int(obj["q"], "q")
+            m = json_int(obj["m"], "m")
             kind = str(obj["kind"])
             node_objs = obj["nodes"]
-            root_id = int(obj["root"])
+            root_id = json_int(obj["root"], "root")
             scheme = None if obj.get("scheme") is None else SizeScheme.from_obj(obj["scheme"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SquidError(f"malformed trace object: {exc}") from exc
@@ -365,19 +304,22 @@ class RemovalTrace:
                 if not 0 <= idx < len(node_objs):
                     raise IndexError(f"no node with id {idx}")
                 o = node_objs[idx]
-                size = o["residual_size"]
-                level = int(o["level"])
+                size = json_int(o["residual_size"], "residual_size")
+                level = json_int(o["level"], "level")
                 arms = []
                 for ch in o["children"]:
                     sq = Squid.from_obj(ch["squid"])
-                    arms.append((sq, squid_mask(sq), int(ch["node"]), product_vertex(ch["w"])))
+                    child = json_int(ch["node"], "child node")
+                    arms.append((sq, squid_mask(sq), child, product_vertex(ch["w"])))
                 link = None
                 if o.get("link") is not None:
                     sq = Squid.from_obj(o["link"]["squid"])
-                    link = (sq, squid_mask(sq), int(o["link"]["node"]))
+                    link = (sq, squid_mask(sq), json_int(o["link"]["node"], "link node"))
                 pivot = None if o["pivot"] is None else product_vertex(o["pivot"])
+                block_row = o.get("block_row")
+                block_row = None if block_row is None else json_int(block_row, "block_row")
                 rows_used = o.get("rows_used")
-                rows_used = None if rows_used is None else tuple(rows_used)
+                rows_used = None if rows_used is None else json_ints(rows_used, "rows_used")
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise SquidError(
                     f"node {idx}: malformed trace node ({type(exc).__name__}: {exc})"
@@ -400,7 +342,7 @@ class RemovalTrace:
                 pivot=pivot,
                 arm_children=arm_children,
                 link_child=link_child,
-                block_row=o.get("block_row"),
+                block_row=block_row,
                 rows_used=rows_used,
             )
             built[idx] = node
@@ -712,53 +654,3 @@ def extract_certificate(trace: RemovalTrace) -> VdCertificate:
         return cert
 
     return certify(trace.root)
-
-
-# ---------------------------------------------------------------------------
-# Admissibility of generated squids (the two membership patterns)
-# ---------------------------------------------------------------------------
-
-
-def _product_neighbors(G: Graph, q: int, residual: frozenset[ProductVertex], pv: ProductVertex):
-    out = set()
-    for u in G.neighbors(pv.base):
-        cand = ProductVertex(u, pv.row)
-        if cand in residual:
-            out.add(cand)
-    for r in range(1, q + 1):
-        if r != pv.row:
-            cand = ProductVertex(pv.base, r)
-            if cand in residual:
-                out.add(cand)
-    return out
-
-
-def squid_admissible(
-    squid: Squid, pivot: ProductVertex, residual: frozenset[ProductVertex], G: Graph, q: int
-) -> bool:
-    """Whether the squid fits one of the two admissible patterns at this pivot:
-
-    (a) inside N((v,i)) union N((v,j)) for some residual (v,j) in the
-        pivot's column, or
-    (b) inside (N((v,i)) restricted to row i) union N((u,i)) for some
-        residual row neighbor (u,i) with u adjacent to v,
-
-    all neighborhoods taken in the residual.
-    """
-    if pivot not in residual:
-        raise SquidError("pivot must lie in the residual")
-    S = set(squid.vertices)
-    v, i = pivot
-    piv_nb = _product_neighbors(G, q, residual, pivot)
-    for r in range(1, q + 1):
-        other = ProductVertex(v, r)
-        if other in residual:
-            if S <= piv_nb | _product_neighbors(G, q, residual, other):
-                return True
-    row_part = {pv for pv in piv_nb if pv.row == i}
-    for u in G.neighbors(v):
-        mate = ProductVertex(u, i)
-        if mate in residual:
-            if S <= row_part | _product_neighbors(G, q, residual, mate):
-                return True
-    return False

@@ -3,8 +3,9 @@
 A constraint graph G forbids same-colored adjacent vertices; a witness is a
 proper q-coloring plus a rational point lying in the convex hull of every
 color class, certified by explicit convex coefficients.  All feasibility
-questions are decided by an exact rational LP, so a returned witness
-re-verifies by substitution and a "none" is definitive.
+questions are decided by an exact rational LP, a returned witness has
+been re-verified by substitution (verify_witness), and a "none" is
+definitive.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import BudgetExceeded
 from .graphs import Graph, induced_subgraph
 from .ratlp import solve_equality_feasibility
-from .schemes import epsilon_constants, format_real, _to_fraction
+from .schemes import epsilon_constants, format_real
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
@@ -95,13 +96,6 @@ def parse_points(text: str) -> PointConfiguration:
     if dim is None:
         raise TverbergError("no points given")
     return PointConfiguration(dim, points)
-
-
-def format_points(cfg: PointConfiguration) -> str:
-    lines = []
-    for v in sorted(cfg.points):
-        lines.append(str(v) + " " + " ".join(str(c) for c in cfg.points[v]))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,9 @@ def search_witness(
     over the remaining vertices.  After a class is completed, a common-point
     LP over the completed classes prunes the branch when they already fail
     to intersect — sound, because later classes cannot change earlier hulls.
-    The budget counts LP feasibility calls.
+    The budget counts LP feasibility calls.  A witness is re-checked with
+    verify_witness before it is returned; a failed check raises
+    TverbergError.
     """
     if q < 1:
         raise TverbergError(f"q must be positive, got {q}")
@@ -280,7 +276,10 @@ def search_witness(
                 return found
         return None
 
-    return recurse(verts, [])
+    witness = recurse(verts, [])
+    if witness is not None and not verify_witness(G, cfg, witness, q):
+        raise TverbergError("the witness found failed its exact re-check")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,7 @@ def corollary_pipeline(
     search a q_p-witness there, then greedily extend its coloring to all of
     G with q colors.  Failed checks are recorded, not fatal.
     """
-    eps = _to_fraction(epsilon)
+    eps = Fraction(epsilon)
     if eps <= 0:
         raise TverbergError(f"epsilon must be positive, got {epsilon}")
     consts = epsilon_constants(float(eps))

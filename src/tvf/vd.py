@@ -390,21 +390,6 @@ class CertificateBuilder:
         return out
 
 
-def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
-    """Raise a certificate for G minus an isolated vertex v by one level.
-
-    cert must certify G minus v at some level k-1; the result certifies G
-    at level k, rebuilt along cert's own pivots (each subgraph keeps v
-    isolated, so the rewrite recurses structurally).
-    """
-    if v not in G:
-        raise GraphError(f"vertex {v} not in the graph")
-    if G.neighbors(v):
-        raise GraphError(f"vertex {v} is not isolated")
-    view = MaskView(G)
-    return CertificateBuilder(view).lift(view.full, view.index[v], cert)
-
-
 def assemble_pivot_decomposition(
     builder: CertificateBuilder,
     mask: int,

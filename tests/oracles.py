@@ -13,13 +13,19 @@ degree-bound builder and trace extraction) builds a Graph for every
 subgraph where the library works on bitmasks.  The level decision oracle
 is the plain recursive solver, memoized on (mask, level), that the
 library's iterative interval solver replaced.
+The last section holds Graph-space references that left the library
+because no command needs them: delete_vertices, product_label (the
+product labeling convention), check_squid (squid well-formedness),
+_product_neighbors and squid_admissible (the paper's two admissible squid
+patterns).
 """
 
 import itertools
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from tvf.graphs import Graph, GraphError, delete_vertices, induced_subgraph, product_label
+from tvf.graphs import Graph, GraphError, ProductVertex, induced_subgraph
+from tvf.squids import Squid, SquidError
 from tvf.vd import (
     CertificateError,
     LeafAny,
@@ -393,7 +399,7 @@ def _level1_certificate(G: Graph) -> VdCertificate:
     """Any nonempty graph is at level 1: peel minimum-label vertices."""
     if G.n == 0:
         raise VdError("the empty graph is not at level 1")
-    if G.is_edgeless():
+    if not G.edges:
         return edgeless_certificate(G.vertices, 1)
     v = G.vertices[0]
     return Node(v, _level1_certificate(delete_vertices(G, [v])), LeafAny(), 1)
@@ -417,7 +423,7 @@ def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
         got = memo.get(key)
         if got is not None:
             return got
-        if H.is_edgeless():
+        if not H.edges:
             out: VdCertificate = edgeless_certificate(H.vertices, c.level + 1)
         elif isinstance(c, LeafAny):
             out = _level1_certificate(H)
@@ -482,7 +488,7 @@ def build_certificate_degree_bound(G: Graph) -> VdCertificate:
     def build(H: Graph, k: int) -> VdCertificate:
         if k == 0:
             return LeafAny()
-        if H.is_edgeless():
+        if not H.edges:
             return edgeless_certificate(H.vertices, k)
         key = (H, k)
         got = memo.get(key)
@@ -529,3 +535,117 @@ def extract_certificate(trace):
         return cert
 
     return certify(trace.root)
+
+
+# ---------------------------------------------------------------------------
+# Graph-space references for subgraphs, product labels and squids
+# ---------------------------------------------------------------------------
+#
+# Vertex deletion, product labels and the squid patterns on Graph objects
+# and ProductVertex sets.  The library needs none of them: it works on
+# bitmasks and never re-checks a squid it generated.  Tests use them as
+# references for the paper's squid patterns, and the Graph-space oracles
+# above build their subgraphs and labels with them.
+
+
+def delete_vertices(G: Graph, drop: Iterable[int]) -> Graph:
+    """Induced subgraph on V(G) minus the given set; G is unchanged."""
+    dropset = set(drop)
+    unknown = dropset - set(G.vertices)
+    if unknown:
+        raise GraphError(f"cannot delete vertices not in the graph: {sorted(unknown)}")
+    keep = [v for v in G.vertices if v not in dropset]
+    keepset = set(keep)
+    return Graph(keep, [(u, v) for u, v in G.edges if u in keepset and v in keepset])
+
+
+def product_label(G: Graph, q: int, pv: ProductVertex) -> int:
+    """Integer label of (base, row) in G x K_q: index(base)*q + (row-1)."""
+    if not 1 <= pv.row <= q:
+        raise GraphError(f"row {pv.row} outside 1..{q}")
+    try:
+        a = G.vertices.index(pv.base)
+    except ValueError:
+        raise GraphError(f"base {pv.base} is not a vertex of G") from None
+    return a * q + (pv.row - 1)
+
+
+def check_squid(s: Squid, G: Graph, q: int) -> None:
+    """Raise SquidError unless s is a well-formed squid over G x K_q."""
+    if s.body not in G:
+        raise SquidError(f"body {s.body} is not a vertex of G")
+    for pv in s.vertices:
+        if pv.base not in G or not 1 <= pv.row <= q:
+            raise SquidError(f"{pv} is not a vertex of the product")
+    for h in s.hearts:
+        if h not in s.vertices:
+            raise SquidError(f"heart {h} is outside the squid's vertex set")
+    arms = s.arms
+    if s.kind == "I":
+        if len(s.rows) != 1:
+            raise SquidError("kind I squids mark exactly one row")
+        (i,) = s.rows
+        if s.witness is None:
+            if arms:
+                raise SquidError("kind I squids with arms need an adjacent witness")
+        else:
+            if not G.has_edge(s.witness, s.body):
+                raise SquidError(f"witness {s.witness} is not adjacent to body {s.body}")
+            allowed = G.neighbors(s.witness) | G.neighbors(s.body)
+            for pv in arms:
+                if pv.row != i or pv.base not in allowed:
+                    raise SquidError(f"arm {pv} outside the kind I pattern")
+    elif s.kind == "II":
+        if len(s.rows) != 2 or not s.rows[0] < s.rows[1]:
+            raise SquidError("kind II squids mark a row pair i < j")
+        allowed = G.neighbors(s.body)
+        for pv in arms:
+            if pv.row not in s.rows or pv.base not in allowed:
+                raise SquidError(f"arm {pv} outside the kind II pattern")
+    else:
+        raise SquidError(f"unknown squid kind {s.kind!r}")
+
+
+def _product_neighbors(G: Graph, q: int, residual: frozenset[ProductVertex], pv: ProductVertex):
+    out = set()
+    for u in G.neighbors(pv.base):
+        cand = ProductVertex(u, pv.row)
+        if cand in residual:
+            out.add(cand)
+    for r in range(1, q + 1):
+        if r != pv.row:
+            cand = ProductVertex(pv.base, r)
+            if cand in residual:
+                out.add(cand)
+    return out
+
+
+def squid_admissible(
+    squid: Squid, pivot: ProductVertex, residual: frozenset[ProductVertex], G: Graph, q: int
+) -> bool:
+    """Whether the squid fits one of the two admissible patterns at this pivot:
+
+    (a) inside N((v,i)) union N((v,j)) for some residual (v,j) in the
+        pivot's column, or
+    (b) inside (N((v,i)) restricted to row i) union N((u,i)) for some
+        residual row neighbor (u,i) with u adjacent to v,
+
+    all neighborhoods taken in the residual.
+    """
+    if pivot not in residual:
+        raise SquidError("pivot must lie in the residual")
+    S = set(squid.vertices)
+    v, i = pivot
+    piv_nb = _product_neighbors(G, q, residual, pivot)
+    for r in range(1, q + 1):
+        other = ProductVertex(v, r)
+        if other in residual:
+            if S <= piv_nb | _product_neighbors(G, q, residual, other):
+                return True
+    row_part = {pv for pv in piv_nb if pv.row == i}
+    for u in G.neighbors(v):
+        mate = ProductVertex(u, i)
+        if mate in residual:
+            if S <= row_part | _product_neighbors(G, q, residual, mate):
+                return True
+    return False

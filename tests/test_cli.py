@@ -308,6 +308,102 @@ def test_trace_node_without_residual_size_is_squid_error(files, capsys):
     assert "node 1" in obj["error"] and "residual_size" in obj["error"]
 
 
+def _set(path, value):
+    """Mutation of a trace object that replaces the entry at path."""
+
+    def mutate(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value(obj[last]) if callable(value) else value
+
+    return mutate
+
+
+_ROOT = ["nodes", 0]
+_ARM = _ROOT + ["children", 0]
+_LINK = _ROOT + ["link"]
+
+
+# Each mutation leaves a trace the reader used to accept through int().
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (_set(["q"], 3.5), "q must"),
+        (_set(["m"], 2.0), "m must"),
+        (_set(["root"], False), "root must"),
+        (_set(_ROOT + ["level"], str), "node 0"),
+        (_set(_ROOT + ["level"], float), "node 0"),
+        (_set(_ROOT + ["residual_size"], float), "node 0"),
+        (_set(_ARM + ["node"], lambda v: v + 0.5), "node 0"),
+        (_set(_LINK + ["node"], float), "node 0"),
+        (_set(_ARM + ["squid", "body"], str), "node 0"),
+        (_set(_ARM + ["squid", "kind"], "III"), "node 0"),
+        (_set(_ARM + ["squid", "rows"], lambda rows: [str(r) for r in rows]), "node 0"),
+        (_set(_ARM + ["squid", "body_rows"], lambda rows: [float(r) for r in rows]), "node 0"),
+        (_set(_ARM + ["squid", "arms"], lambda arms: [[b, float(r)] for b, r in arms]), "node 0"),
+        (_set(_ARM + ["squid", "witness"], str), "node 0"),
+    ],
+    ids=[
+        "q-float", "m-float", "root-bool", "level-string", "level-float", "residual-size-float",
+        "child-node-float", "link-node-float", "squid-body-string", "squid-kind-unknown",
+        "squid-rows-strings", "squid-body-rows-floats", "squid-arm-row-float",
+        "squid-witness-string",
+    ],
+)
+def test_non_integer_trace_field_is_squid_error(files, capsys, mutate, where):
+    trace = files / "trace.json"
+    code, _, _ = run(capsys, "squid", "df1", "--graph", files / "k2.txt", "--q", "3", "--out", trace)
+    assert code == 0
+    obj = json.loads(trace.read_text())
+    mutate(obj)
+    trace.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "squid", "extract", "--trace", trace)
+    obj = json.loads(err)
+    assert code == 1 and out == ""
+    assert set(obj) == {"error", "kind"} and obj["kind"] == "SquidError"
+    assert where in obj["error"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_set(_ROOT + ["block_row"], str), _set(_ROOT + ["rows_used"], lambda rows: [str(r) for r in rows])],
+    ids=["block-row-string", "rows-used-strings"],
+)
+def test_non_integer_dynamic_trace_field_is_squid_error(files, capsys, mutate):
+    (files / "p4.txt").write_text("p 4 3\ne 0 1\ne 1 2\ne 2 3\n")
+    scheme = files / "dyn.json"
+    scheme.write_text(json.dumps({"sizes": [1, 1], "n": 20, "q": 5, "delta": 2}))
+    trace = files / "dyn_trace.json"
+    code, _, _ = run(
+        capsys, "squid", "dynamic", "--graph", files / "p4.txt", "--q", "5",
+        "--scheme", scheme, "--out", trace,
+    )
+    assert code == 0
+    obj = json.loads(trace.read_text())
+    mutate(obj)
+    trace.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "squid", "extract", "--trace", trace)
+    obj = json.loads(err)
+    assert code == 1 and out == ""
+    assert obj["kind"] == "SquidError" and "node 0" in obj["error"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("sizes", [2.9, 1]), ("sizes", [2, True]), ("n", 20.0), ("q", 5.5), ("delta", "2"), ("delta", True)],
+    ids=["sizes-float", "sizes-bool", "n-float", "q-float", "delta-string", "delta-bool"],
+)
+def test_non_integer_scheme_field_is_scheme_error(files, capsys, key, value):
+    scheme = files / "scheme.json"
+    scheme.write_text(json.dumps({"sizes": [2, 1], "n": 20, "q": 5, "delta": 2, key: value}))
+    code, out, err = run(capsys, "scheme", "validate", "--file", scheme)
+    obj = json.loads(err)
+    assert code == 1 and out == ""
+    assert set(obj) == {"error", "kind"} and obj["kind"] == "SchemeError"
+    assert key in obj["error"]
+
+
 @pytest.mark.parametrize(
     "text, line",
     [("0 0\na 1\n", 2), ("0 0\n1 x\n", 2), ("0 1/0\n1 1\n", 1)],

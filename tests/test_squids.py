@@ -2,27 +2,24 @@ import random
 
 import pytest
 
-from tvf.graphs import Graph, ProductVertex, product_with_complete
+from tvf.graphs import Graph, ProductVertex
 from tvf.schemes import SizeScheme
 from tvf.squids import (
-    DfTuple,
     RemovalTrace,
     SchemeRunError,
     Squid,
     SquidError,
-    check_squid,
     df1_check,
     df1_threshold,
     extract_certificate,
-    residual,
     run_df1,
     run_dynamic,
-    squid_admissible,
 )
 from tvf.vd import certificate_to_json, verify_certificate
 
 import oracles
 from conftest import all_labeled_graphs
+from oracles import check_squid, squid_admissible
 
 
 def _pv(b, r):
@@ -73,20 +70,6 @@ def test_squid_validation():
             Graph.empty(3),
             1,
         )
-
-
-def test_df_tuple_and_residual_examples():
-    K2 = Graph.complete(2)
-    empty = DfTuple(K2, 2, (), 2)
-    assert residual(empty) == product_with_complete(K2, 2)
-    column = Squid(body=0, kind="II", rows=(1, 2), vertices=frozenset({_pv(0, 1), _pv(0, 2)}))
-    one = DfTuple(K2, 2, (column,), 2)
-    r = residual(one)
-    assert r.n == 2 and r.m == 1  # the other column is an edge
-    with pytest.raises(SquidError):
-        DfTuple(K2, 2, (), 3).validate()  # m > |G|
-    with pytest.raises(SquidError):
-        DfTuple(K2, 0, (), 1).validate()
 
 
 def test_run_df1_single_vertex():

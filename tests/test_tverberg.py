@@ -12,7 +12,6 @@ from tvf.tverberg import (
     TverbergError,
     bertrand_prime,
     corollary_pipeline,
-    format_points,
     greedy_extension,
     hulls_intersect,
     is_prime_power,
@@ -186,9 +185,29 @@ def test_corollary_pipeline_reports_failures_nonfatally():
     assert not rep.all_checks_passed  # reported, not raised
 
 
+def test_search_rechecks_the_witness_it_returns(monkeypatch):
+    rnd = random.Random(5)
+    G = Graph.empty(7)  # seven points in the plane always have a 3-partition
+    cfg = PointConfiguration(2, {v: _rand_point(rnd) for v in range(7)})
+    assert search_witness(G, cfg, 3) is not None
+    real = tvf.tverberg.hulls_intersect
+
+    def wrong_point(parts):
+        hull = real(parts)
+        if hull is None:
+            return None
+        return tvf.tverberg.HullWitness(tuple(c + 1 for c in hull.point), hull.coefficients)
+
+    monkeypatch.setattr(tvf.tverberg, "hulls_intersect", wrong_point)
+    with pytest.raises(TverbergError, match="re-check"):
+        search_witness(G, cfg, 3)
+    with pytest.raises(TverbergError, match="re-check"):
+        corollary_pipeline(G, cfg, 3, F(1, 5))
+
+
 def test_points_file_round_trip():
     cfg = PointConfiguration(2, {0: (F(1, 2), F(-3)), 7: (F(0), F(5, 7))})
-    assert parse_points(format_points(cfg)) == cfg
+    assert parse_points("0 1/2 -3\n7 0 5/7\n") == cfg
     parsed = parse_points("# c\n3 1/2 -2\n")
     assert parsed.points[3] == (F(1, 2), F(-2))
     with pytest.raises(TverbergError):

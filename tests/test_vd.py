@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvf.graphs import Graph, GraphError, delete_vertices, product_with_complete
+from tvf.graphs import Graph, GraphError, product_with_complete
 from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
     CertificateBuilder,
@@ -23,16 +23,21 @@ from tvf.vd import (
     certificate_to_json,
     edgeless_certificate,
     is_vd,
-    lift_isolated,
     max_vd,
     verify_certificate,
 )
 
 import oracles
 from conftest import all_labeled_graphs
-from oracles import brute_certificate_search
+from oracles import brute_certificate_search, delete_vertices
 
 TWO_K2 = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
+
+
+def _lift_isolated(G, v, cert):
+    """Raise cert, for G minus the isolated vertex v, by one level to G."""
+    view = MaskView(G)
+    return CertificateBuilder(view).lift(view.full, view.index[v], cert)
 
 
 def test_is_vd_base_cases_and_examples():
@@ -210,20 +215,14 @@ def test_build_certificate_exhaustive_small(atlas):
 def test_lift_isolated():
     # single vertex: edgeless short-circuit
     single = Graph([4], [])
-    lifted = lift_isolated(single, 4, LeafAny())
+    lifted = _lift_isolated(single, 4, LeafAny())
     assert isinstance(lifted, LeafEdgeless) and lifted.level == 1
     # K2 plus an isolated vertex, lifting a level-1 certificate to level 2
     G = Graph([0, 1, 2], [(0, 1)])
     base = Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1)
     assert verify_certificate(delete_vertices(G, [2]), base).ok
-    up = lift_isolated(G, 2, base)
+    up = _lift_isolated(G, 2, base)
     assert up.level == 2 and verify_certificate(G, up).ok
-    # precondition: the vertex must be isolated
-    H = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
-    with pytest.raises(GraphError):
-        lift_isolated(H, 3, base)
-    with pytest.raises(GraphError):
-        lift_isolated(H, 9, base)
 
 
 def test_lift_isolated_randomized_against_verifier():
@@ -236,7 +235,7 @@ def test_lift_isolated_randomized_against_verifier():
         k = max_vd(G)
         cert = brute_certificate_search(G, k)
         assert cert is not None
-        up = lift_isolated(iso, n, cert)
+        up = _lift_isolated(iso, n, cert)
         assert up.level == k + 1
         assert verify_certificate(iso, up).ok
         assert certificate_to_json(up) == certificate_to_json(oracles.lift_isolated(iso, n, cert))
@@ -244,7 +243,7 @@ def test_lift_isolated_randomized_against_verifier():
 
 def test_certificate_json_round_trip():
     G = Graph([0, 1, 2], [(0, 1)])
-    cert = lift_isolated(G, 2, Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1))
+    cert = _lift_isolated(G, 2, Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1))
     text = certificate_to_json(cert)
     again = certificate_from_json(text)
     assert certificate_to_json(again) == text
@@ -260,7 +259,7 @@ def test_certificate_json_round_trip():
 
 def test_lift_isolated_has_no_recursion_limit():
     G = Graph(range(2501), [(i, i + 1) for i in range(2499)])  # 2500 is isolated
-    cert = lift_isolated(G, 2500, LeafAny())
+    cert = _lift_isolated(G, 2500, LeafAny())
     assert cert.level == 1
     assert verify_certificate(G, cert).ok
 
@@ -298,11 +297,11 @@ def test_assembly_keeps_every_ingredient_check():
     # lifting replays the link certificate inside H minus the pivot's neighbors
     K2_plus = Graph([0, 1, 2], [(0, 1)])
     with pytest.raises(CertificateError, match="edgeless leaf given"):
-        lift_isolated(K2_plus, 2, LeafEdgeless((0,)))
+        _lift_isolated(K2_plus, 2, LeafEdgeless((0,)))
     with pytest.raises(CertificateError, match="does not exist"):
-        lift_isolated(K2_plus, 2, Node(2, LeafAny(), LeafAny(), 1))
+        _lift_isolated(K2_plus, 2, Node(2, LeafAny(), LeafAny(), 1))
     with pytest.raises(CertificateError, match="does not exist"):
-        lift_isolated(K2_plus, 2, Node(7, LeafAny(), LeafAny(), 1))
+        _lift_isolated(K2_plus, 2, Node(7, LeafAny(), LeafAny(), 1))
 
 
 def test_verify_rejects_edgeless_leaf_with_repeated_vertices():
