@@ -21,4 +21,7 @@ def json_ints(value, what: str) -> tuple[int, ...]:
     """The entries of a JSON list of integers, as a tuple."""
     if type(value) is not list:
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
-    return tuple(json_int(v, f"{what} entry") for v in value)
+    for v in value:
+        if type(v) is not int:
+            json_int(v, f"{what} entry")  # raises, naming the entry
+    return tuple(value)

@@ -80,24 +80,18 @@ class Squid:
     vertices: frozenset[ProductVertex]
     witness: Optional[int] = None
 
-    @property
-    def hearts(self) -> tuple[ProductVertex, ...]:
-        return tuple(ProductVertex(self.body, r) for r in self.rows)
-
-    @property
-    def arms(self) -> tuple[ProductVertex, ...]:
-        return tuple(sorted(pv for pv in self.vertices if pv.base != self.body))
-
-    @property
-    def body_rows(self) -> tuple[int, ...]:
-        return tuple(sorted(pv.row for pv in self.vertices if pv.base == self.body))
-
     def to_obj(self) -> dict:
+        arms, body_rows = [], []
+        for base, row in sorted(self.vertices):
+            if base == self.body:
+                body_rows.append(row)
+            else:
+                arms.append([base, row])
         return {
-            "arms": [[pv.base, pv.row] for pv in self.arms],
+            "arms": arms,
             "body": self.body,
-            "body_rows": list(self.body_rows),
-            "hearts": [[pv.base, pv.row] for pv in self.hearts],
+            "body_rows": body_rows,
+            "hearts": [[self.body, r] for r in self.rows],
             "kind": self.kind,
             "rows": list(self.rows),
             "witness": self.witness,
@@ -259,10 +253,19 @@ class RemovalTrace:
     @classmethod
     def from_obj(cls, obj: dict) -> "RemovalTrace":
         try:
-            G = Graph(obj["graph"]["vertices"], [tuple(e) for e in obj["graph"]["edges"]])
+            graph = obj["graph"]
+            G = Graph(
+                json_ints(graph["vertices"], "graph vertices"),
+                [json_ints(e, "graph edge") for e in graph["edges"]],
+            )
             q = json_int(obj["q"], "q")
             m = json_int(obj["m"], "m")
-            kind = str(obj["kind"])
+            kind = obj["kind"]
+            if kind not in ("df1", "dynamic"):
+                raise ValueError(f"trace kind must be 'df1' or 'dynamic', got {kind!r}")
+            mode = obj.get("mode", "walk")
+            if mode not in ("walk", "distance"):
+                raise ValueError(f"trace mode must be 'walk' or 'distance', got {mode!r}")
             node_objs = obj["nodes"]
             root_id = json_int(obj["root"], "root")
             scheme = None if obj.get("scheme") is None else SizeScheme.from_obj(obj["scheme"])
@@ -352,7 +355,7 @@ class RemovalTrace:
             root = build(root_id, full)
         except RecursionError:
             raise SquidError("trace nodes are nested too deeply to read") from None
-        return cls(graph=G, q=q, m=m, kind=kind, root=root, mode=obj.get("mode", "walk"), scheme=scheme)
+        return cls(graph=G, q=q, m=m, kind=kind, root=root, mode=mode, scheme=scheme)
 
     @classmethod
     def from_json(cls, text: str) -> "RemovalTrace":

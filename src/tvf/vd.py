@@ -18,16 +18,21 @@ memo belongs to an object made for one call.  The decision solver keeps
 one interval of proven and refuted levels per bitmask, bounds it from
 above by a greedy maximal independent set, and searches on an explicit
 stack, so its answer does not depend on the interpreter's recursion
-limit.  The JSON reader shares structurally equal subtrees, so
-verification follows unique nodes rather than the size of the expanded
-tree.
+limit.
+
+The JSON form is the expanded tree, but its cost follows unique subtrees.
+The writer formats each distinct subtree object once and copies the text
+of a repeat.  The reader builds and shares certificate objects while
+json.loads parses the text, so the expanded tree of dicts is never held,
+and structurally equal subtrees become one object; verification then
+follows unique nodes rather than the size of the expanded tree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .graphs import Graph, GraphError, neighbor_masks
 
@@ -486,26 +491,57 @@ def build_certificate_degree_bound(G: Graph) -> VdCertificate:
 # Keys are emitted in sorted order and levels are always explicit.
 
 
+_BUILT = (LeafAny, LeafEdgeless, Node)
+_CLOSE = object()  # writer stack marker: the innermost open node's text ends here
+
+
 def certificate_to_json(cert: VdCertificate) -> str:
+    """The nested JSON text of cert, in time that follows its unique objects.
+
+    Each object's text is a slice of parts; when an object is met again,
+    that slice is copied, which copies string pointers and formats nothing.
+    The slice bounds are kept as plain ints, which the garbage collector
+    does not track, so writing adds no collector work however large the
+    heap around it is.
+    """
     parts: list[str] = []
+    starts: dict[int, int] = {}  # id of a written object -> its first part
+    ends: dict[int, int] = {}  # id of a written object -> one past its last part
+    opened: list[int] = []  # id and first part of each node whose text is open
     stack: list[object] = [cert]
     while stack:
         item = stack.pop()
+        if item is _CLOSE:
+            start = opened.pop()
+            key = opened.pop()
+            starts[key], ends[key] = start, len(parts)
+            continue
         if isinstance(item, str):
             parts.append(item)
-        elif isinstance(item, LeafAny):
+            continue
+        key = id(item)
+        start = starts.get(key)
+        if start is not None:
+            parts.extend(parts[start : ends[key]])
+            continue
+        start = len(parts)
+        if isinstance(item, LeafAny):
             parts.append('{"leaf":"any","level":0}')
         elif isinstance(item, LeafEdgeless):
             verts = ",".join(str(v) for v in item.vertices)
             parts.append(f'{{"leaf":"edgeless","level":{item.level},"vertices":[{verts}]}}')
         elif isinstance(item, Node):
             parts.append(f'{{"level":{item.level},"node":{{"del":')
+            opened += (key, start)
+            stack.append(_CLOSE)
             stack.append(f',"pivot":{item.pivot}}}}}')
             stack.append(item.link)
             stack.append(',"link":')
             stack.append(item.delete)
+            continue
         else:
             raise CertificateError(f"cannot serialize {type(item).__name__}")
+        starts[key], ends[key] = start, start + 1
     return "".join(parts)
 
 
@@ -519,7 +555,90 @@ def _malformed(where, message: str) -> CertificateError:
     return CertificateError(f"certificate path {path}: {message}")
 
 
-def certificate_from_obj(obj) -> VdCertificate:
+class _Reader:
+    """One read's intern tables, and the checks of one JSON object.
+
+    The same checks serve two passes.  json.loads calls hook on every
+    object as it is parsed, children first; hook builds the certificate
+    objects whose text has exactly the keys certificate_to_json writes and
+    passes every check, so the expanded tree of dicts is never kept.  Every
+    other object stays a dict for certificate_from_obj, which reads it in
+    del-first order and raises at the first failed check with its path.  A
+    built subtree has no failed check below it, so that walk meets the same
+    first failure as it would on the plain dicts, and both passes intern
+    through one table.
+    """
+
+    def __init__(self):
+        self.edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
+        self.nodes: dict[tuple[int, int, int, int], Node] = {}
+
+    def leaf(self, o: dict):
+        """The leaf certificate of o, an error message, or None if o is no leaf."""
+        leaf = o.get("leaf")
+        if leaf == "any":
+            if o.get("level", 0) != 0:
+                return "leaf 'any' must be at level 0"
+            return _ANY
+        if leaf != "edgeless":
+            return None
+        raw = o["vertices"] if "vertices" in o else []
+        if type(raw) is not list or any(type(v) is not int for v in raw):
+            return "edgeless leaf vertices must be a list of integers"
+        verts = tuple(sorted(raw))
+        got = self.edgeless.get(verts)
+        if got is None:  # a tuple in the table has no repeats
+            if len(set(verts)) != len(verts):
+                return "edgeless leaf lists a vertex twice"
+            got = self.edgeless[verts] = LeafEdgeless(verts)
+        if o.get("level", len(verts)) != len(verts):
+            return "edgeless leaf level must equal its vertex count"
+        return got
+
+    @staticmethod
+    def body(o: dict):
+        """The pivot node body of o, or an error message; o must have a "node" key."""
+        body = o["node"]
+        if type(body) is not dict or "del" not in body or "link" not in body:
+            return "pivot node needs an object with 'del' and 'link'"
+        if type(body.get("pivot")) is not int:
+            return "pivot must be an integer"
+        return body
+
+    def node(self, o: dict, pivot: int, delete: VdCertificate, link: VdCertificate):
+        """The interned pivot node of o over its read children, or an error message."""
+        level = o["level"] if "level" in o else link.level + 1
+        if type(level) is not int:
+            return "node level must be an integer"
+        key = (pivot, id(delete), id(link), level)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = Node(pivot, delete, link, level)
+        return node
+
+    def hook(self, o: dict):
+        """o as a certificate object if it has exactly the writer's keys and passes its checks."""
+        if "pivot" in o or type(o.get("level")) is not int:
+            return o  # a pivot node's body, or a level the writer never emits
+        if "node" in o:
+            body = o["node"]
+            if len(o) != 2 or type(body) is not dict or len(body) != 3:
+                return o
+            delete, link, pivot = body.get("del"), body.get("link"), body.get("pivot")
+            if type(delete) not in _BUILT or type(link) not in _BUILT or type(pivot) is not int:
+                return o
+            got = self.node(o, pivot, delete, link)
+        else:
+            leaf = o.get("leaf")
+            if not (
+                leaf == "any" and len(o) == 2 or leaf == "edgeless" and len(o) == 3 and "vertices" in o
+            ):
+                return o
+            got = self.leaf(o)
+        return o if type(got) is str else got
+
+
+def certificate_from_obj(obj, reader: Optional[_Reader] = None) -> VdCertificate:
     """Certificate from its nested JSON object, sharing equal subtrees.
 
     Structurally equal subtrees come back as one object: a single LeafAny,
@@ -529,9 +648,11 @@ def certificate_from_obj(obj) -> VdCertificate:
     verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
     levels and vertices must be JSON integers; anything malformed raises
     CertificateError naming its path, as del/link steps from the root.
+    Children that are already certificate objects are taken as read; reader
+    is the parse that built them, whose intern tables the rest joins.
     """
-    edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
-    nodes: dict[tuple[int, int, int, int], Node] = {}
+    if reader is None:
+        reader = _Reader()
     done: list[VdCertificate] = []
     # (JSON object, its path as a (step, parent) chain, and, once its
     # children are queued, the pivot node's body)
@@ -540,55 +661,41 @@ def certificate_from_obj(obj) -> VdCertificate:
         o, where, body = stack.pop()
         if body is not None:  # both children are read
             link = done.pop()
-            delete = done.pop()
-            level = o.get("level", link.level + 1)
-            if type(level) is not int:
-                raise _malformed(where, "node level must be an integer")
-            key = (body["pivot"], id(delete), id(link), level)
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = Node(body["pivot"], delete, link, level)
-            done.append(node)
-            continue
-        if type(o) is not dict:
+            got = reader.node(o, body["pivot"], done.pop(), link)
+        elif type(o) in _BUILT:
+            got = o
+        elif type(o) is not dict:
             raise _malformed(where, "certificate JSON nodes must be objects")
-        leaf = o.get("leaf")
-        if leaf == "any":
-            if o.get("level", 0) != 0:
-                raise _malformed(where, "leaf 'any' must be at level 0")
-            done.append(_ANY)
-        elif leaf == "edgeless":
-            raw = o.get("vertices", [])
-            if type(raw) is not list or any(type(v) is not int for v in raw):
-                raise _malformed(where, "edgeless leaf vertices must be a list of integers")
-            verts = tuple(sorted(raw))
-            if len(set(verts)) != len(verts):
-                raise _malformed(where, "edgeless leaf lists a vertex twice")
-            if o.get("level", len(verts)) != len(verts):
-                raise _malformed(where, "edgeless leaf level must equal its vertex count")
-            got = edgeless.get(verts)
-            if got is None:
-                got = edgeless[verts] = LeafEdgeless(verts)
-            done.append(got)
-        elif "node" in o:
-            body = o["node"]
-            if type(body) is not dict or "del" not in body or "link" not in body:
-                raise _malformed(where, "pivot node needs an object with 'del' and 'link'")
-            if type(body.get("pivot")) is not int:
-                raise _malformed(where, "pivot must be an integer")
-            stack.append((o, where, body))
-            stack.append((body["link"], ("link", where), None))
-            stack.append((body["del"], ("del", where), None))
         else:
-            raise _malformed(where, f"unrecognized certificate object with keys {sorted(o)}")
+            got = reader.leaf(o)
+            if got is None and "node" in o:
+                body = reader.body(o)
+                if type(body) is not str:
+                    stack.append((o, where, body))
+                    stack.append((body["link"], ("link", where), None))
+                    stack.append((body["del"], ("del", where), None))
+                    continue
+                got = body
+            elif got is None:
+                got = f"unrecognized certificate object with keys {sorted(o)}"
+        if type(got) is str:
+            raise _malformed(where, got)
+        done.append(got)
     if len(done) != 1:
         raise CertificateError("malformed certificate nesting")
     return done[0]
 
 
 def certificate_from_json(text: str) -> VdCertificate:
+    """certificate_from_obj of the parsed text, built while it is parsed.
+
+    Reading costs one parse plus work per unique subtree: the objects the
+    writer emits become shared certificate objects as soon as json.loads
+    has read them.
+    """
+    reader = _Reader()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_hook=reader.hook)
     except RecursionError:
         raise CertificateError("certificate JSON is nested too deeply to read") from None
-    return certificate_from_obj(obj)
+    return certificate_from_obj(obj, reader)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from tvf.graphs import Graph
+from tvf.vd import Node
 
 
 def all_labeled_graphs(n):
@@ -26,3 +27,30 @@ def atlas():
 @pytest.fixture(scope="session")
 def atlas6(atlas):
     return [G for G in atlas if G.n <= 6]
+
+
+def same_certificate_dag(a, b):
+    """Whether certificates a and b are equal and share their subtrees alike.
+
+    Reachable objects of a and b must pair off one to one, with equal leaves
+    and equal pivot and level at paired nodes.
+    """
+    forward: dict[int, int] = {}
+    backward: dict[int, int] = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if id(x) in forward or id(y) in backward:
+            if forward.get(id(x)) != id(y) or backward.get(id(y)) != id(x):
+                return False
+            continue
+        forward[id(x)], backward[id(y)] = id(y), id(x)
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Node):
+            if (x.pivot, x.level) != (y.pivot, y.level):
+                return False
+            stack += [(x.delete, y.delete), (x.link, y.link)]
+        elif x != y:
+            return False
+    return True

@@ -13,14 +13,18 @@ degree-bound builder and trace extraction) builds a Graph for every
 subgraph where the library works on bitmasks.  The level decision oracle
 is the plain recursive solver, memoized on (mask, level), that the
 library's iterative interval solver replaced.
+The certificate JSON writer and reader are the walkers over the expanded
+tree that the library's unique-structure writer and parse-time reader
+replaced.
 The last section holds Graph-space references that left the library
 because no command needs them: delete_vertices, product_label (the
-product labeling convention), check_squid (squid well-formedness),
-_product_neighbors and squid_admissible (the paper's two admissible squid
-patterns).
+product labeling convention), squid_hearts and squid_arms (a squid's
+parts), check_squid (squid well-formedness), _product_neighbors and
+squid_admissible (the paper's two admissible squid patterns).
 """
 
 import itertools
+import json
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -538,6 +542,127 @@ def extract_certificate(trace):
 
 
 # ---------------------------------------------------------------------------
+# Certificate JSON walkers (reference for the unique-structure reader and writer)
+# ---------------------------------------------------------------------------
+#
+# The writer and reader as they ran before certificate I/O followed unique
+# subtrees: the writer formats every occurrence of a shared subtree again,
+# and the reader walks the whole parsed tree of dicts.  The library must
+# write the same text, read the same shared DAG, and raise the same message
+# at the same path.
+
+_ANY = LeafAny()
+
+
+def certificate_to_json(cert: VdCertificate) -> str:
+    parts: list[str] = []
+    stack: list[object] = [cert]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, LeafAny):
+            parts.append('{"leaf":"any","level":0}')
+        elif isinstance(item, LeafEdgeless):
+            verts = ",".join(str(v) for v in item.vertices)
+            parts.append(f'{{"leaf":"edgeless","level":{item.level},"vertices":[{verts}]}}')
+        elif isinstance(item, Node):
+            parts.append(f'{{"level":{item.level},"node":{{"del":')
+            stack.append(f',"pivot":{item.pivot}}}}}')
+            stack.append(item.link)
+            stack.append(',"link":')
+            stack.append(item.delete)
+        else:
+            raise CertificateError(f"cannot serialize {type(item).__name__}")
+    return "".join(parts)
+
+
+def _malformed(where, message: str) -> CertificateError:
+    """Error at a reader position, given as a (step, parent) chain from the root."""
+    steps = []
+    while where is not None:
+        step, where = where
+        steps.append(step)
+    path = "/".join(reversed(steps)) or "root"
+    return CertificateError(f"certificate path {path}: {message}")
+
+
+def certificate_from_obj(obj) -> VdCertificate:
+    """Certificate from its nested JSON object, sharing equal subtrees.
+
+    Structurally equal subtrees come back as one object: a single LeafAny,
+    one LeafEdgeless per vertex tuple, and one Node per (pivot, delete,
+    link, level) over children that are already shared.  The result is a
+    DAG that certificate_to_json expands to the same text, and on which
+    verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
+    levels and vertices must be JSON integers; anything malformed raises
+    CertificateError naming its path, as del/link steps from the root.
+    """
+    edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
+    nodes: dict[tuple[int, int, int, int], Node] = {}
+    done: list[VdCertificate] = []
+    # (JSON object, its path as a (step, parent) chain, and, once its
+    # children are queued, the pivot node's body)
+    stack: list[tuple[object, object, object]] = [(obj, None, None)]
+    while stack:
+        o, where, body = stack.pop()
+        if body is not None:  # both children are read
+            link = done.pop()
+            delete = done.pop()
+            level = o.get("level", link.level + 1)
+            if type(level) is not int:
+                raise _malformed(where, "node level must be an integer")
+            key = (body["pivot"], id(delete), id(link), level)
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = Node(body["pivot"], delete, link, level)
+            done.append(node)
+            continue
+        if type(o) is not dict:
+            raise _malformed(where, "certificate JSON nodes must be objects")
+        leaf = o.get("leaf")
+        if leaf == "any":
+            if o.get("level", 0) != 0:
+                raise _malformed(where, "leaf 'any' must be at level 0")
+            done.append(_ANY)
+        elif leaf == "edgeless":
+            raw = o.get("vertices", [])
+            if type(raw) is not list or any(type(v) is not int for v in raw):
+                raise _malformed(where, "edgeless leaf vertices must be a list of integers")
+            verts = tuple(sorted(raw))
+            if len(set(verts)) != len(verts):
+                raise _malformed(where, "edgeless leaf lists a vertex twice")
+            if o.get("level", len(verts)) != len(verts):
+                raise _malformed(where, "edgeless leaf level must equal its vertex count")
+            got = edgeless.get(verts)
+            if got is None:
+                got = edgeless[verts] = LeafEdgeless(verts)
+            done.append(got)
+        elif "node" in o:
+            body = o["node"]
+            if type(body) is not dict or "del" not in body or "link" not in body:
+                raise _malformed(where, "pivot node needs an object with 'del' and 'link'")
+            if type(body.get("pivot")) is not int:
+                raise _malformed(where, "pivot must be an integer")
+            stack.append((o, where, body))
+            stack.append((body["link"], ("link", where), None))
+            stack.append((body["del"], ("del", where), None))
+        else:
+            raise _malformed(where, f"unrecognized certificate object with keys {sorted(o)}")
+    if len(done) != 1:
+        raise CertificateError("malformed certificate nesting")
+    return done[0]
+
+
+def certificate_from_json(text: str) -> VdCertificate:
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise CertificateError("certificate JSON is nested too deeply to read") from None
+    return certificate_from_obj(obj)
+
+
+# ---------------------------------------------------------------------------
 # Graph-space references for subgraphs, product labels and squids
 # ---------------------------------------------------------------------------
 #
@@ -570,6 +695,16 @@ def product_label(G: Graph, q: int, pv: ProductVertex) -> int:
     return a * q + (pv.row - 1)
 
 
+def squid_hearts(s: Squid) -> tuple[ProductVertex, ...]:
+    """The squid's hearts: its body on each of its marked rows."""
+    return tuple(ProductVertex(s.body, r) for r in s.rows)
+
+
+def squid_arms(s: Squid) -> tuple[ProductVertex, ...]:
+    """The squid's vertices outside its body column, sorted."""
+    return tuple(sorted(pv for pv in s.vertices if pv.base != s.body))
+
+
 def check_squid(s: Squid, G: Graph, q: int) -> None:
     """Raise SquidError unless s is a well-formed squid over G x K_q."""
     if s.body not in G:
@@ -577,10 +712,10 @@ def check_squid(s: Squid, G: Graph, q: int) -> None:
     for pv in s.vertices:
         if pv.base not in G or not 1 <= pv.row <= q:
             raise SquidError(f"{pv} is not a vertex of the product")
-    for h in s.hearts:
+    for h in squid_hearts(s):
         if h not in s.vertices:
             raise SquidError(f"heart {h} is outside the squid's vertex set")
-    arms = s.arms
+    arms = squid_arms(s)
     if s.kind == "I":
         if len(s.rows) != 1:
             raise SquidError("kind I squids mark exactly one row")

@@ -325,7 +325,8 @@ _ARM = _ROOT + ["children", 0]
 _LINK = _ROOT + ["link"]
 
 
-# Each mutation leaves a trace the reader used to accept through int().
+# Each mutation leaves a trace the reader used to accept: through int(), or,
+# for the graph, kind and mode, with no check at all.
 @pytest.mark.parametrize(
     "mutate, where",
     [
@@ -343,12 +344,16 @@ _LINK = _ROOT + ["link"]
         (_set(_ARM + ["squid", "body_rows"], lambda rows: [float(r) for r in rows]), "node 0"),
         (_set(_ARM + ["squid", "arms"], lambda arms: [[b, float(r)] for b, r in arms]), "node 0"),
         (_set(_ARM + ["squid", "witness"], str), "node 0"),
+        (_set(["graph", "vertices"], [0, True]), "graph vertices entry must be an integer"),
+        (_set(["graph", "edges", 0], [0, True]), "graph edge entry must be an integer"),
+        (_set(["kind"], 5), "trace kind must be 'df1' or 'dynamic'"),
+        (_set(["mode"], ["x"]), "trace mode must be 'walk' or 'distance'"),
     ],
     ids=[
         "q-float", "m-float", "root-bool", "level-string", "level-float", "residual-size-float",
         "child-node-float", "link-node-float", "squid-body-string", "squid-kind-unknown",
         "squid-rows-strings", "squid-body-rows-floats", "squid-arm-row-float",
-        "squid-witness-string",
+        "squid-witness-string", "graph-vertex-bool", "graph-edge-bool", "kind-integer", "mode-list",
     ],
 )
 def test_non_integer_trace_field_is_squid_error(files, capsys, mutate, where):

@@ -15,11 +15,11 @@ from tvf.squids import (
     run_df1,
     run_dynamic,
 )
-from tvf.vd import certificate_to_json, verify_certificate
+from tvf.vd import certificate_from_json, certificate_to_json, verify_certificate
 
 import oracles
-from conftest import all_labeled_graphs
-from oracles import check_squid, squid_admissible
+from conftest import all_labeled_graphs, same_certificate_dag
+from oracles import check_squid, squid_admissible, squid_arms, squid_hearts
 
 
 def _pv(b, r):
@@ -79,7 +79,7 @@ def test_run_df1_single_vertex():
     assert cert.level == 1
     assert verify_certificate(trace.product(), cert).ok
     bare = trace.root.link_child.squid
-    assert bare.witness is None and not bare.arms and bare.kind == "I"
+    assert bare.witness is None and not squid_arms(bare) and bare.kind == "I"
 
 
 def test_run_df1_requires_threshold():
@@ -134,7 +134,7 @@ def _assert_squids_admissible(trace):
                 ch.squid,
             )
         link = node.link_child.squid
-        if len(link.vertices) == 1 and not link.arms:
+        if len(link.vertices) == 1 and not squid_arms(link):
             # bare pivot: arises exactly when the pivot is isolated in the
             # residual, where neither membership pattern can apply
             assert _isolated_in(res, node.pivot, trace.graph)
@@ -184,7 +184,7 @@ def test_run_dynamic_forced_single_block():
     scheme = SizeScheme((1,), 4, 2, 1)
     trace = run_dynamic(Graph.complete(2), 2, scheme)
     assert trace.root.pivot == _pv(0, 1)
-    assert trace.root.link_child.squid.hearts[0] == _pv(0, 1)
+    assert squid_hearts(trace.root.link_child.squid)[0] == _pv(0, 1)
     cert = extract_certificate(trace)
     assert cert.level == 1 and verify_certificate(trace.product(), cert).ok
 
@@ -233,6 +233,14 @@ def test_trace_json_round_trips():
         text = trace.to_json()
         again = RemovalTrace.from_json(text)
         assert again.to_json() == text
+        for node in trace.nodes():
+            for child in (*node.arm_children, node.link_child):
+                if child is None:
+                    continue
+                s, obj = child.squid, child.squid.to_obj()
+                assert obj["arms"] == [list(pv) for pv in squid_arms(s)]
+                assert obj["hearts"] == [list(pv) for pv in squid_hearts(s)]
+                assert obj["body_rows"] == sorted(pv.row for pv in s.vertices if pv.base == s.body)
         assert certificate_to_json(extract_certificate(again)) == certificate_to_json(
             extract_certificate(trace)
         )
@@ -271,9 +279,14 @@ def _relabeled_cycle(n, seed):
 )
 def test_extraction_matches_graph_space_oracle(make_trace):
     trace = make_trace()
-    assert certificate_to_json(extract_certificate(trace)) == certificate_to_json(
-        oracles.extract_certificate(trace)
-    )
+    cert = extract_certificate(trace)
+    text = certificate_to_json(cert)
+    assert text == certificate_to_json(oracles.extract_certificate(trace))
+    # writer and reader against the walkers over the expanded tree
+    assert text == oracles.certificate_to_json(cert)
+    again = certificate_from_json(text)
+    assert same_certificate_dag(again, oracles.certificate_from_json(text))
+    assert certificate_to_json(again) == text
 
 
 def test_trace_from_obj_names_the_malformed_node():

@@ -20,6 +20,7 @@ from tvf.vd import (
     assemble_pivot_decomposition,
     build_certificate_degree_bound,
     certificate_from_json,
+    certificate_from_obj,
     certificate_to_json,
     edgeless_certificate,
     is_vd,
@@ -28,7 +29,7 @@ from tvf.vd import (
 )
 
 import oracles
-from conftest import all_labeled_graphs
+from conftest import all_labeled_graphs, same_certificate_dag
 from oracles import brute_certificate_search, delete_vertices
 
 TWO_K2 = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
@@ -238,7 +239,9 @@ def test_lift_isolated_randomized_against_verifier():
         up = _lift_isolated(iso, n, cert)
         assert up.level == k + 1
         assert verify_certificate(iso, up).ok
-        assert certificate_to_json(up) == certificate_to_json(oracles.lift_isolated(iso, n, cert))
+        text = certificate_to_json(up)
+        assert text == oracles.certificate_to_json(up)
+        assert text == certificate_to_json(oracles.lift_isolated(iso, n, cert))
 
 
 def test_certificate_json_round_trip():
@@ -266,9 +269,10 @@ def test_lift_isolated_has_no_recursion_limit():
 
 def test_build_certificate_matches_graph_space_oracle(atlas6):
     for G in atlas6:
-        assert certificate_to_json(build_certificate_degree_bound(G)) == certificate_to_json(
-            oracles.build_certificate_degree_bound(G)
-        )
+        cert = build_certificate_degree_bound(G)
+        text = certificate_to_json(cert)
+        assert text == oracles.certificate_to_json(cert)
+        assert text == certificate_to_json(oracles.build_certificate_degree_bound(G))
 
 
 def test_assembly_keeps_every_ingredient_check():
@@ -413,3 +417,217 @@ def test_shared_leaf_is_rechecked_at_each_subgraph():
     res = verify_certificate(Graph.empty(4), certificate_from_json(text))
     assert not res.ok
     assert res.path == ("del@0", "link@1", "del@3")
+
+
+# ---------------------------------------------------------------------------
+# The reader and writer against the walkers over the expanded tree
+# ---------------------------------------------------------------------------
+
+
+def _rewrite(o, change):
+    """Copy of certificate JSON o with change(obj, is_body) applied to every object."""
+    if type(o) is not dict:
+        return o
+    out = {}
+    for key, value in o.items():
+        if key == "node" and type(value) is dict:
+            body = {k: _rewrite(v, change) if k in ("del", "link") else v for k, v in value.items()}
+            change(body, True)
+            out[key] = body
+        else:
+            out[key] = value
+    change(out, False)
+    return out
+
+
+def _drop_levels(o, is_body):
+    o.pop("level", None)
+
+
+def _extra_keys(o, is_body):
+    o["note"] = {"leaf": "any", "level": 0}  # a canonical object where no certificate is read
+
+
+def _unsorted_vertices(o, is_body):
+    if o.get("leaf") == "edgeless":
+        o["vertices"] = o["vertices"][::-1]
+
+
+def _false_any_level(o, is_body):
+    if o.get("leaf") == "any":
+        o["level"] = False
+
+
+@pytest.mark.parametrize("change", [_drop_levels, _extra_keys, _unsorted_vertices, _false_any_level])
+def test_non_canonical_texts_read_like_the_reference(change):
+    _, text = _c5_certificate_text()
+    obj = json.loads(text)
+    assert any(o.get("leaf") == "edgeless" and len(o["vertices"]) > 1 for o in _objects(obj))
+    everywhere = json.dumps(_rewrite(obj, change))
+    rnd = random.Random(5)
+    somewhere = json.dumps(_rewrite(obj, lambda o, is_body: rnd.random() < 0.3 and change(o, is_body)))
+    for variant in (everywhere, somewhere):
+        cert = certificate_from_json(variant)
+        assert same_certificate_dag(cert, oracles.certificate_from_json(variant))
+        assert certificate_to_json(cert) == text
+
+
+def _objects(o):
+    stack = [o]
+    while stack:
+        o = stack.pop()
+        yield o
+        if "node" in o:
+            stack += [o["node"]["del"], o["node"]["link"]]
+
+
+_ANY_JSON = {"leaf": "any", "level": 0}
+
+
+def _at(bad, steps, sibling=_ANY_JSON):
+    """Certificate JSON with bad at the del/link path steps, sibling elsewhere."""
+    for step in reversed(steps):
+        node = {"del": sibling, "link": sibling, "pivot": 0}
+        node[step] = bad
+        bad = {"level": 1, "node": node}
+    return json.dumps(bad)
+
+
+_VALID = {"level": 1, "node": {"del": {"leaf": "edgeless", "level": 1, "vertices": [1]}, "link": _ANY_JSON, "pivot": 0}}
+
+_MALFORMED = [
+    # the command-line cases
+    _at({"level": 1, "node": {"del": {"leaf": "any"}, "pivot": 0}}, ["del", "link", "del"]),
+    _at({"level": 1, "node": 5}, ["link"]),
+    _at({"level": 1, "node": {"del": {"leaf": "any"}, "link": {"leaf": "any"}, "pivot": "x"}}, ["del"]),
+    _at({"leaf": "edgeless", "vertices": ["a"]}, ["del", "del"]),
+    '{"level":1,"node":{"del":' * 3000 + '{"leaf":"any"}' + ',"link":{"leaf":"any"},"pivot":0}}' * 3000,
+    # the level and vertex cases
+    '{"leaf":"edgeless","level":1,"vertices":[0,1]}',
+    '{"leaf":"any","level":2}',
+    '{"leaf":"edgeless","level":2,"vertices":[0,0]}',
+    # each check, below written subtrees and beside them
+    _at({"leaf": "any", "level": 1}, ["link", "del"], _VALID),
+    _at({"leaf": "edgeless", "level": 1, "vertices": [0, 1]}, ["del"], _VALID),
+    _at({"leaf": "edgeless", "level": 2, "vertices": [3, 3]}, ["link"], _VALID),
+    _at({"leaf": "edgeless", "level": 1, "vertices": 4}, ["link", "link"], _VALID),
+    _at({"leaf": "edgeless", "level": 1, "vertices": [True]}, ["del"], _VALID),
+    _at({"leaf": "edgeless", "level": 1, "vertices": [1.0]}, ["del"], _VALID),
+    _at({"level": "2", "node": _VALID["node"]}, ["link"], _VALID),
+    _at({"level": 1.0, "node": _VALID["node"]}, ["del"], _VALID),
+    _at({"level": 1, "node": {**_VALID["node"], "pivot": True}}, ["del"], _VALID),
+    _at({"level": 1, "node": {"del": _VALID, "link": _ANY_JSON}}, ["link"], _VALID),
+    _at({"level": 1, "node": _ANY_JSON}, ["del"], _VALID),
+    _at({"level": 1, "node": [_VALID]}, ["del"], _VALID),
+    _at({"leaf": "tree", "level": 0}, ["del", "link"], _VALID),
+    _at({}, ["link"], _VALID),
+    _at([_ANY_JSON], ["del"], _VALID),
+    _at(3, ["link"], _VALID),
+    _at({"leaf": "edgeless", "level": 1, "vertices": [_ANY_JSON]}, ["del"], _VALID),
+    _at({"leaf": "any", "level": _ANY_JSON}, ["del"], _VALID),
+    _at({"level": _ANY_JSON, "node": _VALID["node"]}, ["del"], _VALID),
+    _at({"leaf": _ANY_JSON, "level": 0}, ["del"], _VALID),
+    '[{"leaf":"any","level":0}]',
+    "7",
+    "null",
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED, ids=range(len(_MALFORMED)))
+def test_malformed_certificates_fail_like_the_reference(text):
+    with pytest.raises(CertificateError) as want:
+        oracles.certificate_from_json(text)
+    with pytest.raises(CertificateError) as got:
+        certificate_from_json(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_writer_rejects_what_the_reference_rejects():
+    for bad in (Node(0, LeafAny(), (1,), 1), Node(0, 5, LeafAny(), 1), None):
+        with pytest.raises(CertificateError) as want:
+            oracles.certificate_to_json(bad)
+        with pytest.raises(CertificateError) as got:
+            certificate_to_json(bad)
+        assert str(got.value) == str(want.value)
+
+
+@st.composite
+def _certificates(draw):
+    """A certificate DAG: each new object may reuse any object made before it."""
+    pool = [LeafAny()]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            pool.append(LeafEdgeless(tuple(sorted(draw(st.sets(st.integers(0, 9), max_size=4))))))
+        elif kind == 1:
+            pool.append(LeafAny())
+        else:
+            delete, link = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            pool.append(Node(draw(st.integers(0, 9)), delete, link, draw(st.integers(-2, 6))))
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificates())
+def test_certificate_round_trip_matches_the_reference(cert):
+    text = certificate_to_json(cert)
+    assert text == oracles.certificate_to_json(cert)
+    again = certificate_from_json(text)
+    assert same_certificate_dag(again, oracles.certificate_from_json(text))
+    assert certificate_to_json(again) == text
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 5), st.just(1.0), st.sampled_from(["any", "edgeless", "x"])
+)
+_LEVELS = st.one_of(st.integers(-1, 4), _SCALARS)
+
+
+def _json_extend(children):
+    """Certificate-shaped JSON over children: mostly as written, often bent or broken."""
+    extra = {"level": _LEVELS, "extra": _SCALARS | children}
+    vertices = st.lists(st.integers(0, 5), max_size=4) | st.lists(_SCALARS | children, max_size=2) | _SCALARS
+    pivot = st.integers(0, 5) | _SCALARS
+    body = st.fixed_dictionaries({"del": children, "link": children, "pivot": st.integers(0, 5)})
+    bent_body = st.fixed_dictionaries(
+        {"del": children, "link": children, "pivot": pivot}, optional={"extra": _SCALARS}
+    ) | st.fixed_dictionaries({}, optional={"del": children, "link": children, "pivot": pivot})
+    canonical = st.fixed_dictionaries({"level": st.integers(0, 3), "node": body})
+    return st.one_of(
+        canonical,
+        canonical,
+        canonical,
+        st.fixed_dictionaries({"node": body}, optional=extra),
+        st.fixed_dictionaries({"node": bent_body | children | _SCALARS}, optional=extra),
+        st.fixed_dictionaries({"leaf": st.just("edgeless")}, optional={**extra, "vertices": vertices}),
+        st.fixed_dictionaries({"leaf": st.just("any") | _SCALARS | children}, optional=extra),
+        st.lists(children, max_size=2) | _SCALARS,
+    )
+
+
+_CANONICAL_LEAVES = st.one_of(
+    st.just({"leaf": "any", "level": 0}),
+    st.lists(st.integers(0, 5), max_size=3, unique=True).map(
+        lambda vs: {"leaf": "edgeless", "level": len(vs), "vertices": sorted(vs)}
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(_CANONICAL_LEAVES, _json_extend, max_leaves=12) | _SCALARS)
+def test_reader_matches_the_reference_on_any_json(obj):
+    # the parse-time reader, and the object reader alone on plain dicts
+    text = json.dumps(obj)
+    readers = (certificate_from_json, lambda text: certificate_from_obj(json.loads(text)))
+    try:
+        want = oracles.certificate_from_json(text)
+    except CertificateError as exc:
+        for read in readers:
+            with pytest.raises(CertificateError) as got:
+                read(text)
+            assert str(got.value) == str(exc)
+        return
+    for read in readers:
+        got = read(text)
+        assert same_certificate_dag(got, want)
+        assert certificate_to_json(got) == oracles.certificate_to_json(want)
