@@ -6,7 +6,8 @@ errors.  Artifact-writing commands (--out, --cert-out)
 emit a sibling <path>.manifest.json recording input/output digests, the
 seed, and timing; identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
-overrides the face and search budgets; any other value is a usage error.
+overrides the face, search and level budgets; any other value is a usage
+error.
 
 Depth errors come only from the recursions that still follow their input:
 certificate construction and lifting, trace extraction, and complex vertex
@@ -89,6 +90,10 @@ def _face_budget(run: _Run) -> int:
 
 def _search_budget(run: _Run) -> int:
     return run.budget or tv.DEFAULT_SEARCH_BUDGET
+
+
+def _level_budget(run: _Run) -> int:
+    return run.budget or vd.DEFAULT_LEVEL_BUDGET
 
 
 class _Run:
@@ -180,14 +185,14 @@ def cmd_graph_info(run: _Run) -> int:
 
 def cmd_vd_check(run: _Run) -> int:
     G = run.graph(run.args.graph)
-    ok = vd.is_vd(G, run.args.k)
+    ok = vd.is_vd(G, run.args.k, _level_budget(run))
     run.emit(_dumps({"k": run.args.k, "vd": ok}), None)
     return 0 if ok else 1
 
 
 def cmd_vd_max(run: _Run) -> int:
     G = run.graph(run.args.graph)
-    run.emit(f"{vd.max_vd(G)}\n", None)
+    run.emit(f"{vd.max_vd(G, _level_budget(run))}\n", None)
     return 0
 
 

@@ -11,9 +11,8 @@ explode); the default cap is 2e6 generated faces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
 from .graphs import Graph
@@ -179,8 +178,7 @@ def independence_complex(G: Graph) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexDecomposition:
+class VertexDecomposition(NamedTuple):
     ok: bool
     shelling: Optional[tuple[Face, ...]] = None
 
@@ -231,8 +229,7 @@ def is_vertex_decomposable(S: SimplicialComplex) -> VertexDecomposition:
     return VertexDecomposition(True, shelling)
 
 
-@dataclass(frozen=True)
-class ShellingCheck:
+class ShellingCheck(NamedTuple):
     ok: bool
     index: Optional[int] = None
     reason: str = ""
@@ -276,8 +273,7 @@ def check_shelling(order: Sequence[Iterable[int]]) -> ShellingCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     """Reduced rational Betti numbers, indexed from dimension -1."""
 
     numbers: tuple[int, ...]
@@ -365,8 +361,7 @@ def betti(S: SimplicialComplex, budget: int = DEFAULT_FACE_BUDGET) -> BettiVecto
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkeletonReport:
+class SkeletonReport(NamedTuple):
     """Outcome of the pure/decomposable/homology checks for one (G, k)."""
 
     k: int
@@ -386,12 +381,13 @@ def check_prop_isvd(G: Graph, k: int, budget: int = DEFAULT_FACE_BUDGET) -> Skel
     """For a graph at level k, audit the (k-1)-skeleton of its independence
     complex: purity in the right dimension, vertex decomposability with a
     validated shelling, and reduced homology vanishing below the top degree.
+    budget bounds the level decision's memo entries and the faces generated.
     """
     from .vd import VdError, is_vd
 
     if k < 0:
         raise VdError(f"level must be non-negative, got {k}")
-    if not is_vd(G, k):
+    if not is_vd(G, k, budget):
         raise VdError(f"graph is not at level {k}; the cross-check does not apply")
     skel = skeleton(independence_complex(G), k - 1, budget)
     failures: list[str] = []

@@ -2,7 +2,7 @@
 
 
 class BudgetExceeded(RuntimeError):
-    """A configured face/search budget was exhausted before completion."""
+    """A configured face, search or level budget was exhausted before completion."""
 
     def __init__(self, message: str, used: int = 0, limit: int = 0):
         super().__init__(message)

@@ -24,9 +24,8 @@ coverage falls short and the inequality still permits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import json_int, json_ints
 
@@ -59,8 +58,7 @@ def _rational_sqrt(D: Fraction) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True)
-class Quad:
+class Quad(NamedTuple):
     """Exact number p + r*sqrt(D); collapses to rational when sqrt(D) is."""
 
     p: Fraction
@@ -127,8 +125,7 @@ class Quad:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SizeScheme:
+class SizeScheme(NamedTuple):
     sizes: tuple[int, ...]
     n: int
     q: int
@@ -150,8 +147,7 @@ class SizeScheme:
             raise SchemeError(f"malformed scheme object: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class EpsilonConstants:
+class EpsilonConstants(NamedTuple):
     epsilon: float
     a: float
     gamma: float
@@ -166,8 +162,7 @@ class EpsilonConstants:
         }
 
 
-@dataclass(frozen=True)
-class SchemeCheck:
+class SchemeCheck(NamedTuple):
     ok: bool
     failing_index: Optional[int] = None  # 1-based block index for condition (2)
     reason: str = ""
@@ -176,8 +171,7 @@ class SchemeCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SchemeBuild:
+class SchemeBuild(NamedTuple):
     scheme: SizeScheme
     constants: EpsilonConstants
     target: int

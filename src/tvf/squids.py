@@ -32,8 +32,7 @@ top-most surviving row with the most preserved vertices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import json_int, json_ints
 from .graphs import Graph, ProductVertex, distance_two_set, product_with_complete
@@ -64,8 +63,7 @@ class SchemeRunError(SquidError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Squid:
+class Squid(NamedTuple):
     """Vertex subset of G x K_q with body/heart bookkeeping.
 
     kind "I": arms lie on one row inside the neighborhoods of the body and
@@ -150,15 +148,13 @@ def df1_check(G: Graph, q: int, mode: str = "walk") -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceChild:
+class TraceChild(NamedTuple):
     squid: Squid
     node: "TraceNode"
     w: Optional[ProductVertex] = None  # the neighbor consumed; None on the link child
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     level: int
     residual_mask: int
     pivot: Optional[ProductVertex] = None
@@ -172,8 +168,7 @@ class TraceNode:
         return self.residual_mask.bit_count()
 
 
-@dataclass(frozen=True)
-class RemovalTrace:
+class RemovalTrace(NamedTuple):
     graph: Graph
     q: int
     m: int

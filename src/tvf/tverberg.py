@@ -11,9 +11,8 @@ definitive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
 from .graphs import Graph, induced_subgraph
@@ -41,19 +40,25 @@ def tverberg_number(d: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Rational points in R^d indexed by graph vertices."""
-
+class _PointFields(NamedTuple):
+    # PointConfiguration's fields; a NamedTuple body may not define the
+    # __new__ that checks them, so the subclass below does
     dimension: int
     points: dict[int, Point]
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise TverbergError(f"dimension must be >= 1, got {self.dimension}")
-        for v, p in self.points.items():
-            if len(p) != self.dimension:
+
+class PointConfiguration(_PointFields):
+    """Rational points in R^d indexed by graph vertices."""
+
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, points: dict[int, Point]):
+        if dimension < 1:
+            raise TverbergError(f"dimension must be >= 1, got {dimension}")
+        for v, p in points.items():
+            if len(p) != dimension:
                 raise TverbergError(f"point for vertex {v} has {len(p)} coordinates")
+        return super().__new__(cls, dimension, points)
 
     def restrict(self, vertices: Iterable[int]) -> "PointConfiguration":
         keep = set(vertices)
@@ -103,8 +108,7 @@ def parse_points(text: str) -> PointConfiguration:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HullWitness:
+class HullWitness(NamedTuple):
     point: Point
     coefficients: tuple[tuple[Fraction, ...], ...]  # per part, aligned with its points
 
@@ -162,8 +166,7 @@ def hulls_intersect(parts: Sequence[Sequence[Point]]) -> Optional[HullWitness]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TverbergWitness:
+class TverbergWitness(NamedTuple):
     coloring: dict[int, int]  # vertex -> color in 1..q
     common_point: Point
     barycentric: dict[int, dict[int, Fraction]]  # color -> vertex -> coefficient
@@ -334,15 +337,13 @@ def prime_utilities(q: int) -> tuple[bool, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     q: int
     q_prime: int
     epsilon: str

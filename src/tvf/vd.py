@@ -18,7 +18,7 @@ memo belongs to an object made for one call.  The decision solver keeps
 one interval of proven and refuted levels per bitmask, bounds it from
 above by a greedy maximal independent set, and searches on an explicit
 stack, so its answer does not depend on the interpreter's recursion
-limit.
+limit; a budget of memo entries bounds its memory.
 
 The JSON form is the expanded tree, but its cost follows unique subtrees.
 The writer formats each distinct subtree object once and copies the text
@@ -31,10 +31,13 @@ follows unique nodes rather than the size of the expanded tree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
+from .errors import BudgetExceeded
 from .graphs import Graph, GraphError, neighbor_masks
+
+# Memo entries one level decision may make; each costs about 150 bytes.
+DEFAULT_LEVEL_BUDGET = 1_000_000
 
 
 class VdError(ValueError):
@@ -45,17 +48,18 @@ class CertificateError(VdError):
     """A certificate is structurally malformed for the requested use."""
 
 
-@dataclass(frozen=True)
-class LeafAny:
+class LeafAny(NamedTuple):
     """Certifies any graph at level 0."""
 
     @property
     def level(self) -> int:
         return 0
 
+    def __bool__(self) -> bool:
+        return True  # an empty tuple, but a certificate like any other
 
-@dataclass(frozen=True)
-class LeafEdgeless:
+
+class LeafEdgeless(NamedTuple):
     """Certifies the edgeless graph on exactly these vertices, at level |vertices|."""
 
     vertices: tuple[int, ...]
@@ -65,8 +69,7 @@ class LeafEdgeless:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """Pivot step: delete-child claims the same level, link-child one lower."""
 
     pivot: int
@@ -153,11 +156,13 @@ class _Solver(MaskView):
 
     The search runs on an explicit stack, so no input depth reaches the
     interpreter's recursion limit.  Every rule only cuts a search short
-    with the answer the plain recursion would reach.
+    with the answer the plain recursion would reach.  The memo may hold at
+    most `budget` entries; the entry past it raises BudgetExceeded.
     """
 
-    def __init__(self, G: Graph):
+    def __init__(self, G: Graph, budget: int = DEFAULT_LEVEL_BUDGET):
         super().__init__(G)
+        self.budget = budget
         self._bounds: dict[int, list[int]] = {}
         self._bits = tuple(range(len(self.verts)))  # one int object per bit, shared by the frames
 
@@ -165,6 +170,13 @@ class _Solver(MaskView):
         """The memo entry of mask, made from the exact facts on first use."""
         entry = self._bounds.get(mask)
         if entry is None:
+            used = len(self._bounds) + 1
+            if used > self.budget:
+                raise BudgetExceeded(
+                    f"level budget exceeded ({used} > {self.budget} memo entries)",
+                    used,
+                    self.budget,
+                )
             m = 0
             rest = mask
             while rest:
@@ -230,17 +242,23 @@ class _Solver(MaskView):
         return answer
 
 
-def is_vd(G: Graph, k: int) -> bool:
-    """Whether G satisfies the level-k recursion. Deterministic, memoized per call."""
+def is_vd(G: Graph, k: int, budget: int = DEFAULT_LEVEL_BUDGET) -> bool:
+    """Whether G satisfies the level-k recursion. Deterministic, memoized per call.
+
+    Raises BudgetExceeded when the memo would pass `budget` entries.
+    """
     if k < 0:
         raise VdError(f"level must be non-negative, got {k}")
-    s = _Solver(G)
+    s = _Solver(G, budget)
     return s.vd(s.full, k)
 
 
-def max_vd(G: Graph) -> int:
-    """Largest k with is_vd(G, k); well-defined since levels are downward closed."""
-    s = _Solver(G)
+def max_vd(G: Graph, budget: int = DEFAULT_LEVEL_BUDGET) -> int:
+    """Largest k with is_vd(G, k); well-defined since levels are downward closed.
+
+    One memo serves every level asked, under one budget of `budget` entries.
+    """
+    s = _Solver(G, budget)
     best = 0
     for k in range(1, G.n + 1):
         if not s.vd(s.full, k):
@@ -254,8 +272,7 @@ def max_vd(G: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(NamedTuple):
     """Outcome of verify_certificate; path locates the failing branch."""
 
     ok: bool

@@ -202,6 +202,24 @@ def test_budget_exit_code(files, capsys, monkeypatch):
     assert code == 2 and json.loads(err)["kind"] == "budget"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["vd", "max"], ["vd", "check", "--k", "7"], ["complex", "check-prop", "--k", "7"]],
+    ids=["vd-max", "vd-check", "check-prop"],
+)
+def test_level_budget_exit_code(files, capsys, monkeypatch, command):
+    # refuting level 7 on P16 makes about 44k memo entries
+    monkeypatch.setenv("TVF_BUDGET", "1000")
+    p16 = files / "p16.txt"
+    p16.write_text("p 16 15\n" + "".join(f"e {i} {i + 1}\n" for i in range(15)))
+    code, out, err = run(capsys, *command, "--graph", p16)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "level budget exceeded (1001 > 1000 memo entries)",
+        "kind": "budget",
+    }
+
+
 def test_usage_errors_exit_64(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["vd", "max"])  # missing --graph

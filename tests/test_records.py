@@ -1,0 +1,233 @@
+"""Semantics of the record types, and the import graph of the CLI.
+
+Every record is an immutable value: fields cannot be set, equal fields give
+equal objects (with equal hashes where every field is hashable), truth
+follows `ok` on the four check outcomes and is True everywhere else, and
+repr reads Name(field=value, ...).
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import tvf.complexes
+import tvf.schemes
+import tvf.squids
+import tvf.tverberg
+import tvf.vd
+from tvf.complexes import BettiVector, ShellingCheck, SkeletonReport, VertexDecomposition
+from tvf.graphs import Graph, ProductVertex
+from tvf.schemes import EpsilonConstants, Quad, SchemeBuild, SchemeCheck, SizeScheme
+from tvf.squids import RemovalTrace, Squid, TraceChild, TraceNode
+from tvf.tverberg import (
+    CheckItem,
+    CorollaryReport,
+    HullWitness,
+    PointConfiguration,
+    TverbergError,
+    TverbergWitness,
+)
+from tvf.vd import CertCheck, LeafAny, LeafEdgeless, Node
+
+
+def _squid():
+    return Squid(body=0, kind="I", rows=(1,), vertices=frozenset({ProductVertex(0, 1)}), witness=1)
+
+
+def _scheme():
+    return SizeScheme((2, 1), 20, 5, 2)
+
+
+def _constants():
+    return EpsilonConstants(3.0, 2.0, 0.5, 2.0)
+
+
+# (make, expected repr, hashable); make builds a fresh instance on each call
+RECORDS = {
+    "LeafAny": (LeafAny, "LeafAny()", True),
+    "LeafEdgeless": (lambda: LeafEdgeless((1, 2)), "LeafEdgeless(vertices=(1, 2))", True),
+    "Node": (
+        lambda: Node(0, LeafEdgeless((1,)), LeafAny(), 1),
+        "Node(pivot=0, delete=LeafEdgeless(vertices=(1,)), link=LeafAny(), level=1)",
+        True,
+    ),
+    "CertCheck": (
+        lambda: CertCheck(False, ("del@1",), "bad"),
+        "CertCheck(ok=False, path=('del@1',), reason='bad')",
+        True,
+    ),
+    "Squid": (
+        _squid,
+        "Squid(body=0, kind='I', rows=(1,), vertices=frozenset({ProductVertex(base=0, row=1)}), "
+        "witness=1)",
+        True,
+    ),
+    "TraceChild": (
+        lambda: TraceChild(_squid(), TraceNode(0, 2), ProductVertex(1, 1)),
+        "TraceChild(squid=Squid(body=0, kind='I', rows=(1,), "
+        "vertices=frozenset({ProductVertex(base=0, row=1)}), witness=1), "
+        "node=TraceNode(level=0, residual_mask=2, pivot=None, arm_children=(), link_child=None, "
+        "block_row=None, rows_used=None), w=ProductVertex(base=1, row=1))",
+        True,
+    ),
+    "TraceNode": (
+        lambda: TraceNode(level=1, residual_mask=3, pivot=ProductVertex(0, 1), block_row=1, rows_used=(1,)),
+        "TraceNode(level=1, residual_mask=3, pivot=ProductVertex(base=0, row=1), arm_children=(), "
+        "link_child=None, block_row=1, rows_used=(1,))",
+        True,
+    ),
+    "RemovalTrace": (
+        lambda: RemovalTrace(Graph([0], []), 2, 1, "df1", TraceNode(0, 0)),
+        "RemovalTrace(graph=Graph(n=1, m=0), q=2, m=1, kind='df1', root=TraceNode(level=0, "
+        "residual_mask=0, pivot=None, arm_children=(), link_child=None, block_row=None, "
+        "rows_used=None), mode='walk', scheme=None)",
+        True,
+    ),
+    "Quad": (
+        lambda: Quad(F(1), F(-1, 2), F(3)),
+        "Quad(p=Fraction(1, 1), r=Fraction(-1, 2), D=Fraction(3, 1))",
+        True,
+    ),
+    "SizeScheme": (_scheme, "SizeScheme(sizes=(2, 1), n=20, q=5, delta=2)", True),
+    "EpsilonConstants": (
+        _constants,
+        "EpsilonConstants(epsilon=3.0, a=2.0, gamma=0.5, k_epsilon=2.0)",
+        True,
+    ),
+    "SchemeCheck": (
+        lambda: SchemeCheck(False, 2, "inequality fails"),
+        "SchemeCheck(ok=False, failing_index=2, reason='inequality fails')",
+        True,
+    ),
+    "SchemeBuild": (
+        lambda: SchemeBuild(_scheme(), _constants(), 3, 2, 0, 3, "3.5", True, False),
+        "SchemeBuild(scheme=SizeScheme(sizes=(2, 1), n=20, q=5, delta=2), "
+        "constants=EpsilonConstants(epsilon=3.0, a=2.0, gamma=0.5, k_epsilon=2.0), target=3, "
+        "blocks_initial=2, blocks_extended=0, coverage=3, pre_rounding_coverage='3.5', "
+        "pre_rounding_covers_target=True, fractional_budget=False)",
+        True,
+    ),
+    "VertexDecomposition": (
+        lambda: VertexDecomposition(True, ((0,), (1,))),
+        "VertexDecomposition(ok=True, shelling=((0,), (1,)))",
+        True,
+    ),
+    "ShellingCheck": (
+        lambda: ShellingCheck(False, 1, "repeated facet"),
+        "ShellingCheck(ok=False, index=1, reason='repeated facet')",
+        True,
+    ),
+    "BettiVector": (lambda: BettiVector((0, 1)), "BettiVector(numbers=(0, 1))", True),
+    "SkeletonReport": (
+        lambda: SkeletonReport(2, True, True, 1, 1, True, True, True, BettiVector((0, 0, 1))),
+        "SkeletonReport(k=2, passed=True, pure=True, expected_dim=1, actual_dim=1, "
+        "decomposable=True, shelling_valid=True, betti_concentrated=True, "
+        "betti_numbers=BettiVector(numbers=(0, 0, 1)), shelling=None, failures=())",
+        True,
+    ),
+    "PointConfiguration": (
+        lambda: PointConfiguration(1, {0: (F(0),), 1: (F(1, 2),)}),
+        "PointConfiguration(dimension=1, points={0: (Fraction(0, 1),), 1: (Fraction(1, 2),)})",
+        False,
+    ),
+    "HullWitness": (
+        lambda: HullWitness((F(1, 2),), ((F(1),), (F(1, 2), F(1, 2)))),
+        "HullWitness(point=(Fraction(1, 2),), coefficients=((Fraction(1, 1),), "
+        "(Fraction(1, 2), Fraction(1, 2))))",
+        True,
+    ),
+    "TverbergWitness": (
+        lambda: TverbergWitness({0: 1}, (F(0),), {1: {0: F(1)}}),
+        "TverbergWitness(coloring={0: 1}, common_point=(Fraction(0, 1),), "
+        "barycentric={1: {0: Fraction(1, 1)}})",
+        False,
+    ),
+    "CheckItem": (
+        lambda: CheckItem("q_prime_is_prime", True, "5"),
+        "CheckItem(name='q_prime_is_prime', passed=True, detail='5')",
+        True,
+    ),
+    "CorollaryReport": (
+        lambda: CorollaryReport(
+            5, 5, "0.2", "1.5", 2, 1, 9, False, (0, 1), (CheckItem("gate", False, "x"),), None, None
+        ),
+        "CorollaryReport(q=5, q_prime=5, epsilon='0.2', k_epsilon='1.5', delta=2, dimension=1, "
+        "expected_vertices=9, fractional_size=False, subgraph_vertices=(0, 1), "
+        "checks=(CheckItem(name='gate', passed=False, detail='x'),), witness=None, "
+        "extended_coloring=None)",
+        True,
+    ),
+}
+# records whose truth follows their ok field
+CHECKS = {"CertCheck", "SchemeCheck", "ShellingCheck", "VertexDecomposition"}
+
+
+def test_every_record_type_is_listed():
+    # every namedtuple class a tvf module defines, except ProductVertex (a
+    # plain pair) and PointConfiguration's field base
+    found = {
+        name
+        for module in (tvf.vd, tvf.squids, tvf.schemes, tvf.complexes, tvf.tverberg)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
+    }
+    assert found - {"_PointFields"} == set(RECORDS) and len(RECORDS) == 22
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_semantics(name):
+    make, text, hashable = RECORDS[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert repr(a) == text
+    assert a == b and not a != b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for field in type(a)._fields or ("level",):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1  # no __dict__ to put it in
+    if name in CHECKS:
+        assert bool(a) is a.ok
+        assert bool(a._replace(ok=not a.ok)) is (not a.ok)
+    else:
+        assert bool(a) is True
+
+
+def test_point_configuration_checks_its_dimension():
+    with pytest.raises(TverbergError, match=r"^dimension must be >= 1, got 0$"):
+        PointConfiguration(0, {})
+
+
+def test_point_configuration_checks_coordinate_counts():
+    with pytest.raises(TverbergError, match=r"^point for vertex 3 has 1 coordinates$"):
+        PointConfiguration(2, {0: (F(0), F(1)), 3: (F(2),)})
+    with pytest.raises(TverbergError, match=r"^point for vertex 0 has 3 coordinates$"):
+        PointConfiguration(dimension=2, points={0: (F(0), F(1), F(2))})
+
+
+def test_cli_import_graph():
+    """The CLI imports every layer (the benchmark tracer reads them from
+    sys.modules) and no dataclass machinery."""
+    code = (
+        "import sys, tvf.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m in {"
+        "'dataclasses', 'inspect', 'tvf.graphs', 'tvf.squids', 'tvf.vd', "
+        "'tvf.complexes', 'tvf.tverberg', 'tvf.ratlp'})))"
+    )
+    src = str(Path(tvf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout.split()
+    assert out == sorted(
+        ["tvf.complexes", "tvf.graphs", "tvf.ratlp", "tvf.squids", "tvf.tverberg", "tvf.vd"]
+    )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvf.errors import BudgetExceeded
 from tvf.graphs import Graph, GraphError, product_with_complete
 from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
@@ -17,6 +18,7 @@ from tvf.vd import (
     MaskView,
     Node,
     VdError,
+    _Solver,
     assemble_pivot_decomposition,
     build_certificate_degree_bound,
     certificate_from_json,
@@ -121,6 +123,28 @@ def test_solver_matches_recursive_solver_property(G):
 def test_is_vd_decides_a_2500_vertex_path():
     # about 1250 nested pivot searches, beyond the interpreter's recursion limit
     assert is_vd(Graph.path(2500), 2) is True
+
+
+def test_level_decisions_stop_at_the_budget():
+    # refuting level 7 on P16 makes about 44k memo entries
+    with pytest.raises(BudgetExceeded, match=r"^level budget exceeded \(1001 > 1000 memo entries\)$"):
+        max_vd(Graph.path(16), budget=1000)
+    with pytest.raises(BudgetExceeded):
+        is_vd(Graph.path(16), 7, budget=1000)
+    assert is_vd(Graph.path(16), 6, budget=1000) is True  # proven within 165 entries
+
+
+def test_level_budget_counts_memo_entries():
+    G = Graph.path(10)
+    s = _Solver(G)
+    k = 1
+    while s.vd(s.full, k):
+        k += 1
+    entries = len(s._bounds)  # what max_vd's walk up to the refuted level k makes
+    assert max_vd(G, budget=entries) == k - 1
+    with pytest.raises(BudgetExceeded) as exc:
+        max_vd(G, budget=entries - 1)
+    assert (exc.value.used, exc.value.limit) == (entries, entries - 1)
 
 
 def test_maximal_independent_sets_reach_the_top_level(atlas):
