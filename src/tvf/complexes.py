@@ -14,16 +14,12 @@ import itertools
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ComplexError
 from .graphs import Graph
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
 Face = tuple[int, ...]
-
-
-class ComplexError(ValueError):
-    """Domain error in a simplicial-complex operation."""
 
 
 class _Budget:

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-
-class GraphError(ValueError):
-    """A graph operation was called outside its domain."""
+from .errors import GraphError
 
 
 class ProductVertex(NamedTuple):

@@ -27,13 +27,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import json_int, json_ints
+from .errors import SchemeError, json_int, json_ints
 
 EpsilonLike = Union[int, float, str, Fraction]
-
-
-class SchemeError(ValueError):
-    """Domain error in scheme validation or generation."""
 
 
 class InfeasibleScheme(SchemeError):

@@ -34,9 +34,11 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional
 
-from .errors import json_int, json_ints
+# Bound as a module, not by name: under the CLI's lazy layers
+# squid df1 and squid extract then never load schemes.
+from . import schemes
+from .errors import SquidError, json_int, json_ints
 from .graphs import Graph, ProductVertex, distance_two_set, product_with_complete
-from .schemes import SizeScheme, validate_scheme
 from .vd import (
     CertificateBuilder,
     LeafAny,
@@ -44,10 +46,6 @@ from .vd import (
     VdCertificate,
     assemble_pivot_decomposition,
 )
-
-
-class SquidError(ValueError):
-    """Domain error in squid or removal-trace handling."""
 
 
 class TheoremViolation(SquidError):
@@ -175,7 +173,7 @@ class RemovalTrace(NamedTuple):
     kind: str  # "df1" | "dynamic"
     root: TraceNode
     mode: str = "walk"
-    scheme: Optional[SizeScheme] = None
+    scheme: Optional[schemes.SizeScheme] = None
 
     def product(self) -> Graph:
         return product_with_complete(self.graph, self.q)
@@ -263,7 +261,9 @@ class RemovalTrace(NamedTuple):
                 raise ValueError(f"trace mode must be 'walk' or 'distance', got {mode!r}")
             node_objs = obj["nodes"]
             root_id = json_int(obj["root"], "root")
-            scheme = None if obj.get("scheme") is None else SizeScheme.from_obj(obj["scheme"])
+            scheme = obj.get("scheme")
+            if scheme is not None:
+                scheme = schemes.SizeScheme.from_obj(scheme)
         except (KeyError, TypeError, ValueError) as exc:
             raise SquidError(f"malformed trace object: {exc}") from exc
         if q < 1:
@@ -501,7 +501,7 @@ def run_df1(G: Graph, q: int, mode: str = "walk") -> RemovalTrace:
     return RemovalTrace(graph=G, q=q, m=m, kind="df1", root=root, mode=mode)
 
 
-def run_dynamic(G: Graph, q: int, scheme: SizeScheme) -> RemovalTrace:
+def run_dynamic(G: Graph, q: int, scheme: schemes.SizeScheme) -> RemovalTrace:
     """Blockwise removal: block l removes scheme.sizes[l-1] squids with
     hearts on one row, chosen at each block start as the smallest-index
     unused row with the most surviving vertices; within a block the pivot is
@@ -521,7 +521,7 @@ def run_dynamic(G: Graph, q: int, scheme: SizeScheme) -> RemovalTrace:
         raise SquidError(
             f"scheme budget n={scheme.n} exceeds the product size {G.n * q}"
         )
-    check = validate_scheme(scheme.sizes, scheme.n, q, delta)
+    check = schemes.validate_scheme(scheme.sizes, scheme.n, q, delta)
     if not check.ok:
         raise SquidError(f"scheme is not valid for this graph: {check.reason}")
     m = sum(scheme.sizes)

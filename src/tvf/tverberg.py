@@ -14,18 +14,16 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceeded
+# Bound as a module, not by name: under the CLI's lazy layers
+# tverberg search then never load schemes.
+from . import schemes
+from .errors import BudgetExceeded, TverbergError
 from .graphs import Graph, induced_subgraph
 from .ratlp import solve_equality_feasibility
-from .schemes import epsilon_constants, format_real
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
 Point = tuple[Fraction, ...]
-
-
-class TverbergError(ValueError):
-    """Domain error in the witness-search machinery."""
 
 
 def tverberg_number(d: int, q: int) -> int:
@@ -432,7 +430,7 @@ def corollary_pipeline(
     eps = Fraction(epsilon)
     if eps <= 0:
         raise TverbergError(f"epsilon must be positive, got {epsilon}")
-    consts = epsilon_constants(float(eps))
+    consts = schemes.epsilon_constants(float(eps))
     delta = G.max_degree()
     d = cfg.dimension
     checks: list[CheckItem] = []
@@ -440,7 +438,7 @@ def corollary_pipeline(
         CheckItem(
             "q_exceeds_k_epsilon_delta",
             q > consts.k_epsilon * delta,
-            f"q={q} vs K_eps*delta={format_real(consts.k_epsilon * delta)}",
+            f"q={q} vs K_eps*delta={schemes.format_real(consts.k_epsilon * delta)}",
         )
     )
     qp = bertrand_prime(q) if q >= 2 else 2
@@ -448,7 +446,7 @@ def corollary_pipeline(
         CheckItem(
             "prime_exceeds_half_gate",
             qp > consts.k_epsilon * delta / 2,
-            f"q_p={qp} vs K_eps*delta/2={format_real(consts.k_epsilon * delta / 2)}",
+            f"q_p={qp} vs K_eps*delta/2={schemes.format_real(consts.k_epsilon * delta / 2)}",
         )
     )
     expected_exact = tverberg_number(d, q) * (1 + eps) if q >= 2 else Fraction(0)
@@ -497,8 +495,8 @@ def corollary_pipeline(
     return CorollaryReport(
         q=q,
         q_prime=qp,
-        epsilon=format_real(float(eps)),
-        k_epsilon=format_real(consts.k_epsilon),
+        epsilon=schemes.format_real(float(eps)),
+        k_epsilon=schemes.format_real(consts.k_epsilon),
         delta=delta,
         dimension=d,
         expected_vertices=expected,

@@ -33,15 +33,11 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional, Union
 
-from .errors import BudgetExceeded
-from .graphs import Graph, GraphError, neighbor_masks
+from .errors import BudgetExceeded, GraphError, VdError
+from .graphs import Graph, neighbor_masks
 
 # Memo entries one level decision may make; each costs about 150 bytes.
 DEFAULT_LEVEL_BUDGET = 1_000_000
-
-
-class VdError(ValueError):
-    """Domain error in the vertex-decomposability machinery."""
 
 
 class CertificateError(VdError):

@@ -1,8 +1,12 @@
+import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from tvf.cli import main
+import tvf.errors
+from tvf.cli import _DOMAIN_ERRORS, main
 
 TWO_K2 = "p 4 2\ne 0 1\ne 2 3\n"
 K2 = "p 2 1\ne 0 1\n"
@@ -479,3 +483,34 @@ def test_recursion_too_deep_is_depth_error(files, capsys):
     code, out, err = run(capsys, "vd", "build", "--graph", _path_2500(files))
     assert code == 2 and out == ""
     assert json.loads(err)["kind"] == "depth"
+
+
+def _contract_kinds(text, start, end):
+    """The backquoted names between the phrases start and end of text."""
+    flat = " ".join(text.split())
+    return set(re.findall(r"`+(\w+)`+", flat.split(start, 1)[1].split(end, 1)[0]))
+
+
+def test_error_kinds_are_documented():
+    # the subclasses live in the layer modules, which the CLI loads lazily
+    for layer in ("graphs", "vd", "squids", "schemes", "complexes", "tverberg"):
+        vars(importlib.import_module(f"tvf.{layer}"))
+    bases = [
+        tvf.errors.GraphError,
+        tvf.errors.VdError,
+        tvf.errors.SquidError,
+        tvf.errors.SchemeError,
+        tvf.errors.ComplexError,
+        tvf.errors.TverbergError,
+    ]
+    assert set(bases) <= set(_DOMAIN_ERRORS)
+    domain, stack = set(), list(bases)
+    while stack:
+        cls = stack.pop()
+        domain.add(cls.__name__)
+        stack.extend(cls.__subclasses__())
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for text in (tvf.errors.__doc__, readme):
+        assert _contract_kinds(text, "domain error, named by its class:", "exit 1,") == domain
+        listed = _contract_kinds(text, "exit 64:", "itself.")
+        assert {"usage", "budget", "depth", "JSONDecodeError", "FileNotFoundError"} <= listed

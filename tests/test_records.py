@@ -214,20 +214,108 @@ def test_point_configuration_checks_coordinate_counts():
         PointConfiguration(dimension=2, points={0: (F(0), F(1), F(2))})
 
 
+def _python(code, *args, cwd=None):
+    """A fresh interpreter running code with args, on this checkout's tvf."""
+    src = str(Path(tvf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
 def test_cli_import_graph():
-    """The CLI imports every layer (the benchmark tracer reads them from
-    sys.modules) and no dataclass machinery."""
+    """The CLI registers every layer in sys.modules (the benchmark tracer reads
+    them from there), lazily, so that a layer runs only when a command uses it;
+    it imports no dataclass machinery."""
     code = (
         "import sys, tvf.cli; "
         "print(' '.join(sorted(m for m in sys.modules if m in {"
         "'dataclasses', 'inspect', 'tvf.graphs', 'tvf.squids', 'tvf.vd', "
         "'tvf.complexes', 'tvf.tverberg', 'tvf.ratlp'})))"
     )
-    src = str(Path(tvf.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout.split()
-    assert out == sorted(
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == sorted(
         ["tvf.complexes", "tvf.graphs", "tvf.ratlp", "tvf.squids", "tvf.tverberg", "tvf.vd"]
     )
+
+
+# The benchmark's commands, and the modules each one runs besides tvf.cli and
+# tvf.errors; "fractions" marks the commands that need exact rationals.
+COMMAND_LAYERS = {
+    "vd max": (["vd", "max", "--graph", "c5.txt"], {"graphs", "vd"}),
+    "complex check-prop": (
+        ["complex", "check-prop", "--graph", "2k2.txt", "--k", "2"],
+        {"graphs", "complexes", "vd"},
+    ),
+    "complex betti": (["complex", "betti", "--graph", "c5.txt"], {"graphs", "complexes"}),
+    "squid df1": (
+        ["squid", "df1", "--graph", "c5.txt", "--q", "7", "--out", "t.json",
+         "--cert-out", "c.json"],
+        {"graphs", "squids", "vd"},
+    ),
+    "vd verify": (
+        ["vd", "verify", "--graph-product", "c5.txt", "--q", "7", "--cert", "cert.json"],
+        {"graphs", "vd"},
+    ),
+    "squid extract": (
+        ["squid", "extract", "--trace", "trace.json", "--out", "c.json"],
+        {"graphs", "squids", "vd"},
+    ),
+    "tverberg search": (
+        ["tverberg", "search", "--graph", "e3.txt", "--points", "pts3.txt", "--q", "2"],
+        {"fractions", "graphs", "ratlp", "tverberg"},
+    ),
+    "tverberg corollary": (
+        ["tverberg", "corollary", "--graph", "e6.txt", "--points", "pts6.txt", "--q", "3",
+         "--epsilon", "1/5"],
+        {"fractions", "graphs", "ratlp", "schemes", "tverberg"},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    from tvf.cli import main
+
+    d = tmp_path_factory.mktemp("layers")
+    (d / "c5.txt").write_text("p 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n")
+    (d / "2k2.txt").write_text("p 4 2\ne 0 1\ne 2 3\n")
+    (d / "e3.txt").write_text("p 3 0\n")
+    (d / "pts3.txt").write_text("0 0\n1 1\n2 2\n")
+    (d / "e6.txt").write_text("p 6 0\n")
+    (d / "pts6.txt").write_text("".join(f"{i} {i}\n" for i in range(6)))
+    argv = ["squid", "df1", "--graph", str(d / "c5.txt"), "--q", "7"]
+    assert main([*argv, "--out", str(d / "trace.json"), "--cert-out", str(d / "cert.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
+def test_command_runs_only_its_layers(command_inputs, command):
+    argv, layers = COMMAND_LAYERS[command]
+    code = (
+        "import sys, types, tvf.cli\n"
+        "code = tvf.cli.main(sys.argv[1:])\n"
+        "names = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]\n"
+        "ran = [n[4:] for n in names if n.startswith('tvf.')] + list({'fractions'} & set(names))\n"
+        "print(' '.join(ran), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    out = _python(code, *argv, cwd=command_inputs)
+    assert out.returncode == 0, out.stderr
+    assert set(out.stderr.splitlines()[-1].split()) == {"cli", "errors"} | layers
+
+
+@pytest.mark.parametrize(
+    "first, second", [("tvf.vd", "tvf.cli"), ("tvf.cli", "tvf.vd")], ids=["vd-first", "cli-first"]
+)
+def test_layer_is_one_module_object(first, second):
+    code = (
+        f"import sys\nimport {first}\nseen = [sys.modules['tvf.vd']]\n"
+        f"import {second}\nseen.append(sys.modules['tvf.vd'])\n"
+        "import tvf\n"
+        "assert all(m is tvf.vd is tvf.cli.vd for m in seen)\n"
+        "assert tvf.vd.max_vd(tvf.graphs.Graph.cycle(5)) == 2\n"
+    )
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
