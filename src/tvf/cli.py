@@ -6,13 +6,14 @@ errors.  Artifact-writing commands (--out, --cert-out)
 emit a sibling <path>.manifest.json recording input/output digests, the
 seed, and timing; identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
-overrides the face, search and level budgets; any other value is a usage
-error.
+replaces the default limit of every budget a command counts (faces, facets,
+memo entries, hull-intersection calls); any other value is a usage error.
 
 Depth errors come only from the recursions that still follow their input:
-certificate construction and lifting, trace extraction, and complex vertex
-decomposability.  The graph level decision behind vd check, vd max and
-complex check-prop runs on an explicit stack.
+the removal searches of squid df1 and squid dynamic, trace reading, trace
+extraction, and certificate construction and lifting.  The level decision
+and the complex searches (Bron-Kerbosch, vertex decomposability) run on an
+explicit stack.
 
 Each command is a cold process, so the layer modules are registered in
 sys.modules lazily: a command compiles and runs only the layers it calls,
@@ -123,18 +124,6 @@ def _env_budget() -> int | None:
     return value
 
 
-def _face_budget(run: _Run) -> int:
-    return run.budget or cx.DEFAULT_FACE_BUDGET
-
-
-def _search_budget(run: _Run) -> int:
-    return run.budget or tv.DEFAULT_SEARCH_BUDGET
-
-
-def _level_budget(run: _Run) -> int:
-    return run.budget or vd.DEFAULT_LEVEL_BUDGET
-
-
 class _Run:
     """Collects inputs/outputs of one command for the manifest."""
 
@@ -145,7 +134,7 @@ class _Run:
         self.inputs: list[tuple[str, str]] = []
         self.outputs: list[tuple[str, str]] = []
         self.stdout_digest: str | None = None
-        self.budget = _env_budget()
+        self.budget = _env_budget()  # None: each layer's default
 
     def read(self, path: str) -> str:
         text = _read(path)
@@ -224,14 +213,14 @@ def cmd_graph_info(run: _Run) -> int:
 
 def cmd_vd_check(run: _Run) -> int:
     G = run.graph(run.args.graph)
-    ok = vd.is_vd(G, run.args.k, _level_budget(run))
+    ok = vd.is_vd(G, run.args.k, run.budget)
     run.emit(_dumps({"k": run.args.k, "vd": ok}), None)
     return 0 if ok else 1
 
 
 def cmd_vd_max(run: _Run) -> int:
     G = run.graph(run.args.graph)
-    run.emit(f"{vd.max_vd(G, _level_budget(run))}\n", None)
+    run.emit(f"{vd.max_vd(G, run.budget)}\n", None)
     return 0
 
 
@@ -358,12 +347,12 @@ def _load_complex(run: _Run) -> cx.SimplicialComplex:
     if (args.graph is None) == (args.facets is None):
         raise ComplexError("give exactly one of --graph or --facets")
     if args.graph is not None:
-        return cx.independence_complex(run.graph(args.graph))
+        return cx.independence_complex(run.graph(args.graph), run.budget)
     return cx.parse_facets(run.read(args.facets))
 
 
 def cmd_complex_ind(run: _Run) -> int:
-    S = cx.independence_complex(run.graph(run.args.graph))
+    S = cx.independence_complex(run.graph(run.args.graph), run.budget)
     run.emit(cx.format_facets(S), run.args.out)
     return 0
 
@@ -371,15 +360,15 @@ def cmd_complex_ind(run: _Run) -> int:
 def cmd_complex_betti(run: _Run) -> int:
     S = _load_complex(run)
     if run.args.k is not None:
-        S = cx.skeleton(S, run.args.k, _face_budget(run))
-    b = cx.betti(S, _face_budget(run))
+        S = cx.skeleton(S, run.args.k, run.budget)
+    b = cx.betti(S, run.budget)
     run.emit(_dumps({"dim": S.dim, "min_dim": -1, "numbers": list(b.numbers)}), None)
     return 0
 
 
 def cmd_complex_vd(run: _Run) -> int:
     S = _load_complex(run)
-    result = cx.is_vertex_decomposable(S)
+    result = cx.is_vertex_decomposable(S, run.budget)
     obj = {
         "shelling": None if result.shelling is None else [list(f) for f in result.shelling],
         "vertex_decomposable": result.ok,
@@ -390,7 +379,7 @@ def cmd_complex_vd(run: _Run) -> int:
 
 def cmd_complex_check_prop(run: _Run) -> int:
     G = run.graph(run.args.graph)
-    report = cx.check_prop_isvd(G, run.args.k, _face_budget(run))
+    report = cx.check_prop_isvd(G, run.args.k, run.budget)
     obj = {
         "betti": list(report.betti_numbers.numbers),
         "decomposable": report.decomposable,
@@ -416,7 +405,7 @@ def cmd_tverberg_search(run: _Run) -> int:
     args = run.args
     G = run.graph(args.graph)
     cfg = tv.parse_points(run.read(args.points))
-    witness = tv.search_witness(G, cfg, args.q, _search_budget(run))
+    witness = tv.search_witness(G, cfg, args.q, run.budget)
     if witness is None:
         run.emit(_dumps({"witness": None}), args.out)
         return 1
@@ -428,7 +417,7 @@ def cmd_tverberg_corollary(run: _Run) -> int:
     args = run.args
     G = run.graph(args.graph)
     cfg = tv.parse_points(run.read(args.points))
-    report = tv.corollary_pipeline(G, cfg, args.q, args.epsilon, _search_budget(run))
+    report = tv.corollary_pipeline(G, cfg, args.q, args.epsilon, run.budget)
     run.emit(_dumps(report.to_obj()), args.out)
     return 0 if report.witness is not None else 1
 
@@ -562,6 +551,7 @@ _DOMAIN_ERRORS = (
     ComplexError,
     TverbergError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
     OSError,
 )
 

@@ -4,8 +4,9 @@ Covers independence complexes, skeleta, links and deletions, vertex
 decomposability with shelling-order extraction, an independent shelling
 validator, and reduced rational Betti numbers.  The Betti numbers come from
 boundary-matrix ranks over Q, computed by sparse exact elimination on
-integer columns.  Face enumeration is budgeted (faces of product graphs
-explode); the default cap is 2e6 generated faces.
+integer columns.  Generated faces, independence-complex facets and
+decomposability memo entries each have a budget, 2e6 by default; the
+Bron-Kerbosch and decomposability searches run on graphs.run's stack.
 """
 
 from __future__ import annotations
@@ -14,25 +15,12 @@ import itertools
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceeded, ComplexError
-from .graphs import Graph
+from .errors import Budget, ComplexError
+from .graphs import Graph, run
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
 Face = tuple[int, ...]
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise BudgetExceeded(
-                f"face budget exceeded ({self.used} > {self.limit})", self.used, self.limit
-            )
 
 
 def _maximal(faces: Iterable[Face]) -> tuple[Face, ...]:
@@ -86,11 +74,9 @@ class SimplicialComplex:
         return f"SimplicialComplex(facets={len(self._facets)}, dim={self.dim})"
 
 
-def faces_by_dim(
-    S: SimplicialComplex, budget: int = DEFAULT_FACE_BUDGET
-) -> dict[int, tuple[Face, ...]]:
+def faces_by_dim(S: SimplicialComplex, budget: Optional[int] = None) -> dict[int, tuple[Face, ...]]:
     """All faces grouped by dimension (including the empty face at -1)."""
-    b = _Budget(budget)
+    b = Budget(budget, DEFAULT_FACE_BUDGET, "face", "faces")
     seen: set[Face] = set()
     for facet in S.facets:
         for r in range(len(facet) + 1):
@@ -103,13 +89,13 @@ def faces_by_dim(
     return {d: tuple(sorted(fs)) for d, fs in sorted(out.items())}
 
 
-def skeleton(S: SimplicialComplex, k: int, budget: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
+def skeleton(S: SimplicialComplex, k: int, budget: Optional[int] = None) -> SimplicialComplex:
     """Faces of dimension at most k."""
     if k < -1:
         raise ComplexError(f"skeleton dimension must be >= -1, got {k}")
     if k >= S.dim:
         return S
-    b = _Budget(budget)
+    b = Budget(budget, DEFAULT_FACE_BUDGET, "face", "faces")
     candidates: set[Face] = set()
     for facet in S.facets:
         if len(facet) <= k + 1:
@@ -142,31 +128,33 @@ def deletion(S: SimplicialComplex, v: int) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-def _maximal_independent_sets(G: Graph) -> list[frozenset[int]]:
+def _maximal_independent_sets(G: Graph, budget: Budget) -> list[frozenset[int]]:
     # Bron-Kerbosch with pivoting on the complement graph.
     verts = set(G.vertices)
     nonadj = {v: verts - set(G.neighbors(v)) - {v} for v in G.vertices}
     out: list[frozenset[int]] = []
 
-    def grow(include: set[int], maybe: set[int], exclude: set[int]) -> None:
+    def grow(include: set[int], maybe: set[int], exclude: set[int]):
         if not maybe and not exclude:
+            budget.spend()
             out.append(frozenset(include))
             return
         pivot = max(sorted(maybe | exclude), key=lambda u: len(nonadj[u] & maybe))
         for v in sorted(maybe - nonadj[pivot]):
-            grow(include | {v}, maybe & nonadj[v], exclude & nonadj[v])
+            yield grow(include | {v}, maybe & nonadj[v], exclude & nonadj[v])
             maybe = maybe - {v}
             exclude = exclude | {v}
 
-    grow(set(), verts, set())
+    run(grow(set(), verts, set()))
     return out
 
 
-def independence_complex(G: Graph) -> SimplicialComplex:
-    """Complex whose faces are the independent vertex sets of G."""
+def independence_complex(G: Graph, budget: Optional[int] = None) -> SimplicialComplex:
+    """Complex whose faces are the independent vertex sets of G; budget bounds its facets."""
     if G.n == 0:
         return SimplicialComplex()
-    return SimplicialComplex(_maximal_independent_sets(G))
+    b = Budget(budget, DEFAULT_FACE_BUDGET, "facet", "facets")
+    return SimplicialComplex(_maximal_independent_sets(G, b))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +171,13 @@ class VertexDecomposition(NamedTuple):
 
 
 def _vd_shelling(
-    S: SimplicialComplex, memo: dict[tuple[Face, ...], Optional[tuple[Face, ...]]]
-) -> Optional[tuple[Face, ...]]:
+    S: SimplicialComplex, memo: dict[tuple[Face, ...], Optional[tuple[Face, ...]]], budget: Budget
+):
+    """Generator for run: a shelling from a vertex decomposition of S, or None."""
     key = S.facets
     if key in memo:
         return memo[key]
+    budget.spend()  # for the memo entry S gets below
     result: Optional[tuple[Face, ...]] = None
     if S.is_pure():
         if S.facets == ((),):
@@ -195,10 +185,10 @@ def _vd_shelling(
         else:
             for v in S.vertices:
                 lk, dl = link(S, v), deletion(S, v)
-                shell_dl = _vd_shelling(dl, memo)
+                shell_dl = yield _vd_shelling(dl, memo, budget)
                 if shell_dl is None:
                     continue
-                shell_lk = _vd_shelling(lk, memo)
+                shell_lk = yield _vd_shelling(lk, memo, budget)
                 if shell_lk is None:
                     continue
                 joined = tuple(tuple(sorted(f + (v,))) for f in shell_lk)
@@ -212,14 +202,18 @@ def _vd_shelling(
     return result
 
 
-def is_vertex_decomposable(S: SimplicialComplex) -> VertexDecomposition:
+def is_vertex_decomposable(
+    S: SimplicialComplex, budget: Optional[int] = None
+) -> VertexDecomposition:
     """Exhaustive test of the recursive definition, memoized within the call.
 
     On success the returned shelling lists the deletion's facets before the
     link's facets joined with the pivot, recursively (the usual way a
-    decomposition is turned into a shelling order).
+    decomposition is turned into a shelling order).  budget bounds the memo
+    entries, one per complex searched.
     """
-    shelling = _vd_shelling(S, {})
+    b = Budget(budget, DEFAULT_FACE_BUDGET, "decomposition", "memo entries")
+    shelling = run(_vd_shelling(S, {}, b))
     if shelling is None:
         return VertexDecomposition(False)
     return VertexDecomposition(True, shelling)
@@ -334,7 +328,7 @@ def _boundary_rank(lower: Sequence[Face], upper: Sequence[Face]) -> int:
     return len(pivots)
 
 
-def betti(S: SimplicialComplex, budget: int = DEFAULT_FACE_BUDGET) -> BettiVector:
+def betti(S: SimplicialComplex, budget: Optional[int] = None) -> BettiVector:
     """Reduced Betti numbers over the rationals, dimensions -1..dim.
 
     Boundary ranks come from sparse exact elimination over the integers
@@ -373,11 +367,11 @@ class SkeletonReport(NamedTuple):
     failures: tuple[str, ...] = ()
 
 
-def check_prop_isvd(G: Graph, k: int, budget: int = DEFAULT_FACE_BUDGET) -> SkeletonReport:
+def check_prop_isvd(G: Graph, k: int, budget: Optional[int] = None) -> SkeletonReport:
     """For a graph at level k, audit the (k-1)-skeleton of its independence
     complex: purity in the right dimension, vertex decomposability with a
     validated shelling, and reduced homology vanishing below the top degree.
-    budget bounds the level decision's memo entries and the faces generated.
+    budget, if not None, replaces the default limit of every budget counted.
     """
     from .vd import VdError, is_vd
 
@@ -385,7 +379,7 @@ def check_prop_isvd(G: Graph, k: int, budget: int = DEFAULT_FACE_BUDGET) -> Skel
         raise VdError(f"level must be non-negative, got {k}")
     if not is_vd(G, k, budget):
         raise VdError(f"graph is not at level {k}; the cross-check does not apply")
-    skel = skeleton(independence_complex(G), k - 1, budget)
+    skel = skeleton(independence_complex(G, budget), k - 1, budget)
     failures: list[str] = []
     pure = skel.is_pure()
     actual_dim = skel.dim
@@ -393,7 +387,7 @@ def check_prop_isvd(G: Graph, k: int, budget: int = DEFAULT_FACE_BUDGET) -> Skel
         failures.append("skeleton is not pure")
     if actual_dim != k - 1:
         failures.append(f"skeleton dimension {actual_dim}, expected {k - 1}")
-    decomposition = is_vertex_decomposable(skel)
+    decomposition = is_vertex_decomposable(skel, budget)
     if not decomposition.ok:
         failures.append("skeleton is not vertex decomposable")
     shelling_valid = False

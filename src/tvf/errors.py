@@ -9,17 +9,20 @@ stderr and exits with the code given below.  ``kind`` is one of:
 
 - exit 64: ``usage``, a bad value of TVF_BUDGET.  Argument-parsing errors
   also exit 64, but print argparse usage text instead of JSON.
-- exit 2: ``budget``, a face, search or level budget was exhausted
-  (BudgetExceeded); ``depth``, an input nested too deeply for the
-  interpreter's recursion limit.
+- exit 2: ``budget``, a Budget was exhausted (BudgetExceeded); ``depth``,
+  an input nested too deeply for the interpreter's recursion limit.  Only
+  the recursions that still follow their input can hit that limit: the
+  removal searches run_df1 and run_dynamic, trace reading, trace
+  extraction, and certificate construction and lifting.
 - exit 1, a domain error, named by its class: ``GraphError``; ``VdError``,
   ``CertificateError``; ``SquidError``, ``TheoremViolation``,
   ``SchemeRunError``; ``SchemeError``, ``InfeasibleScheme``;
   ``ComplexError``; ``TverbergError``.
-- exit 1, an unreadable input: ``JSONDecodeError`` for malformed JSON, and
-  the name of the OSError raised for a file that cannot be read or
-  written, such as ``FileNotFoundError``, ``IsADirectoryError``,
-  ``NotADirectoryError``, ``PermissionError`` or ``OSError`` itself.
+- exit 1, an unreadable input: ``JSONDecodeError`` for malformed JSON,
+  ``UnicodeDecodeError`` for a file that is not UTF-8 text, and the name of
+  the OSError raised for a file that cannot be read or written, such as
+  ``FileNotFoundError``, ``IsADirectoryError``, ``NotADirectoryError``,
+  ``PermissionError`` or ``OSError`` itself.
 """
 
 
@@ -48,12 +51,31 @@ class TverbergError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A configured face, search or level budget was exhausted before completion."""
+    """A Budget was exhausted before its search or enumeration completed."""
 
     def __init__(self, message: str, used: int = 0, limit: int = 0):
         super().__init__(message)
         self.used = used
         self.limit = limit
+
+
+class Budget:
+    """A count of work units that raises BudgetExceeded once it passes its limit.
+
+    A limit of None takes the layer's default; what and unit name the
+    budget and its unit in the message.
+    """
+
+    def __init__(self, limit: int | None, default: int, what: str, unit: str):
+        self.limit = default if limit is None else limit
+        self.used = 0
+        self.what, self.unit = what, unit
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            message = f"{self.what} budget exceeded ({self.used} > {self.limit} {self.unit})"
+            raise BudgetExceeded(message, self.used, self.limit)
 
 
 def json_int(value, what: str) -> int:

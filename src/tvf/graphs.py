@@ -2,12 +2,13 @@
 
 Graphs are immutable values; nothing here mutates after construction.
 The branching recursions elsewhere in the package do not build a Graph per
-subgraph: they work on bitmasks over neighbor_masks.
+subgraph: they work on bitmasks over neighbor_masks.  The searches among
+them run as generators on run's explicit stack.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import GraphError
 
@@ -242,3 +243,21 @@ def neighbor_masks(G: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]
         masks[index[u]] |= 1 << index[v]
         masks[index[v]] |= 1 << index[u]
     return verts, index, masks
+
+
+def run(call: Generator):
+    """The return value of a generator recursion, computed on an explicit stack.
+
+    A generator asks for a recursive call by yielding that call's generator
+    and receives its return value, so recursion depth never reaches the
+    interpreter's limit.
+    """
+    stack, value = [call], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value

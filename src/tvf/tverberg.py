@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # Bound as a module, not by name: under the CLI's lazy layers
 # tverberg search then never load schemes.
 from . import schemes
-from .errors import BudgetExceeded, TverbergError
+from .errors import Budget, TverbergError
 from .graphs import Graph, induced_subgraph
 from .ratlp import solve_equality_feasibility
 
@@ -212,7 +212,7 @@ def search_witness(
     G: Graph,
     cfg: PointConfiguration,
     q: int,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: Optional[int] = None,
 ) -> Optional[TverbergWitness]:
     """First witness in canonical order over proper surjective q-colorings.
 
@@ -222,9 +222,9 @@ def search_witness(
     over the remaining vertices.  After a class is completed, a common-point
     LP over the completed classes prunes the branch when they already fail
     to intersect — sound, because later classes cannot change earlier hulls.
-    The budget counts LP feasibility calls.  A witness is re-checked with
-    verify_witness before it is returned; a failed check raises
-    TverbergError.
+    The budget counts LP feasibility calls (None: DEFAULT_SEARCH_BUDGET).  A
+    witness is re-checked with verify_witness before it is returned; a
+    failed check raises TverbergError.
     """
     if q < 1:
         raise TverbergError(f"q must be positive, got {q}")
@@ -233,15 +233,10 @@ def search_witness(
         raise TverbergError("point configuration must be indexed by exactly V(G)")
     if len(verts) < q:
         return None  # every q-coloring would leave an empty class
-    calls = 0
+    calls = Budget(budget, DEFAULT_SEARCH_BUDGET, "search", "hull-intersection calls")
 
     def lp(classes: list[tuple[int, ...]]) -> Optional[HullWitness]:
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise BudgetExceeded(
-                f"witness search exceeded {budget} hull-intersection calls", calls, budget
-            )
+        calls.spend()
         return hulls_intersect([[cfg.points[v] for v in cls] for cls in classes])
 
     def recurse(
@@ -418,7 +413,7 @@ def corollary_pipeline(
     cfg: PointConfiguration,
     q: int,
     epsilon,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: Optional[int] = None,
 ) -> CorollaryReport:
     """Run the reduce-to-a-prime pipeline and report every hypothesis check.
 

@@ -33,8 +33,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional, Union
 
-from .errors import BudgetExceeded, GraphError, VdError
-from .graphs import Graph, neighbor_masks
+from .errors import Budget, GraphError, VdError
+from .graphs import Graph, neighbor_masks, run
 
 # Memo entries one level decision may make; each costs about 150 bytes.
 DEFAULT_LEVEL_BUDGET = 1_000_000
@@ -150,29 +150,23 @@ class _Solver(MaskView):
     the lowest bit and drops its closed neighborhood until nothing is
     left, O(|mask|) work per new mask.
 
-    The search runs on an explicit stack, so no input depth reaches the
-    interpreter's recursion limit.  Every rule only cuts a search short
-    with the answer the plain recursion would reach.  The memo may hold at
-    most `budget` entries; the entry past it raises BudgetExceeded.
+    The search is a generator recursion on graphs.run, so no input depth
+    reaches the interpreter's recursion limit.  Every rule only cuts a
+    search short with the answer the plain recursion would reach.  The memo
+    entry past `budget` raises BudgetExceeded.
     """
 
-    def __init__(self, G: Graph, budget: int = DEFAULT_LEVEL_BUDGET):
+    def __init__(self, G: Graph, budget: Optional[int] = None):
         super().__init__(G)
-        self.budget = budget
+        self.budget = Budget(budget, DEFAULT_LEVEL_BUDGET, "level", "memo entries")
         self._bounds: dict[int, list[int]] = {}
-        self._bits = tuple(range(len(self.verts)))  # one int object per bit, shared by the frames
+        self._bits = tuple(range(len(self.verts)))  # one int object per bit, shared by the calls
 
     def _entry(self, mask: int) -> list[int]:
         """The memo entry of mask, made from the exact facts on first use."""
         entry = self._bounds.get(mask)
         if entry is None:
-            used = len(self._bounds) + 1
-            if used > self.budget:
-                raise BudgetExceeded(
-                    f"level budget exceeded ({used} > {self.budget} memo entries)",
-                    used,
-                    self.budget,
-                )
+            self.budget.spend()
             m = 0
             rest = mask
             while rest:
@@ -193,55 +187,39 @@ class _Solver(MaskView):
         """Whether the subgraph on mask is at level k."""
         if k <= 0:
             return True
-        entry = self._entry(mask)
-        if k <= entry[0]:
-            return True
-        if k >= entry[1]:
-            return False
-        closed, bounds = self.closed, self._bounds
-        # frame: [entry, mask, k, pivots, position of the pivot tried, link query asked];
-        # a frame is searched only when lo < k < hi, so k >= 2 and its queries ask k >= 1
-        stack = [[entry, mask, k, self._pivots(mask), -1, False]]
-        answer = None  # answer to the top frame's last query, None for a fresh frame
-        while stack:
-            frame = stack[-1]
-            entry, fmask, fk, pivots, pos, linking = frame
-            while True:
-                if answer and linking:
-                    break  # both children hold at the pivot: proven
-                if answer:
-                    linking = True
-                    qmask, qk = fmask & ~closed[pivots[pos]], fk - 1
-                elif pos + 1 < len(pivots):
-                    pos += 1
-                    linking = False
-                    qmask, qk = fmask & ~(1 << pivots[pos]), fk
-                else:
-                    answer = False  # every pivot failed: refuted
-                    break
-                if qk == 1:  # level 1 holds exactly on the nonempty masks
-                    answer = qmask != 0
+        lo, hi = self._entry(mask)
+        return run(self._search(mask, k)) if lo < k < hi else k <= lo
+
+    def _search(self, mask: int, k: int):
+        """Generator for run: the pivot search of a mask whose entry has lo < k < hi.
+
+        So k >= 2, and each query asks a level of at least 1.  The answer
+        moves lo up or hi down to k.
+        """
+        bounds, closed = self._bounds, self.closed
+        for i in self._pivots(mask):
+            child = mask & ~(1 << i)
+            lo, hi = bounds.get(child) or self._entry(child)
+            if k >= hi or k > lo and not (yield self._search(child, k)):
+                continue
+            child = mask & ~closed[i]
+            if k == 2:  # level 1 holds exactly on the nonempty masks
+                if not child:
                     continue
-                child = bounds.get(qmask) or self._entry(qmask)
-                if qk <= child[0]:
-                    answer = True
-                elif qk >= child[1]:
-                    answer = False
-                else:
-                    frame[4], frame[5] = pos, linking
-                    stack.append([child, qmask, qk, self._pivots(qmask), -1, False])
-                    answer = None
-                    break
-            if answer is not None:
-                entry[0 if answer else 1] = fk
-                stack.pop()
-        return answer
+            else:
+                lo, hi = bounds.get(child) or self._entry(child)
+                if k - 1 >= hi or k - 1 > lo and not (yield self._search(child, k - 1)):
+                    continue
+            bounds[mask][0] = k
+            return True
+        bounds[mask][1] = k
+        return False
 
 
-def is_vd(G: Graph, k: int, budget: int = DEFAULT_LEVEL_BUDGET) -> bool:
+def is_vd(G: Graph, k: int, budget: Optional[int] = None) -> bool:
     """Whether G satisfies the level-k recursion. Deterministic, memoized per call.
 
-    Raises BudgetExceeded when the memo would pass `budget` entries.
+    Raises BudgetExceeded past `budget` memo entries (None: DEFAULT_LEVEL_BUDGET).
     """
     if k < 0:
         raise VdError(f"level must be non-negative, got {k}")
@@ -249,7 +227,7 @@ def is_vd(G: Graph, k: int, budget: int = DEFAULT_LEVEL_BUDGET) -> bool:
     return s.vd(s.full, k)
 
 
-def max_vd(G: Graph, budget: int = DEFAULT_LEVEL_BUDGET) -> int:
+def max_vd(G: Graph, budget: Optional[int] = None) -> int:
     """Largest k with is_vd(G, k); well-defined since levels are downward closed.
 
     One memo serves every level asked, under one budget of `budget` entries.

@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tvf
 from tvf.graphs import Graph
 from tvf.vd import Node
 
@@ -11,6 +16,15 @@ def all_labeled_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph(range(n), [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def python_process(code, *args, cwd=None):
+    """A fresh interpreter running code with args, on this checkout's tvf."""
+    src = str(Path(tvf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 import tvf.errors
 from tvf.cli import _DOMAIN_ERRORS, main
+
+from conftest import python_process
 
 TWO_K2 = "p 4 2\ne 0 1\ne 2 3\n"
 K2 = "p 2 1\ne 0 1\n"
@@ -478,6 +481,78 @@ def test_vd_check_decides_a_2500_vertex_path(files, capsys):
     assert out == '{"k":2,"vd":true}\n'
 
 
+_V400 = ",".join(map(str, range(400)))
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["complex", "vd", "--facets", "simplex.txt"], f'{{"shelling":[[{_V400}]],"vertex_decomposable":true}}'),
+        (["complex", "ind", "--graph", "e400.txt"], _V400.replace(",", " ")),
+        (["complex", "betti", "--k", "0", "--graph", "e400.txt"], '{"dim":0,"min_dim":-1,"numbers":[0,399]}'),
+    ],
+    ids=["vd-simplex", "ind-edgeless", "betti-edgeless"],
+)
+def test_complex_searches_ignore_the_recursion_limit(files, command, out):
+    # each search nests 400 calls deep, twice the recursion limit
+    (files / "simplex.txt").write_text(_V400.replace(",", " ") + "\n")
+    (files / "e400.txt").write_text("p 400 0\n")
+    code = "import sys; sys.setrecursionlimit(200); from tvf.cli import main; sys.exit(main())"
+    got = python_process(code, *command, cwd=files)
+    assert (got.returncode, got.stdout, got.stderr) == (0, out + "\n", "")
+
+
+def _cross_polytope_pair(files):
+    """Two disjoint boundaries of the 4-dimensional cross-polytope: 32 facets, not VD."""
+    path = files / "cross.txt"
+    path.write_text(
+        "".join(
+            " ".join(str(base + 2 * i + s) for i, s in enumerate(signs)) + "\n"
+            for base in (0, 8)
+            for signs in itertools.product((0, 1), repeat=4)
+        )
+    )
+    return path
+
+
+def _perfect_matching(files):
+    """The perfect matching on 32 vertices, whose independence complex has 2^16 facets."""
+    path = files / "matching.txt"
+    path.write_text("p 32 16\n" + "".join(f"e {2 * i} {2 * i + 1}\n" for i in range(16)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, make, error",
+    [
+        (["complex", "vd", "--facets"], _cross_polytope_pair, "decomposition budget exceeded (1001 > 1000 memo entries)"),
+        (["complex", "ind", "--graph"], _perfect_matching, "facet budget exceeded (1001 > 1000 facets)"),
+    ],
+    ids=["vd", "ind"],
+)
+def test_complex_budget_exit_code(files, capsys, monkeypatch, command, make, error):
+    # unbudgeted, the first takes 24,057 memo entries and the second 65,536 facets
+    monkeypatch.setenv("TVF_BUDGET", "1000")
+    code, out, err = run(capsys, *command, make(files))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error, "kind": "budget"}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["vd", "max", "--graph"], b"\x7fELF\x02\x01\x01\x00\xb0\x0f\xf8\xff"),
+        (["scheme", "validate", "--file"], b"\xff\xfe{\x00}\x00"),
+    ],
+    ids=["binary-graph", "utf16-scheme"],
+)
+def test_non_utf8_input_is_unicode_decode_error(files, capsys, command, data):
+    (files / "bad.bin").write_bytes(data)
+    code, out, err = run(capsys, *command, files / "bad.bin")
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "UnicodeDecodeError"
+
+
 def test_recursion_too_deep_is_depth_error(files, capsys):
     # the degree-bound construction still recurses once per peeled vertex
     code, out, err = run(capsys, "vd", "build", "--graph", _path_2500(files))
@@ -514,3 +589,4 @@ def test_error_kinds_are_documented():
         assert _contract_kinds(text, "domain error, named by its class:", "exit 1,") == domain
         listed = _contract_kinds(text, "exit 64:", "itself.")
         assert {"usage", "budget", "depth", "JSONDecodeError", "FileNotFoundError"} <= listed
+        assert "UnicodeDecodeError" in listed

@@ -6,11 +6,7 @@ follows `ok` on the four check outcomes and is True everywhere else, and
 repr reads Name(field=value, ...).
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -32,6 +28,8 @@ from tvf.tverberg import (
     TverbergWitness,
 )
 from tvf.vd import CertCheck, LeafAny, LeafEdgeless, Node
+
+from conftest import python_process
 
 
 def _squid():
@@ -214,15 +212,6 @@ def test_point_configuration_checks_coordinate_counts():
         PointConfiguration(dimension=2, points={0: (F(0), F(1), F(2))})
 
 
-def _python(code, *args, cwd=None):
-    """A fresh interpreter running code with args, on this checkout's tvf."""
-    src = str(Path(tvf.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
-    )
-
-
 def test_cli_import_graph():
     """The CLI registers every layer in sys.modules (the benchmark tracer reads
     them from there), lazily, so that a layer runs only when a command uses it;
@@ -233,7 +222,7 @@ def test_cli_import_graph():
         "'dataclasses', 'inspect', 'tvf.graphs', 'tvf.squids', 'tvf.vd', "
         "'tvf.complexes', 'tvf.tverberg', 'tvf.ratlp'})))"
     )
-    out = _python(code)
+    out = python_process(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == sorted(
         ["tvf.complexes", "tvf.graphs", "tvf.ratlp", "tvf.squids", "tvf.tverberg", "tvf.vd"]
@@ -301,7 +290,7 @@ def test_command_runs_only_its_layers(command_inputs, command):
         "print(' '.join(ran), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    out = _python(code, *argv, cwd=command_inputs)
+    out = python_process(code, *argv, cwd=command_inputs)
     assert out.returncode == 0, out.stderr
     assert set(out.stderr.splitlines()[-1].split()) == {"cli", "errors"} | layers
 
@@ -317,5 +306,5 @@ def test_layer_is_one_module_object(first, second):
         "assert all(m is tvf.vd is tvf.cli.vd for m in seen)\n"
         "assert tvf.vd.max_vd(tvf.graphs.Graph.cycle(5)) == 2\n"
     )
-    out = _python(code)
+    out = python_process(code)
     assert out.returncode == 0, out.stderr
