@@ -1,19 +1,18 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain or verification failure, 2 budget
-exhausted or input too deep for the interpreter's recursion limit, 64 usage
-errors.  Artifact-writing commands (--out, --cert-out)
+exhausted, 64 usage errors.  Artifact-writing commands (--out, --cert-out)
 emit a sibling <path>.manifest.json recording input/output digests, the
 seed, and timing; identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
 replaces the default limit of every budget a command counts (faces, facets,
-memo entries, hull-intersection calls); any other value is a usage error.
+memo entries, trace nodes, hull-intersection calls); any other value is a
+usage error.
 
-Depth errors come only from the recursions that still follow their input:
-the removal searches of squid df1 and squid dynamic, trace reading, trace
-extraction, and certificate construction and lifting.  The level decision
-and the complex searches (Bron-Kerbosch, vertex decomposability) run on an
-explicit stack.
+Every search and construction that follows its input's depth runs on the
+explicit stack of graphs.run, so no input meets the interpreter's recursion
+limit.  JSON nested past the parser's limit is a domain error of the reader
+that parses it.
 
 Each command is a cold process, so the layer modules are registered in
 sys.modules lazily: a command compiles and runs only the layers it calls,
@@ -90,10 +89,6 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _rational(text: str):
     """argparse type of --epsilon: the Fraction of a rational such as 1/5 or 0.2."""
     from fractions import Fraction  # only commands with --epsilon pay for it
@@ -137,7 +132,11 @@ class _Run:
         self.budget = _env_budget()  # None: each layer's default
 
     def read(self, path: str) -> str:
-        text = _read(path)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            reason = f"{exc.reason} (in {path})"
+            raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, reason) from None
         self.inputs.append((path, _sha256_text(text)))
         return text
 
@@ -226,7 +225,7 @@ def cmd_vd_max(run: _Run) -> int:
 
 def cmd_vd_build(run: _Run) -> int:
     G = run.graph(run.args.graph)
-    cert = vd.build_certificate_degree_bound(G)
+    cert = vd.build_certificate_degree_bound(G, run.budget)
     run.emit(vd.certificate_to_json(cert) + "\n", run.args.out)
     return 0
 
@@ -265,28 +264,28 @@ def cmd_vd_verify(run: _Run) -> int:
 def _emit_trace(run: _Run, trace: sq.RemovalTrace) -> None:
     run.emit(trace.to_json() + "\n", run.args.out)
     if run.args.cert_out:
-        cert = sq.extract_certificate(trace)
+        cert = sq.extract_certificate(trace, run.budget)
         run.write(run.args.cert_out, vd.certificate_to_json(cert) + "\n")
 
 
 def cmd_squid_df1(run: _Run) -> int:
     args = run.args
-    trace = sq.run_df1(run.graph(args.graph), args.q, args.mode)
+    trace = sq.run_df1(run.graph(args.graph), args.q, args.mode, run.budget)
     _emit_trace(run, trace)
     return 0
 
 
 def cmd_squid_dynamic(run: _Run) -> int:
     args = run.args
-    scheme = sc.SizeScheme.from_obj(json.loads(run.read(args.scheme)))
-    trace = sq.run_dynamic(run.graph(args.graph), args.q, scheme)
+    scheme = sc.SizeScheme.from_json(run.read(args.scheme))
+    trace = sq.run_dynamic(run.graph(args.graph), args.q, scheme, run.budget)
     _emit_trace(run, trace)
     return 0
 
 
 def cmd_squid_extract(run: _Run) -> int:
     trace = sq.RemovalTrace.from_json(run.read(run.args.trace))
-    cert = sq.extract_certificate(trace)
+    cert = sq.extract_certificate(trace, run.budget)
     run.emit(vd.certificate_to_json(cert) + "\n", run.args.out)
     return 0
 
@@ -325,8 +324,7 @@ def cmd_scheme_build(run: _Run) -> int:
 
 
 def cmd_scheme_validate(run: _Run) -> int:
-    obj = json.loads(run.read(run.args.file))
-    scheme = sc.SizeScheme.from_obj(obj)
+    scheme = sc.SizeScheme.from_json(run.read(run.args.file))
     check = sc.validate_scheme(scheme.sizes, scheme.n, scheme.q, scheme.delta)
     run.emit(
         _dumps(
@@ -571,13 +569,6 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except BudgetExceeded as exc:
         sys.stderr.write(_dumps({"error": str(exc), "kind": "budget"}))
-        return 2
-    except RecursionError:
-        # a recursion that follows input depth ran out of interpreter stack:
-        # a resource limit like the budgets, reported with their exit code
-        sys.stderr.write(
-            _dumps({"error": "input nested too deeply for the recursion limit", "kind": "depth"})
-        )
         return 2
     except _DOMAIN_ERRORS as exc:
         sys.stderr.write(_dumps({"error": str(exc), "kind": type(exc).__name__}))

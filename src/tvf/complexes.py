@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import Budget, ComplexError
-from .graphs import Graph, run
+from .graphs import Graph, neighbor_masks, run
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
@@ -129,23 +129,36 @@ def deletion(S: SimplicialComplex, v: int) -> SimplicialComplex:
 
 
 def _maximal_independent_sets(G: Graph, budget: Budget) -> list[frozenset[int]]:
-    # Bron-Kerbosch with pivoting on the complement graph.
-    verts = set(G.vertices)
-    nonadj = {v: verts - set(G.neighbors(v)) - {v} for v in G.vertices}
+    # Bron-Kerbosch with pivoting on the complement graph, on bitmasks: bit i
+    # is the i-th smallest label, and the pivot is the vertex of maybe or
+    # exclude with the most non-neighbors in maybe, the lowest on ties.
+    verts, _, nbr = neighbor_masks(G)
+    full = (1 << len(verts)) - 1
+    nonadj = [full & ~(m | 1 << i) for i, m in enumerate(nbr)]
     out: list[frozenset[int]] = []
 
-    def grow(include: set[int], maybe: set[int], exclude: set[int]):
+    def bits(mask: int):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def grow(include: int, maybe: int, exclude: int):
         if not maybe and not exclude:
             budget.spend()
-            out.append(frozenset(include))
+            out.append(frozenset(verts[i] for i in bits(include)))
             return
-        pivot = max(sorted(maybe | exclude), key=lambda u: len(nonadj[u] & maybe))
-        for v in sorted(maybe - nonadj[pivot]):
-            yield grow(include | {v}, maybe & nonadj[v], exclude & nonadj[v])
-            maybe = maybe - {v}
-            exclude = exclude | {v}
+        best = -1
+        for i in bits(maybe | exclude):
+            score = (nonadj[i] & maybe).bit_count()
+            if score > best:
+                best, pivot = score, i
+        for i in bits(maybe & ~nonadj[pivot]):
+            yield grow(include | 1 << i, maybe & nonadj[i], exclude & nonadj[i])
+            maybe &= ~(1 << i)
+            exclude |= 1 << i
 
-    run(grow(set(), verts, set()))
+    run(grow(0, full, 0))
     return out
 
 

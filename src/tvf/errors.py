@@ -9,15 +9,16 @@ stderr and exits with the code given below.  ``kind`` is one of:
 
 - exit 64: ``usage``, a bad value of TVF_BUDGET.  Argument-parsing errors
   also exit 64, but print argparse usage text instead of JSON.
-- exit 2: ``budget``, a Budget was exhausted (BudgetExceeded); ``depth``,
-  an input nested too deeply for the interpreter's recursion limit.  Only
-  the recursions that still follow their input can hit that limit: the
-  removal searches run_df1 and run_dynamic, trace reading, trace
-  extraction, and certificate construction and lifting.
+- exit 2: ``budget``, a Budget was exhausted (BudgetExceeded).  Every
+  search and construction that follows its input's depth runs on
+  graphs.run's explicit stack, so no input meets the interpreter's
+  recursion limit.
 - exit 1, a domain error, named by its class: ``GraphError``; ``VdError``,
   ``CertificateError``; ``SquidError``, ``TheoremViolation``,
   ``SchemeRunError``; ``SchemeError``, ``InfeasibleScheme``;
-  ``ComplexError``; ``TverbergError``.
+  ``ComplexError``; ``TverbergError``.  JSON nested past the parser's
+  limit is an error of its reader: ``CertificateError`` for a
+  certificate, ``SquidError`` for a trace, ``SchemeError`` for a scheme.
 - exit 1, an unreadable input: ``JSONDecodeError`` for malformed JSON,
   ``UnicodeDecodeError`` for a file that is not UTF-8 text, and the name of
   the OSError raised for a file that cannot be read or written, such as

@@ -2,8 +2,8 @@
 
 Graphs are immutable values; nothing here mutates after construction.
 The branching recursions elsewhere in the package do not build a Graph per
-subgraph: they work on bitmasks over neighbor_masks.  The searches among
-them run as generators on run's explicit stack.
+subgraph: they work on bitmasks over neighbor_masks.  Every recursion in
+the package runs as a generator on run's explicit stack.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ coverage falls short and the inequality still permits.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -141,6 +142,14 @@ class SizeScheme(NamedTuple):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemeError(f"malformed scheme object: {exc}") from exc
+
+    @classmethod
+    def from_json(cls, text: str) -> "SizeScheme":
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise SchemeError("scheme JSON is nested too deeply to read") from None
+        return cls.from_obj(obj)
 
 
 class EpsilonConstants(NamedTuple):

@@ -26,19 +26,23 @@ pivot.
 Two pivot rules are provided: run_df1 takes the lexicographically smallest
 residual vertex (valid whenever q > |N2(v)| + 2|N(v)| for every v), and
 run_dynamic follows a block-size scheme, choosing at each block start the
-top-most surviving row with the most preserved vertices.
+top-most surviving row with the most preserved vertices.  Both run one
+removal search, and it, trace reading and extraction all run on
+graphs.run's explicit stack; a budget of trace nodes bounds the search.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from typing import NamedTuple, Optional
 
 # Bound as a module, not by name: under the CLI's lazy layers
 # squid df1 and squid extract then never load schemes.
 from . import schemes
-from .errors import SquidError, json_int, json_ints
-from .graphs import Graph, ProductVertex, distance_two_set, product_with_complete
+from .errors import Budget, SquidError, json_int, json_ints
+from .graphs import Graph, ProductVertex, distance_two_set, product_with_complete, run
 from .vd import (
     CertificateBuilder,
     LeafAny,
@@ -46,6 +50,11 @@ from .vd import (
     VdCertificate,
     assemble_pivot_decomposition,
 )
+
+
+# Trace nodes one removal search may make; a node of a dense product costs
+# tens of kilobytes.
+DEFAULT_REMOVAL_BUDGET = 100_000
 
 
 class TheoremViolation(SquidError):
@@ -290,12 +299,14 @@ class RemovalTrace(NamedTuple):
         built: dict[int, TraceNode] = {}
         open_ids: set[int] = set()  # nodes whose children are being built
 
-        def build(idx: int, mask: int) -> TraceNode:
-            if idx in built:
-                node = built[idx]
-                if node.residual_mask != mask:
-                    raise SquidError(f"node {idx} is reached with two different residuals")
-                return node
+        def known(idx: int, mask: int) -> Optional[TraceNode]:
+            node = built.get(idx)
+            if node is not None and node.residual_mask != mask:
+                raise SquidError(f"node {idx} is reached with two different residuals")
+            return node
+
+        def build(idx: int, mask: int):
+            """Generator for run: the node of an index not yet built."""
             if idx in open_ids:
                 raise SquidError(f"node {idx} is its own descendant")
             try:
@@ -325,20 +336,22 @@ class RemovalTrace(NamedTuple):
             if size != mask.bit_count():
                 raise SquidError(f"node {idx}: residual size does not replay")
             open_ids.add(idx)
-            arm_children = tuple(
-                TraceChild(squid=sq, node=build(child, mask & ~sm), w=w)
-                for sq, sm, child, w in arms
-            )
+            arm_children = []
+            for sq, sm, child, w in arms:
+                cm = mask & ~sm
+                node = known(child, cm) or (yield build(child, cm))
+                arm_children.append(TraceChild(squid=sq, node=node, w=w))
             link_child = None
             if link is not None:
                 sq, sm, child = link
-                link_child = TraceChild(squid=sq, node=build(child, mask & ~sm))
+                cm = mask & ~sm
+                link_child = TraceChild(squid=sq, node=known(child, cm) or (yield build(child, cm)))
             open_ids.discard(idx)
             node = TraceNode(
                 level=level,
                 residual_mask=mask,
                 pivot=pivot,
-                arm_children=arm_children,
+                arm_children=tuple(arm_children),
                 link_child=link_child,
                 block_row=block_row,
                 rows_used=rows_used,
@@ -346,15 +359,16 @@ class RemovalTrace(NamedTuple):
             built[idx] = node
             return node
 
-        try:
-            root = build(root_id, full)
-        except RecursionError:
-            raise SquidError("trace nodes are nested too deeply to read") from None
+        root = run(build(root_id, full))
         return cls(graph=G, q=q, m=m, kind=kind, root=root, mode=mode, scheme=scheme)
 
     @classmethod
     def from_json(cls, text: str) -> "RemovalTrace":
-        return cls.from_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise SquidError("trace JSON is nested too deeply to read") from None
+        return cls.from_obj(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -453,55 +467,76 @@ class _Engine:
         return arm_out, link_squid, link_child_mask
 
 
-def run_df1(G: Graph, q: int, mode: str = "walk") -> RemovalTrace:
+def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> TraceNode:
+    """Root of the full branching removal of m squids, searched on graphs.run.
+
+    pivot_rule(mask, depth, rows) gives the pivot label of a residual after
+    depth removals, the block rows to pass down, and the node's block row;
+    rows starts as given (None for a rule without blocks).  Nodes are shared
+    per (residual, depth, rows), and the node past `budget` (None:
+    DEFAULT_REMOVAL_BUDGET) raises BudgetExceeded.
+    """
+    spend = Budget(budget, DEFAULT_REMOVAL_BUDGET, "removal", "trace nodes").spend
+    memo: dict[tuple, TraceNode] = {}
+
+    def explore(mask: int, depth: int, rows):
+        """Generator for run: the node of a key not yet in the memo."""
+        spend()
+        key = (mask, depth, rows)
+        if depth == m:
+            node = TraceNode(level=0, residual_mask=mask, rows_used=rows)
+        else:
+            pivot_label, rows, block_row = pivot_rule(mask, depth, rows)
+            arms, link_squid, link_mask = eng.expand(mask, pivot_label)
+            arm_children = []
+            for w, s, cm in arms:
+                child = memo.get((cm, depth + 1, rows)) or (yield explore(cm, depth + 1, rows))
+                arm_children.append(TraceChild(squid=s, node=child, w=eng.pv(w)))
+            child = memo.get((link_mask, depth + 1, rows)) or (
+                yield explore(link_mask, depth + 1, rows)
+            )
+            node = TraceNode(
+                level=m - depth,
+                residual_mask=mask,
+                pivot=eng.pv(pivot_label),
+                arm_children=tuple(arm_children),
+                link_child=TraceChild(squid=link_squid, node=child),
+                block_row=block_row,
+                rows_used=rows,
+            )
+        memo[key] = node
+        return node
+
+    return run(explore(eng.full, 0, rows))
+
+
+def run_df1(
+    G: Graph, q: int, mode: str = "walk", budget: Optional[int] = None
+) -> RemovalTrace:
     """Full branching removal of |V(G)| squids with the lexicographic pivot.
 
     Requires df1_check(G, q, mode).  Every residual met above level 0 is
     checked nonempty at runtime (that nonemptiness is the substance of the
-    pivot rule's validity).
+    pivot rule's validity).  budget bounds the trace nodes.
     """
     if not df1_check(G, q, mode):
         raise SquidError(
             f"q={q} does not exceed the threshold {df1_threshold(G, mode)} for this graph"
         )
-    eng = _Engine(G, q)
     m = G.n
-    memo: dict[tuple[int, int], TraceNode] = {}
 
-    def explore(mask: int, level: int) -> TraceNode:
-        key = (mask, level)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if level == 0:
-            node = TraceNode(level=0, residual_mask=mask)
-        else:
-            if mask == 0:
-                raise TheoremViolation(
-                    f"residual emptied with {level} removal steps still to go"
-                )
-            pivot_label = (mask & -mask).bit_length() - 1
-            arms, link_squid, link_mask = eng.expand(mask, pivot_label)
-            arm_children = tuple(
-                TraceChild(squid=s, node=explore(cm, level - 1), w=eng.pv(w))
-                for w, s, cm in arms
-            )
-            link_child = TraceChild(squid=link_squid, node=explore(link_mask, level - 1))
-            node = TraceNode(
-                level=level,
-                residual_mask=mask,
-                pivot=eng.pv(pivot_label),
-                arm_children=arm_children,
-                link_child=link_child,
-            )
-        memo[key] = node
-        return node
+    def lowest(mask: int, depth: int, rows: None) -> tuple[int, None, None]:
+        if mask == 0:
+            raise TheoremViolation(f"residual emptied with {m - depth} removal steps still to go")
+        return (mask & -mask).bit_length() - 1, None, None
 
-    root = explore(eng.full, m)
+    root = _remove(_Engine(G, q), m, lowest, None, budget)
     return RemovalTrace(graph=G, q=q, m=m, kind="df1", root=root, mode=mode)
 
 
-def run_dynamic(G: Graph, q: int, scheme: schemes.SizeScheme) -> RemovalTrace:
+def run_dynamic(
+    G: Graph, q: int, scheme: schemes.SizeScheme, budget: Optional[int] = None
+) -> RemovalTrace:
     """Blockwise removal: block l removes scheme.sizes[l-1] squids with
     hearts on one row, chosen at each block start as the smallest-index
     unused row with the most surviving vertices; within a block the pivot is
@@ -510,7 +545,8 @@ def run_dynamic(G: Graph, q: int, scheme: schemes.SizeScheme) -> RemovalTrace:
     The scheme is re-validated exactly against its own declared budget n
     (bounded by the product size) with the graph's true maximum degree; a
     mid-run exhausted row still raises the scheme-infeasible diagnostic,
-    which certificate verification backstops.
+    which certificate verification backstops.  budget bounds the trace
+    nodes.
     """
     delta = G.max_degree()
     if delta < 1:
@@ -527,82 +563,27 @@ def run_dynamic(G: Graph, q: int, scheme: schemes.SizeScheme) -> RemovalTrace:
     m = sum(scheme.sizes)
     if m > G.n:
         raise SquidError(f"scheme removes {m} squids but the tuple bound needs m <= |G| = {G.n}")
-    cumulative = []
-    total = 0
-    for s in scheme.sizes:
-        total += s
-        cumulative.append(total)
+    cumulative = list(itertools.accumulate(scheme.sizes))
     eng = _Engine(G, q)
-    memo: dict[tuple[int, int, tuple[int, ...]], TraceNode] = {}
+    row_masks = {r: sum(1 << lab for lab in range(r - 1, eng.total, q)) for r in range(1, q + 1)}
 
-    def block_of(step: int) -> int:
-        for bi, cum in enumerate(cumulative, start=1):
-            if step <= cum:
-                return bi
-        raise AssertionError("step beyond the scheme")
+    def block_pivot(mask: int, depth: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
+        step = depth + 1
+        block = bisect.bisect_left(cumulative, step) + 1
+        if block > len(rows):
+            unused = [r for r in range(1, q + 1) if r not in rows]
+            counts = {r: (mask & row_masks[r]).bit_count() for r in unused}
+            best = max(counts.values(), default=0)
+            if best == 0:
+                raise SchemeRunError(f"no unused row has surviving vertices at step {step}")
+            rows = rows + (min(r for r in unused if counts[r] == best),)
+        row = rows[block - 1]
+        on_row = mask & row_masks[row]
+        if not on_row:
+            raise SchemeRunError(f"block {block} row {row} has no surviving vertices at step {step}")
+        return (on_row & -on_row).bit_length() - 1, rows, row  # smallest base vertex on the row
 
-    def row_counts(mask: int) -> dict[int, int]:
-        counts = {r: 0 for r in range(1, q + 1)}
-        rest = mask
-        while rest:
-            low = rest & -rest
-            counts[eng.row_of[low.bit_length() - 1]] += 1
-            rest ^= low
-        return counts
-
-    def explore(mask: int, depth: int, rows: tuple[int, ...]) -> TraceNode:
-        level = m - depth
-        key = (mask, depth, rows)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if depth == m:
-            node = TraceNode(level=0, residual_mask=mask, rows_used=rows)
-        else:
-            step = depth + 1
-            block = block_of(step)
-            if block > len(rows):
-                counts = row_counts(mask)
-                unused = [r for r in range(1, q + 1) if r not in rows]
-                best = max((counts[r] for r in unused), default=0)
-                if best == 0:
-                    raise SchemeRunError(
-                        f"no unused row has surviving vertices at step {step}"
-                    )
-                chosen = min(r for r in unused if counts[r] == best)
-                rows = rows + (chosen,)
-            row = rows[block - 1]
-            candidates = [
-                lab
-                for lab in range(eng.total)
-                if mask >> lab & 1 and eng.row_of[lab] == row
-            ]
-            if not candidates:
-                raise SchemeRunError(
-                    f"block {block} row {row} has no surviving vertices at step {step}"
-                )
-            pivot_label = min(candidates)  # smallest base vertex on the block row
-            arms, link_squid, link_mask = eng.expand(mask, pivot_label)
-            arm_children = tuple(
-                TraceChild(squid=s, node=explore(cm, depth + 1, rows), w=eng.pv(w))
-                for w, s, cm in arms
-            )
-            link_child = TraceChild(
-                squid=link_squid, node=explore(link_mask, depth + 1, rows)
-            )
-            node = TraceNode(
-                level=level,
-                residual_mask=mask,
-                pivot=eng.pv(pivot_label),
-                arm_children=arm_children,
-                link_child=link_child,
-                block_row=row,
-                rows_used=rows,
-            )
-        memo[key] = node
-        return node
-
-    root = explore(eng.full, 0, ())
+    root = _remove(eng, m, block_pivot, (), budget)
     return RemovalTrace(graph=G, q=q, m=m, kind="dynamic", root=root, scheme=scheme)
 
 
@@ -611,7 +592,7 @@ def run_dynamic(G: Graph, q: int, scheme: schemes.SizeScheme) -> RemovalTrace:
 # ---------------------------------------------------------------------------
 
 
-def extract_certificate(trace: RemovalTrace) -> VdCertificate:
+def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> VdCertificate:
     """Convert a complete trace into a certificate for G x K_q at level m.
 
     Each node's children supply exactly the ingredient certificates of the
@@ -620,24 +601,29 @@ def extract_certificate(trace: RemovalTrace) -> VdCertificate:
     Everything runs on residual bitmasks of the product: one
     CertificateBuilder serves every node, so isolated-vertex lifts repeated
     across pivot decompositions are built once, and no Graph is built per
-    node.
+    node.  The walk runs on graphs.run, and the builder's budget counts its
+    memo entries with the lifts' (None: vd.DEFAULT_CERTIFICATE_BUDGET).
     """
     eng = _Engine(trace.graph, trace.q)
-    builder = CertificateBuilder(eng.view)
+    builder = CertificateBuilder(eng.view, budget)
     cache: dict[tuple[int, int], VdCertificate] = {}
 
-    def certify(node: TraceNode) -> VdCertificate:
-        key = (node.residual_mask, node.level)
-        got = cache.get(key)
-        if got is not None:
-            return got
+    def certify(node: TraceNode):
+        """Generator for run: the certificate of a node whose key is not cached."""
+        builder.budget.spend()
         if node.level == 0:
             cert: VdCertificate = LeafAny()
         else:
             if node.pivot is None or node.link_child is None:
                 raise SquidError(f"trace incomplete at level {node.level}")
-            arm_certs = [certify(ch.node) for ch in node.arm_children]
-            link_cert = certify(node.link_child.node)
+            arm_certs = []
+            for ch in node.arm_children:
+                child = ch.node
+                arm_certs.append(
+                    cache.get((child.residual_mask, child.level)) or (yield certify(child))
+                )
+            child = node.link_child.node
+            link_cert = cache.get((child.residual_mask, child.level)) or (yield certify(child))
             order = [eng.label(ch.w) for ch in node.arm_children]
             cert = assemble_pivot_decomposition(
                 builder,
@@ -648,7 +634,7 @@ def extract_certificate(trace: RemovalTrace) -> VdCertificate:
                 link_cert,
                 node.level,
             )
-        cache[key] = cert
+        cache[node.residual_mask, node.level] = cert
         return cert
 
-    return certify(trace.root)
+    return run(certify(trace.root))

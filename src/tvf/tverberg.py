@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # tverberg search then never load schemes.
 from . import schemes
 from .errors import Budget, TverbergError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, run
 from .ratlp import solve_equality_feasibility
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -222,9 +222,10 @@ def search_witness(
     over the remaining vertices.  After a class is completed, a common-point
     LP over the completed classes prunes the branch when they already fail
     to intersect — sound, because later classes cannot change earlier hulls.
-    The budget counts LP feasibility calls (None: DEFAULT_SEARCH_BUDGET).  A
-    witness is re-checked with verify_witness before it is returned; a
-    failed check raises TverbergError.
+    The search runs on graphs.run, one level per class, and the budget
+    counts LP feasibility calls (None: DEFAULT_SEARCH_BUDGET).  A witness is
+    re-checked with verify_witness before it is returned; a failed check
+    raises TverbergError.
     """
     if q < 1:
         raise TverbergError(f"q must be positive, got {q}")
@@ -239,9 +240,8 @@ def search_witness(
         calls.spend()
         return hulls_intersect([[cfg.points[v] for v in cls] for cls in classes])
 
-    def recurse(
-        remaining: tuple[int, ...], classes: list[tuple[int, ...]]
-    ) -> Optional[TverbergWitness]:
+    def recurse(remaining: tuple[int, ...], classes: list[tuple[int, ...]]):
+        """Generator for run: the first witness that extends classes, or None."""
         if len(classes) == q - 1:
             if not _is_independent(G, remaining):
                 return None
@@ -267,12 +267,12 @@ def search_witness(
                 continue
             if lp(classes + [cls]) is None:
                 continue
-            found = recurse(tuple(v for v in rest if v not in set(chosen)), classes + [cls])
+            found = yield recurse(tuple(v for v in rest if v not in set(chosen)), classes + [cls])
             if found is not None:
                 return found
         return None
 
-    witness = recurse(verts, [])
+    witness = run(recurse(verts, []))
     if witness is not None and not verify_witness(G, cfg, witness, q):
         raise TverbergError("the witness found failed its exact re-check")
     return witness

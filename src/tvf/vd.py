@@ -16,9 +16,11 @@ solver, the verifier and the certificate builder (isolated-vertex lifting,
 pivot assembly, the degree-bound construction) all work there, and each
 memo belongs to an object made for one call.  The decision solver keeps
 one interval of proven and refuted levels per bitmask, bounds it from
-above by a greedy maximal independent set, and searches on an explicit
-stack, so its answer does not depend on the interpreter's recursion
-limit; a budget of memo entries bounds its memory.
+above by a greedy maximal independent set.  The solver, lifting and the
+degree-bound construction all run on graphs.run's explicit stack, so no
+answer depends on the interpreter's recursion limit; budgets of memo
+entries, one for the decision and one for each construction, bound their
+memory.
 
 The JSON form is the expanded tree, but its cost follows unique subtrees.
 The writer formats each distinct subtree object once and copies the text
@@ -38,6 +40,9 @@ from .graphs import Graph, neighbor_masks, run
 
 # Memo entries one level decision may make; each costs about 150 bytes.
 DEFAULT_LEVEL_BUDGET = 1_000_000
+# Memo entries one certificate construction may make, lifts included; a lift
+# costs about 350 bytes.
+DEFAULT_CERTIFICATE_BUDGET = 1_000_000
 
 
 class CertificateError(VdError):
@@ -333,11 +338,15 @@ class CertificateBuilder:
     Isolated-vertex lifts are memoized on (mask, isolated bit, id(cert))
     for the life of the builder, so one builder serves every pivot
     decomposition of a construction.  The memo keeps each keyed cert
-    referenced, so no id is reused while the builder lives.
+    referenced, so no id is reused while the builder lives.  budget counts
+    the lift memo entries and those of the construction that uses the
+    builder; the entry past its limit (None: DEFAULT_CERTIFICATE_BUDGET)
+    raises BudgetExceeded.
     """
 
-    def __init__(self, view: MaskView):
+    def __init__(self, view: MaskView, budget: Optional[int] = None):
         self.view = view
+        self.budget = Budget(budget, DEFAULT_CERTIFICATE_BUDGET, "certificate", "memo entries")
         self._lifts: dict[tuple[int, int, int], tuple[VdCertificate, VdCertificate]] = {}
 
     def edgeless(self, mask: int, k: int) -> VdCertificate:
@@ -363,11 +372,13 @@ class CertificateBuilder:
         cert must certify the subgraph minus bit v, which is isolated in
         it; the result is rebuilt along cert's own pivots.
         """
-        key = (mask, v, id(cert))
-        got = self._lifts.get(key)
-        if got is not None:
-            return got[1]
-        view = self.view
+        got = self._lifts.get((mask, v, id(cert)))
+        return got[1] if got is not None else run(self._lift(mask, v, cert))
+
+    def _lift(self, mask: int, v: int, cert: VdCertificate):
+        """Generator for run: lift of a key not yet in the memo."""
+        self.budget.spend()
+        view, lifts = self.view, self._lifts
         if view.edgeless(mask):
             out = self.edgeless(mask, cert.level + 1)
         elif isinstance(cert, LeafAny):
@@ -379,10 +390,14 @@ class CertificateBuilder:
             i = view.index.get(u)
             if i is None or not mask >> i & 1 or i == v:
                 raise CertificateError(f"pivot {u} does not exist in the lifted graph")
-            del_lift = self.lift(mask & ~(1 << i), v, cert.delete)
-            link_lift = self.lift(mask & ~view.closed[i], v, cert.link)
+            child = mask & ~(1 << i)
+            got = lifts.get((child, v, id(cert.delete)))
+            del_lift = got[1] if got is not None else (yield self._lift(child, v, cert.delete))
+            child = mask & ~view.closed[i]
+            got = lifts.get((child, v, id(cert.link)))
+            link_lift = got[1] if got is not None else (yield self._lift(child, v, cert.link))
             out = Node(u, del_lift, link_lift, cert.level + 1)
-        self._lifts[key] = (cert, out)
+        lifts[mask, v, id(cert)] = (cert, out)
         return out
 
 
@@ -428,47 +443,52 @@ def assemble_pivot_decomposition(
     return cert
 
 
-def build_certificate_degree_bound(G: Graph) -> VdCertificate:
+def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> VdCertificate:
     """Constructive certificate at level floor(n / 2*maxdeg).
 
     Follows the inductive peeling proof: fix the smallest-label pivot,
     recurse on the closed-neighborhood deletion and on the neighbor-chain
     deletions, then assemble.  An edgeless graph short-circuits to its
-    edgeless leaf at level n.
+    edgeless leaf at level n.  The peeling runs on graphs.run, and budget
+    bounds its memo entries together with the lifts' (None:
+    DEFAULT_CERTIFICATE_BUDGET).
     """
     delta = G.max_degree()
     if delta == 0:
         return LeafEdgeless(G.vertices)
     target = G.n // (2 * delta)
     view = MaskView(G)
-    builder = CertificateBuilder(view)
+    builder = CertificateBuilder(view, budget)
     memo: dict[tuple[int, int], VdCertificate] = {}
 
-    def build(mask: int, k: int) -> VdCertificate:
+    def known(mask: int, k: int) -> Optional[VdCertificate]:
         if k == 0:
             return _ANY
         if view.edgeless(mask):
             return builder.edgeless(mask, k)
-        key = (mask, k)
-        got = memo.get(key)
-        if got is not None:
-            return got
+        return memo.get((mask, k))
+
+    def build(mask: int, k: int):
+        """Generator for run: the certificate of a (mask, k) that known lacks."""
+        builder.budget.spend()
         p = (mask & -mask).bit_length() - 1
         order = view.labels(view.nbr[p] & mask)
-        link_cert = build(mask & ~view.closed[p], k - 1)
+        child = mask & ~view.closed[p]
+        link_cert = known(child, k - 1) or (yield build(child, k - 1))
         arm_certs = []
         prefix = 0
         for u in order:
             i = view.index[u]
-            arm_certs.append(build(mask & ~(view.closed[i] | prefix), k - 1))
+            child = mask & ~(view.closed[i] | prefix)
+            arm_certs.append(known(child, k - 1) or (yield build(child, k - 1)))
             prefix |= 1 << i
         cert = assemble_pivot_decomposition(
             builder, mask, view.verts[p], list(order), arm_certs, link_cert, k
         )
-        memo[key] = cert
+        memo[mask, k] = cert
         return cert
 
-    return build(view.full, target)
+    return known(view.full, target) or run(build(view.full, target))
 
 
 # ---------------------------------------------------------------------------

@@ -543,21 +543,117 @@ def test_complex_budget_exit_code(files, capsys, monkeypatch, command, make, err
     [
         (["vd", "max", "--graph"], b"\x7fELF\x02\x01\x01\x00\xb0\x0f\xf8\xff"),
         (["scheme", "validate", "--file"], b"\xff\xfe{\x00}\x00"),
+        (["vd", "verify", "--graph", "k2.txt", "--cert"], b"{\"leaf\":\"any\",\xd0}"),
     ],
-    ids=["binary-graph", "utf16-scheme"],
+    ids=["binary-graph", "utf16-scheme", "binary-cert"],
 )
-def test_non_utf8_input_is_unicode_decode_error(files, capsys, command, data):
+def test_non_utf8_input_is_unicode_decode_error(files, capsys, monkeypatch, command, data):
+    monkeypatch.chdir(files)
     (files / "bad.bin").write_bytes(data)
-    code, out, err = run(capsys, *command, files / "bad.bin")
+    code, out, err = run(capsys, *command, "bad.bin")
     assert code == 1 and out == ""
     assert json.loads(err)["kind"] == "UnicodeDecodeError"
+    assert json.loads(err)["error"].endswith("(in bad.bin)")
 
 
-def test_recursion_too_deep_is_depth_error(files, capsys):
-    # the degree-bound construction still recurses once per peeled vertex
+def test_certificate_construction_stops_at_the_budget(files, capsys, monkeypatch):
+    # unbudgeted, the degree-bound construction on this path passes 1e6 memo entries
+    monkeypatch.setenv("TVF_BUDGET", "1000")
     code, out, err = run(capsys, "vd", "build", "--graph", _path_2500(files))
     assert code == 2 and out == ""
-    assert json.loads(err)["kind"] == "depth"
+    assert json.loads(err) == {
+        "error": "certificate budget exceeded (1001 > 1000 memo entries)",
+        "kind": "budget",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (["squid", "df1", "--graph", "k5.txt", "--q", "13"], "removal budget exceeded (501 > 500 trace nodes)"),
+        (
+            ["squid", "df1", "--graph", "p14.txt", "--q", "7", "--out", "t.json", "--cert-out", "c.json"],
+            "certificate budget exceeded (501 > 500 memo entries)",
+        ),
+        (["squid", "extract", "--trace", "p14.trace"], "certificate budget exceeded (501 > 500 memo entries)"),
+    ],
+    ids=["df1-k5", "df1-cert-p14", "extract-p14"],
+)
+def test_removal_and_extraction_budget_exit_code(files, capsys, monkeypatch, command, error):
+    # unbudgeted, the K5 trace has 896 nodes, and certifying the 404-node P14
+    # trace passes 1e6 memo entries
+    monkeypatch.chdir(files)
+    (files / "k5.txt").write_text("p 5 10\n" + "".join(f"e {i} {j}\n" for i, j in itertools.combinations(range(5), 2)))
+    (files / "p14.txt").write_text("p 14 13\n" + "".join(f"e {i} {i + 1}\n" for i in range(13)))
+    assert run(capsys, "squid", "df1", "--graph", "p14.txt", "--q", "7", "--out", "p14.trace")[0] == 0
+    monkeypatch.setenv("TVF_BUDGET", "500")
+    code, out, err = run(capsys, *command)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error, "kind": "budget"}
+
+
+def _deep_inputs(files):
+    """Inputs on which each search nests far past the recursion limits below."""
+    (files / "e250.txt").write_text("p 250 0\n")
+    (files / "e80.txt").write_text("p 80 0\n")
+    (files / "same80.txt").write_text("".join(f"{i} 0\n" for i in range(80)))
+    (files / "m300.txt").write_text("p 300 150\n" + "".join(f"e {2 * i} {2 * i + 1}\n" for i in range(150)))
+    (files / "m300.scheme").write_text('{"delta":1,"n":300,"q":1,"sizes":[150]}\n')
+    # a star on 0..50 beside a matching on 51..249: level 2, and lifting the
+    # matching's level-1 certificate follows a chain of about 200 pivots
+    edges = [(0, u) for u in range(1, 51)] + [(i, i + 1) for i in range(51, 249, 2)]
+    (files / "star.txt").write_text(f"p 250 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    assert main(["squid", "df1", "--graph", "e250.txt", "--q", "1", "--out", "e250.trace"]) == 0
+
+
+@pytest.mark.parametrize(
+    "limit, command, check",
+    [
+        (
+            200,
+            "squid df1 --graph e250.txt --q 1 --out t.json --cert-out c.json",
+            "vd verify --graph-product e250.txt --q 1 --cert c.json",
+        ),
+        (200, "squid dynamic --graph m300.txt --q 1 --scheme m300.scheme --out t.json", None),
+        (200, "squid extract --trace e250.trace --out c.json", "vd verify --graph e250.txt --cert c.json"),
+        (200, "vd build --graph star.txt --out c.json", "vd verify --graph star.txt --cert c.json"),
+        # q levels of exact LPs of up to q classes: a smaller q keeps this short
+        (80, "tverberg search --graph e80.txt --points same80.txt --q 80 --out w.json", None),
+    ],
+    ids=["df1-cert", "dynamic", "extract", "vd-build", "tverberg-search"],
+)
+def test_certificate_side_ignores_the_recursion_limit(files, capsys, monkeypatch, limit, command, check):
+    # each input nests its search deeper than the limit, so a recursion left
+    # on the interpreter's stack would fail here
+    monkeypatch.chdir(files)
+    _deep_inputs(files)
+    code = f"import sys; sys.setrecursionlimit({limit}); from tvf.cli import main; sys.exit(main())"
+    got = python_process(code, *command.split(), cwd=files)
+    assert (got.returncode, got.stdout, got.stderr) == (0, "", "")
+    if check is not None:
+        code, out, _ = run(capsys, *check.split())
+        assert code == 0 and json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "command, kind, error",
+    [
+        (["scheme", "validate", "--file", "deep.json"], "SchemeError", "scheme JSON is nested too deeply to read"),
+        (
+            ["squid", "dynamic", "--graph", "k2.txt", "--q", "2", "--scheme", "deep.json"],
+            "SchemeError",
+            "scheme JSON is nested too deeply to read",
+        ),
+        (["squid", "extract", "--trace", "deep.json"], "SquidError", "trace JSON is nested too deeply to read"),
+    ],
+    ids=["scheme", "dynamic-scheme", "trace"],
+)
+def test_deep_json_is_an_error_of_its_reader(files, capsys, monkeypatch, command, kind, error):
+    monkeypatch.chdir(files)
+    (files / "deep.json").write_text("[" * 100_000)
+    code, out, err = run(capsys, *command)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": error, "kind": kind}
 
 
 def _contract_kinds(text, start, end):
@@ -588,5 +684,6 @@ def test_error_kinds_are_documented():
     for text in (tvf.errors.__doc__, readme):
         assert _contract_kinds(text, "domain error, named by its class:", "exit 1,") == domain
         listed = _contract_kinds(text, "exit 64:", "itself.")
-        assert {"usage", "budget", "depth", "JSONDecodeError", "FileNotFoundError"} <= listed
+        assert {"usage", "budget", "JSONDecodeError", "FileNotFoundError"} <= listed
         assert "UnicodeDecodeError" in listed
+        assert "depth" not in listed

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import tvf.squids
+from tvf.errors import BudgetExceeded
 from tvf.graphs import Graph, ProductVertex
 from tvf.schemes import SizeScheme
 from tvf.squids import (
@@ -15,7 +17,7 @@ from tvf.squids import (
     run_df1,
     run_dynamic,
 )
-from tvf.vd import certificate_from_json, certificate_to_json, verify_certificate
+from tvf.vd import CertificateBuilder, certificate_from_json, certificate_to_json, verify_certificate
 
 import oracles
 from conftest import all_labeled_graphs, same_certificate_dag
@@ -303,3 +305,41 @@ def test_trace_from_obj_names_the_malformed_node():
     cyclic["nodes"][0]["link"] = {**cyclic["nodes"][0]["link"], "node": 0}
     with pytest.raises(SquidError):
         RemovalTrace.from_obj(cyclic)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda budget: run_df1(Graph.complete(5), 13, budget=budget),
+        lambda budget: run_dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2), budget),
+    ],
+    ids=["df1", "dynamic"],
+)
+def test_removal_budget_counts_trace_nodes(search):
+    trace = search(None)
+    nodes = len(trace.nodes())  # one per memo key, none shared by identity alone
+    assert search(nodes).to_json() == trace.to_json()
+    with pytest.raises(BudgetExceeded) as exc:
+        search(nodes - 1)
+    assert (exc.value.used, exc.value.limit) == (nodes, nodes - 1)
+    assert str(exc.value) == f"removal budget exceeded ({nodes} > {nodes - 1} trace nodes)"
+
+
+def test_extraction_budget_counts_memo_entries(monkeypatch):
+    builders = []
+
+    class Recording(CertificateBuilder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builders.append(self)
+
+    monkeypatch.setattr(tvf.squids, "CertificateBuilder", Recording)
+    trace = run_df1(Graph.cycle(5), 7)
+    text = certificate_to_json(extract_certificate(trace))
+    # one entry per distinct (residual, level) of the trace, plus one per lift
+    entries = len({(n.residual_mask, n.level) for n in trace.nodes()}) + len(builders[0]._lifts)
+    assert certificate_to_json(extract_certificate(trace, entries)) == text
+    with pytest.raises(BudgetExceeded) as exc:
+        extract_certificate(trace, entries - 1)
+    assert (exc.value.used, exc.value.limit) == (entries, entries - 1)
+    assert str(exc.value) == f"certificate budget exceeded ({entries} > {entries - 1} memo entries)"

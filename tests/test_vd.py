@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tvf.vd
 from tvf.errors import BudgetExceeded
 from tvf.graphs import Graph, GraphError, product_with_complete
 from tvf.squids import extract_certificate, run_df1
@@ -145,6 +146,50 @@ def test_level_budget_counts_memo_entries():
     with pytest.raises(BudgetExceeded) as exc:
         max_vd(G, budget=entries - 1)
     assert (exc.value.used, exc.value.limit) == (entries, entries - 1)
+
+
+def _peeling_keys(G):
+    """The (mask, level) pairs that the degree-bound construction memoizes.
+
+    Those are the pairs its peeling reaches at a level of at least 1 on a
+    mask with an edge; smaller cases are leaves, built without the memo.
+    """
+    view = MaskView(G)
+    keys = set()
+
+    def walk(mask, k):
+        if k == 0 or view.edgeless(mask) or (mask, k) in keys:
+            return
+        keys.add((mask, k))
+        p = (mask & -mask).bit_length() - 1
+        walk(mask & ~view.closed[p], k - 1)
+        prefix = 0
+        for i in range(len(view.verts)):
+            if (view.nbr[p] & mask) >> i & 1:
+                walk(mask & ~(view.closed[i] | prefix), k - 1)
+                prefix |= 1 << i
+
+    walk(view.full, G.n // (2 * G.max_degree()))
+    return keys
+
+
+@pytest.mark.parametrize("G", [Graph.path(12), Graph.cycle(9), product_with_complete(Graph.path(3), 2)])
+def test_certificate_budget_counts_memo_entries(G, monkeypatch):
+    builders = []
+
+    class Recording(CertificateBuilder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builders.append(self)
+
+    monkeypatch.setattr(tvf.vd, "CertificateBuilder", Recording)
+    text = certificate_to_json(build_certificate_degree_bound(G))
+    entries = len(_peeling_keys(G)) + len(builders[0]._lifts)
+    assert certificate_to_json(build_certificate_degree_bound(G, entries)) == text
+    with pytest.raises(BudgetExceeded) as exc:
+        build_certificate_degree_bound(G, entries - 1)
+    assert (exc.value.used, exc.value.limit) == (entries, entries - 1)
+    assert str(exc.value) == f"certificate budget exceeded ({entries} > {entries - 1} memo entries)"
 
 
 def test_maximal_independent_sets_reach_the_top_level(atlas):
