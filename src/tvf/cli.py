@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain or verification failure, 2 budget
 exhausted, 64 usage errors.  Artifact-writing commands (--out, --cert-out)
 emit a sibling <path>.manifest.json recording input/output digests, the
-seed, and timing; identical inputs and seed reproduce byte-identical
+seed, timing, the exit code and the error kind (null on success); a failed
+run writes it too.  Identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
 replaces the default limit of every budget a command counts (faces, facets,
 memo entries, trace nodes, hull-intersection calls); any other value is a
@@ -129,7 +130,7 @@ class _Run:
         self.inputs: list[tuple[str, str]] = []
         self.outputs: list[tuple[str, str]] = []
         self.stdout_digest: str | None = None
-        self.budget = _env_budget()  # None: each layer's default
+        self.budget: int | None = None  # None: each layer's default
 
     def read(self, path: str) -> str:
         try:
@@ -155,16 +156,26 @@ class _Run:
             sys.stdout.write(text)
             self.stdout_digest = _sha256_text(text)
 
-    def finish(self) -> None:
+    def finish(self, exit_code: int, error_kind: str | None) -> None:
+        """Write the manifest, if one is asked for, on success and failure alike.
+
+        It goes to --manifest, else beside the first artifact written, else
+        beside the artifact that --out or --cert-out named.
+        """
         manifest_path = getattr(self.args, "manifest", None)
-        if manifest_path is None and self.outputs:
-            manifest_path = self.outputs[0][0] + ".manifest.json"
         if manifest_path is None:
-            return
+            named = [p for p, _ in self.outputs]
+            named += [getattr(self.args, name, None) for name in ("out", "cert_out")]
+            first = next((p for p in named if p), None)
+            if first is None:
+                return
+            manifest_path = first + ".manifest.json"
         payload = {
             "argv": self.argv,
             "command": getattr(self.args, "command_path", ""),
             "duration_seconds": round(time.monotonic() - self.t0, 6),
+            "error_kind": error_kind,
+            "exit_code": exit_code,
             "inputs": [{"path": p, "sha256": d} for p, d in self.inputs],
             "outputs": [{"path": p, "sha256": d} for p, d in self.outputs],
             "seed": self.args.seed,
@@ -552,6 +563,7 @@ _DOMAIN_ERRORS = (
     UnicodeDecodeError,
     OSError,
 )
+_ERRORS = (UsageError, BudgetExceeded, *_DOMAIN_ERRORS)
 
 
 def main(argv=None) -> int:
@@ -559,20 +571,30 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.command_path = " ".join(p for p in (args.group, getattr(args, "command", "")) if p)
+    run = _Run(args, argv)
     try:
-        run = _Run(args, argv)
-        code = args.func(run)
-        run.finish()
-        return code
-    except UsageError as exc:
-        sys.stderr.write(_dumps({"error": str(exc), "kind": "usage"}))
-        return USAGE_EXIT
-    except BudgetExceeded as exc:
-        sys.stderr.write(_dumps({"error": str(exc), "kind": "budget"}))
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        sys.stderr.write(_dumps({"error": str(exc), "kind": type(exc).__name__}))
-        return 1
+        run.budget = _env_budget()
+        code, kind = args.func(run), None
+    except _ERRORS as exc:
+        code, kind = _fail(exc)
+    try:
+        run.finish(code, kind)
+    except OSError as exc:
+        if kind is None:  # a failed run keeps its own error
+            code, kind = _fail(exc)
+    return code
+
+
+def _fail(exc: Exception) -> tuple[int, str]:
+    """Report exc on stderr as JSON; its exit code and error kind."""
+    if isinstance(exc, UsageError):
+        code, kind = USAGE_EXIT, "usage"
+    elif isinstance(exc, BudgetExceeded):
+        code, kind = 2, "budget"
+    else:
+        code, kind = 1, type(exc).__name__
+    sys.stderr.write(_dumps({"error": str(exc), "kind": kind}))
+    return code, kind
 
 
 if __name__ == "__main__":

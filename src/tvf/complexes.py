@@ -2,18 +2,34 @@
 
 Covers independence complexes, skeleta, links and deletions, vertex
 decomposability with shelling-order extraction, an independent shelling
-validator, and reduced rational Betti numbers.  The Betti numbers come from
-boundary-matrix ranks over Q, computed by sparse exact elimination on
-integer columns.  Generated faces, independence-complex facets and
-decomposability memo entries each have a budget, 2e6 by default; the
-Bron-Kerbosch and decomposability searches run on graphs.run's stack.
+validator, and reduced rational Betti numbers.
+
+A complex keeps its facets as int masks over a sorted tuple of vertex
+labels, the way vd.MaskView keeps induced subgraphs: bit i is the i-th
+label.  Only facet lists given from outside (the constructor, so
+parse_facets) and the shrunk faces f - v of a deletion are tested for
+containment.  Every other result is an antichain by construction:
+Bron-Kerbosch emits only maximal sets, a skeleton's facets are the
+(k+1)-subsets of its larger facets plus its smaller ones, and a link's
+facets are f - v for the facets f through v.  A link or deletion keeps its
+parent's label tuple, so the decomposability search memoizes on the sorted
+mask tuple.  That search answers at once for a disconnected pure complex
+of dimension at least 1: it is not shellable, so not vertex decomposable
+(Provan-Billera 1980).
+
+The Betti numbers come from boundary-matrix ranks over Q, computed by
+sparse exact elimination on integer columns.  Generated faces,
+independence-complex facets and decomposability memo entries each have a
+budget, 2e6 by default; the Bron-Kerbosch and decomposability searches run
+on graphs.run's stack.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import Budget, ComplexError
 from .graphs import Graph, neighbor_masks, run
@@ -23,55 +39,97 @@ DEFAULT_FACE_BUDGET = 2_000_000
 Face = tuple[int, ...]
 
 
-def _maximal(faces: Iterable[Face]) -> tuple[Face, ...]:
-    sets = sorted({frozenset(f) for f in faces}, key=len, reverse=True)
-    kept: list[frozenset[int]] = []
-    for s in sets:
-        if not any(s < t for t in kept):
-            kept.append(s)
-    return tuple(sorted(tuple(sorted(s)) for s in kept))
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask as one-bit masks, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _labels(verts: tuple[int, ...], mask: int) -> Face:
+    return tuple(verts[low.bit_length() - 1] for low in _bits(mask))
+
+
+def _union(masks: Iterable[int]) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The inclusion-maximal masks among masks, sorted; (0,) if there are none.
+
+    A mask is tested only against kept masks of larger size, since distinct
+    sets of one size cannot nest.
+    """
+    kept: list[int] = []
+    larger: list[int] = []
+    size = -1
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), kept[:]
+        if all(m & ~t for t in larger):
+            kept.append(m)
+    return tuple(sorted(kept)) or (0,)
 
 
 class SimplicialComplex:
     """Immutable complex; only the inclusion-maximal faces are stored.
 
     The empty face is always present, so the smallest complex is {<empty>}
-    (facet list containing just the empty tuple).
+    (facet list containing just the empty tuple).  Facets are held as the
+    sorted int masks _masks over the sorted labels _verts, which may name
+    labels no facet uses (a link or deletion keeps its parent's labels).
     """
 
-    __slots__ = ("_facets", "_hash")
+    __slots__ = ("_verts", "_masks", "_facets")
 
     def __init__(self, faces: Iterable[Iterable[int]] = ()):
-        facets = _maximal(tuple(sorted(set(f))) for f in faces)
-        self._facets: tuple[Face, ...] = facets if facets else ((),)
-        self._hash = hash(self._facets)
+        sets = [frozenset(f) for f in faces]
+        verts = tuple(sorted(frozenset().union(*sets)))
+        index = {v: i for i, v in enumerate(verts)}
+        self._verts = verts
+        self._masks = _maximal(sum(1 << index[v] for v in s) for s in sets)
+        self._facets: Optional[tuple[Face, ...]] = None
+
+    @classmethod
+    def _of(cls, verts: tuple[int, ...], masks: tuple[int, ...]) -> "SimplicialComplex":
+        """The complex whose facets are masks over verts, a sorted antichain."""
+        S = cls.__new__(cls)
+        S._verts, S._masks, S._facets = verts, masks, None
+        return S
 
     @property
     def facets(self) -> tuple[Face, ...]:
+        if self._facets is None:
+            self._facets = tuple(sorted(_labels(self._verts, m) for m in self._masks))
         return self._facets
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for f in self._facets for v in f}))
+        return _labels(self._verts, _union(self._masks))
 
     @property
     def dim(self) -> int:
-        return max(len(f) for f in self._facets) - 1
+        return max(m.bit_count() for m in self._masks) - 1
 
     def is_pure(self) -> bool:
-        sizes = {len(f) for f in self._facets}
-        return len(sizes) == 1
+        return len({m.bit_count() for m in self._masks}) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._facets == other._facets
+        if self._verts == other._verts:
+            return self._masks == other._masks
+        return self.facets == other.facets
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.facets)
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex(facets={len(self._facets)}, dim={self.dim})"
+        return f"SimplicialComplex(facets={len(self._masks)}, dim={self.dim})"
 
 
 def faces_by_dim(S: SimplicialComplex, budget: Optional[int] = None) -> dict[int, tuple[Face, ...]]:
@@ -96,31 +154,39 @@ def skeleton(S: SimplicialComplex, k: int, budget: Optional[int] = None) -> Simp
     if k >= S.dim:
         return S
     b = Budget(budget, DEFAULT_FACE_BUDGET, "face", "faces")
-    candidates: set[Face] = set()
-    for facet in S.facets:
-        if len(facet) <= k + 1:
-            candidates.add(facet)
+    masks: set[int] = set()
+    for m in S._masks:
+        if m.bit_count() <= k + 1:
+            masks.add(m)
         else:
-            for combo in itertools.combinations(facet, k + 1):
+            for combo in itertools.combinations(_bits(m), k + 1):
                 b.spend()
-                candidates.add(combo)
-    return SimplicialComplex(candidates)
+                masks.add(sum(combo))  # distinct bits: the sum is the union
+    return SimplicialComplex._of(S._verts, tuple(sorted(masks)))
+
+
+def _vertex_bit(S: SimplicialComplex, v: int) -> int:
+    i = bisect_left(S._verts, v)
+    bit = 1 << i
+    if i == len(S._verts) or S._verts[i] != v or not any(m & bit for m in S._masks):
+        raise ComplexError(f"vertex {v} is not in the complex")
+    return bit
 
 
 def link(S: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces not containing v whose union with v is a face."""
-    if v not in set(S.vertices):
-        raise ComplexError(f"vertex {v} is not in the complex")
-    return SimplicialComplex(tuple(x for x in f if x != v) for f in S.facets if v in f)
+    bit = _vertex_bit(S, v)
+    # f - v for the facets f through v: sorted and maximal, as S's facets are
+    return SimplicialComplex._of(S._verts, tuple(m ^ bit for m in S._masks if m & bit))
 
 
 def deletion(S: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces not containing v."""
-    if v not in set(S.vertices):
-        raise ComplexError(f"vertex {v} is not in the complex")
-    return SimplicialComplex(
-        (f if v not in f else tuple(x for x in f if x != v)) for f in S.facets
-    )
+    bit = _vertex_bit(S, v)
+    # only a shrunk face f - v may lie in another facet, and then in one without v
+    keep = [m for m in S._masks if not m & bit]
+    shrunk = [m ^ bit for m in S._masks if m & bit and all((m ^ bit) & ~g for g in keep)]
+    return SimplicialComplex._of(S._verts, tuple(sorted(keep + shrunk)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +194,31 @@ def deletion(S: SimplicialComplex, v: int) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-def _maximal_independent_sets(G: Graph, budget: Budget) -> list[frozenset[int]]:
+def _maximal_independent_sets(G: Graph, budget: Budget) -> list[int]:
     # Bron-Kerbosch with pivoting on the complement graph, on bitmasks: bit i
     # is the i-th smallest label, and the pivot is the vertex of maybe or
     # exclude with the most non-neighbors in maybe, the lowest on ties.
-    verts, _, nbr = neighbor_masks(G)
-    full = (1 << len(verts)) - 1
+    _, _, nbr = neighbor_masks(G)
+    full = (1 << len(nbr)) - 1
     nonadj = [full & ~(m | 1 << i) for i, m in enumerate(nbr)]
-    out: list[frozenset[int]] = []
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+    out: list[int] = []
 
     def grow(include: int, maybe: int, exclude: int):
         if not maybe and not exclude:
             budget.spend()
-            out.append(frozenset(verts[i] for i in bits(include)))
+            out.append(include)
             return
         best = -1
-        for i in bits(maybe | exclude):
+        for low in _bits(maybe | exclude):
+            i = low.bit_length() - 1
             score = (nonadj[i] & maybe).bit_count()
             if score > best:
                 best, pivot = score, i
-        for i in bits(maybe & ~nonadj[pivot]):
-            yield grow(include | 1 << i, maybe & nonadj[i], exclude & nonadj[i])
-            maybe &= ~(1 << i)
-            exclude |= 1 << i
+        for low in _bits(maybe & ~nonadj[pivot]):
+            i = low.bit_length() - 1
+            yield grow(include | low, maybe & nonadj[i], exclude & nonadj[i])
+            maybe &= ~low
+            exclude |= low
 
     run(grow(0, full, 0))
     return out
@@ -167,7 +229,7 @@ def independence_complex(G: Graph, budget: Optional[int] = None) -> SimplicialCo
     if G.n == 0:
         return SimplicialComplex()
     b = Budget(budget, DEFAULT_FACE_BUDGET, "facet", "facets")
-    return SimplicialComplex(_maximal_independent_sets(G, b))
+    return SimplicialComplex._of(G.vertices, tuple(sorted(_maximal_independent_sets(G, b))))
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +245,57 @@ class VertexDecomposition(NamedTuple):
         return self.ok
 
 
+def _connected(masks: tuple[int, ...]) -> bool:
+    """Whether the facets masks, all nonempty, form one connected complex."""
+    reached, rest = masks[0], masks[1:]
+    while rest:
+        left = []
+        for m in rest:
+            if m & reached:
+                reached |= m
+            else:
+                left.append(m)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
 def _vd_shelling(
-    S: SimplicialComplex, memo: dict[tuple[Face, ...], Optional[tuple[Face, ...]]], budget: Budget
+    S: SimplicialComplex, memo: dict[tuple[int, ...], Optional[tuple[int, ...]]], budget: Budget
 ):
-    """Generator for run: a shelling from a vertex decomposition of S, or None."""
-    key = S.facets
-    if key in memo:
-        return memo[key]
+    """Generator for run: a shelling from a vertex decomposition of S, as
+    masks over S's labels, or None.  Memo keys are facet mask tuples."""
+    masks = S._masks
+    if masks in memo:
+        return memo[masks]
     budget.spend()  # for the memo entry S gets below
-    result: Optional[tuple[Face, ...]] = None
-    if S.is_pure():
-        if S.facets == ((),):
-            result = ((),)
-        else:
-            for v in S.vertices:
-                lk, dl = link(S, v), deletion(S, v)
+    result: Optional[tuple[int, ...]] = None
+    sizes = {m.bit_count() for m in masks}
+    if len(sizes) == 1:
+        size = sizes.pop()
+        if size == 0:
+            result = (0,)
+        # A disconnected pure complex of dimension >= 1 is not shellable, so
+        # not vertex decomposable (Provan-Billera 1980): it stays None.
+        elif size == 1 or _connected(masks):
+            for bit in _bits(_union(masks)):
+                v = S._verts[bit.bit_length() - 1]
+                dl = deletion(S, v)
                 shell_dl = yield _vd_shelling(dl, memo, budget)
                 if shell_dl is None:
                     continue
-                shell_lk = yield _vd_shelling(lk, memo, budget)
+                shell_lk = yield _vd_shelling(link(S, v), memo, budget)
                 if shell_lk is None:
                     continue
-                joined = tuple(tuple(sorted(f + (v,))) for f in shell_lk)
-                if dl.dim < S.dim:
+                joined = tuple(m | bit for m in shell_lk)
+                if all(m & bit for m in masks):
                     # v lies in every facet: the deletion contributes nothing
                     result = joined
                 else:
                     result = shell_dl + joined
                 break
-    memo[key] = result
+    memo[masks] = result
     return result
 
 
@@ -223,13 +307,14 @@ def is_vertex_decomposable(
     On success the returned shelling lists the deletion's facets before the
     link's facets joined with the pivot, recursively (the usual way a
     decomposition is turned into a shelling order).  budget bounds the memo
-    entries, one per complex searched.
+    entries, one per complex searched.  A disconnected pure complex of
+    dimension at least 1 is refuted without a search.
     """
     b = Budget(budget, DEFAULT_FACE_BUDGET, "decomposition", "memo entries")
     shelling = run(_vd_shelling(S, {}, b))
     if shelling is None:
         return VertexDecomposition(False)
-    return VertexDecomposition(True, shelling)
+    return VertexDecomposition(True, tuple(_labels(S._verts, m) for m in shelling))
 
 
 class ShellingCheck(NamedTuple):
@@ -244,7 +329,12 @@ class ShellingCheck(NamedTuple):
 def check_shelling(order: Sequence[Iterable[int]]) -> ShellingCheck:
     """Validate a facet order: every new facet must meet the union of its
     predecessors in a nonempty pure subcomplex of codimension one (facets of
-    dimension 0 meet it in the empty face, which counts)."""
+    dimension 0 meet it in the empty face, which counts).
+
+    With facets as masks, the meets of f with earlier facets are pure of
+    codimension one when each meet m misses a vertex x of f such that f - x
+    is itself a meet.
+    """
     facets = [tuple(sorted(set(f))) for f in order]
     if not facets:
         return ShellingCheck(False, None, "empty facet order")
@@ -254,19 +344,18 @@ def check_shelling(order: Sequence[Iterable[int]]) -> ShellingCheck:
     for i, f in enumerate(facets):
         if len(f) != size:
             return ShellingCheck(False, i, "facets of different dimensions")
-    for i, f in enumerate(facets):
-        fs = set(f)
-        for j in range(i + 1, len(facets)):
-            if fs <= set(facets[j]) or set(facets[j]) <= fs:
-                return ShellingCheck(False, j, "one facet contains another")
-    for i in range(1, len(facets)):
-        fi = set(facets[i])
-        meets = {frozenset(fi & set(facets[j])) for j in range(i)}
-        tops = [m for m in meets if not any(m < other for other in meets)]
-        bad = [m for m in tops if len(m) != size - 1]
-        if bad:
+    index = {v: i for i, v in enumerate(sorted({v for f in facets for v in f}))}
+    masks = [sum(1 << index[v] for v in f) for f in facets]
+    for i in range(1, len(masks)):
+        f = masks[i]
+        meets = {f & masks[j] for j in range(i)}
+        ridges = 0
+        for x in _bits(f):
+            if f ^ x in meets:
+                ridges |= x
+        if not all(f & ~m & ridges for m in meets):
             return ShellingCheck(
-                False, i, f"intersection with earlier facets is not pure of codimension 1"
+                False, i, "intersection with earlier facets is not pure of codimension 1"
             )
     return ShellingCheck(True)
 

@@ -388,9 +388,8 @@ class _Engine:
         self.base_of = [G.vertices[lab // q] for lab in range(self.total)]
         self.row_of = [lab % q + 1 for lab in range(self.total)]
         self.gi = {v: i for i, v in enumerate(G.vertices)}
-
-    def pv(self, label: int) -> ProductVertex:
-        return ProductVertex(self.base_of[label], self.row_of[label])
+        # one shared record per product label
+        self.pvs = [ProductVertex(b, r) for b, r in zip(self.base_of, self.row_of)]
 
     def label(self, pv: ProductVertex) -> int:
         return self.gi[pv.base] * self.q + (pv.row - 1)
@@ -402,7 +401,7 @@ class _Engine:
         out = []
         while mask:
             low = mask & -mask
-            out.append(self.pv(low.bit_length() - 1))
+            out.append(self.pvs[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
 
@@ -491,14 +490,14 @@ def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> Tr
             arm_children = []
             for w, s, cm in arms:
                 child = memo.get((cm, depth + 1, rows)) or (yield explore(cm, depth + 1, rows))
-                arm_children.append(TraceChild(squid=s, node=child, w=eng.pv(w)))
+                arm_children.append(TraceChild(squid=s, node=child, w=eng.pvs[w]))
             child = memo.get((link_mask, depth + 1, rows)) or (
                 yield explore(link_mask, depth + 1, rows)
             )
             node = TraceNode(
                 level=m - depth,
                 residual_mask=mask,
-                pivot=eng.pv(pivot_label),
+                pivot=eng.pvs[pivot_label],
                 arm_children=tuple(arm_children),
                 link_child=TraceChild(squid=link_squid, node=child),
                 block_row=block_row,

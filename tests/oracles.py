@@ -15,7 +15,10 @@ is the plain recursive solver, memoized on (mask, level), that the
 library's iterative interval solver replaced.
 The certificate JSON writer and reader are the walkers over the expanded
 tree that the library's unique-structure writer and parse-time reader
-replaced.
+replaced.  The complex oracle is the library's earlier complex layer on
+sorted label tuples, with a quadratic maximality filter for every complex
+and no connectivity prune in the decomposability search; its independence
+complexes come from every independent set, found by brute force.
 The last section holds Graph-space references that left the library
 because no command needs them: delete_vertices, product_label (the
 product labeling convention), squid_hearts and squid_arms (a squid's
@@ -28,7 +31,9 @@ import json
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from tvf.graphs import Graph, GraphError, ProductVertex, induced_subgraph
+from tvf.complexes import DEFAULT_FACE_BUDGET, ShellingCheck, VertexDecomposition
+from tvf.errors import Budget, ComplexError
+from tvf.graphs import Graph, GraphError, ProductVertex, induced_subgraph, run
 from tvf.squids import Squid, SquidError
 from tvf.vd import (
     CertificateError,
@@ -364,6 +369,188 @@ def dense_betti(facets):
         dense_rational_rank(boundary_matrix(faces[r - 1], faces[r])) for r in range(1, len(faces))
     ] + [0]
     return tuple(len(faces[r]) - ranks[r] - ranks[r + 1] for r in range(len(faces)))
+
+
+# ---------------------------------------------------------------------------
+# Tuple-based complexes (reference for the mask-based complex layer)
+# ---------------------------------------------------------------------------
+
+
+Face = tuple[int, ...]
+
+
+def _maximal(faces: Iterable[Face]) -> tuple[Face, ...]:
+    sets = sorted({frozenset(f) for f in faces}, key=len, reverse=True)
+    kept: list[frozenset[int]] = []
+    for s in sets:
+        if not any(s < t for t in kept):
+            kept.append(s)
+    return tuple(sorted(tuple(sorted(s)) for s in kept))
+
+
+class SimplicialComplex:
+    """Immutable complex; only the inclusion-maximal faces are stored.
+
+    The empty face is always present, so the smallest complex is {<empty>}
+    (facet list containing just the empty tuple).
+    """
+
+    __slots__ = ("_facets", "_hash")
+
+    def __init__(self, faces: Iterable[Iterable[int]] = ()):
+        facets = _maximal(tuple(sorted(set(f))) for f in faces)
+        self._facets: tuple[Face, ...] = facets if facets else ((),)
+        self._hash = hash(self._facets)
+
+    @property
+    def facets(self) -> tuple[Face, ...]:
+        return self._facets
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted({v for f in self._facets for v in f}))
+
+    @property
+    def dim(self) -> int:
+        return max(len(f) for f in self._facets) - 1
+
+    def is_pure(self) -> bool:
+        sizes = {len(f) for f in self._facets}
+        return len(sizes) == 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        return self._facets == other._facets
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SimplicialComplex(facets={len(self._facets)}, dim={self.dim})"
+
+
+def skeleton(S: SimplicialComplex, k: int, budget: Optional[int] = None) -> SimplicialComplex:
+    """Faces of dimension at most k."""
+    if k < -1:
+        raise ComplexError(f"skeleton dimension must be >= -1, got {k}")
+    if k >= S.dim:
+        return S
+    b = Budget(budget, DEFAULT_FACE_BUDGET, "face", "faces")
+    candidates: set[Face] = set()
+    for facet in S.facets:
+        if len(facet) <= k + 1:
+            candidates.add(facet)
+        else:
+            for combo in itertools.combinations(facet, k + 1):
+                b.spend()
+                candidates.add(combo)
+    return SimplicialComplex(candidates)
+
+
+def link(S: SimplicialComplex, v: int) -> SimplicialComplex:
+    """Faces not containing v whose union with v is a face."""
+    if v not in set(S.vertices):
+        raise ComplexError(f"vertex {v} is not in the complex")
+    return SimplicialComplex(tuple(x for x in f if x != v) for f in S.facets if v in f)
+
+
+def deletion(S: SimplicialComplex, v: int) -> SimplicialComplex:
+    """Faces not containing v."""
+    if v not in set(S.vertices):
+        raise ComplexError(f"vertex {v} is not in the complex")
+    return SimplicialComplex(
+        (f if v not in f else tuple(x for x in f if x != v)) for f in S.facets
+    )
+
+
+def _vd_shelling(
+    S: SimplicialComplex, memo: dict[tuple[Face, ...], Optional[tuple[Face, ...]]], budget: Budget
+):
+    """Generator for run: a shelling from a vertex decomposition of S, or None."""
+    key = S.facets
+    if key in memo:
+        return memo[key]
+    budget.spend()  # for the memo entry S gets below
+    result: Optional[tuple[Face, ...]] = None
+    if S.is_pure():
+        if S.facets == ((),):
+            result = ((),)
+        else:
+            for v in S.vertices:
+                lk, dl = link(S, v), deletion(S, v)
+                shell_dl = yield _vd_shelling(dl, memo, budget)
+                if shell_dl is None:
+                    continue
+                shell_lk = yield _vd_shelling(lk, memo, budget)
+                if shell_lk is None:
+                    continue
+                joined = tuple(tuple(sorted(f + (v,))) for f in shell_lk)
+                if dl.dim < S.dim:
+                    # v lies in every facet: the deletion contributes nothing
+                    result = joined
+                else:
+                    result = shell_dl + joined
+                break
+    memo[key] = result
+    return result
+
+
+def is_vertex_decomposable(
+    S: SimplicialComplex, budget: Optional[int] = None
+) -> VertexDecomposition:
+    """Exhaustive test of the recursive definition, memoized within the call.
+
+    On success the returned shelling lists the deletion's facets before the
+    link's facets joined with the pivot, recursively (the usual way a
+    decomposition is turned into a shelling order).  budget bounds the memo
+    entries, one per complex searched.
+    """
+    b = Budget(budget, DEFAULT_FACE_BUDGET, "decomposition", "memo entries")
+    shelling = run(_vd_shelling(S, {}, b))
+    if shelling is None:
+        return VertexDecomposition(False)
+    return VertexDecomposition(True, shelling)
+
+
+def check_shelling(order: Sequence[Iterable[int]]) -> ShellingCheck:
+    """Validate a facet order: every new facet must meet the union of its
+    predecessors in a nonempty pure subcomplex of codimension one (facets of
+    dimension 0 meet it in the empty face, which counts)."""
+    facets = [tuple(sorted(set(f))) for f in order]
+    if not facets:
+        return ShellingCheck(False, None, "empty facet order")
+    if len(set(facets)) != len(facets):
+        return ShellingCheck(False, None, "repeated facet")
+    size = len(facets[0])
+    for i, f in enumerate(facets):
+        if len(f) != size:
+            return ShellingCheck(False, i, "facets of different dimensions")
+    for i, f in enumerate(facets):
+        fs = set(f)
+        for j in range(i + 1, len(facets)):
+            if fs <= set(facets[j]) or set(facets[j]) <= fs:
+                return ShellingCheck(False, j, "one facet contains another")
+    for i in range(1, len(facets)):
+        fi = set(facets[i])
+        meets = {frozenset(fi & set(facets[j])) for j in range(i)}
+        tops = [m for m in meets if not any(m < other for other in meets)]
+        bad = [m for m in tops if len(m) != size - 1]
+        if bad:
+            return ShellingCheck(
+                False, i, f"intersection with earlier facets is not pure of codimension 1"
+            )
+    return ShellingCheck(True)
+
+
+def independence_complex(G: Graph) -> SimplicialComplex:
+    """The complex of all independent vertex sets of G, by brute force."""
+    return SimplicialComplex(
+        s
+        for r in range(G.n + 1)
+        for s in itertools.combinations(G.vertices, r)
+        if not any(G.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+    )
 
 
 # ---------------------------------------------------------------------------

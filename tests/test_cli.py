@@ -284,6 +284,32 @@ def test_stdout_manifest_on_request(files, capsys):
     obj = json.loads(manifest.read_text())
     assert obj["stdout_sha256"] is not None and obj["seed"] == 0
     assert obj["version"]
+    assert (obj["exit_code"], obj["error_kind"]) == (0, None)
+
+
+def test_budget_exit_writes_the_manifest(files, capsys, monkeypatch):
+    monkeypatch.setenv("TVF_BUDGET", "1")
+    cert = files / "cert.json"
+    code, out, err = run(capsys, "vd", "build", "--graph", files / "c5.txt", "--out", cert)
+    assert code == 2 and out == "" and json.loads(err)["kind"] == "budget"
+    assert not cert.exists()
+    obj = json.loads((files / "cert.json.manifest.json").read_text())
+    assert (obj["exit_code"], obj["error_kind"], obj["command"]) == (2, "budget", "vd build")
+    assert obj["outputs"] == [] and obj["inputs"][0]["path"].endswith("c5.txt")
+
+
+def test_domain_error_exit_writes_the_manifest(files, capsys):
+    manifest = files / "m.json"
+    code, out, err = run(
+        capsys, "--manifest", manifest, "complex", "check-prop", "--graph", files / "c5.txt", "--k", "3"
+    )
+    assert code == 1 and out == "" and json.loads(err)["kind"] == "VdError"
+    obj = json.loads(manifest.read_text())
+    assert (obj["exit_code"], obj["error_kind"], obj["stdout_sha256"]) == (1, "VdError", None)
+    code, _, err = run(capsys, "--manifest", manifest, "vd", "max", "--graph", files / "missing.txt")
+    assert code == 1 and json.loads(err)["kind"] == "FileNotFoundError"
+    obj = json.loads(manifest.read_text())
+    assert (obj["exit_code"], obj["error_kind"], obj["inputs"]) == (1, "FileNotFoundError", [])
 
 
 def _nest(bad, steps):
@@ -502,17 +528,28 @@ def test_complex_searches_ignore_the_recursion_limit(files, command, out):
     assert (got.returncode, got.stdout, got.stderr) == (0, out + "\n", "")
 
 
-def _cross_polytope_pair(files):
-    """Two disjoint boundaries of the 4-dimensional cross-polytope: 32 facets, not VD."""
+def _cross_polytopes(files, second):
+    """Two boundaries of the 4-dimensional cross-polytope, on 0..7 and second..second+7."""
     path = files / "cross.txt"
     path.write_text(
         "".join(
             " ".join(str(base + 2 * i + s) for i, s in enumerate(signs)) + "\n"
-            for base in (0, 8)
+            for base in (0, second)
             for signs in itertools.product((0, 1), repeat=4)
         )
     )
     return path
+
+
+def _cross_polytope_pair(files):
+    """The two boundaries disjoint: 32 facets, pure, disconnected, so not VD."""
+    return _cross_polytopes(files, 8)
+
+
+def _cross_polytope_wedge(files):
+    """The two boundaries sharing vertex 7: connected, and not VD, since the link
+    of vertex 7 is two disjoint octahedra."""
+    return _cross_polytopes(files, 7)
 
 
 def _perfect_matching(files):
@@ -525,17 +562,31 @@ def _perfect_matching(files):
 @pytest.mark.parametrize(
     "command, make, error",
     [
-        (["complex", "vd", "--facets"], _cross_polytope_pair, "decomposition budget exceeded (1001 > 1000 memo entries)"),
+        (["complex", "vd", "--facets"], _cross_polytope_wedge, "decomposition budget exceeded (1001 > 1000 memo entries)"),
         (["complex", "ind", "--graph"], _perfect_matching, "facet budget exceeded (1001 > 1000 facets)"),
     ],
     ids=["vd", "ind"],
 )
 def test_complex_budget_exit_code(files, capsys, monkeypatch, command, make, error):
-    # unbudgeted, the first takes 24,057 memo entries and the second 65,536 facets
+    # unbudgeted, the first takes 11,664 memo entries and the second 65,536 facets
     monkeypatch.setenv("TVF_BUDGET", "1000")
     code, out, err = run(capsys, *command, make(files))
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": error, "kind": "budget"}
+
+
+def test_disconnected_complex_is_refuted_without_a_search(files, capsys, monkeypatch):
+    # searched in full, the disjoint pair takes 24,057 memo entries; refuted
+    # at once, it needs one even under TVF_BUDGET=1
+    for budget in (None, "1"):
+        if budget is not None:
+            monkeypatch.setenv("TVF_BUDGET", budget)
+        code, out, err = run(capsys, "complex", "vd", "--facets", _cross_polytope_pair(files))
+        assert (code, json.loads(out), err) == (
+            1,
+            {"shelling": None, "vertex_decomposable": False},
+            "",
+        )
 
 
 @pytest.mark.parametrize(

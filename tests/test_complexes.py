@@ -24,6 +24,7 @@ from tvf.errors import BudgetExceeded
 from tvf.graphs import Graph
 from tvf.vd import max_vd
 
+import oracles
 from conftest import all_labeled_graphs
 from oracles import delete_vertices, dense_betti
 
@@ -57,6 +58,50 @@ def _random_complex(rnd, n=5):
         size = rnd.randint(1, 4)
         faces.append(rnd.sample(range(n), min(size, n)))
     return SimplicialComplex(faces)
+
+
+def _agrees_with_reference(S, R, rnd):
+    """S from tvf.complexes equals R from the tuple-based oracle in facets,
+    links, deletions, decomposition, shelling checks of shuffled facet orders,
+    and Betti numbers."""
+    assert (S.facets, S.vertices, S.dim, S.is_pure()) == (R.facets, R.vertices, R.dim, R.is_pure())
+    for v in R.vertices:
+        assert link(S, v).facets == oracles.link(R, v).facets
+        assert deletion(S, v).facets == oracles.deletion(R, v).facets
+    decomposition = is_vertex_decomposable(S)
+    assert decomposition == oracles.is_vertex_decomposable(R)
+    top = [f for f in R.facets if len(f) == R.dim + 1]
+    orders = [list(R.facets), top]
+    if decomposition.ok:
+        orders.append(list(decomposition.shelling))
+    for order in orders:
+        for _ in range(3):
+            assert check_shelling(order) == oracles.check_shelling(order), order
+            rnd.shuffle(order)
+    assert betti(S).numbers == dense_betti(R.facets)
+
+
+def test_mask_layer_matches_the_reference_on_independence_complexes(atlas6):
+    rnd = random.Random(41)
+    for G in atlas6:
+        S, R = independence_complex(G), oracles.independence_complex(G)
+        for k in range(-1, R.dim + 1):
+            _agrees_with_reference(skeleton(S, k), oracles.skeleton(R, k), rnd)
+
+
+def test_mask_layer_matches_the_reference_on_random_complexes():
+    rnd = random.Random(43)
+    for _ in range(100):
+        S = _random_complex(rnd, n=7)
+        R = oracles.SimplicialComplex(S.facets)
+        _agrees_with_reference(S, R, rnd)
+        _agrees_with_reference(SimplicialComplex(reversed(S.facets)), R, rnd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=6), max_size=10), st.randoms())
+def test_mask_layer_matches_the_reference_on_random_facets(facets, rnd):
+    _agrees_with_reference(SimplicialComplex(facets), oracles.SimplicialComplex(facets), rnd)
 
 
 def test_facet_canonicalization():
