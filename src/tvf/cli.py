@@ -7,8 +7,8 @@ seed, timing, the exit code and the error kind (null on success); a failed
 run writes it too.  Identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
 replaces the default limit of every budget a command counts (faces, facets,
-memo entries, trace nodes, hull-intersection calls); any other value is a
-usage error.
+memo entries, trace nodes, product edges, hull-intersection calls); any
+other value is a usage error.
 
 Every search and construction that follows its input's depth runs on the
 explicit stack of graphs.run, so no input meets the interpreter's recursion
@@ -196,7 +196,7 @@ def cmd_graph_product(run: _Run) -> int:
     if (args.q is None) == (args.with_graph is None):
         raise GraphError("give exactly one of --q or --with")
     if args.q is not None:
-        P = gr.product_with_complete(G, args.q)
+        P = gr.product_with_complete(G, args.q, run.budget)
     else:
         P = gr.cartesian_product(G, gr.parse_edgelist(run.read(args.with_graph)))
     run.emit(gr.format_edgelist(P), args.out)
@@ -250,7 +250,7 @@ def cmd_vd_verify(run: _Run) -> int:
     else:
         if args.q is None:
             raise GraphError("--graph-product requires --q")
-        G = gr.product_with_complete(run.graph(args.graph_product), args.q)
+        G = gr.product_with_complete(run.graph(args.graph_product), args.q, run.budget)
     cert = vd.certificate_from_json(run.read(args.cert))
     result = vd.verify_certificate(G, cert)
     run.emit(
@@ -295,7 +295,7 @@ def cmd_squid_dynamic(run: _Run) -> int:
 
 
 def cmd_squid_extract(run: _Run) -> int:
-    trace = sq.RemovalTrace.from_json(run.read(run.args.trace))
+    trace = sq.RemovalTrace.from_json(run.read(run.args.trace), run.budget)
     cert = sq.extract_certificate(trace, run.budget)
     run.emit(vd.certificate_to_json(cert) + "\n", run.args.out)
     return 0

@@ -9,9 +9,10 @@ stderr and exits with the code given below.  ``kind`` is one of:
 
 - exit 64: ``usage``, a bad value of TVF_BUDGET.  Argument-parsing errors
   also exit 64, but print argparse usage text instead of JSON.
-- exit 2: ``budget``, a Budget was exhausted (BudgetExceeded).  Every
-  search and construction that follows its input's depth runs on
-  graphs.run's explicit stack, so no input meets the interpreter's
+- exit 2: ``budget``, a Budget was exhausted (BudgetExceeded): faces,
+  facets, memo entries, trace nodes, product edges or hull-intersection
+  calls.  Every search and construction that follows its input's depth
+  runs on graphs.run's explicit stack, so no input meets the interpreter's
   recursion limit.
 - exit 1, a domain error, named by its class: ``GraphError``; ``VdError``,
   ``CertificateError``; ``SquidError``, ``TheoremViolation``,
@@ -64,7 +65,8 @@ class Budget:
     """A count of work units that raises BudgetExceeded once it passes its limit.
 
     A limit of None takes the layer's default; what and unit name the
-    budget and its unit in the message.
+    budget and its unit in the message.  spend adds one unit, or a whole
+    count known in advance, such as a product's edges.
     """
 
     def __init__(self, limit: int | None, default: int, what: str, unit: str):
@@ -72,8 +74,8 @@ class Budget:
         self.used = 0
         self.what, self.unit = what, unit
 
-    def spend(self) -> None:
-        self.used += 1
+    def spend(self, units: int = 1) -> None:
+        self.used += units
         if self.used > self.limit:
             message = f"{self.what} budget exceeded ({self.used} > {self.limit} {self.unit})"
             raise BudgetExceeded(message, self.used, self.limit)

@@ -4,20 +4,21 @@ Graphs are immutable values; nothing here mutates after construction.
 The branching recursions elsewhere in the package do not build a Graph per
 subgraph: they work on bitmasks over neighbor_masks.  Every recursion in
 the package runs as a generator on run's explicit stack.
+
+A vertex of G x K_q is its integer label index(base)*q + (row-1) in
+memory; only the trace JSON writes it as a (base, row) pair.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, Optional
 
-from .errors import GraphError
+from .errors import Budget, GraphError
 
-
-class ProductVertex(NamedTuple):
-    """Vertex of G x K_q: a base vertex of G and a row in 1..q."""
-
-    base: int
-    row: int
+# Edges one product G x K_q may have.  Building K1 x K_1415 (1,000,405
+# edges) and its bitmask view takes 6-9 s at 689 MB peak RSS on a 2-vCPU
+# machine; 1e7 edges take about 2 minutes at 6 GB.
+DEFAULT_PRODUCT_BUDGET = 1_000_000
 
 
 class Graph:
@@ -169,10 +170,21 @@ def cartesian_product(G: Graph, H: Graph) -> Graph:
     return Graph(verts, edges)
 
 
-def product_with_complete(G: Graph, q: int) -> Graph:
-    """G x K_q; (base, row) gets label index(base)*q + (row-1)."""
+def check_product_size(G: Graph, q: int, budget: Optional[int] = None) -> None:
+    """Raise BudgetExceeded if G x K_q has more edges than budget (None:
+    DEFAULT_PRODUCT_BUDGET), counting them without building anything."""
+    edges = G.m * q + G.n * (q * (q - 1) // 2)
+    Budget(budget, DEFAULT_PRODUCT_BUDGET, "product", "edges").spend(edges)
+
+
+def product_with_complete(G: Graph, q: int, budget: Optional[int] = None) -> Graph:
+    """G x K_q; (base, row) gets label index(base)*q + (row-1).
+
+    budget bounds its edges (None: DEFAULT_PRODUCT_BUDGET).
+    """
     if q < 1:
         raise GraphError("q must be a positive integer")
+    check_product_size(G, q, budget)
     return cartesian_product(G, Graph.complete(q))
 
 

@@ -28,7 +28,13 @@ residual vertex (valid whenever q > |N2(v)| + 2|N(v)| for every v), and
 run_dynamic follows a block-size scheme, choosing at each block start the
 top-most surviving row with the most preserved vertices.  Both run one
 removal search, and it, trace reading and extraction all run on
-graphs.run's explicit stack; a budget of trace nodes bounds the search.
+graphs.run's explicit stack; a budget of trace nodes bounds the search,
+and one of product edges bounds G x K_q itself.
+
+In memory a product vertex is its label index(base)*q + (row-1), and a
+squid or residual is a mask over those labels.  The (base, row) pairs
+appear only in the trace JSON, which RemovalTrace.to_obj and from_obj
+write and read.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import NamedTuple, Optional
 # squid df1 and squid extract then never load schemes.
 from . import schemes
 from .errors import Budget, SquidError, json_int, json_ints
-from .graphs import Graph, ProductVertex, distance_two_set, product_with_complete, run
+from .graphs import Graph, check_product_size, distance_two_set, product_with_complete, run
 from .vd import (
     CertificateBuilder,
     LeafAny,
@@ -73,61 +79,19 @@ class SchemeRunError(SquidError):
 class Squid(NamedTuple):
     """Vertex subset of G x K_q with body/heart bookkeeping.
 
-    kind "I": arms lie on one row inside the neighborhoods of the body and
-    an adjacent witness; single heart (body, row).  kind "II": arms lie on
-    two rows inside the body's neighborhood; hearts on both rows.  witness
-    is None only for armless squids (whole squid inside the body column).
+    mask holds the squid's product labels.  body and witness are vertices
+    of G, and rows are rows 1..q.  kind "I": arms lie on one row inside the
+    neighborhoods of the body and an adjacent witness; single heart (body,
+    row).  kind "II": arms lie on two rows inside the body's neighborhood;
+    hearts on both rows.  witness is None only for armless squids (whole
+    squid inside the body column).
     """
 
     body: int
     kind: str
     rows: tuple[int, ...]
-    vertices: frozenset[ProductVertex]
+    mask: int
     witness: Optional[int] = None
-
-    def to_obj(self) -> dict:
-        arms, body_rows = [], []
-        for base, row in sorted(self.vertices):
-            if base == self.body:
-                body_rows.append(row)
-            else:
-                arms.append([base, row])
-        return {
-            "arms": arms,
-            "body": self.body,
-            "body_rows": body_rows,
-            "hearts": [[self.body, r] for r in self.rows],
-            "kind": self.kind,
-            "rows": list(self.rows),
-            "witness": self.witness,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Squid":
-        try:
-            body = json_int(obj["body"], "squid body")
-            kind = obj["kind"]
-            if kind not in ("I", "II"):
-                raise ValueError(f"squid kind must be 'I' or 'II', got {kind!r}")
-            arms = obj["arms"]
-            if type(arms) is not list:
-                raise ValueError(f"squid arms must be a list, got {arms!r}")
-            vertices = set()
-            for pair in arms:
-                b, r = json_ints(pair, "squid arm")
-                vertices.add(ProductVertex(b, r))
-            for r in json_ints(obj["body_rows"], "squid body_rows"):
-                vertices.add(ProductVertex(body, r))
-            witness = obj.get("witness")
-            return cls(
-                body=body,
-                kind=kind,
-                rows=json_ints(obj["rows"], "squid rows"),
-                vertices=frozenset(vertices),
-                witness=None if witness is None else json_int(witness, "squid witness"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SquidError(f"malformed squid object: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +122,16 @@ def df1_check(G: Graph, q: int, mode: str = "walk") -> bool:
 class TraceChild(NamedTuple):
     squid: Squid
     node: "TraceNode"
-    w: Optional[ProductVertex] = None  # the neighbor consumed; None on the link child
+    w: Optional[int] = None  # label of the neighbor consumed; None on the link child
 
 
 class TraceNode(NamedTuple):
+    """One residual of a removal: its product labels as a mask, and the
+    label of its pivot (None at level 0)."""
+
     level: int
     residual_mask: int
-    pivot: Optional[ProductVertex] = None
+    pivot: Optional[int] = None
     arm_children: tuple[TraceChild, ...] = ()
     link_child: Optional[TraceChild] = None
     block_row: Optional[int] = None  # dynamic runs: the row of the active block
@@ -206,6 +173,31 @@ class RemovalTrace(NamedTuple):
         return order
 
     def to_obj(self) -> dict:
+        """The JSON form, where each product label becomes its (base, row) pair."""
+        G, q = self.graph, self.q
+        pairs = [(v, r) for v in G.vertices for r in range(1, q + 1)]  # by label
+
+        def squid_obj(s: Squid) -> dict:
+            # ascending labels are the pairs in sorted order
+            arms, body_rows, mask = [], [], s.mask
+            while mask:
+                low = mask & -mask
+                base, row = pairs[low.bit_length() - 1]
+                if base == s.body:
+                    body_rows.append(row)
+                else:
+                    arms.append([base, row])
+                mask ^= low
+            return {
+                "arms": arms,
+                "body": s.body,
+                "body_rows": body_rows,
+                "hearts": [[s.body, r] for r in s.rows],
+                "kind": s.kind,
+                "rows": list(s.rows),
+                "witness": s.witness,
+            }
+
         ids: dict[int, int] = {}
         nodes = self.nodes()
         for i, node in enumerate(nodes):
@@ -216,8 +208,8 @@ class RemovalTrace(NamedTuple):
                 "children": [
                     {
                         "node": ids[id(ch.node)],
-                        "squid": ch.squid.to_obj(),
-                        "w": [ch.w.base, ch.w.row],
+                        "squid": squid_obj(ch.squid),
+                        "w": list(pairs[ch.w]),
                     }
                     for ch in node.arm_children
                 ],
@@ -228,10 +220,10 @@ class RemovalTrace(NamedTuple):
                     if node.link_child is None
                     else {
                         "node": ids[id(node.link_child.node)],
-                        "squid": node.link_child.squid.to_obj(),
+                        "squid": squid_obj(node.link_child.squid),
                     }
                 ),
-                "pivot": None if node.pivot is None else [node.pivot.base, node.pivot.row],
+                "pivot": None if node.pivot is None else list(pairs[node.pivot]),
                 "residual_size": node.residual_size,
             }
             if self.kind == "dynamic":
@@ -253,7 +245,12 @@ class RemovalTrace(NamedTuple):
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "RemovalTrace":
+    def from_obj(cls, obj: dict, budget: Optional[int] = None) -> "RemovalTrace":
+        """Read the JSON form, turning each (base, row) pair into its label.
+
+        budget bounds the edges of G x K_q (None: the product default); it
+        is checked before anything of the product's size is built.
+        """
         try:
             graph = obj["graph"]
             G = Graph(
@@ -277,24 +274,32 @@ class RemovalTrace(NamedTuple):
             raise SquidError(f"malformed trace object: {exc}") from exc
         if q < 1:
             raise SquidError(f"malformed trace object: q must be positive, got {q}")
+        check_product_size(G, q, budget)
         gi = {v: i for i, v in enumerate(G.vertices)}
         full = (1 << (G.n * q)) - 1
 
-        def label(base, row) -> int:
+        def label(pair) -> int:
+            base, row = pair
             if type(base) is not int or base not in gi or type(row) is not int or not 1 <= row <= q:
                 raise ValueError(f"({base!r}, {row!r}) is not a vertex of the product")
             return gi[base] * q + (row - 1)
 
-        def product_vertex(pair) -> ProductVertex:
-            base, row = pair
-            label(base, row)
-            return ProductVertex(base, row)
-
-        def squid_mask(s: Squid) -> int:
+        def squid(o: dict) -> Squid:
+            body = json_int(o["body"], "squid body")
+            kind = o["kind"]
+            if kind not in ("I", "II"):
+                raise ValueError(f"squid kind must be 'I' or 'II', got {kind!r}")
+            arms = o["arms"]
+            if type(arms) is not list:
+                raise ValueError(f"squid arms must be a list, got {arms!r}")
             mask = 0
-            for pv in s.vertices:
-                mask |= 1 << label(pv.base, pv.row)
-            return mask
+            for pair in arms:
+                mask |= 1 << label(pair)
+            for r in json_ints(o["body_rows"], "squid body_rows"):
+                mask |= 1 << label((body, r))
+            witness = o.get("witness")
+            witness = None if witness is None else json_int(witness, "squid witness")
+            return Squid(body, kind, json_ints(o["rows"], "squid rows"), mask, witness)
 
         built: dict[int, TraceNode] = {}
         open_ids: set[int] = set()  # nodes whose children are being built
@@ -315,16 +320,14 @@ class RemovalTrace(NamedTuple):
                 o = node_objs[idx]
                 size = json_int(o["residual_size"], "residual_size")
                 level = json_int(o["level"], "level")
-                arms = []
-                for ch in o["children"]:
-                    sq = Squid.from_obj(ch["squid"])
-                    child = json_int(ch["node"], "child node")
-                    arms.append((sq, squid_mask(sq), child, product_vertex(ch["w"])))
+                arms = [
+                    (squid(ch["squid"]), json_int(ch["node"], "child node"), label(ch["w"]))
+                    for ch in o["children"]
+                ]
                 link = None
                 if o.get("link") is not None:
-                    sq = Squid.from_obj(o["link"]["squid"])
-                    link = (sq, squid_mask(sq), json_int(o["link"]["node"], "link node"))
-                pivot = None if o["pivot"] is None else product_vertex(o["pivot"])
+                    link = (squid(o["link"]["squid"]), json_int(o["link"]["node"], "link node"))
+                pivot = None if o["pivot"] is None else label(o["pivot"])
                 block_row = o.get("block_row")
                 block_row = None if block_row is None else json_int(block_row, "block_row")
                 rows_used = o.get("rows_used")
@@ -337,14 +340,14 @@ class RemovalTrace(NamedTuple):
                 raise SquidError(f"node {idx}: residual size does not replay")
             open_ids.add(idx)
             arm_children = []
-            for sq, sm, child, w in arms:
-                cm = mask & ~sm
+            for sq, child, w in arms:
+                cm = mask & ~sq.mask
                 node = known(child, cm) or (yield build(child, cm))
                 arm_children.append(TraceChild(squid=sq, node=node, w=w))
             link_child = None
             if link is not None:
-                sq, sm, child = link
-                cm = mask & ~sm
+                sq, child = link
+                cm = mask & ~sq.mask
                 link_child = TraceChild(squid=sq, node=known(child, cm) or (yield build(child, cm)))
             open_ids.discard(idx)
             node = TraceNode(
@@ -363,12 +366,12 @@ class RemovalTrace(NamedTuple):
         return cls(graph=G, q=q, m=m, kind=kind, root=root, mode=mode, scheme=scheme)
 
     @classmethod
-    def from_json(cls, text: str) -> "RemovalTrace":
+    def from_json(cls, text: str, budget: Optional[int] = None) -> "RemovalTrace":
         try:
             obj = json.loads(text)
         except RecursionError:
             raise SquidError("trace JSON is nested too deeply to read") from None
-        return cls.from_obj(obj)
+        return cls.from_obj(obj, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -377,77 +380,47 @@ class RemovalTrace(NamedTuple):
 
 
 class _Engine:
-    def __init__(self, G: Graph, q: int):
+    def __init__(self, G: Graph, q: int, budget: Optional[int]):
         self.G = G
         self.q = q
-        self.P = product_with_complete(G, q)
-        self.view = MaskView(self.P)  # product labels are bit indices
+        self.view = MaskView(product_with_complete(G, q, budget))  # labels are bit indices
         self.nbr = self.view.nbr
-        self.total = G.n * q
-        self.full = (1 << self.total) - 1
-        self.base_of = [G.vertices[lab // q] for lab in range(self.total)]
-        self.row_of = [lab % q + 1 for lab in range(self.total)]
-        self.gi = {v: i for i, v in enumerate(G.vertices)}
-        # one shared record per product label
-        self.pvs = [ProductVertex(b, r) for b, r in zip(self.base_of, self.row_of)]
+        self.base_of = [G.vertices[lab // q] for lab in range(G.n * q)]
+        self.row_of = [lab % q + 1 for lab in range(G.n * q)]
 
-    def label(self, pv: ProductVertex) -> int:
-        return self.gi[pv.base] * self.q + (pv.row - 1)
-
-    def column_mask(self, base: int) -> int:
-        return ((1 << self.q) - 1) << (self.gi[base] * self.q)
-
-    def pv_set(self, mask: int) -> frozenset[ProductVertex]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.pvs[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+    def column_mask(self, label: int) -> int:
+        """The labels of label's column: its base vertex on every row."""
+        return ((1 << self.q) - 1) << (label - label % self.q)
 
     def classify_arm_squid(self, w_label: int, pivot_label: int, squid_mask: int) -> Squid:
         v, i = self.base_of[pivot_label], self.row_of[pivot_label]
         wb, wr = self.base_of[w_label], self.row_of[w_label]
         if wr == i and wb != v:
             # row neighbor: one-row squid with body w and the pivot as witness
-            return Squid(
-                body=wb, kind="I", rows=(i,), vertices=self.pv_set(squid_mask), witness=v
-            )
+            return Squid(body=wb, kind="I", rows=(i,), mask=squid_mask, witness=v)
         # column neighbor: two-row squid with the pivot's body
         lo, hi = min(i, wr), max(i, wr)
-        return Squid(body=v, kind="II", rows=(lo, hi), vertices=self.pv_set(squid_mask))
+        return Squid(body=v, kind="II", rows=(lo, hi), mask=squid_mask)
 
     def classify_link_squid(self, pivot_label: int, squid_mask: int) -> Squid:
         v, i = self.base_of[pivot_label], self.row_of[pivot_label]
-        verts = self.pv_set(squid_mask)
-        nbrs = sorted(self.G.neighbors(v))
+        nbrs = self.G.neighbors(v)
         if nbrs:
-            return Squid(body=v, kind="I", rows=(i,), vertices=verts, witness=nbrs[0])
-        other_rows = sorted(pv.row for pv in verts if pv.row != i)
-        if other_rows:
-            lo, hi = min(i, other_rows[0]), max(i, other_rows[0])
-            return Squid(body=v, kind="II", rows=(lo, hi), vertices=verts)
+            return Squid(body=v, kind="I", rows=(i,), mask=squid_mask, witness=min(nbrs))
+        # v is isolated in G, so the squid lies in the pivot's column
+        rest = squid_mask & ~(1 << pivot_label)
+        if rest:
+            j = self.row_of[(rest & -rest).bit_length() - 1]  # the smallest other row
+            return Squid(body=v, kind="II", rows=(min(i, j), max(i, j)), mask=squid_mask)
         # bare pivot: isolated body with nothing else left in its column
-        return Squid(body=v, kind="I", rows=(i,), vertices=verts, witness=None)
+        return Squid(body=v, kind="I", rows=(i,), mask=squid_mask, witness=None)
 
     def expand(self, mask: int, pivot_label: int):
         """Child squids of a node: (w, squid, child_mask) per neighbor, then
         the closed-neighborhood link squid. Asserts the body-column condition."""
-        i_row = self.row_of[pivot_label]
-        v_base = self.base_of[pivot_label]
         nb = self.nbr[pivot_label] & mask
-        row_nb = []
-        col_nb = []
-        rest = nb
-        while rest:
-            low = rest & -rest
-            lab = low.bit_length() - 1
-            if self.row_of[lab] == i_row:
-                row_nb.append(lab)
-            else:
-                col_nb.append(lab)
-            rest ^= low
-        order = sorted(row_nb) + sorted(col_nb)
+        col_nb = nb & self.column_mask(pivot_label)
+        order = self.view.labels(nb & ~col_nb) + self.view.labels(col_nb)  # row neighbors first
         arm_out = []
         prefix = 0
         for w in order:
@@ -455,13 +428,13 @@ class _Engine:
             squid_mask = (self.nbr[w] & mask) | prefix
             child_mask = mask & ~squid_mask
             squid = self.classify_arm_squid(w, pivot_label, squid_mask)
-            if self.column_mask(squid.body) & child_mask:
+            if self.column_mask(w) & child_mask:  # w's column is the body's
                 raise SquidError("engine invariant broken: body column survived removal")
             arm_out.append((w, squid, child_mask))
         link_mask = nb | (1 << pivot_label)
         link_squid = self.classify_link_squid(pivot_label, link_mask)
         link_child_mask = mask & ~link_mask
-        if self.column_mask(v_base) & link_child_mask:
+        if self.column_mask(pivot_label) & link_child_mask:
             raise SquidError("engine invariant broken: pivot column survived removal")
         return arm_out, link_squid, link_child_mask
 
@@ -490,14 +463,14 @@ def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> Tr
             arm_children = []
             for w, s, cm in arms:
                 child = memo.get((cm, depth + 1, rows)) or (yield explore(cm, depth + 1, rows))
-                arm_children.append(TraceChild(squid=s, node=child, w=eng.pvs[w]))
+                arm_children.append(TraceChild(squid=s, node=child, w=w))
             child = memo.get((link_mask, depth + 1, rows)) or (
                 yield explore(link_mask, depth + 1, rows)
             )
             node = TraceNode(
                 level=m - depth,
                 residual_mask=mask,
-                pivot=eng.pvs[pivot_label],
+                pivot=pivot_label,
                 arm_children=tuple(arm_children),
                 link_child=TraceChild(squid=link_squid, node=child),
                 block_row=block_row,
@@ -506,7 +479,7 @@ def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> Tr
         memo[key] = node
         return node
 
-    return run(explore(eng.full, 0, rows))
+    return run(explore(eng.view.full, 0, rows))
 
 
 def run_df1(
@@ -516,7 +489,8 @@ def run_df1(
 
     Requires df1_check(G, q, mode).  Every residual met above level 0 is
     checked nonempty at runtime (that nonemptiness is the substance of the
-    pivot rule's validity).  budget bounds the trace nodes.
+    pivot rule's validity).  budget bounds the product's edges and the
+    trace nodes.
     """
     if not df1_check(G, q, mode):
         raise SquidError(
@@ -529,7 +503,7 @@ def run_df1(
             raise TheoremViolation(f"residual emptied with {m - depth} removal steps still to go")
         return (mask & -mask).bit_length() - 1, None, None
 
-    root = _remove(_Engine(G, q), m, lowest, None, budget)
+    root = _remove(_Engine(G, q, budget), m, lowest, None, budget)
     return RemovalTrace(graph=G, q=q, m=m, kind="df1", root=root, mode=mode)
 
 
@@ -544,8 +518,8 @@ def run_dynamic(
     The scheme is re-validated exactly against its own declared budget n
     (bounded by the product size) with the graph's true maximum degree; a
     mid-run exhausted row still raises the scheme-infeasible diagnostic,
-    which certificate verification backstops.  budget bounds the trace
-    nodes.
+    which certificate verification backstops.  budget bounds the
+    product's edges and the trace nodes.
     """
     delta = G.max_degree()
     if delta < 1:
@@ -563,8 +537,8 @@ def run_dynamic(
     if m > G.n:
         raise SquidError(f"scheme removes {m} squids but the tuple bound needs m <= |G| = {G.n}")
     cumulative = list(itertools.accumulate(scheme.sizes))
-    eng = _Engine(G, q)
-    row_masks = {r: sum(1 << lab for lab in range(r - 1, eng.total, q)) for r in range(1, q + 1)}
+    eng = _Engine(G, q, budget)
+    row_masks = {r: sum(1 << lab for lab in range(r - 1, G.n * q, q)) for r in range(1, q + 1)}
 
     def block_pivot(mask: int, depth: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
         step = depth + 1
@@ -601,10 +575,11 @@ def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> Vd
     CertificateBuilder serves every node, so isolated-vertex lifts repeated
     across pivot decompositions are built once, and no Graph is built per
     node.  The walk runs on graphs.run, and the builder's budget counts its
-    memo entries with the lifts' (None: vd.DEFAULT_CERTIFICATE_BUDGET).
+    memo entries with the lifts' (None: vd.DEFAULT_CERTIFICATE_BUDGET);
+    budget bounds the product's edges too.
     """
-    eng = _Engine(trace.graph, trace.q)
-    builder = CertificateBuilder(eng.view, budget)
+    view = MaskView(product_with_complete(trace.graph, trace.q, budget))
+    builder = CertificateBuilder(view, budget)
     cache: dict[tuple[int, int], VdCertificate] = {}
 
     def certify(node: TraceNode):
@@ -623,12 +598,11 @@ def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> Vd
                 )
             child = node.link_child.node
             link_cert = cache.get((child.residual_mask, child.level)) or (yield certify(child))
-            order = [eng.label(ch.w) for ch in node.arm_children]
             cert = assemble_pivot_decomposition(
                 builder,
                 node.residual_mask,
-                eng.label(node.pivot),
-                order,
+                node.pivot,
+                [ch.w for ch in node.arm_children],
                 arm_certs,
                 link_cert,
                 node.level,

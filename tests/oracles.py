@@ -20,20 +20,23 @@ sorted label tuples, with a quadratic maximality filter for every complex
 and no connectivity prune in the decomposability search; its independence
 complexes come from every independent set, found by brute force.
 The last section holds Graph-space references that left the library
-because no command needs them: delete_vertices, product_label (the
-product labeling convention), squid_hearts and squid_arms (a squid's
-parts), check_squid (squid well-formedness), _product_neighbors and
-squid_admissible (the paper's two admissible squid patterns).
+because no command needs them: delete_vertices, ProductVertex, product_label
+and product_vertices (the product labeling convention, both ways),
+squid_hearts and squid_arms (a squid's parts), check_squid (squid
+well-formedness), _product_neighbors and squid_admissible (the paper's two
+admissible squid patterns).  The library holds product vertices, squids and
+residuals as labels and label masks; these oracles decode them to
+(base, row) pairs with product_vertices and check the patterns on pairs.
 """
 
 import itertools
 import json
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from tvf.complexes import DEFAULT_FACE_BUDGET, ShellingCheck, VertexDecomposition
 from tvf.errors import Budget, ComplexError
-from tvf.graphs import Graph, GraphError, ProductVertex, induced_subgraph, run
+from tvf.graphs import Graph, GraphError, induced_subgraph, run
 from tvf.squids import Squid, SquidError
 from tvf.vd import (
     CertificateError,
@@ -704,9 +707,6 @@ def extract_certificate(trace):
     P = trace.product()
     cache = {}
 
-    def label(pv):
-        return product_label(trace.graph, trace.q, pv)
-
     def certify(node):
         key = (node.residual_mask, node.level)
         got = cache.get(key)
@@ -718,10 +718,8 @@ def extract_certificate(trace):
             arm_certs = [certify(ch.node) for ch in node.arm_children]
             link_cert = certify(node.link_child.node)
             H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
-            order = [label(ch.w) for ch in node.arm_children]
-            cert = assemble_pivot_decomposition(
-                H, label(node.pivot), order, arm_certs, link_cert, node.level
-            )
+            order = [ch.w for ch in node.arm_children]
+            cert = assemble_pivot_decomposition(H, node.pivot, order, arm_certs, link_cert, node.level)
         cache[key] = cert
         return cert
 
@@ -855,9 +853,9 @@ def certificate_from_json(text: str) -> VdCertificate:
 #
 # Vertex deletion, product labels and the squid patterns on Graph objects
 # and ProductVertex sets.  The library needs none of them: it works on
-# bitmasks and never re-checks a squid it generated.  Tests use them as
+# label masks and never re-checks a squid it generated.  Tests use them as
 # references for the paper's squid patterns, and the Graph-space oracles
-# above build their subgraphs and labels with them.
+# above build their subgraphs with them.
 
 
 def delete_vertices(G: Graph, drop: Iterable[int]) -> Graph:
@@ -871,6 +869,13 @@ def delete_vertices(G: Graph, drop: Iterable[int]) -> Graph:
     return Graph(keep, [(u, v) for u, v in G.edges if u in keepset and v in keepset])
 
 
+class ProductVertex(NamedTuple):
+    """Vertex of G x K_q: a base vertex of G and a row in 1..q."""
+
+    base: int
+    row: int
+
+
 def product_label(G: Graph, q: int, pv: ProductVertex) -> int:
     """Integer label of (base, row) in G x K_q: index(base)*q + (row-1)."""
     if not 1 <= pv.row <= q:
@@ -882,27 +887,37 @@ def product_label(G: Graph, q: int, pv: ProductVertex) -> int:
     return a * q + (pv.row - 1)
 
 
+def product_vertices(G: Graph, q: int, mask: int) -> frozenset[ProductVertex]:
+    """The (base, row) pairs whose product labels are set in mask."""
+    return frozenset(
+        ProductVertex(v, r)
+        for v in G.vertices
+        for r in range(1, q + 1)
+        if mask >> product_label(G, q, ProductVertex(v, r)) & 1
+    )
+
+
 def squid_hearts(s: Squid) -> tuple[ProductVertex, ...]:
     """The squid's hearts: its body on each of its marked rows."""
     return tuple(ProductVertex(s.body, r) for r in s.rows)
 
 
-def squid_arms(s: Squid) -> tuple[ProductVertex, ...]:
+def squid_arms(s: Squid, G: Graph, q: int) -> tuple[ProductVertex, ...]:
     """The squid's vertices outside its body column, sorted."""
-    return tuple(sorted(pv for pv in s.vertices if pv.base != s.body))
+    return tuple(sorted(pv for pv in product_vertices(G, q, s.mask) if pv.base != s.body))
 
 
 def check_squid(s: Squid, G: Graph, q: int) -> None:
     """Raise SquidError unless s is a well-formed squid over G x K_q."""
     if s.body not in G:
         raise SquidError(f"body {s.body} is not a vertex of G")
-    for pv in s.vertices:
-        if pv.base not in G or not 1 <= pv.row <= q:
-            raise SquidError(f"{pv} is not a vertex of the product")
+    if s.mask < 0 or s.mask >> (G.n * q):
+        raise SquidError(f"mask {s.mask} has labels outside the product")
+    vertices = product_vertices(G, q, s.mask)
     for h in squid_hearts(s):
-        if h not in s.vertices:
+        if h not in vertices:
             raise SquidError(f"heart {h} is outside the squid's vertex set")
-    arms = squid_arms(s)
+    arms = squid_arms(s, G, q)
     if s.kind == "I":
         if len(s.rows) != 1:
             raise SquidError("kind I squids mark exactly one row")
@@ -956,7 +971,7 @@ def squid_admissible(
     """
     if pivot not in residual:
         raise SquidError("pivot must lie in the residual")
-    S = set(squid.vertices)
+    S = product_vertices(G, q, squid.mask)
     v, i = pivot
     piv_nb = _product_neighbors(G, q, residual, pivot)
     for r in range(1, q + 1):

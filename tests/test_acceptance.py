@@ -164,7 +164,7 @@ def test_c5_dynamic_scheme_run():
         best = max(counts[r] for r in unused)
         assert counts[node.block_row] == best
         assert node.block_row == min(r for r in unused if counts[r] == best)
-        assert node.pivot.row == node.block_row
+        assert node.pivot % q + 1 == node.block_row  # the pivot label's row
         boundaries += 1
     elapsed = time.monotonic() - t0
     ok = elapsed < 60

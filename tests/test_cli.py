@@ -1,10 +1,14 @@
 import importlib
+import io
 import itertools
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvf.errors
 from tvf.cli import _DOMAIN_ERRORS, main
@@ -621,26 +625,66 @@ def test_certificate_construction_stops_at_the_budget(files, capsys, monkeypatch
 @pytest.mark.parametrize(
     "command, error",
     [
-        (["squid", "df1", "--graph", "k5.txt", "--q", "13"], "removal budget exceeded (501 > 500 trace nodes)"),
+        (["squid", "df1", "--graph", "k5.txt", "--q", "13"], "removal budget exceeded (601 > 600 trace nodes)"),
         (
             ["squid", "df1", "--graph", "p14.txt", "--q", "7", "--out", "t.json", "--cert-out", "c.json"],
-            "certificate budget exceeded (501 > 500 memo entries)",
+            "certificate budget exceeded (601 > 600 memo entries)",
         ),
-        (["squid", "extract", "--trace", "p14.trace"], "certificate budget exceeded (501 > 500 memo entries)"),
+        (["squid", "extract", "--trace", "p14.trace"], "certificate budget exceeded (601 > 600 memo entries)"),
     ],
     ids=["df1-k5", "df1-cert-p14", "extract-p14"],
 )
 def test_removal_and_extraction_budget_exit_code(files, capsys, monkeypatch, command, error):
     # unbudgeted, the K5 trace has 896 nodes, and certifying the 404-node P14
-    # trace passes 1e6 memo entries
+    # trace passes 1e6 memo entries; the limit also bounds the products, whose
+    # 520 and 385 edges it admits
     monkeypatch.chdir(files)
     (files / "k5.txt").write_text("p 5 10\n" + "".join(f"e {i} {j}\n" for i, j in itertools.combinations(range(5), 2)))
     (files / "p14.txt").write_text("p 14 13\n" + "".join(f"e {i} {i + 1}\n" for i in range(13)))
     assert run(capsys, "squid", "df1", "--graph", "p14.txt", "--q", "7", "--out", "p14.trace")[0] == 0
-    monkeypatch.setenv("TVF_BUDGET", "500")
+    monkeypatch.setenv("TVF_BUDGET", "600")
     code, out, err = run(capsys, *command)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": error, "kind": "budget"}
+
+
+@pytest.mark.parametrize(
+    "command, used",
+    [
+        (["graph", "product", "--graph", "k1.txt", "--q", "20000"], 199_990_000),
+        (["squid", "df1", "--graph", "k1.txt", "--q", "20000"], 199_990_000),
+        (["squid", "dynamic", "--graph", "k2.txt", "--q", "20000", "--scheme", "q20000.scheme"], 400_000_000),
+        (["vd", "verify", "--graph-product", "k1.txt", "--q", "20000", "--cert", "any.json"], 199_990_000),
+        (["squid", "extract", "--trace", "huge-q.trace"], 10**13 * (10**13 - 1) // 2),
+    ],
+    ids=["graph-product", "df1", "dynamic", "vd-verify", "extract"],
+)
+def test_huge_q_stops_at_the_product_budget(files, capsys, monkeypatch, command, used):
+    # each product would take gigabytes; the budget is checked before any of it is built
+    monkeypatch.chdir(files)
+    (files / "k1.txt").write_text("p 1 0\n")
+    (files / "q20000.scheme").write_text('{"delta":1,"n":2,"q":20000,"sizes":[1]}\n')
+    (files / "any.json").write_text('{"leaf":"any","level":0}\n')
+    assert main(["squid", "df1", "--graph", "k1.txt", "--q", "1", "--out", "k1.trace"]) == 0
+    trace = json.loads((files / "k1.trace").read_text())
+    (files / "huge-q.trace").write_text(json.dumps({**trace, "q": 10**13}))
+    capsys.readouterr()
+    code, out, err = run(capsys, *command)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"product budget exceeded ({used} > 1000000 edges)", "kind": "budget"}
+
+
+def test_tvf_budget_replaces_the_product_default(files, capsys, monkeypatch):
+    # K2 x K3 has 3 row edges and 6 column edges
+    argv = ["graph", "product", "--graph", files / "k2.txt", "--q", "3"]
+    monkeypatch.setenv("TVF_BUDGET", "9")
+    assert run(capsys, *argv)[:2] == (0, "p 6 9\n" + "".join(
+        f"e {u} {v}\n" for u, v in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+    ))
+    monkeypatch.setenv("TVF_BUDGET", "8")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "product budget exceeded (9 > 8 edges)", "kind": "budget"}
 
 
 def _deep_inputs(files):
@@ -738,3 +782,64 @@ def test_error_kinds_are_documented():
         assert {"usage", "budget", "JSONDecodeError", "FileNotFoundError"} <= listed
         assert "UnicodeDecodeError" in listed
         assert "depth" not in listed
+
+
+def _json_paths(obj, path=()):
+    """The path of every value inside a JSON tree, its root excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def small_traces(tmp_path_factory):
+    """K2 x K3 (df1) and P4 x K5 (dynamic) trace texts, and a scratch directory."""
+    d = tmp_path_factory.mktemp("traces")
+    (d / "k2.txt").write_text(K2)
+    (d / "p4.txt").write_text("p 4 3\ne 0 1\ne 1 2\ne 2 3\n")
+    (d / "dyn.json").write_text(json.dumps({"sizes": [1, 1], "n": 20, "q": 5, "delta": 2}))
+    with redirect_stdout(io.StringIO()):
+        assert main(["squid", "df1", "--graph", str(d / "k2.txt"), "--q", "3", "--out", str(d / "k2.trace")]) == 0
+        assert main(["squid", "dynamic", "--graph", str(d / "p4.txt"), "--q", "5",
+                     "--scheme", str(d / "dyn.json"), "--out", str(d / "p4.trace")]) == 0
+    return [(d / name).read_text() for name in ("k2.trace", "p4.trace")], d
+
+
+_BIG_INTS = st.sampled_from([10**13, 2**63, 10**100]) | st.integers(-(10**40), 10**40)
+_ANY_JSON = _BIG_INTS | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trace_reader_ends_every_input_in_the_error_contract(small_traces, data):
+    # one field of a valid trace, at any depth, becomes an arbitrary JSON value.
+    # The field is drawn top-level key first, then by its key path with list
+    # indices as "*", so that q or a node's pivot is drawn as often as a
+    # squid's arm.
+    texts, d = small_traces
+    obj = json.loads(data.draw(st.sampled_from(texts)))
+    top = data.draw(st.sampled_from(sorted(obj)))
+    fields: dict[tuple, list[tuple]] = {}
+    for path in [(top,), *_json_paths(obj[top], (top,))]:
+        fields.setdefault(tuple("*" if type(k) is int else k for k in path), []).append(path)
+    path = data.draw(st.sampled_from(fields[data.draw(st.sampled_from(sorted(fields)))]))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_ANY_JSON)
+    (d / "mutated.trace").write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["squid", "extract", "--trace", str(d / "mutated.trace")])  # raises on a traceback
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
+    else:
+        report = json.loads(err.getvalue())
+        assert set(report) == {"error", "kind"} and "Traceback" not in report["error"]
+        assert report["kind"] in _contract_kinds(tvf.errors.__doc__, "exit 64:", "itself.")

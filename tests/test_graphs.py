@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from tvf.errors import BudgetExceeded
 from tvf.graphs import (
     Graph,
     GraphError,
@@ -126,6 +128,25 @@ def test_product_degrees_and_max_degree():
         q = rnd.randint(1, 5)
         PK = product_with_complete(G, q)
         assert PK.max_degree() == G.max_degree() + q - 1
+
+
+def test_product_budget_counts_edges_before_building():
+    C5 = Graph.cycle(5)
+    assert product_with_complete(C5, 7, 140).m == 140  # 5*7 row edges, 5*21 column edges
+    with pytest.raises(BudgetExceeded) as exc:
+        product_with_complete(C5, 7, 139)
+    assert (exc.value.used, exc.value.limit) == (140, 139)
+    assert str(exc.value) == "product budget exceeded (140 > 139 edges)"
+    # K1 x K_20000 would take gigabytes; the check allocates nothing of its size
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            product_with_complete(Graph.complete(1), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "product budget exceeded (199990000 > 1000000 edges)"
+    assert peak < 1 << 20
 
 
 def test_edgelist_round_trip_and_errors():

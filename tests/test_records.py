@@ -11,12 +11,13 @@ from fractions import Fraction as F
 import pytest
 
 import tvf.complexes
+import tvf.graphs
 import tvf.schemes
 import tvf.squids
 import tvf.tverberg
 import tvf.vd
 from tvf.complexes import BettiVector, ShellingCheck, SkeletonReport, VertexDecomposition
-from tvf.graphs import Graph, ProductVertex
+from tvf.graphs import Graph
 from tvf.schemes import EpsilonConstants, Quad, SchemeBuild, SchemeCheck, SizeScheme
 from tvf.squids import RemovalTrace, Squid, TraceChild, TraceNode
 from tvf.tverberg import (
@@ -33,7 +34,7 @@ from conftest import python_process
 
 
 def _squid():
-    return Squid(body=0, kind="I", rows=(1,), vertices=frozenset({ProductVertex(0, 1)}), witness=1)
+    return Squid(body=0, kind="I", rows=(1,), mask=1, witness=1)
 
 
 def _scheme():
@@ -60,21 +61,19 @@ RECORDS = {
     ),
     "Squid": (
         _squid,
-        "Squid(body=0, kind='I', rows=(1,), vertices=frozenset({ProductVertex(base=0, row=1)}), "
-        "witness=1)",
+        "Squid(body=0, kind='I', rows=(1,), mask=1, witness=1)",
         True,
     ),
     "TraceChild": (
-        lambda: TraceChild(_squid(), TraceNode(0, 2), ProductVertex(1, 1)),
-        "TraceChild(squid=Squid(body=0, kind='I', rows=(1,), "
-        "vertices=frozenset({ProductVertex(base=0, row=1)}), witness=1), "
+        lambda: TraceChild(_squid(), TraceNode(0, 2), 1),
+        "TraceChild(squid=Squid(body=0, kind='I', rows=(1,), mask=1, witness=1), "
         "node=TraceNode(level=0, residual_mask=2, pivot=None, arm_children=(), link_child=None, "
-        "block_row=None, rows_used=None), w=ProductVertex(base=1, row=1))",
+        "block_row=None, rows_used=None), w=1)",
         True,
     ),
     "TraceNode": (
-        lambda: TraceNode(level=1, residual_mask=3, pivot=ProductVertex(0, 1), block_row=1, rows_used=(1,)),
-        "TraceNode(level=1, residual_mask=3, pivot=ProductVertex(base=0, row=1), arm_children=(), "
+        lambda: TraceNode(level=1, residual_mask=3, pivot=0, block_row=1, rows_used=(1,)),
+        "TraceNode(level=1, residual_mask=3, pivot=0, arm_children=(), "
         "link_child=None, block_row=1, rows_used=(1,))",
         True,
     ),
@@ -165,11 +164,11 @@ CHECKS = {"CertCheck", "SchemeCheck", "ShellingCheck", "VertexDecomposition"}
 
 
 def test_every_record_type_is_listed():
-    # every namedtuple class a tvf module defines, except ProductVertex (a
-    # plain pair) and PointConfiguration's field base
+    # every namedtuple class a tvf module defines, except PointConfiguration's
+    # field base
     found = {
         name
-        for module in (tvf.vd, tvf.squids, tvf.schemes, tvf.complexes, tvf.tverberg)
+        for module in (tvf.graphs, tvf.vd, tvf.squids, tvf.schemes, tvf.complexes, tvf.tverberg)
         for name, obj in vars(module).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
     }

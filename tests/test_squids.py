@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 import tvf.squids
 from tvf.errors import BudgetExceeded
-from tvf.graphs import Graph, ProductVertex
+from tvf.graphs import Graph
 from tvf.schemes import SizeScheme
 from tvf.squids import (
     RemovalTrace,
@@ -21,22 +22,32 @@ from tvf.vd import CertificateBuilder, certificate_from_json, certificate_to_jso
 
 import oracles
 from conftest import all_labeled_graphs, same_certificate_dag
-from oracles import check_squid, squid_admissible, squid_arms, squid_hearts
+from oracles import (
+    ProductVertex,
+    check_squid,
+    product_label,
+    product_vertices,
+    squid_admissible,
+    squid_arms,
+    squid_hearts,
+)
 
 
 def _pv(b, r):
     return ProductVertex(b, r)
 
 
+def _mask(G, q, *pairs):
+    return sum(1 << product_label(G, q, _pv(b, r)) for b, r in pairs)
+
+
 def _residual_set(trace, node):
-    G, q = trace.graph, trace.q
-    gi = {v: i for i, v in enumerate(G.vertices)}
-    out = set()
-    for v in G.vertices:
-        for r in range(1, q + 1):
-            if node.residual_mask >> (gi[v] * q + (r - 1)) & 1:
-                out.add(_pv(v, r))
-    return frozenset(out)
+    return product_vertices(trace.graph, trace.q, node.residual_mask)
+
+
+def _pair(trace, label):
+    (pv,) = product_vertices(trace.graph, trace.q, 1 << label)
+    return pv
 
 
 def test_df1_threshold_and_check():
@@ -51,27 +62,25 @@ def test_df1_threshold_and_check():
 
 
 def test_squid_validation():
-    K2 = Graph.complete(2)
-    ok = Squid(body=0, kind="I", rows=(1,), vertices=frozenset({_pv(0, 1), _pv(1, 1)}), witness=1)
+    K2, E3 = Graph.complete(2), Graph.empty(3)
+    ok = Squid(body=0, kind="I", rows=(1,), mask=_mask(K2, 2, (0, 1), (1, 1)), witness=1)
     check_squid(ok, K2, 2)
     with pytest.raises(SquidError):  # heart outside the vertex set
-        check_squid(Squid(body=0, kind="I", rows=(1,), vertices=frozenset({_pv(0, 2)}), witness=1), K2, 2)
+        check_squid(Squid(body=0, kind="I", rows=(1,), mask=_mask(K2, 2, (0, 2)), witness=1), K2, 2)
     with pytest.raises(SquidError):  # arms need a witness
-        check_squid(Squid(body=0, kind="I", rows=(1,), vertices=frozenset({_pv(0, 1), _pv(1, 1)})), K2, 2)
+        check_squid(Squid(body=0, kind="I", rows=(1,), mask=_mask(K2, 2, (0, 1), (1, 1))), K2, 2)
     with pytest.raises(SquidError):  # kind II rows must be i < j
-        check_squid(Squid(body=0, kind="II", rows=(2, 1), vertices=frozenset({_pv(0, 1), _pv(0, 2)})), K2, 2)
+        check_squid(Squid(body=0, kind="II", rows=(2, 1), mask=_mask(K2, 2, (0, 1), (0, 2))), K2, 2)
     with pytest.raises(SquidError):  # arm off the marked rows
         check_squid(
-            Squid(body=0, kind="II", rows=(1, 2), vertices=frozenset({_pv(0, 1), _pv(0, 2), _pv(1, 3)})),
+            Squid(body=0, kind="II", rows=(1, 2), mask=_mask(K2, 3, (0, 1), (0, 2), (1, 3))),
             K2,
             3,
         )
     with pytest.raises(SquidError):  # witness must be adjacent
-        check_squid(
-            Squid(body=0, kind="I", rows=(1,), vertices=frozenset({_pv(0, 1)}), witness=2),
-            Graph.empty(3),
-            1,
-        )
+        check_squid(Squid(body=0, kind="I", rows=(1,), mask=_mask(E3, 1, (0, 1)), witness=2), E3, 1)
+    with pytest.raises(SquidError):  # a label past the product
+        check_squid(Squid(body=0, kind="I", rows=(1,), mask=0b10001, witness=1), K2, 2)
 
 
 def test_run_df1_single_vertex():
@@ -81,7 +90,7 @@ def test_run_df1_single_vertex():
     assert cert.level == 1
     assert verify_certificate(trace.product(), cert).ok
     bare = trace.root.link_child.squid
-    assert bare.witness is None and not squid_arms(bare) and bare.kind == "I"
+    assert bare.witness is None and not squid_arms(bare, trace.graph, trace.q) and bare.kind == "I"
 
 
 def test_run_df1_requires_threshold():
@@ -129,20 +138,17 @@ def _assert_squids_admissible(trace):
     for node in trace.nodes():
         if node.pivot is None:
             continue
-        res = _residual_set(trace, node)
+        res, pivot = _residual_set(trace, node), _pair(trace, node.pivot)
         for ch in node.arm_children:
-            assert squid_admissible(ch.squid, node.pivot, res, trace.graph, trace.q), (
-                node.pivot,
-                ch.squid,
-            )
+            assert squid_admissible(ch.squid, pivot, res, trace.graph, trace.q), (pivot, ch.squid)
         link = node.link_child.squid
-        if len(link.vertices) == 1 and not squid_arms(link):
+        if link.mask.bit_count() == 1 and not squid_arms(link, trace.graph, trace.q):
             # bare pivot: arises exactly when the pivot is isolated in the
             # residual, where neither membership pattern can apply
-            assert _isolated_in(res, node.pivot, trace.graph)
+            assert _isolated_in(res, pivot, trace.graph)
             degenerate += 1
             continue
-        assert squid_admissible(link, node.pivot, res, trace.graph, trace.q)
+        assert squid_admissible(link, pivot, res, trace.graph, trace.q)
     return degenerate
 
 
@@ -176,7 +182,7 @@ def test_run_dynamic_p4_example():
     trace = run_dynamic(Graph.path(4), 5, scheme)
     assert trace.m == 2
     assert trace.root.block_row == 1
-    assert trace.root.pivot == _pv(0, 1)
+    assert _pair(trace, trace.root.pivot) == _pv(0, 1)
     cert = extract_certificate(trace)
     assert cert.level == 2
     assert verify_certificate(trace.product(), cert).ok
@@ -185,7 +191,7 @@ def test_run_dynamic_p4_example():
 def test_run_dynamic_forced_single_block():
     scheme = SizeScheme((1,), 4, 2, 1)
     trace = run_dynamic(Graph.complete(2), 2, scheme)
-    assert trace.root.pivot == _pv(0, 1)
+    assert _pair(trace, trace.root.pivot) == _pv(0, 1)
     assert squid_hearts(trace.root.link_child.squid)[0] == _pv(0, 1)
     cert = extract_certificate(trace)
     assert cert.level == 1 and verify_certificate(trace.product(), cert).ok
@@ -223,8 +229,9 @@ def test_dynamic_row_choice_rule_per_branch():
         best = max(counts[r] for r in unused)
         assert counts[node.block_row] == best
         assert node.block_row == min(r for r in unused if counts[r] == best)
-        assert node.pivot.row == node.block_row
-        assert node.pivot.base == min(pv.base for pv in res if pv.row == node.block_row)
+        pivot = _pair(trace, node.pivot)
+        assert pivot.row == node.block_row
+        assert pivot.base == min(pv.base for pv in res if pv.row == node.block_row)
 
 
 def test_trace_json_round_trips():
@@ -235,14 +242,21 @@ def test_trace_json_round_trips():
         text = trace.to_json()
         again = RemovalTrace.from_json(text)
         assert again.to_json() == text
-        for node in trace.nodes():
-            for child in (*node.arm_children, node.link_child):
-                if child is None:
-                    continue
-                s, obj = child.squid, child.squid.to_obj()
-                assert obj["arms"] == [list(pv) for pv in squid_arms(s)]
+        G, q = trace.graph, trace.q
+        # the JSON form holds each label as its (base, row) pair
+        for node, node_obj in zip(trace.nodes(), trace.to_obj()["nodes"], strict=True):
+            assert node_obj["pivot"] == (None if node.pivot is None else list(_pair(trace, node.pivot)))
+            children = list(zip(node.arm_children, node_obj["children"], strict=True))
+            if node.link_child is not None:
+                children.append((node.link_child, node_obj["link"]))
+            for child, child_obj in children:
+                if child.w is not None:
+                    assert child_obj["w"] == list(_pair(trace, child.w))
+                s, obj = child.squid, child_obj["squid"]
+                vertices = product_vertices(G, q, s.mask)
+                assert obj["arms"] == [list(pv) for pv in squid_arms(s, G, q)]
                 assert obj["hearts"] == [list(pv) for pv in squid_hearts(s)]
-                assert obj["body_rows"] == sorted(pv.row for pv in s.vertices if pv.base == s.body)
+                assert obj["body_rows"] == sorted(pv.row for pv in vertices if pv.base == s.body)
         assert certificate_to_json(extract_certificate(again)) == certificate_to_json(
             extract_certificate(trace)
         )
@@ -269,18 +283,50 @@ def _relabeled_cycle(n, seed):
     return Graph(range(n), [(perm[i], perm[(i + 1) % n]) for i in range(n)])
 
 
-@pytest.mark.parametrize(
-    "make_trace",
-    [
-        lambda: run_df1(Graph.cycle(5), 7),
-        lambda: run_df1(_relabeled_cycle(6, 1), 7),
-        lambda: run_df1(_relabeled_cycle(6, 2), 7),
-        lambda: run_dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2)),
-    ],
-    ids=["C5xK7", "C6xK7-relabel1", "C6xK7-relabel2", "P4xK5-dynamic"],
-)
-def test_extraction_matches_graph_space_oracle(make_trace):
-    trace = make_trace()
+TRACES = {
+    "C5xK7": lambda: run_df1(Graph.cycle(5), 7),
+    "C6xK7-relabel1": lambda: run_df1(_relabeled_cycle(6, 1), 7),
+    "C6xK7-relabel2": lambda: run_df1(_relabeled_cycle(6, 2), 7),
+    "P4xK5-dynamic": lambda: run_dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2)),
+}
+
+# SHA-256 of each trace's JSON and of its certificate's JSON, recorded when
+# the traces still held (base, row) pairs in memory; the label form must
+# write the same bytes.
+DIGESTS = {
+    "C5xK7": (
+        "fcfadf51b5f09918452b7bce37f35217e2b9d4ef825f705aae73645e849ccddb",
+        "562647f5cfc30c7724c0b3f7b3f4b7a1bf96a1380cc0a5b101e4797924d8782a",
+    ),
+    "C6xK7-relabel1": (
+        "390c7639f8ce0f1e562bf34504572fe11f6958c81b1d430627dd67698af86f35",
+        "5e33366228a076f730260652a06e3c06ab9281081cccb12522f7338dca40a798",
+    ),
+    "C6xK7-relabel2": (
+        "a36419bed01428c9e7be6081fbb78007c61b695aa59ca7c1c28ac5c49b90cdd2",
+        "081d5837c5bef1bc4a5a4b281e2145732803f4e457bcaec9030bd1991860fb7f",
+    ),
+    "P4xK5-dynamic": (
+        "d8906a60035182c0ae406ca5f80688a1e954a01b7b9c361c626b7af050ac133d",
+        "eeadd1a1d9dd55bf8f0838c6d208f2ce6c08bceec18c2564c3c477cc39feacb4",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_trace_and_certificate_bytes_are_pinned(name):
+    trace = TRACES[name]()
+    cert_text = certificate_to_json(extract_certificate(trace))
+    assert (_sha256(trace.to_json()), _sha256(cert_text)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_extraction_matches_graph_space_oracle(name):
+    trace = TRACES[name]()
     cert = extract_certificate(trace)
     text = certificate_to_json(cert)
     assert text == certificate_to_json(oracles.extract_certificate(trace))
@@ -311,11 +357,13 @@ def test_trace_from_obj_names_the_malformed_node():
     "search",
     [
         lambda budget: run_df1(Graph.complete(5), 13, budget=budget),
-        lambda budget: run_dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2), budget),
+        lambda budget: run_dynamic(Graph.path(4), 5, SizeScheme((2, 1), 20, 5, 2), budget),
     ],
     ids=["df1", "dynamic"],
 )
 def test_removal_budget_counts_trace_nodes(search):
+    # the budget bounds the product's edges too: 520 for K5 x K13 and 55 for
+    # P4 x K5, below the 896 and 65 trace nodes
     trace = search(None)
     nodes = len(trace.nodes())  # one per memo key, none shared by identity alone
     assert search(nodes).to_json() == trace.to_json()
@@ -343,3 +391,20 @@ def test_extraction_budget_counts_memo_entries(monkeypatch):
         extract_certificate(trace, entries - 1)
     assert (exc.value.used, exc.value.limit) == (entries, entries - 1)
     assert str(exc.value) == f"certificate budget exceeded ({entries} > {entries - 1} memo entries)"
+
+
+@pytest.mark.parametrize(
+    "call, used",
+    [
+        (lambda: run_df1(Graph.complete(1), 20000), 199_990_000),
+        (lambda: run_dynamic(Graph.complete(2), 20000, SizeScheme((1,), 2, 20000, 1)), 400_000_000),
+        (lambda: RemovalTrace.from_obj({**run_df1(Graph.complete(1), 1).to_obj(), "q": 10**13}),
+         10**13 * (10**13 - 1) // 2),
+        (lambda: extract_certificate(run_df1(Graph.complete(1), 1)._replace(q=20000)), 199_990_000),
+    ],
+    ids=["df1", "dynamic", "read", "extract"],
+)
+def test_product_budget_stops_a_huge_q(call, used):
+    with pytest.raises(BudgetExceeded) as exc:
+        call()
+    assert str(exc.value) == f"product budget exceeded ({used} > 1000000 edges)"
