@@ -7,8 +7,8 @@ seed, timing, the exit code and the error kind (null on success); a failed
 run writes it too.  Identical inputs and seed reproduce byte-identical
 artifacts.  The TVF_BUDGET environment variable, a positive integer,
 replaces the default limit of every budget a command counts (faces, facets,
-memo entries, trace nodes, product edges, hull-intersection calls); any
-other value is a usage error.
+memo entries, trace nodes, product edges, hull tests); any other value is a
+usage error.
 
 Every search and construction that follows its input's depth runs on the
 explicit stack of graphs.run, so no input meets the interpreter's recursion
@@ -192,13 +192,7 @@ class _Run:
 
 def cmd_graph_product(run: _Run) -> int:
     args = run.args
-    G = run.graph(args.graph)
-    if (args.q is None) == (args.with_graph is None):
-        raise GraphError("give exactly one of --q or --with")
-    if args.q is not None:
-        P = gr.product_with_complete(G, args.q, run.budget)
-    else:
-        P = gr.cartesian_product(G, gr.parse_edgelist(run.read(args.with_graph)))
+    P = gr.product_with_complete(run.graph(args.graph), args.q, run.budget)
     run.emit(gr.format_edgelist(P), args.out)
     return 0
 
@@ -457,10 +451,9 @@ def build_parser() -> _Parser:
     g = top.add_parser("graph").add_subparsers(
         dest="command", required=True, parser_class=_Parser
     )
-    p = sub(g, "product", cmd_graph_product, help="cartesian product, G x K_q or G x H")
+    p = sub(g, "product", cmd_graph_product, help="cartesian product G x K_q")
     p.add_argument("--graph", required=True)
-    p.add_argument("--q", type=int)
-    p.add_argument("--with", dest="with_graph")
+    p.add_argument("--q", type=int, required=True)
     p.add_argument("--out")
     p = sub(g, "info", cmd_graph_info, help="vertex/edge counts, degrees, thresholds")
     p.add_argument("--graph", required=True)

@@ -94,9 +94,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     # -- standard small families used throughout the tests and CLI --
 
     @classmethod

@@ -40,13 +40,19 @@ def solve_equality_feasibility(
 
     # one scale for the whole system: scaling rows apart would reweight the
     # phase-1 objective and could change Bland's choices
-    scale = math.lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
+    denominators = {v.denominator for row in A for v in row}
+    denominators.update(v.denominator for v in b)
+    scale = math.lcm(*denominators)
     # rows with b_i < 0 are negated so the artificial basis is feasible
     tab = []
     rhs = []
     for i, (row, bi) in enumerate(zip(A, b)):
         sign = -scale if bi < 0 else scale
-        tab.append([sign * v.numerator // v.denominator for v in row] + [0] * m)
+        if scale == 1:  # integer entries: only the sign to apply
+            ints = [v.numerator for v in row] if sign > 0 else [-v.numerator for v in row]
+        else:
+            ints = [sign * v.numerator // v.denominator for v in row]
+        tab.append(ints + [0] * m)
         tab[i][n + i] = 1
         rhs.append(sign * bi.numerator // bi.denominator)
     basis = list(range(n, n + m))
@@ -83,7 +89,7 @@ def solve_equality_feasibility(
             if f:
                 tab[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
                 rhs[i] = (rhs[i] * p - f * pr) // D
-            else:
+            elif p != D:
                 tab[i] = [x * p // D for x in row]
                 rhs[i] = rhs[i] * p // D
         f = red[enter]

@@ -3,14 +3,14 @@
 A constraint graph G forbids same-colored adjacent vertices; a witness is a
 proper q-coloring plus a rational point lying in the convex hull of every
 color class, certified by explicit convex coefficients.  All feasibility
-questions are decided by an exact rational LP, a returned witness has
-been re-verified by substitution (verify_witness), and a "none" is
-definitive.
+questions are decided exactly, by disjoint integer bounding boxes or by an
+exact rational LP; a returned witness has been re-verified by substitution
+(verify_witness), and a "none" is definitive.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # tverberg search then never load schemes.
 from . import schemes
 from .errors import Budget, TverbergError
-from .graphs import Graph, induced_subgraph, run
+from .graphs import Graph, induced_subgraph, neighbor_masks, run
 from .ratlp import solve_equality_feasibility
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -154,7 +154,8 @@ def hulls_intersect(parts: Sequence[Sequence[Point]]) -> Optional[HullWitness]:
         tuple(sol[offsets[c] + t] for t in range(len(part))) for c, part in enumerate(parts)
     )
     point = tuple(
-        sum((lam * p[i] for lam, p in zip(coeffs[0], parts[0])), Fraction(0)) for i in range(dim)
+        sum((lam * p[i] for lam, p in zip(coeffs[0], parts[0]) if lam), Fraction(0))
+        for i in range(dim)
     )
     return HullWitness(point, coeffs)
 
@@ -177,7 +178,11 @@ class TverbergWitness(NamedTuple):
 
 
 def verify_witness(G: Graph, cfg: PointConfiguration, witness: TverbergWitness, q: int) -> bool:
-    """Exact recomputation of all witness invariants."""
+    """Exact recomputation of all witness invariants.
+
+    The coloring must be a proper partition of V(G) into exactly q nonempty
+    classes, colored 1..q, each with convex coefficients of the common point.
+    """
     coloring = witness.coloring
     if set(coloring) != set(G.vertices):
         return False
@@ -187,6 +192,8 @@ def verify_witness(G: Graph, cfg: PointConfiguration, witness: TverbergWitness, 
         if coloring[u] == coloring[v]:
             return False
     classes = witness.color_classes()
+    if len(classes) != q:
+        return False
     for c, verts in classes.items():
         coeffs = witness.barycentric.get(c)
         if coeffs is None or set(coeffs) != set(verts) or not verts:
@@ -204,10 +211,6 @@ def verify_witness(G: Graph, cfg: PointConfiguration, witness: TverbergWitness, 
     return True
 
 
-def _is_independent(G: Graph, vertices: Sequence[int]) -> bool:
-    return not any(G.has_edge(u, v) for u, v in itertools.combinations(vertices, 2))
-
-
 def search_witness(
     G: Graph,
     cfg: PointConfiguration,
@@ -218,12 +221,25 @@ def search_witness(
 
     Color symmetry is broken by construction: class c's smallest vertex is
     the smallest vertex not in classes 1..c-1, so color first-occurrences
-    are increasing.  Class candidates are enumerated by ascending bitmask
-    over the remaining vertices.  After a class is completed, a common-point
-    LP over the completed classes prunes the branch when they already fail
-    to intersect — sound, because later classes cannot change earlier hulls.
-    The search runs on graphs.run, one level per class, and the budget
-    counts LP feasibility calls (None: DEFAULT_SEARCH_BUDGET).  A witness is
+    are increasing.  Class candidates are independent sets, enumerated as
+    bitmasks over the remaining vertices in ascending order.
+
+    A candidate class is tested against the completed classes before the
+    branch goes on; later classes cannot change earlier hulls, so a failed
+    test prunes the whole branch.  A common point lies in every class's
+    bounding box and in the hull intersection of every pair of classes, so
+    first each earlier class's box is tested against the candidate's
+    (disjoint boxes mean disjoint hulls), then each pair by a two-part LP,
+    and only when every pair meets does the LP over all completed classes
+    run.  Box and pair verdicts are cached per class pair.  A pruned branch
+    is one that this last LP would refute, so the search reaches the same
+    first witness through the same final LP as one that runs only that LP.
+    A single class always has a hull point, so its LP runs only as the
+    final class when q = 1, to produce the witness.
+
+    The search runs on graphs.run, one level per class.  The budget counts
+    hull tests (None: DEFAULT_SEARCH_BUDGET): one unit per box test, pair
+    LP or full LP, which also bounds the pair cache.  A witness is
     re-checked with verify_witness before it is returned; a failed check
     raises TverbergError.
     """
@@ -234,45 +250,93 @@ def search_witness(
         raise TverbergError("point configuration must be indexed by exactly V(G)")
     if len(verts) < q:
         return None  # every q-coloring would leave an empty class
-    calls = Budget(budget, DEFAULT_SEARCH_BUDGET, "search", "hull-intersection calls")
+    tests = Budget(budget, DEFAULT_SEARCH_BUDGET, "search", "hull tests")
+    _, _, nbr = neighbor_masks(G)
+    points = [cfg.points[v] for v in verts]
+    # boxes compare the points scaled to integers by one positive factor
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    grid = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    meets: dict[tuple[int, int], bool] = {}  # (earlier class, new class) -> hulls meet
 
-    def lp(classes: list[tuple[int, ...]]) -> Optional[HullWitness]:
-        calls.spend()
-        return hulls_intersect([[cfg.points[v] for v in cls] for cls in classes])
+    def members(mask: int) -> list[int]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
 
-    def recurse(remaining: tuple[int, ...], classes: list[tuple[int, ...]]):
+    def independent(mask: int) -> bool:
+        return not any(nbr[i] & mask for i in members(mask))
+
+    def box(mask: int) -> tuple[list[int], list[int]]:
+        coords = list(zip(*(grid[i] for i in members(mask))))
+        return [min(c) for c in coords], [max(c) for c in coords]
+
+    def lp(masks: list[int]) -> Optional[HullWitness]:
+        tests.spend()
+        return hulls_intersect([[points[i] for i in members(m)] for m in masks])
+
+    def meets_all(classes: list, cls: int, cls_box) -> bool:
+        """Whether cls's hull meets each earlier class's: boxes, then pair LPs."""
+        undecided = []
+        lo, hi = cls_box
+        for e, (e_lo, e_hi) in classes:
+            met = meets.get((e, cls))
+            if met is None:
+                tests.spend()
+                if any(a > d or c > b for a, b, c, d in zip(lo, hi, e_lo, e_hi)):
+                    meets[e, cls] = False
+                    return False
+                undecided.append(e)
+            elif not met:
+                return False
+        for e in undecided:
+            met = meets[e, cls] = lp([e, cls]) is not None
+            if not met:
+                return False
+        return True
+
+    def recurse(remaining: int, classes: list):
         """Generator for run: the first witness that extends classes, or None."""
         if len(classes) == q - 1:
-            if not _is_independent(G, remaining):
+            if not independent(remaining) or not meets_all(classes, remaining, box(remaining)):
                 return None
-            full = classes + [remaining]
+            full = [e for e, _ in classes] + [remaining]
             hull = lp(full)
             if hull is None:
                 return None
             coloring = {}
             barycentric: dict[int, dict[int, Fraction]] = {}
             for ci, cls in enumerate(full, start=1):
-                for v in cls:
+                labels = [verts[i] for i in members(cls)]
+                for v in labels:
                     coloring[v] = ci
-                barycentric[ci] = dict(zip(cls, hull.coefficients[ci - 1]))
+                barycentric[ci] = dict(zip(labels, hull.coefficients[ci - 1]))
             return TverbergWitness(coloring, hull.point, barycentric)
-        anchor, rest = remaining[0], remaining[1:]
-        slots_after = q - len(classes) - 1
-        for mask in range(1 << len(rest)):
-            chosen = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            if len(rest) - len(chosen) < slots_after:
-                continue
-            cls = (anchor, *chosen)
-            if not _is_independent(G, cls):
-                continue
-            if lp(classes + [cls]) is None:
-                continue
-            found = yield recurse(tuple(v for v in rest if v not in set(chosen)), classes + [cls])
-            if found is not None:
-                return found
-        return None
+        anchor = remaining & -remaining
+        free = (remaining ^ anchor) & ~nbr[anchor.bit_length() - 1]
+        # leave at least one vertex for each later class
+        most = remaining.bit_count() - 1 - (q - len(classes) - 1)
+        chosen = 0
+        while True:
+            if chosen.bit_count() <= most and independent(chosen):
+                cls = anchor | chosen
+                cls_box = box(cls)
+                # one class always has a hull point; with one earlier class
+                # the pair LP is the LP over all completed classes
+                if not classes or (
+                    meets_all(classes, cls, cls_box)
+                    and (len(classes) == 1 or lp([e for e, _ in classes] + [cls]) is not None)
+                ):
+                    found = yield recurse(remaining ^ cls, classes + [(cls, cls_box)])
+                    if found is not None:
+                        return found
+            chosen = (chosen - free) & free
+            if not chosen:
+                return None
 
-    witness = run(recurse(verts, []))
+    witness = run(recurse((1 << len(verts)) - 1, []))
     if witness is not None and not verify_witness(G, cfg, witness, q):
         raise TverbergError("the witness found failed its exact re-check")
     return witness

@@ -7,7 +7,9 @@ analysis on exact 2-D geometry (hull vertices and edge crossings) instead
 of linear programming, and the homology oracle runs dense Gaussian
 elimination on Fractions over faces enumerated straight from the facets.
 The LP oracle is the phase-1 simplex on a Fraction tableau that the
-library's fraction-free integer tableau replaced.
+library's fraction-free integer tableau replaced.  The witness search
+oracle is the unpruned search, one LP over the completed classes after
+every class, that the library's box- and pair-pruned search replaced.
 The certificate construction oracle (lifting, pivot assembly, the
 degree-bound builder and trace extraction) builds a Graph for every
 subgraph where the library works on bitmasks.  The level decision oracle
@@ -38,6 +40,15 @@ from tvf.complexes import DEFAULT_FACE_BUDGET, ShellingCheck, VertexDecompositio
 from tvf.errors import Budget, ComplexError
 from tvf.graphs import Graph, GraphError, induced_subgraph, run
 from tvf.squids import Squid, SquidError
+from tvf.tverberg import (
+    DEFAULT_SEARCH_BUDGET,
+    HullWitness,
+    PointConfiguration,
+    TverbergError,
+    TverbergWitness,
+    hulls_intersect,
+    verify_witness,
+)
 from tvf.vd import (
     CertificateError,
     LeafAny,
@@ -324,6 +335,89 @@ def fraction_simplex(
 
 
 # ---------------------------------------------------------------------------
+# Tverberg witness search (unpruned reference)
+# ---------------------------------------------------------------------------
+#
+# The search as it ran before box and pair pruning: one LP over the
+# completed classes after every class, the one-class prefix included.  The
+# library's pruned search must return exactly the same witness or None.
+
+
+def _is_independent(G: Graph, vertices: Sequence[int]) -> bool:
+    return not any(v in G.neighbors(u) for u, v in itertools.combinations(vertices, 2))
+
+
+def unpruned_search_witness(
+    G: Graph,
+    cfg: PointConfiguration,
+    q: int,
+    budget: Optional[int] = None,
+) -> Optional[TverbergWitness]:
+    """First witness in canonical order over proper surjective q-colorings.
+
+    Color symmetry is broken by construction: class c's smallest vertex is
+    the smallest vertex not in classes 1..c-1, so color first-occurrences
+    are increasing.  Class candidates are enumerated by ascending bitmask
+    over the remaining vertices.  After a class is completed, a common-point
+    LP over the completed classes prunes the branch when they already fail
+    to intersect — sound, because later classes cannot change earlier hulls.
+    The search runs on graphs.run, one level per class, and the budget
+    counts LP feasibility calls (None: DEFAULT_SEARCH_BUDGET).  A witness is
+    re-checked with verify_witness before it is returned; a failed check
+    raises TverbergError.
+    """
+    if q < 1:
+        raise TverbergError(f"q must be positive, got {q}")
+    verts = G.vertices
+    if set(cfg.points) != set(verts):
+        raise TverbergError("point configuration must be indexed by exactly V(G)")
+    if len(verts) < q:
+        return None  # every q-coloring would leave an empty class
+    calls = Budget(budget, DEFAULT_SEARCH_BUDGET, "search", "hull-intersection calls")
+
+    def lp(classes: list[tuple[int, ...]]) -> Optional[HullWitness]:
+        calls.spend()
+        return hulls_intersect([[cfg.points[v] for v in cls] for cls in classes])
+
+    def recurse(remaining: tuple[int, ...], classes: list[tuple[int, ...]]):
+        """Generator for run: the first witness that extends classes, or None."""
+        if len(classes) == q - 1:
+            if not _is_independent(G, remaining):
+                return None
+            full = classes + [remaining]
+            hull = lp(full)
+            if hull is None:
+                return None
+            coloring = {}
+            barycentric: dict[int, dict[int, Fraction]] = {}
+            for ci, cls in enumerate(full, start=1):
+                for v in cls:
+                    coloring[v] = ci
+                barycentric[ci] = dict(zip(cls, hull.coefficients[ci - 1]))
+            return TverbergWitness(coloring, hull.point, barycentric)
+        anchor, rest = remaining[0], remaining[1:]
+        slots_after = q - len(classes) - 1
+        for mask in range(1 << len(rest)):
+            chosen = [rest[i] for i in range(len(rest)) if mask >> i & 1]
+            if len(rest) - len(chosen) < slots_after:
+                continue
+            cls = (anchor, *chosen)
+            if not _is_independent(G, cls):
+                continue
+            if lp(classes + [cls]) is None:
+                continue
+            found = yield recurse(tuple(v for v in rest if v not in set(chosen)), classes + [cls])
+            if found is not None:
+                return found
+        return None
+
+    witness = run(recurse(verts, []))
+    if witness is not None and not verify_witness(G, cfg, witness, q):
+        raise TverbergError("the witness found failed its exact re-check")
+    return witness
+
+
+# ---------------------------------------------------------------------------
 # Rational homology (dense)
 # ---------------------------------------------------------------------------
 
@@ -552,7 +646,7 @@ def independence_complex(G: Graph) -> SimplicialComplex:
         s
         for r in range(G.n + 1)
         for s in itertools.combinations(G.vertices, r)
-        if not any(G.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        if not any(v in G.neighbors(u) for u, v in itertools.combinations(s, 2))
     )
 
 
@@ -926,7 +1020,7 @@ def check_squid(s: Squid, G: Graph, q: int) -> None:
             if arms:
                 raise SquidError("kind I squids with arms need an adjacent witness")
         else:
-            if not G.has_edge(s.witness, s.body):
+            if s.body not in G.neighbors(s.witness):
                 raise SquidError(f"witness {s.witness} is not adjacent to body {s.body}")
             allowed = G.neighbors(s.witness) | G.neighbors(s.body)
             for pv in arms:

@@ -236,10 +236,24 @@ def test_usage_errors_exit_64(files, capsys):
         main(["vd", "max"])  # missing --graph
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
+        main(["graph", "product", "--graph", str(files / "k2.txt")])  # missing --q
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
         main(["vd", "max", "--graph", "x", "--bogus-flag"])
+    assert exc.value.code == 64
+
+
+def test_graph_product_with_a_second_graph_is_gone(files, capsys):
+    # G x H for an arbitrary H had no budget; only G x K_q remains
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "product", "--graph", str(files / "k2.txt"), "--with", str(files / "k2.txt")])
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "product", "--graph", str(files / "k2.txt"), "--q", "2",
+              "--with", str(files / "k2.txt")])
     assert exc.value.code == 64
 
 

@@ -64,7 +64,7 @@ def test_walk_contains_distance_and_equality_when_triangle_free():
         edges = [e for e in pairs if rnd.random() < 0.4]
         G = Graph(range(n), edges)
         triangle_free = not any(
-            G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(a, c)
+            b in G.neighbors(a) and c in G.neighbors(b) and c in G.neighbors(a)
             for a, b, c in itertools.combinations(range(n), 3)
         )
         for v in G.vertices:

@@ -128,7 +128,7 @@ def _isolated_in(res, pivot, G):
     for pv in res:
         if pv == pivot:
             continue
-        if pv.base == pivot.base or (pv.row == pivot.row and G.has_edge(pv.base, pivot.base)):
+        if pv.base == pivot.base or (pv.row == pivot.row and pivot.base in G.neighbors(pv.base)):
             return False
     return True
 

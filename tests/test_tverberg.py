@@ -23,7 +23,8 @@ from tvf.tverberg import (
     witness_to_obj,
 )
 
-from oracles import fraction_simplex, hulls_intersect_oracle
+import oracles
+from oracles import fraction_simplex, hulls_intersect_oracle, unpruned_search_witness
 
 
 def _rand_point(rnd, d=2):
@@ -92,6 +93,16 @@ def test_search_witness_radon():
     )
     w = search_witness(G, cfg, 2)
     assert w is not None and verify_witness(G, cfg, w, 2)
+
+
+def test_verify_witness_requires_q_nonempty_classes():
+    rnd = random.Random(5)
+    G = Graph.empty(7)
+    cfg = PointConfiguration(2, {v: _rand_point(rnd) for v in range(7)})
+    w = search_witness(G, cfg, 3)
+    assert w is not None and verify_witness(G, cfg, w, 3)
+    assert len(w.color_classes()) == 3
+    assert not verify_witness(G, cfg, w, 4)  # color 4 is never used
 
 
 def test_search_witness_chromatic_obstruction():
@@ -267,3 +278,55 @@ def test_search_and_corollary_match_the_fraction_simplex(monkeypatch):
     assert fast[2] == "null" and any(o != "null" for o in fast)
     monkeypatch.setattr(tvf.tverberg, "solve_equality_feasibility", fraction_simplex)
     assert _outputs(instances) == fast
+
+
+def _p9_refutation():
+    """The P9 instance of test_search_and_corollary_match_the_fraction_simplex."""
+    rnd = random.Random(21)
+    _planar(rnd, 10, False)
+    _planar(rnd, 7, False)
+    return Graph.path(9), PointConfiguration(2, _planar(rnd, 9, False)), 4
+
+
+def test_pruned_search_makes_fewer_multi_part_lps(monkeypatch):
+    G, cfg, q = _p9_refutation()
+    real = tvf.tverberg.hulls_intersect
+
+    def counted(parts):
+        calls.append(len(parts))
+        return real(parts)
+
+    monkeypatch.setattr(tvf.tverberg, "hulls_intersect", counted)
+    monkeypatch.setattr(oracles, "hulls_intersect", counted)
+    calls = []
+    assert search_witness(G, cfg, q) is None
+    pruned = sum(k >= 3 for k in calls)
+    calls = []
+    assert unpruned_search_witness(G, cfg, q) is None
+    reference = sum(k >= 3 for k in calls)
+    assert pruned < reference
+
+
+def _random_instance(rnd):
+    q, d = rnd.randint(1, 4), rnd.randint(1, 3)
+    # around the Tverberg number (d+1)(q-1)+1, so both outcomes are common
+    n = rnd.randint(max(1, q - 1), min(8, (d + 1) * (q - 1) + 2))
+    labels = sorted(rnd.sample(range(3 * n), n)) if rnd.random() < 0.3 else list(range(n))
+    p = rnd.choice([0.0, 0.0, 0.15, 0.4])
+    edges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:] if rnd.random() < p]
+    span = rnd.choice([2, 12])  # a small span gives repeated and collinear points
+    cfg = PointConfiguration(
+        d, {v: tuple(F(rnd.randint(-span, span), rnd.randint(1, 4)) for _ in range(d)) for v in labels}
+    )
+    return Graph(labels, edges), cfg, q
+
+
+def test_pruned_search_matches_the_unpruned_reference():
+    rnd = random.Random(16)
+    outcomes = {True: 0, False: 0}
+    for _ in range(160):
+        G, cfg, q = _random_instance(rnd)
+        w, ref = search_witness(G, cfg, q), unpruned_search_witness(G, cfg, q)
+        assert w == ref, (G.vertices, G.edges, cfg, q)
+        outcomes[w is not None] += 1
+    assert min(outcomes.values()) >= 40, outcomes
