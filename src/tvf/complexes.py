@@ -29,26 +29,18 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import Budget, ComplexError
-from .graphs import Graph, neighbor_masks, run
+from .graphs import Graph, bits, neighbor_masks, run
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
 Face = tuple[int, ...]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask as one-bit masks, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 def _labels(verts: tuple[int, ...], mask: int) -> Face:
-    return tuple(verts[low.bit_length() - 1] for low in _bits(mask))
+    return tuple(verts[low.bit_length() - 1] for low in bits(mask))
 
 
 def _union(masks: Iterable[int]) -> int:
@@ -159,7 +151,7 @@ def skeleton(S: SimplicialComplex, k: int, budget: Optional[int] = None) -> Simp
         if m.bit_count() <= k + 1:
             masks.add(m)
         else:
-            for combo in itertools.combinations(_bits(m), k + 1):
+            for combo in itertools.combinations(bits(m), k + 1):
                 b.spend()
                 masks.add(sum(combo))  # distinct bits: the sum is the union
     return SimplicialComplex._of(S._verts, tuple(sorted(masks)))
@@ -209,12 +201,12 @@ def _maximal_independent_sets(G: Graph, budget: Budget) -> list[int]:
             out.append(include)
             return
         best = -1
-        for low in _bits(maybe | exclude):
+        for low in bits(maybe | exclude):
             i = low.bit_length() - 1
             score = (nonadj[i] & maybe).bit_count()
             if score > best:
                 best, pivot = score, i
-        for low in _bits(maybe & ~nonadj[pivot]):
+        for low in bits(maybe & ~nonadj[pivot]):
             i = low.bit_length() - 1
             yield grow(include | low, maybe & nonadj[i], exclude & nonadj[i])
             maybe &= ~low
@@ -279,7 +271,7 @@ def _vd_shelling(
         # A disconnected pure complex of dimension >= 1 is not shellable, so
         # not vertex decomposable (Provan-Billera 1980): it stays None.
         elif size == 1 or _connected(masks):
-            for bit in _bits(_union(masks)):
+            for bit in bits(_union(masks)):
                 v = S._verts[bit.bit_length() - 1]
                 dl = deletion(S, v)
                 shell_dl = yield _vd_shelling(dl, memo, budget)
@@ -350,7 +342,7 @@ def check_shelling(order: Sequence[Iterable[int]]) -> ShellingCheck:
         f = masks[i]
         meets = {f & masks[j] for j in range(i)}
         ridges = 0
-        for x in _bits(f):
+        for x in bits(f):
             if f ^ x in meets:
                 ridges |= x
         if not all(f & ~m & ridges for m in meets):

@@ -254,6 +254,14 @@ def neighbor_masks(G: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]
     return verts, index, masks
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of mask as one-bit masks, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def run(call: Generator):
     """The return value of a generator recursion, computed on an explicit stack.
 

@@ -48,11 +48,7 @@ def solve_equality_feasibility(
     rhs = []
     for i, (row, bi) in enumerate(zip(A, b)):
         sign = -scale if bi < 0 else scale
-        if scale == 1:  # integer entries: only the sign to apply
-            ints = [v.numerator for v in row] if sign > 0 else [-v.numerator for v in row]
-        else:
-            ints = [sign * v.numerator // v.denominator for v in row]
-        tab.append(ints + [0] * m)
+        tab.append([sign * v.numerator // v.denominator for v in row] + [0] * m)
         tab[i][n + i] = 1
         rhs.append(sign * bi.numerator // bi.denominator)
     basis = list(range(n, n + m))

@@ -3,14 +3,13 @@
 A constraint graph G forbids same-colored adjacent vertices; a witness is a
 proper q-coloring plus a rational point lying in the convex hull of every
 color class, certified by explicit convex coefficients.  All feasibility
-questions are decided exactly, by disjoint integer bounding boxes or by an
+questions are decided exactly, by disjoint bounding boxes or by an
 exact rational LP; a returned witness has been re-verified by substitution
 (verify_witness), and a "none" is definitive.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -18,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # tverberg search then never load schemes.
 from . import schemes
 from .errors import Budget, TverbergError
-from .graphs import Graph, induced_subgraph, neighbor_masks, run
+from .graphs import Graph, bits, induced_subgraph, neighbor_masks, run
 from .ratlp import solve_equality_feasibility
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -231,9 +230,10 @@ def search_witness(
     first each earlier class's box is tested against the candidate's
     (disjoint boxes mean disjoint hulls), then each pair by a two-part LP,
     and only when every pair meets does the LP over all completed classes
-    run.  Box and pair verdicts are cached per class pair.  A pruned branch
-    is one that this last LP would refute, so the search reaches the same
-    first witness through the same final LP as one that runs only that LP.
+    run; with two classes the pair LP is that LP, so it runs once.  Box and
+    pair verdicts are cached per class pair.  A pruned branch is one that
+    this last LP would refute, so the search reaches the same first witness
+    through the same final LP as one that runs only that LP.
     A single class always has a hull point, so its LP runs only as the
     final class when q = 1, to produce the witness.
 
@@ -253,32 +253,28 @@ def search_witness(
     tests = Budget(budget, DEFAULT_SEARCH_BUDGET, "search", "hull tests")
     _, _, nbr = neighbor_masks(G)
     points = [cfg.points[v] for v in verts]
-    # boxes compare the points scaled to integers by one positive factor
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    grid = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
     meets: dict[tuple[int, int], bool] = {}  # (earlier class, new class) -> hulls meet
 
     def members(mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return [low.bit_length() - 1 for low in bits(mask)]
 
     def independent(mask: int) -> bool:
         return not any(nbr[i] & mask for i in members(mask))
 
-    def box(mask: int) -> tuple[list[int], list[int]]:
-        coords = list(zip(*(grid[i] for i in members(mask))))
+    def box(mask: int) -> tuple[list[Fraction], list[Fraction]]:
+        coords = list(zip(*(points[i] for i in members(mask))))
         return [min(c) for c in coords], [max(c) for c in coords]
 
     def lp(masks: list[int]) -> Optional[HullWitness]:
         tests.spend()
         return hulls_intersect([[points[i] for i in members(m)] for m in masks])
 
-    def meets_all(classes: list, cls: int, cls_box) -> bool:
-        """Whether cls's hull meets each earlier class's: boxes, then pair LPs."""
+    def meets_all(classes: list, cls: int, cls_box, pair_lps: bool) -> bool:
+        """Whether cls's hull meets each earlier class's: boxes, then pair LPs.
+
+        Without pair_lps only the boxes are tested; the caller's full LP then
+        acts as the pair test.
+        """
         undecided = []
         lo, hi = cls_box
         for e, (e_lo, e_hi) in classes:
@@ -291,6 +287,8 @@ def search_witness(
                 undecided.append(e)
             elif not met:
                 return False
+        if not pair_lps:
+            return True
         for e in undecided:
             met = meets[e, cls] = lp([e, cls]) is not None
             if not met:
@@ -300,7 +298,10 @@ def search_witness(
     def recurse(remaining: int, classes: list):
         """Generator for run: the first witness that extends classes, or None."""
         if len(classes) == q - 1:
-            if not independent(remaining) or not meets_all(classes, remaining, box(remaining)):
+            # with one earlier class the pair LP is the full LP below
+            if not independent(remaining) or not meets_all(
+                classes, remaining, box(remaining), len(classes) > 1
+            ):
                 return None
             full = [e for e, _ in classes] + [remaining]
             hull = lp(full)
@@ -326,7 +327,7 @@ def search_witness(
                 # one class always has a hull point; with one earlier class
                 # the pair LP is the LP over all completed classes
                 if not classes or (
-                    meets_all(classes, cls, cls_box)
+                    meets_all(classes, cls, cls_box, True)
                     and (len(classes) == 1 or lp([e for e, _ in classes] + [cls]) is not None)
                 ):
                     found = yield recurse(remaining ^ cls, classes + [(cls, cls_box)])

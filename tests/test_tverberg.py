@@ -137,6 +137,9 @@ def test_search_witness_budget():
     cfg = PointConfiguration(2, {v: _rand_point(rnd) for v in range(7)})
     with pytest.raises(BudgetExceeded):
         search_witness(G, cfg, 3, budget=3)
+    # q = 2: one box test, then the full LP, which is also the pair LP
+    same = PointConfiguration(1, {0: (F(0),), 1: (F(0),)})
+    assert search_witness(Graph.empty(2), same, 2, budget=2) is not None
 
 
 def test_random_planar_tverberg_instances():
