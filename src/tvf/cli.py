@@ -86,8 +86,18 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+# Characters of an artifact encoded, hashed and written at a time, so that
+# writing one never holds a second copy of it.
+_CHUNK = 1 << 16
+
+
+def _slices(text: str, end: str):
+    """Each slice of text of _CHUNK characters, then end, with its UTF-8 bytes."""
+    for start in range(0, len(text), _CHUNK):
+        piece = text[start : start + _CHUNK]
+        yield piece, piece.encode("utf-8")
+    if end:
+        yield end, end.encode("utf-8")
 
 
 def _rational(text: str):
@@ -133,28 +143,38 @@ class _Run:
         self.budget: int | None = None  # None: each layer's default
 
     def read(self, path: str) -> str:
+        """The text of a UTF-8 file, recorded with the SHA-256 of its bytes."""
+        data = Path(path).read_bytes()
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             reason = f"{exc.reason} (in {path})"
             raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, reason) from None
-        self.inputs.append((path, _sha256_text(text)))
+        self.inputs.append((path, hashlib.sha256(data).hexdigest()))
         return text
 
     def graph(self, path: str) -> gr.Graph:
         return gr.parse_edgelist(self.read(path))
 
-    def write(self, path: str, text: str) -> None:
-        Path(path).write_text(text, encoding="utf-8")
-        self.outputs.append((path, _sha256_text(text)))
+    def write(self, path: str, text: str, end: str = "") -> None:
+        """Write text and then end to path, recording the SHA-256 of the bytes."""
+        digest = hashlib.sha256()
+        with Path(path).open("wb") as fh:
+            for _, data in _slices(text, end):
+                digest.update(data)
+                fh.write(data)
+        self.outputs.append((path, digest.hexdigest()))
 
-    def emit(self, text: str, out: str | None) -> None:
-        """Artifact to --out when given, else stdout."""
+    def emit(self, text: str, out: str | None, end: str = "") -> None:
+        """Artifact text and then end to --out when given, else stdout."""
         if out:
-            self.write(out, text)
+            self.write(out, text, end)
         else:
-            sys.stdout.write(text)
-            self.stdout_digest = _sha256_text(text)
+            digest = hashlib.sha256()
+            for piece, data in _slices(text, end):
+                digest.update(data)
+                sys.stdout.write(piece)
+            self.stdout_digest = digest.hexdigest()
 
     def finish(self, exit_code: int, error_kind: str | None) -> None:
         """Write the manifest, if one is asked for, on success and failure alike.
@@ -231,7 +251,7 @@ def cmd_vd_max(run: _Run) -> int:
 def cmd_vd_build(run: _Run) -> int:
     G = run.graph(run.args.graph)
     cert = vd.build_certificate_degree_bound(G, run.budget)
-    run.emit(vd.certificate_to_json(cert) + "\n", run.args.out)
+    run.emit(vd.certificate_to_json(cert), run.args.out, "\n")
     return 0
 
 
@@ -267,31 +287,36 @@ def cmd_vd_verify(run: _Run) -> int:
 
 
 def _emit_trace(run: _Run, trace: sq.RemovalTrace) -> None:
-    run.emit(trace.to_json() + "\n", run.args.out)
+    """Write the trace and, with --cert-out, its certificate.
+
+    The caller passes the only reference to trace, so it is freed once its
+    certificate is built, before the certificate text is.
+    """
+    run.emit(trace.to_json(), run.args.out, "\n")
     if run.args.cert_out:
         cert = sq.extract_certificate(trace, run.budget)
-        run.write(run.args.cert_out, vd.certificate_to_json(cert) + "\n")
+        del trace
+        run.write(run.args.cert_out, vd.certificate_to_json(cert), "\n")
 
 
 def cmd_squid_df1(run: _Run) -> int:
     args = run.args
-    trace = sq.run_df1(run.graph(args.graph), args.q, args.mode, run.budget)
-    _emit_trace(run, trace)
+    _emit_trace(run, sq.run_df1(run.graph(args.graph), args.q, args.mode, run.budget))
     return 0
 
 
 def cmd_squid_dynamic(run: _Run) -> int:
     args = run.args
     scheme = sc.SizeScheme.from_json(run.read(args.scheme))
-    trace = sq.run_dynamic(run.graph(args.graph), args.q, scheme, run.budget)
-    _emit_trace(run, trace)
+    _emit_trace(run, sq.run_dynamic(run.graph(args.graph), args.q, scheme, run.budget))
     return 0
 
 
 def cmd_squid_extract(run: _Run) -> int:
     trace = sq.RemovalTrace.from_json(run.read(run.args.trace), run.budget)
     cert = sq.extract_certificate(trace, run.budget)
-    run.emit(vd.certificate_to_json(cert) + "\n", run.args.out)
+    del trace  # freed before the certificate text is built
+    run.emit(vd.certificate_to_json(cert), run.args.out, "\n")
     return 0
 
 

@@ -213,6 +213,7 @@ def _maximal_independent_sets(G: Graph, budget: Budget) -> list[int]:
             exclude |= low
 
     run(grow(0, full, 0))
+    del grow
     return out
 
 

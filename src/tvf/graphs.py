@@ -267,7 +267,10 @@ def run(call: Generator):
 
     A generator asks for a recursive call by yielding that call's generator
     and receives its return value, so recursion depth never reaches the
-    interpreter's limit.
+    interpreter's limit.  A nested generator function that calls itself
+    holds itself in its closure, a cycle that keeps everything it closes
+    over until the cyclic collector runs; callers del its name once run
+    returns, so reference counting frees that state at once.
     """
     stack, value = [call], None
     while stack:

@@ -33,8 +33,8 @@ and one of product edges bounds G x K_q itself.
 
 In memory a product vertex is its label index(base)*q + (row-1), and a
 squid or residual is a mask over those labels.  The (base, row) pairs
-appear only in the trace JSON, which RemovalTrace.to_obj and from_obj
-write and read.
+appear only in the trace JSON, which RemovalTrace.to_json writes node row
+by node row and from_json reads.
 """
 
 from __future__ import annotations
@@ -172,77 +172,94 @@ class RemovalTrace(NamedTuple):
                 stack.append(child.node)
         return order
 
-    def to_obj(self) -> dict:
-        """The JSON form, where each product label becomes its (base, row) pair."""
-        G, q = self.graph, self.q
-        pairs = [(v, r) for v in G.vertices for r in range(1, q + 1)]  # by label
+    def to_json(self) -> str:
+        """The JSON form, where each product label becomes its (base, row) pair.
 
-        def squid_obj(s: Squid) -> dict:
+        Each node is written straight to one row of text, with its keys
+        sorted and no spaces, exactly as json.dumps(sort_keys=True,
+        separators=(",", ":")) writes them, so no tree of dicts is built.
+        block_row and rows_used appear only in dynamic traces; an absent
+        pivot, link or witness is null.  The trace kind, the mode and the
+        squid kinds are fixed words that need no escaping.
+        """
+        G, q = self.graph, self.q
+        pair = [f"[{v},{r}]" for v in G.vertices for r in range(1, q + 1)]  # by label
+        column = {v: i * q for i, v in enumerate(G.vertices)}  # base -> its lowest label
+        rows_mask = (1 << q) - 1
+
+        def ints(values) -> str:
+            return ",".join(map(str, values))
+
+        # A squid's text is its arms, then the text of the rows it holds of
+        # its body's column, then a tail fixed by its other fields; the last
+        # two repeat across squids and are formatted once each.
+        body_rows_text: dict[int, str] = {}
+        tails: dict[tuple, str] = {}
+
+        def squid_text(s: Squid) -> str:
             # ascending labels are the pairs in sorted order
-            arms, body_rows, mask = [], [], s.mask
+            col = column.get(s.body, -1)
+            mask, inside = s.mask, 0
+            if col >= 0:
+                inside = mask >> col & rows_mask
+                mask ^= inside << col
+            arms = []
             while mask:
                 low = mask & -mask
-                base, row = pairs[low.bit_length() - 1]
-                if base == s.body:
-                    body_rows.append(row)
-                else:
-                    arms.append([base, row])
+                arms.append(pair[low.bit_length() - 1])
                 mask ^= low
-            return {
-                "arms": arms,
-                "body": s.body,
-                "body_rows": body_rows,
-                "hearts": [[s.body, r] for r in s.rows],
-                "kind": s.kind,
-                "rows": list(s.rows),
-                "witness": s.witness,
-            }
+            rows = body_rows_text.get(inside)
+            if rows is None:
+                rows = body_rows_text[inside] = ints(
+                    r for r in range(1, q + 1) if inside >> (r - 1) & 1
+                )
+            key = (s.body, s.kind, s.rows, s.witness)
+            tail = tails.get(key)
+            if tail is None:
+                hearts = ",".join(f"[{s.body},{r}]" for r in s.rows)
+                witness = "null" if s.witness is None else s.witness
+                tail = tails[key] = (
+                    f'],"hearts":[{hearts}],"kind":"{s.kind}","rows":[{ints(s.rows)}],'
+                    f'"witness":{witness}}}'
+                )
+            return f'{{"arms":[{",".join(arms)}],"body":{s.body},"body_rows":[{rows}{tail}'
 
-        ids: dict[int, int] = {}
         nodes = self.nodes()
+        ids = {id(node): i for i, node in enumerate(nodes)}
+        dynamic = self.kind == "dynamic"
+        scheme = "null" if self.scheme is None else json.dumps(
+            self.scheme.to_obj(), sort_keys=True, separators=(",", ":")
+        )
+        parts = [
+            f'{{"graph":{{"edges":[{",".join(f"[{u},{v}]" for u, v in G.edges)}],'
+            f'"vertices":[{ints(G.vertices)}]}},"kind":"{self.kind}","m":{self.m},'
+            f'"mode":"{self.mode}","nodes":['
+        ]
         for i, node in enumerate(nodes):
-            ids[id(node)] = i
-        node_objs = []
-        for i, node in enumerate(nodes):
-            obj = {
-                "children": [
-                    {
-                        "node": ids[id(ch.node)],
-                        "squid": squid_obj(ch.squid),
-                        "w": list(pairs[ch.w]),
-                    }
-                    for ch in node.arm_children
-                ],
-                "id": i,
-                "level": node.level,
-                "link": (
-                    None
-                    if node.link_child is None
-                    else {
-                        "node": ids[id(node.link_child.node)],
-                        "squid": squid_obj(node.link_child.squid),
-                    }
-                ),
-                "pivot": None if node.pivot is None else list(pairs[node.pivot]),
-                "residual_size": node.residual_size,
-            }
-            if self.kind == "dynamic":
-                obj["block_row"] = node.block_row
-                obj["rows_used"] = None if node.rows_used is None else list(node.rows_used)
-            node_objs.append(obj)
-        return {
-            "graph": {"edges": [list(e) for e in self.graph.edges], "vertices": list(self.graph.vertices)},
-            "kind": self.kind,
-            "m": self.m,
-            "mode": self.mode,
-            "nodes": node_objs,
-            "q": self.q,
-            "root": 0,
-            "scheme": None if self.scheme is None else self.scheme.to_obj(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+            row = "," if i else ""
+            if dynamic:
+                row += f'{{"block_row":{"null" if node.block_row is None else node.block_row},'
+            else:
+                row += "{"
+            children = ",".join(
+                f'{{"node":{ids[id(ch.node)]},"squid":{squid_text(ch.squid)},"w":{pair[ch.w]}}}'
+                for ch in node.arm_children
+            )
+            link = node.link_child
+            if link is not None:
+                link = f'{{"node":{ids[id(link.node)]},"squid":{squid_text(link.squid)}}}'
+            row += (
+                f'"children":[{children}],"id":{i},"level":{node.level},'
+                f'"link":{"null" if link is None else link},'
+                f'"pivot":{"null" if node.pivot is None else pair[node.pivot]},'
+                f'"residual_size":{node.residual_size}'
+            )
+            if dynamic:
+                used = "null" if node.rows_used is None else f"[{ints(node.rows_used)}]"
+                row += f',"rows_used":{used}'
+            parts.append(row + "}")
+        parts.append(f'],"q":{q},"root":0,"scheme":{scheme}}}')
+        return "".join(parts)
 
     @classmethod
     def from_obj(cls, obj: dict, budget: Optional[int] = None) -> "RemovalTrace":
@@ -363,6 +380,7 @@ class RemovalTrace(NamedTuple):
             return node
 
         root = run(build(root_id, full))
+        del build
         return cls(graph=G, q=q, m=m, kind=kind, root=root, mode=mode, scheme=scheme)
 
     @classmethod
@@ -479,7 +497,9 @@ def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> Tr
         memo[key] = node
         return node
 
-    return run(explore(eng.view.full, 0, rows))
+    root = run(explore(eng.view.full, 0, rows))
+    del explore
+    return root
 
 
 def run_df1(
@@ -610,4 +630,6 @@ def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> Vd
         cache[node.residual_mask, node.level] = cert
         return cert
 
-    return run(certify(trace.root))
+    cert = run(certify(trace.root))
+    del certify
+    return cert

@@ -338,6 +338,7 @@ def search_witness(
                 return None
 
     witness = run(recurse((1 << len(verts)) - 1, []))
+    del recurse
     if witness is not None and not verify_witness(G, cfg, witness, q):
         raise TverbergError("the witness found failed its exact re-check")
     return witness

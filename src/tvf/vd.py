@@ -488,7 +488,9 @@ def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> Vd
         memo[mask, k] = cert
         return cert
 
-    return known(view.full, target) or run(build(view.full, target))
+    cert = known(view.full, target) or run(build(view.full, target))
+    del build
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +555,7 @@ def certificate_to_json(cert: VdCertificate) -> str:
         else:
             raise CertificateError(f"cannot serialize {type(item).__name__}")
         starts[key], ends[key] = start, start + 1
+    del starts, ends  # freed before the text is joined, which is the peak
     return "".join(parts)
 
 

@@ -17,6 +17,8 @@ is the plain recursive solver, memoized on (mask, level), that the
 library's iterative interval solver replaced.
 The certificate JSON writer and reader are the walkers over the expanded
 tree that the library's unique-structure writer and parse-time reader
+replaced.  The trace JSON reference is the tree of dicts that
+RemovalTrace.to_obj built for json.dumps, which the library's row writer
 replaced.  The complex oracle is the library's earlier complex layer on
 sorted label tuples, with a quadratic maximality filter for every complex
 and no connectivity prune in the decomposability search; its independence
@@ -939,6 +941,89 @@ def certificate_from_json(text: str) -> VdCertificate:
     except RecursionError:
         raise CertificateError("certificate JSON is nested too deeply to read") from None
     return certificate_from_obj(obj)
+
+
+# ---------------------------------------------------------------------------
+# Trace JSON tree (reference for the row writer)
+# ---------------------------------------------------------------------------
+#
+# RemovalTrace.to_obj as it ran before RemovalTrace.to_json wrote each node
+# row straight to text: the whole trace as one tree of dicts and lists,
+# which json.dumps then serialized.  The library must write the same bytes.
+
+
+def trace_to_obj(self) -> dict:
+    """The JSON form, where each product label becomes its (base, row) pair."""
+    G, q = self.graph, self.q
+    pairs = [(v, r) for v in G.vertices for r in range(1, q + 1)]  # by label
+
+    def squid_obj(s: Squid) -> dict:
+        # ascending labels are the pairs in sorted order
+        arms, body_rows, mask = [], [], s.mask
+        while mask:
+            low = mask & -mask
+            base, row = pairs[low.bit_length() - 1]
+            if base == s.body:
+                body_rows.append(row)
+            else:
+                arms.append([base, row])
+            mask ^= low
+        return {
+            "arms": arms,
+            "body": s.body,
+            "body_rows": body_rows,
+            "hearts": [[s.body, r] for r in s.rows],
+            "kind": s.kind,
+            "rows": list(s.rows),
+            "witness": s.witness,
+        }
+
+    ids: dict[int, int] = {}
+    nodes = self.nodes()
+    for i, node in enumerate(nodes):
+        ids[id(node)] = i
+    node_objs = []
+    for i, node in enumerate(nodes):
+        obj = {
+            "children": [
+                {
+                    "node": ids[id(ch.node)],
+                    "squid": squid_obj(ch.squid),
+                    "w": list(pairs[ch.w]),
+                }
+                for ch in node.arm_children
+            ],
+            "id": i,
+            "level": node.level,
+            "link": (
+                None
+                if node.link_child is None
+                else {
+                    "node": ids[id(node.link_child.node)],
+                    "squid": squid_obj(node.link_child.squid),
+                }
+            ),
+            "pivot": None if node.pivot is None else list(pairs[node.pivot]),
+            "residual_size": node.residual_size,
+        }
+        if self.kind == "dynamic":
+            obj["block_row"] = node.block_row
+            obj["rows_used"] = None if node.rows_used is None else list(node.rows_used)
+        node_objs.append(obj)
+    return {
+        "graph": {"edges": [list(e) for e in self.graph.edges], "vertices": list(self.graph.vertices)},
+        "kind": self.kind,
+        "m": self.m,
+        "mode": self.mode,
+        "nodes": node_objs,
+        "q": self.q,
+        "root": 0,
+        "scheme": None if self.scheme is None else self.scheme.to_obj(),
+    }
+
+
+def trace_to_json(trace) -> str:
+    return json.dumps(trace_to_obj(trace), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import itertools
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tvf.cli
 import tvf.errors
 from tvf.cli import _DOMAIN_ERRORS, main
+from tvf.graphs import Graph
+from tvf.squids import run_df1
 
 from conftest import python_process
 
@@ -27,6 +31,10 @@ def files(tmp_path):
     (tmp_path / "c5.txt").write_text(C5)
     (tmp_path / "pts.txt").write_text("0 0\n1 1\n2 2\n")
     return tmp_path
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run(capsys, *argv):
@@ -303,6 +311,32 @@ def test_stdout_manifest_on_request(files, capsys):
     assert obj["stdout_sha256"] is not None and obj["seed"] == 0
     assert obj["version"]
     assert (obj["exit_code"], obj["error_kind"]) == (0, None)
+
+
+def test_artifacts_span_chunks_and_match_their_digests(files, capsys, monkeypatch):
+    # a 1000-character chunk splits every artifact of this flow many times
+    monkeypatch.setattr(tvf.cli, "_CHUNK", 1000)
+    trace, cert = files / "trace.json", files / "cert.json"
+    code, _, _ = run(
+        capsys, "squid", "df1", "--graph", files / "c5.txt", "--q", "7",
+        "--out", trace, "--cert-out", cert,
+    )
+    assert code == 0
+    expected = run_df1(Graph.cycle(5), 7)
+    assert trace.read_bytes() == (expected.to_json() + "\n").encode()
+    manifest = json.loads((files / "trace.json.manifest.json").read_text())
+    digests = {o["path"]: o["sha256"] for o in manifest["outputs"]}
+    assert manifest["inputs"] == [{"path": str(files / "c5.txt"), "sha256": _sha256(files / "c5.txt")}]
+    for path in (trace, cert):
+        data = path.read_bytes()
+        assert len(data) > 3000 and data.endswith(b"}\n") and not data.endswith(b"\n\n")
+        assert digests[str(path)] == _sha256(path)
+    manifest = files / "m.json"
+    code, out, _ = run(capsys, "--manifest", manifest, "squid", "extract", "--trace", trace)
+    assert code == 0 and out.encode() == cert.read_bytes()
+    obj = json.loads(manifest.read_text())
+    assert obj["stdout_sha256"] == _sha256(cert)
+    assert obj["inputs"] == [{"path": str(trace), "sha256": _sha256(trace)}]
 
 
 def test_budget_exit_writes_the_manifest(files, capsys, monkeypatch):

@@ -4,12 +4,27 @@ A plain self-call nests the interpreter's stack once per level of its
 input, so a deep input would hit the recursion limit.  A generator that
 yields its own call is driven by graphs.run on an explicit stack instead,
 so a self-call is allowed only as the direct operand of ``yield``.
+
+A nested generator function that yields its own call holds itself in its
+closure.  Its callers break that cycle once graphs.run returns, so what the
+search closed over is freed at once, not when the cyclic collector runs.
 """
 
 import ast
+import gc
+import random
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import tvf
+from tvf.complexes import independence_complex
+from tvf.graphs import Graph
+from tvf.schemes import SizeScheme
+from tvf.squids import RemovalTrace, extract_certificate, run_df1, run_dynamic
+from tvf.tverberg import PointConfiguration, search_witness
+from tvf.vd import build_certificate_degree_bound
 
 
 def _self_calls(source: str) -> list[str]:
@@ -52,3 +67,44 @@ def test_no_library_function_calls_itself():
         for path in sorted(Path(tvf.__file__).parent.glob("*.py"))
     }
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def _relabeled_c6():
+    perm = list(range(6))
+    random.Random(1).shuffle(perm)
+    return Graph(range(6), [(perm[i], perm[(i + 1) % 6]) for i in range(6)])
+
+
+def _planar_points(n):
+    rnd = random.Random(3)
+    return PointConfiguration(
+        2, {v: (Fraction(rnd.randint(-40, 40), 7), Fraction(rnd.randint(-40, 40), 3)) for v in range(n)}
+    )
+
+
+@pytest.fixture(scope="module")
+def c6_trace():
+    return run_df1(_relabeled_c6(), 7)
+
+
+CALLS = {
+    "trace-from-json": lambda trace, text: RemovalTrace.from_json(text),
+    "run-df1": lambda trace, text: run_df1(trace.graph, trace.q),
+    "run-dynamic": lambda trace, text: run_dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2)),
+    "extract-certificate": lambda trace, text: extract_certificate(trace),
+    "degree-bound-certificate": lambda trace, text: build_certificate_degree_bound(Graph.path(20)),
+    "independence-complex": lambda trace, text: independence_complex(Graph.cycle(9)),
+    "search-witness": lambda trace, text: search_witness(Graph.path(7), _planar_points(7), 3),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_searches_leave_no_cyclic_garbage(c6_trace, name):
+    text = c6_trace.to_json()
+    gc.disable()
+    try:
+        gc.collect()
+        CALLS[name](c6_trace, text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

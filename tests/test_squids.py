@@ -1,7 +1,11 @@
 import hashlib
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvf.squids
 from tvf.errors import BudgetExceeded
@@ -244,7 +248,7 @@ def test_trace_json_round_trips():
         assert again.to_json() == text
         G, q = trace.graph, trace.q
         # the JSON form holds each label as its (base, row) pair
-        for node, node_obj in zip(trace.nodes(), trace.to_obj()["nodes"], strict=True):
+        for node, node_obj in zip(trace.nodes(), json.loads(text)["nodes"], strict=True):
             assert node_obj["pivot"] == (None if node.pivot is None else list(_pair(trace, node.pivot)))
             children = list(zip(node.arm_children, node_obj["children"], strict=True))
             if node.link_child is not None:
@@ -264,7 +268,7 @@ def test_trace_json_round_trips():
 
 def test_trace_from_obj_rejects_corruption():
     trace = run_df1(Graph.complete(2), 3)
-    obj = trace.to_obj()
+    obj = json.loads(trace.to_json())
     obj["nodes"][0]["residual_size"] += 1
     with pytest.raises(SquidError):
         RemovalTrace.from_obj(obj)
@@ -324,6 +328,42 @@ def test_trace_and_certificate_bytes_are_pinned(name):
     assert (_sha256(trace.to_json()), _sha256(cert_text)) == DIGESTS[name]
 
 
+WRITER_TRACES = {
+    **TRACES,
+    "C5xK7-distance": lambda: run_df1(Graph.cycle(5), 7, "distance"),
+    # K3's walk threshold is 6, so q = 5 admits only the distance reading
+    "K3xK5-distance": lambda: run_df1(Graph.complete(3), 5, "distance"),
+    "empty": lambda: run_df1(Graph.empty(0), 1),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_TRACES)
+def test_trace_writer_matches_the_tree_reference(name):
+    trace = WRITER_TRACES[name]()
+    assert trace.to_json() == oracles.trace_to_json(trace)
+
+
+@st.composite
+def _df1_inputs(draw):
+    """A graph on at most 4 vertices with arbitrary labels, a mode and a q above its threshold."""
+    labels = draw(st.lists(st.integers(0, 30), unique=True, max_size=4))
+    pairs = list(itertools.combinations(sorted(labels), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    G = Graph(labels, edges)
+    mode = draw(st.sampled_from(["walk", "distance"]))
+    return G, df1_threshold(G, mode) + draw(st.integers(1, 2)), mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(_df1_inputs())
+def test_trace_writer_matches_the_tree_reference_property(inputs):
+    G, q, mode = inputs
+    trace = run_df1(G, q, mode)
+    text = trace.to_json()
+    assert text == oracles.trace_to_json(trace)
+    assert RemovalTrace.from_json(text).to_json() == text
+
+
 @pytest.mark.parametrize("name", TRACES)
 def test_extraction_matches_graph_space_oracle(name):
     trace = TRACES[name]()
@@ -338,7 +378,7 @@ def test_extraction_matches_graph_space_oracle(name):
 
 
 def test_trace_from_obj_names_the_malformed_node():
-    obj = run_df1(Graph.complete(2), 3).to_obj()
+    obj = json.loads(run_df1(Graph.complete(2), 3).to_json())
     for key, value in (("residual_size", None), ("pivot", [9, 1]), ("children", 5)):
         bad = {**obj, "nodes": [dict(n) for n in obj["nodes"]]}
         if value is None:
@@ -398,7 +438,7 @@ def test_extraction_budget_counts_memo_entries(monkeypatch):
     [
         (lambda: run_df1(Graph.complete(1), 20000), 199_990_000),
         (lambda: run_dynamic(Graph.complete(2), 20000, SizeScheme((1,), 2, 20000, 1)), 400_000_000),
-        (lambda: RemovalTrace.from_obj({**run_df1(Graph.complete(1), 1).to_obj(), "q": 10**13}),
+        (lambda: RemovalTrace.from_obj({**json.loads(run_df1(Graph.complete(1), 1).to_json()), "q": 10**13}),
          10**13 * (10**13 - 1) // 2),
         (lambda: extract_certificate(run_df1(Graph.complete(1), 1)._replace(q=20000)), 199_990_000),
     ],
