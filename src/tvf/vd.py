@@ -24,15 +24,19 @@ memory.
 
 The JSON form is the expanded tree, but its cost follows unique subtrees.
 The writer formats each distinct subtree object once and copies the text
-of a repeat.  The reader builds and shares certificate objects while
-json.loads parses the text, so the expanded tree of dicts is never held,
-and structurally equal subtrees become one object; verification then
-follows unique nodes rather than the size of the expanded tree.
+of a repeat.  The reader scans the text the writer emits at any depth,
+parsing each distinct subtree text once and skipping its repeats by a
+text comparison; any other layout goes through json.loads, which builds
+and shares certificate objects as it parses, so the expanded tree of
+dicts is never held.  Either way structurally equal subtrees become one
+object, and verification follows unique nodes rather than the size of
+the expanded tree.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import NamedTuple, Optional, Union
 
 from .errors import Budget, GraphError, VdError
@@ -268,45 +272,54 @@ def verify_certificate(G: Graph, cert: VdCertificate) -> CertCheck:
     Leaves are matched against the actual induced subgraph reached along
     the path; node levels must agree with both children.  Runs once per
     distinct (subtree, subgraph) pair, so shared subtrees verify in time
-    polynomial in the tree's unique size.
+    polynomial in the tree's unique size.  Each stack entry holds its path
+    as a (step, parent) chain, so an entry costs O(1) at any depth, and
+    only a failing entry's path becomes a tuple.
     """
     s = MaskView(G)
     seen: set[tuple[int, int]] = set()
-    stack: list[tuple[VdCertificate, int, tuple[str, ...]]] = [(cert, s.full, ())]
+    stack: list[tuple[VdCertificate, int, object]] = [(cert, s.full, None)]
     while stack:
-        c, mask, path = stack.pop()
+        c, mask, where = stack.pop()
+        if isinstance(c, LeafAny):
+            continue
         key = (id(c), mask)
         if key in seen:
             continue
         seen.add(key)
-        if isinstance(c, LeafAny):
-            continue
         if isinstance(c, LeafEdgeless):
             actual = s.labels(mask)
             if len(c.vertices) != len(actual) or frozenset(actual) != frozenset(c.vertices):
-                return CertCheck(False, path, "edgeless leaf lists a different vertex set")
+                return CertCheck(False, _steps(where), "edgeless leaf lists a different vertex set")
             if not s.edgeless(mask):
-                return CertCheck(False, path, "edgeless leaf but the subgraph has an edge")
+                return CertCheck(False, _steps(where), "edgeless leaf but the subgraph has an edge")
             continue
         if isinstance(c, Node):
             if c.level < 1:
-                return CertCheck(False, path, f"pivot node at level {c.level}")
+                return CertCheck(False, _steps(where), f"pivot node at level {c.level}")
             i = s.index.get(c.pivot)
             if i is None or not mask >> i & 1:
-                return CertCheck(False, path, f"pivot {c.pivot} not in the subgraph")
+                return CertCheck(False, _steps(where), f"pivot {c.pivot} not in the subgraph")
             if c.delete.level != c.level:
-                return CertCheck(
-                    False, path, f"delete child claims {c.delete.level}, expected {c.level}"
-                )
+                reason = f"delete child claims {c.delete.level}, expected {c.level}"
+                return CertCheck(False, _steps(where), reason)
             if c.link.level != c.level - 1:
-                return CertCheck(
-                    False, path, f"link child claims {c.link.level}, expected {c.level - 1}"
-                )
-            stack.append((c.delete, mask & ~(1 << i), path + (f"del@{c.pivot}",)))
-            stack.append((c.link, mask & ~s.closed[i], path + (f"link@{c.pivot}",)))
+                reason = f"link child claims {c.link.level}, expected {c.level - 1}"
+                return CertCheck(False, _steps(where), reason)
+            stack.append((c.delete, mask & ~(1 << i), (f"del@{c.pivot}", where)))
+            stack.append((c.link, mask & ~s.closed[i], (f"link@{c.pivot}", where)))
             continue
-        return CertCheck(False, path, f"unknown certificate object {type(c).__name__}")
+        return CertCheck(False, _steps(where), f"unknown certificate object {type(c).__name__}")
     return CertCheck(True)
+
+
+def _steps(where) -> tuple[str, ...]:
+    """The steps of a (step, parent) chain, from the root."""
+    steps = []
+    while where is not None:
+        step, where = where
+        steps.append(step)
+    return tuple(reversed(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -561,26 +574,23 @@ def certificate_to_json(cert: VdCertificate) -> str:
 
 def _malformed(where, message: str) -> CertificateError:
     """Error at a reader position, given as a (step, parent) chain from the root."""
-    steps = []
-    while where is not None:
-        step, where = where
-        steps.append(step)
-    path = "/".join(reversed(steps)) or "root"
+    path = "/".join(_steps(where)) or "root"
     return CertificateError(f"certificate path {path}: {message}")
 
 
 class _Reader:
-    """One read's intern tables, and the checks of one JSON object.
+    """One read's intern tables, and the checks of one certificate object.
 
-    The same checks serve two passes.  json.loads calls hook on every
-    object as it is parsed, children first; hook builds the certificate
-    objects whose text has exactly the keys certificate_to_json writes and
-    passes every check, so the expanded tree of dicts is never kept.  Every
-    other object stays a dict for certificate_from_obj, which reads it in
-    del-first order and raises at the first failed check with its path.  A
-    built subtree has no failed check below it, so that walk meets the same
-    first failure as it would on the plain dicts, and both passes intern
-    through one table.
+    The scanner of the writer's own text (_scan) builds every leaf and node
+    through leaf and node.  Any other text goes through json.loads, which
+    calls hook on every object as it is parsed, children first; hook builds
+    the certificate objects whose text has exactly the keys
+    certificate_to_json writes and passes every check, so the expanded tree
+    of dicts is never kept.  Every other object stays a dict for
+    certificate_from_obj, which reads it in del-first order and raises at
+    the first failed check with its path.  A built subtree has no failed
+    check below it, so that walk meets the same first failure as it would
+    on the plain dicts, and both passes intern through one table.
     """
 
     def __init__(self):
@@ -619,9 +629,8 @@ class _Reader:
             return "pivot must be an integer"
         return body
 
-    def node(self, o: dict, pivot: int, delete: VdCertificate, link: VdCertificate):
-        """The interned pivot node of o over its read children, or an error message."""
-        level = o["level"] if "level" in o else link.level + 1
+    def node(self, pivot: int, delete: VdCertificate, link: VdCertificate, level):
+        """The interned pivot node over its read children, or an error message."""
         if type(level) is not int:
             return "node level must be an integer"
         key = (pivot, id(delete), id(link), level)
@@ -641,7 +650,7 @@ class _Reader:
             delete, link, pivot = body.get("del"), body.get("link"), body.get("pivot")
             if type(delete) not in _BUILT or type(link) not in _BUILT or type(pivot) is not int:
                 return o
-            got = self.node(o, pivot, delete, link)
+            got = self.node(pivot, delete, link, o["level"])
         else:
             leaf = o.get("leaf")
             if not (
@@ -675,7 +684,8 @@ def certificate_from_obj(obj, reader: Optional[_Reader] = None) -> VdCertificate
         o, where, body = stack.pop()
         if body is not None:  # both children are read
             link = done.pop()
-            got = reader.node(o, body["pivot"], done.pop(), link)
+            level = o["level"] if "level" in o else link.level + 1
+            got = reader.node(body["pivot"], done.pop(), link, level)
         elif type(o) in _BUILT:
             got = o
         elif type(o) is not dict:
@@ -700,13 +710,123 @@ def certificate_from_obj(obj, reader: Optional[_Reader] = None) -> VdCertificate
     return done[0]
 
 
-def certificate_from_json(text: str) -> VdCertificate:
-    """certificate_from_obj of the parsed text, built while it is parsed.
+_INT = "-?(?:0|[1-9][0-9]*)"  # a JSON integer
+_ANY_TEXT = '{"leaf":"any","level":0}'
+_EDGELESS_TEXT = re.compile(
+    r'\{"leaf":"edgeless","level":(' + _INT + r'),"vertices":\[(' + f"(?:{_INT}(?:,{_INT})*)?" + r")\]\}"
+)
+_NODE_OPEN = re.compile(r'\{"level":(' + _INT + r'),"node":\{"del":')
+_LINK_TEXT = ',"link":'
+_NODE_CLOSE = re.compile(r',"pivot":(' + _INT + r")\}\}")
+_KEY_WINDOW = 64  # characters of a node's text before its first "}" that key the memo
+_TAIL = 32  # characters of a node's text compared before all of it; every node text is longer
 
-    Reading costs one parse plus work per unique subtree: the objects the
-    writer emits become shared certificate objects as soon as json.loads
-    has read them.
+
+def _scan(text: str) -> Optional[VdCertificate]:
+    """The certificate of text if it is exactly what certificate_to_json writes, else None.
+
+    The grammar is the writer's: the literal any-leaf, edgeless leaves,
+    ``{"level":L,"node":{"del":D,"link":K,"pivot":P}}`` and JSON integers,
+    with nothing around the root but trailing JSON whitespace.  Any other
+    text, and any leaf that fails a check, gives None, so the caller reads
+    it the general way and reports its errors with their paths.  The scan
+    runs on an explicit stack, so it reads any depth.
+
+    Each distinct subtree text is parsed once.  The grammar is prefix-free:
+    no string in it holds a brace, so an object's text ends at the brace
+    that balances its first, and if the text at p starts with the whole
+    text of a node read before, the value at p is exactly that text.
+    Parsing is deterministic and nodes are interned on their children's
+    identities, so that node is the object a fresh parse would build, and
+    the scan takes it and jumps past.  Candidates are found by a key that
+    lies inside the subtree and is bounded in size: the distance from p to
+    the first "}" after p, which every node text contains (each holds at
+    least four), and up to _KEY_WINDOW characters before that brace.  A
+    key match is only a candidate; the text itself is compared before a
+    node is reused.
     """
+    reader = _Reader()
+    memo: dict[tuple[int, str], list[tuple[int, int, Node]]] = {}  # key -> (start, end, node)
+    opened: list[list] = []  # [start, key, level, delete child or None] per open node
+    brace = -1  # the first "}" at or after the last node start; shared by a del-spine
+    p = 0
+    while True:
+        # the value that starts at p
+        if text.startswith(_ANY_TEXT, p):
+            got = _ANY
+            p += len(_ANY_TEXT)
+        elif text.startswith('{"level":', p):
+            if brace < p:
+                brace = text.find("}", p)
+                if brace < 0:
+                    return None
+            key = (brace - p, text[max(p, brace - _KEY_WINDOW) : brace])
+            got = None
+            for start, end, node in reversed(memo.get(key, ())):  # a repeat is often recent
+                size = end - start
+                if text.startswith(text[end - _TAIL : end], p + size - _TAIL) and text.startswith(
+                    text[start:end], p
+                ):
+                    got = node
+                    p += size
+                    break
+            if got is None:
+                m = _NODE_OPEN.match(text, p)
+                if m is None:
+                    return None
+                opened.append([p, key, int(m.group(1)), None])
+                p = m.end()
+                continue
+        else:
+            m = _EDGELESS_TEXT.match(text, p)
+            if m is None:
+                return None
+            verts = m.group(2)
+            leaf = {
+                "leaf": "edgeless",
+                "level": int(m.group(1)),
+                "vertices": [int(v) for v in verts.split(",")] if verts else [],
+            }
+            got = reader.leaf(leaf)
+            if type(got) is str:
+                return None
+            p = m.end()
+        # close every node whose last child that value is
+        while True:
+            if not opened:
+                return None if text[p:].strip(" \t\n\r") else got
+            top = opened[-1]
+            if top[3] is None:
+                if not text.startswith(_LINK_TEXT, p):
+                    return None
+                top[3] = got
+                p += len(_LINK_TEXT)
+                break
+            m = _NODE_CLOSE.match(text, p)
+            if m is None:
+                return None
+            start, key, level, delete = opened.pop()
+            got = reader.node(int(m.group(1)), delete, got, level)
+            p = m.end()
+            memo.setdefault(key, []).append((start, p, got))
+
+
+def certificate_from_json(text: str) -> VdCertificate:
+    """certificate_from_obj of the parsed text, sharing equal subtrees.
+
+    Text in certificate_to_json's own layout is scanned at any depth, and
+    each distinct subtree text is parsed once (_scan).  Any other text is
+    read by json.loads, whose object hook builds the writer's objects as
+    soon as they are parsed (_Reader); that costs work per object of the
+    expanded text and is bound by the JSON nesting limit.  Both give the
+    same certificate, and every error comes from the second.
+    """
+    try:
+        cert = _scan(text)
+    except ValueError:  # an integer past int()'s digit limit; json.loads reports it
+        cert = None
+    if cert is not None:
+        return cert
     reader = _Reader()
     try:
         obj = json.loads(text, object_hook=reader.hook)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import tvf.cli
 import tvf.errors
+from tvf import vd
 from tvf.cli import _DOMAIN_ERRORS, main
 from tvf.graphs import Graph
 from tvf.squids import run_df1
@@ -395,6 +397,56 @@ def test_malformed_certificate_is_certificate_error(files, capsys, text, where):
     assert code == 1 and out == ""
     assert set(obj) == {"error", "kind"} and obj["kind"] == "CertificateError"
     assert where in obj["error"]
+
+
+def _level1_chain(n, bottom_link):
+    """Level-1 certificate text for the edgeless graph on 0..n-1, nested n - 1 deep.
+
+    Pivots 0..n-3 each delete their vertex (link: any); pivot n - 2 has the
+    edgeless leaf [n - 1] and bottom_link.
+    """
+    bottom = vd.certificate_to_json(vd.Node(n - 2, vd.LeafEdgeless((n - 1,)), bottom_link, 1))
+    tail = "".join(f',"link":{{"leaf":"any","level":0}},"pivot":{v}}}}}' for v in reversed(range(n - 2)))
+    return '{"level":1,"node":{"del":' * (n - 2) + bottom + tail
+
+
+def test_deep_canonical_certificate_is_read_and_verified(files, capsys):
+    # The writer's layout is scanned at any depth: a valid level-1 chain
+    # 10,000 deep on the edgeless 10,000-vertex graph, peeling 0..9998 over
+    # the edgeless leaf [9999].  json.loads alone stops near 1000 deep.
+    n = 10_000
+    text = _level1_chain(n, vd.LeafAny())
+    (files / "e10000.txt").write_text(f"p {n} 0\n")
+    (files / "chain.json").write_text(text + "\n")
+    code, out, _ = run(capsys, "vd", "verify", "--graph", files / "e10000.txt", "--cert", files / "chain.json")
+    assert code == 0 and json.loads(out) == {"level": 1, "path": [], "reason": "", "valid": True}
+    tracemalloc.start()
+    try:
+        cert = vd.certificate_from_json(text)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert vd.verify_certificate(Graph.empty(n), cert).ok
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_peak < 32 << 20 and verify_peak < 32 << 20
+    assert vd.certificate_to_json(cert) == text
+
+
+@pytest.mark.parametrize("depth", [500, 10_000])
+def test_deep_failing_certificate_reports_its_whole_path(files, capsys, depth):
+    # the failure sits on the link side of the deepest node, below `depth`
+    # del steps; the path and the output are those of a shallow failure
+    n = depth + 2
+    text = _level1_chain(n, vd.Node(n - 1, vd.LeafAny(), vd.LeafAny(), 0))
+    (files / "e.txt").write_text(f"p {n} 0\n")
+    (files / "bad.json").write_text(text + "\n")
+    code, out, err = run(capsys, "vd", "verify", "--graph", files / "e.txt", "--cert", files / "bad.json")
+    path = tuple(f"del@{v}" for v in range(depth)) + (f"link@{depth}",)
+    assert vd.verify_certificate(Graph.empty(n), vd.certificate_from_json(text)).path == path
+    assert (code, err) == (1, "")
+    listed = ",".join(f'"{step}"' for step in path)
+    assert out == f'{{"level":1,"path":[{listed}],"reason":"pivot node at level 0","valid":false}}\n'
 
 
 def test_trace_node_without_residual_size_is_squid_error(files, capsys):

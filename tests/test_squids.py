@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvf.squids
+import tvf.vd
 from tvf.errors import BudgetExceeded
 from tvf.graphs import Graph
 from tvf.schemes import SizeScheme
@@ -326,6 +328,23 @@ def test_trace_and_certificate_bytes_are_pinned(name):
     trace = TRACES[name]()
     cert_text = certificate_to_json(extract_certificate(trace))
     assert (_sha256(trace.to_json()), _sha256(cert_text)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_pinned_certificates_are_read_without_json_loads(name, monkeypatch):
+    # every certificate tvf writes is in the layout the text scanner reads;
+    # a silent fall back to json.loads would hide the scanner's saving
+    text = certificate_to_json(extract_certificate(TRACES[name]()))
+    want = oracles.certificate_from_json(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certificate text went through json.loads")
+
+    monkeypatch.setattr(tvf.vd, "json", types.SimpleNamespace(loads=refuse))
+    for variant in (text, text + "\n"):
+        got = certificate_from_json(variant)
+        assert same_certificate_dag(got, want)
+        assert certificate_to_json(got) == text
 
 
 WRITER_TRACES = {

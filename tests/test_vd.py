@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -685,18 +686,59 @@ _CANONICAL_LEAVES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.recursive(_CANONICAL_LEAVES, _json_extend, max_leaves=12) | _SCALARS)
 def test_reader_matches_the_reference_on_any_json(obj):
-    # the parse-time reader, and the object reader alone on plain dicts
-    text = json.dumps(obj)
+    # the parse-time reader, and the object reader alone on plain dicts; the
+    # compact sorted dump is the writer's layout wherever obj is canonical,
+    # so the text scanner reads it
     readers = (certificate_from_json, lambda text: certificate_from_obj(json.loads(text)))
+    for text in (json.dumps(obj), json.dumps(obj, separators=(",", ":"), sort_keys=True)):
+        try:
+            want = oracles.certificate_from_json(text)
+        except CertificateError as exc:
+            for read in readers:
+                with pytest.raises(CertificateError) as got:
+                    read(text)
+                assert str(got.value) == str(exc)
+            continue
+        for read in readers:
+            got = read(text)
+            assert same_certificate_dag(got, want)
+            assert certificate_to_json(got) == oracles.certificate_to_json(want)
+
+
+_BYTES = st.sampled_from('{}[],:"-0123456789 \n\tadeglnoprstvx') | st.characters()
+_NOT_SPACE = _BYTES.filter(lambda c: c not in " \t\n\r")
+
+
+@st.composite
+def _mutated_certificate_texts(draw):
+    """The writer's text of a certificate with one mutation of the kinds the scanner must refuse."""
+    text = certificate_to_json(draw(_certificates()))
+    kind = draw(st.sampled_from(["delete", "insert", "replace", "integer", "lead", "trail"]))
+    if kind == "integer":  # a leading zero, -0 or 5000 digits in place of one integer
+        start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"-?[0-9]+", text)]))
+        digits = text[start:end].lstrip("-")
+        new = draw(st.sampled_from(["0" + digits, "-0" + digits, "-0", "1" * 5000, "-" + "9" * 5000]))
+        return text[:start] + new + text[end:]
+    if kind == "lead":
+        return draw(_NOT_SPACE) + text
+    if kind == "trail":
+        return text + draw(st.sampled_from(["", " ", "\n"])) + draw(_NOT_SPACE)
+    i = draw(st.integers(0, len(text) - (kind != "insert")))
+    if kind == "delete":
+        return text[:i] + text[i + 1 :]
+    return text[:i] + draw(_BYTES) + text[i + (kind == "replace") :]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_certificate_texts())
+def test_mutated_certificate_texts_read_like_the_reference(text):
+    # whatever json.loads and the reference make of the text, error or
+    # certificate, the reader makes the same
     try:
         want = oracles.certificate_from_json(text)
-    except CertificateError as exc:
-        for read in readers:
-            with pytest.raises(CertificateError) as got:
-                read(text)
-            assert str(got.value) == str(exc)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            certificate_from_json(text)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return
-    for read in readers:
-        got = read(text)
-        assert same_certificate_dag(got, want)
-        assert certificate_to_json(got) == oracles.certificate_to_json(want)
+    assert same_certificate_dag(certificate_from_json(text), want)
