@@ -24,7 +24,6 @@ imported, where the benchmark's tracer looks for them.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import json
 import os
@@ -92,12 +91,11 @@ _CHUNK = 1 << 16
 
 
 def _slices(text: str, end: str):
-    """Each slice of text of _CHUNK characters, then end, with its UTF-8 bytes."""
+    """Each slice of text of _CHUNK characters, then end."""
     for start in range(0, len(text), _CHUNK):
-        piece = text[start : start + _CHUNK]
-        yield piece, piece.encode("utf-8")
+        yield text[start : start + _CHUNK]
     if end:
-        yield end, end.encode("utf-8")
+        yield end
 
 
 def _rational(text: str):
@@ -131,7 +129,11 @@ def _env_budget() -> int | None:
 
 
 class _Run:
-    """Collects inputs/outputs of one command for the manifest."""
+    """Collects inputs/outputs of one command for the manifest.
+
+    A manifest is written exactly when --manifest, --out or --cert-out is
+    given; only then are digests computed and hashlib imported.
+    """
 
     def __init__(self, args, argv):
         self.args = args
@@ -141,16 +143,23 @@ class _Run:
         self.outputs: list[tuple[str, str]] = []
         self.stdout_digest: str | None = None
         self.budget: int | None = None  # None: each layer's default
+        self.sha256 = None  # hashlib.sha256 when finish will write a manifest
+        named = [getattr(args, name, None) for name in ("out", "cert_out")]
+        if getattr(args, "manifest", None) is not None or any(named):
+            from hashlib import sha256
+
+            self.sha256 = sha256
 
     def read(self, path: str) -> str:
-        """The text of a UTF-8 file, recorded with the SHA-256 of its bytes."""
+        """The text of a UTF-8 file, recorded with the SHA-256 of its bytes for a manifest."""
         data = Path(path).read_bytes()
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             reason = f"{exc.reason} (in {path})"
             raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, reason) from None
-        self.inputs.append((path, hashlib.sha256(data).hexdigest()))
+        if self.sha256:
+            self.inputs.append((path, self.sha256(data).hexdigest()))
         return text
 
     def graph(self, path: str) -> gr.Graph:
@@ -158,9 +167,10 @@ class _Run:
 
     def write(self, path: str, text: str, end: str = "") -> None:
         """Write text and then end to path, recording the SHA-256 of the bytes."""
-        digest = hashlib.sha256()
+        digest = self.sha256()  # set: writing needs --out or --cert-out
         with Path(path).open("wb") as fh:
-            for _, data in _slices(text, end):
+            for piece in _slices(text, end):
+                data = piece.encode("utf-8")
                 digest.update(data)
                 fh.write(data)
         self.outputs.append((path, digest.hexdigest()))
@@ -170,11 +180,13 @@ class _Run:
         if out:
             self.write(out, text, end)
         else:
-            digest = hashlib.sha256()
-            for piece, data in _slices(text, end):
-                digest.update(data)
+            digest = self.sha256() if self.sha256 else None
+            for piece in _slices(text, end):
+                if digest is not None:
+                    digest.update(piece.encode("utf-8"))
                 sys.stdout.write(piece)
-            self.stdout_digest = digest.hexdigest()
+            if digest is not None:
+                self.stdout_digest = digest.hexdigest()
 
     def finish(self, exit_code: int, error_kind: str | None) -> None:
         """Write the manifest, if one is asked for, on success and failure alike.

@@ -14,8 +14,10 @@ graph (MaskView): bit i is the i-th smallest label, H - u is
 ``mask & ~(1 << i)`` and H - N[u] is ``mask & ~closed[i]``.  The decision
 solver, the verifier and the certificate builder (isolated-vertex lifting,
 pivot assembly, the degree-bound construction) all work there, and each
-memo belongs to an object made for one call.  The decision solver keeps
-one interval of proven and refuted levels per bitmask, bounds it from
+memo belongs to an object made for one call.  The decision solver uses
+that levels add over connected components: it computes min(level, cap)
+by branch and bound, splits each mask into its components, and keeps one
+interval of proven and refuted levels per connected bitmask, bounded from
 above by a greedy maximal independent set.  The solver, lifting and the
 degree-bound construction all run on graphs.run's explicit stack, so no
 answer depends on the interpreter's recursion limit; budgets of memo
@@ -134,35 +136,52 @@ class MaskView:
 
 
 class _Solver(MaskView):
-    """Level recursion over the induced subgraphs of one root graph.
+    """Level recursion over the connected induced subgraphs of one root graph.
 
-    One memo entry per vertex bitmask, ``[lo, hi]``: level lo is proven and
-    level hi is refuted.  Levels are downward closed, so a query at k <= lo
-    is true and one at k >= hi is false without search; only lo < k < hi
-    searches the pivots, and its answer moves lo up or hi down to k.  The
-    memo lives as long as the solver, so max_vd's walk up the levels reuses
-    every earlier level's work.
+    Write l(G) for the largest level of G.  Additivity: for a disjoint
+    union, l(G + H) = l(G) + l(H); so a mask is split into its components (a
+    bitmask search over nbr) whose levels add, and only connected masks get
+    memo entries.  Both directions go by induction on the vertex count.
+    (>=) Let G be at level a and H at level b.  If G, say, is at a >= 1
+    through a pivot u, then N[u] lies inside G, so by induction (G - u) + H
+    is at level a + b and (G - N[u]) + H at a - 1 + b: u is a pivot of G + H
+    at a + b.  Otherwise each side is edgeless or at level 0.  Both edgeless
+    make G + H edgeless on at least a + b vertices.  Else, say, G has an
+    edge and a = 0: pivot on a vertex u of G with an edge, as by induction
+    (G - u) + H is at level b and (G - N[u]) + H at b - 1.  (<=) Let G + H
+    be at level k >= 1.  If it is edgeless, k <= |G| + |H| = l(G) + l(H).
+    Else a pivot u, say in G, gives by induction k <= l(G - u) + l(H) and
+    k - 1 <= l(G - N[u]) + l(H); so if k > l(H), u is a pivot of G at level
+    k - l(H), by downward closure.  A connected H with an edge is at a level
+    k >= 1 only through a pivot, so by downward closure
+        l(H) = max_v min(l(H - v), l(H - N[v]) + 1).
 
-    Entries start from exact facts: an edgeless mask of s vertices is
-    ``[s, s+1]``, any other nonempty mask is at level 1, and a mask whose
-    greedy maximal independent set has m vertices is below level m + 1
-    (m < s when the mask has an edge, so it is not at level s either).
+    The entry of a connected mask is ``[lo, hi]``: level lo is proven and
+    level hi is refuted.  A connected mask of two or more vertices has an
+    edge, so its entry starts at level 1 and, when its greedy maximal
+    independent set has m vertices, below level m + 1; one vertex is at
+    level 1 and gets no entry.  The independent-set bound: if G is at level
+    k, every maximal independent set I of G has at least k vertices.  By
+    induction on the recursion: k = 0 is trivial, and an edgeless G has
+    I = V(G), |I| = k.  At a pivot v, if v is not in I then I is still
+    maximal in G - v (each other vertex outside I keeps its neighbor in I),
+    and G - v is at level k, so |I| >= k.  If v is in I then I - v is
+    maximal in G - N[v] (a vertex there with no neighbor in I - v would have
+    none in I), and G - N[v] is at level k-1, so |I| - 1 >= k - 1.  The
+    greedy set takes the lowest bit and drops its closed neighborhood until
+    nothing is left, O(|mask|) work per new mask.
 
-    The independent-set bound: if G is at level k, every maximal
-    independent set I of G has at least k vertices.  By induction on the
-    recursion: k = 0 is trivial, and an edgeless G has I = V(G), |I| = k.
-    At a pivot v, if v is not in I then I is still maximal in G - v (each
-    other vertex outside I keeps its neighbor in I), and G - v is at level
-    k, so |I| >= k.  If v is in I then I - v is maximal in G - N[v] (a
-    vertex there with no neighbor in I - v would have none in I), and
-    G - N[v] is at level k-1, so |I| - 1 >= k - 1.  The greedy set takes
-    the lowest bit and drops its closed neighborhood until nothing is
-    left, O(|mask|) work per new mask.
-
-    The search is a generator recursion on graphs.run, so no input depth
-    reaches the interpreter's recursion limit.  Every rule only cuts a
-    search short with the answer the plain recursion would reach.  The memo
-    entry past `budget` raises BudgetExceeded.
+    capped(mask, cap) = min(l(mask), cap), by branch and bound.  Components
+    add their capped levels, each under the cap that remains: _known sums
+    those whose entries decide them, and _search searches the first that is
+    not decided.  A connected mask starts from best = lo and
+    ub = min(hi - 1, cap); pivot v gives a = capped(mask - N[v], ub - 1) + 1
+    and, when a > best, raises best to b = capped(mask - v, a), the
+    identity's term capped at ub.  Past best >= ub, or after every pivot,
+    best = min(l(mask), ub); the entry becomes lo = cap if best reached cap,
+    else exactly [best, best + 1].  The search is a generator recursion on
+    graphs.run, so no input depth reaches the interpreter's recursion limit;
+    the memo entry past `budget` raises BudgetExceeded.
     """
 
     def __init__(self, G: Graph, budget: Optional[int] = None):
@@ -171,19 +190,27 @@ class _Solver(MaskView):
         self._bounds: dict[int, list[int]] = {}
         self._bits = tuple(range(len(self.verts)))  # one int object per bit, shared by the calls
 
-    def _entry(self, mask: int) -> list[int]:
-        """The memo entry of mask, made from the exact facts on first use."""
-        entry = self._bounds.get(mask)
-        if entry is None:
-            self.budget.spend()
-            m = 0
-            rest = mask
-            while rest:
-                rest &= ~self.closed[(rest & -rest).bit_length() - 1]
-                m += 1
-            size = mask.bit_count()
-            entry = self._bounds[mask] = [size, size + 1] if m == size else [1, m + 1]
-        return entry
+    def _facts(self, mask: int) -> list[int]:
+        """``[lo, hi]`` from the exact facts: edgeless masks, level 1 and the greedy bound."""
+        m, rest = 0, mask
+        while rest:
+            rest &= ~self.closed[(rest & -rest).bit_length() - 1]
+            m += 1
+        size = mask.bit_count()
+        return [size, size + 1] if m == size else [1, m + 1]
+
+    def _component(self, mask: int) -> int:
+        """The component of mask's lowest bit."""
+        comp = new = mask & -mask
+        while new:
+            reach = 0
+            while new:
+                low = new & -new
+                reach |= self.nbr[low.bit_length() - 1]
+                new ^= low
+            new = reach & mask & ~comp
+            comp |= new
+        return comp
 
     def _pivots(self, mask: int) -> list[int]:
         """The bits of mask, highest residual degree first, then lowest label."""
@@ -192,37 +219,55 @@ class _Solver(MaskView):
         order.sort(key=lambda i: -(nbr[i] & mask).bit_count())  # stable: label order stays
         return order
 
-    def vd(self, mask: int, k: int) -> bool:
-        """Whether the subgraph on mask is at level k."""
-        if k <= 0:
-            return True
-        lo, hi = self._entry(mask)
-        return run(self._search(mask, k)) if lo < k < hi else k <= lo
+    def _known(self, mask: int, cap: int) -> tuple[int, int]:
+        """The sum of min(l(c), cap - sum) over mask's components c, lowest first,
+        up to the first that needs a search: returned with it and all after it."""
+        bounds, total = self._bounds, 0
+        while mask and total < cap:
+            entry = bounds.get(mask)
+            comp = mask if entry else self._component(mask)
+            if comp & (comp - 1):
+                entry = entry or bounds.get(comp)
+                if not entry:
+                    self.budget.spend()
+                    entry = bounds[comp] = self._facts(comp)
+                lo = entry[0]
+                if lo < cap - total and lo + 1 < entry[1]:
+                    return total, mask
+                total += lo
+            else:  # one vertex, at level 1
+                total += 1
+            mask ^= comp
+        return min(total, cap), 0
 
-    def _search(self, mask: int, k: int):
-        """Generator for run: the pivot search of a mask whose entry has lo < k < hi.
+    def capped(self, mask: int, cap: int) -> int:
+        """min(l(mask), cap)."""
+        total, mask = self._known(mask, cap)
+        return total + run(self._search(mask, cap - total)) if mask else total
 
-        So k >= 2, and each query asks a level of at least 1.  The answer
-        moves lo up or hi down to k.
-        """
-        bounds, closed = self._bounds, self.closed
-        for i in self._pivots(mask):
-            child = mask & ~(1 << i)
-            lo, hi = bounds.get(child) or self._entry(child)
-            if k >= hi or k > lo and not (yield self._search(child, k)):
-                continue
-            child = mask & ~closed[i]
-            if k == 2:  # level 1 holds exactly on the nonempty masks
-                if not child:
-                    continue
-            else:
-                lo, hi = bounds.get(child) or self._entry(child)
-                if k - 1 >= hi or k - 1 > lo and not (yield self._search(child, k - 1)):
-                    continue
-            bounds[mask][0] = k
-            return True
-        bounds[mask][1] = k
-        return False
+    def _search(self, mask: int, cap: int):
+        """Generator for run: min(l(mask), cap), when mask's lowest component needs a search."""
+        bounds, closed, total = self._bounds, self.closed, 0
+        while mask:
+            comp = mask if mask in bounds else self._component(mask)
+            entry = bounds[comp]
+            left = cap - total
+            best, ub = entry[0], min(entry[1] - 1, left)
+            for i in self._pivots(comp):
+                a, rest = self._known(comp & ~closed[i], ub - 1)
+                if rest:
+                    a += yield self._search(rest, ub - 1 - a)
+                if a >= best:
+                    b, rest = self._known(comp & ~(1 << i), a + 1)
+                    if rest:
+                        b += yield self._search(rest, a + 1 - b)
+                    best = max(best, b)
+                    if best >= ub:
+                        break
+            entry[:] = (left, entry[1]) if best >= left else (best, best + 1)
+            more, mask = self._known(mask ^ comp, left - best)
+            total += best + more
+        return total
 
 
 def is_vd(G: Graph, k: int, budget: Optional[int] = None) -> bool:
@@ -233,21 +278,17 @@ def is_vd(G: Graph, k: int, budget: Optional[int] = None) -> bool:
     if k < 0:
         raise VdError(f"level must be non-negative, got {k}")
     s = _Solver(G, budget)
-    return s.vd(s.full, k)
+    lo, hi = s._facts(s.full)
+    return k <= lo or k < hi and s.capped(s.full, k) >= k
 
 
 def max_vd(G: Graph, budget: Optional[int] = None) -> int:
     """Largest k with is_vd(G, k); well-defined since levels are downward closed.
 
-    One memo serves every level asked, under one budget of `budget` entries.
+    One capped search, under one budget of `budget` memo entries.
     """
     s = _Solver(G, budget)
-    best = 0
-    for k in range(1, G.n + 1):
-        if not s.vd(s.full, k):
-            break
-        best = k
-    return best
+    return s.capped(s.full, G.n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import tvf.cli
 import tvf.errors
 from tvf import vd
 from tvf.cli import _DOMAIN_ERRORS, main
-from tvf.graphs import Graph
+from tvf.graphs import Graph, format_edgelist, product_with_complete
 from tvf.squids import run_df1
 
 from conftest import python_process
@@ -225,15 +225,16 @@ def test_budget_exit_code(files, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command",
-    [["vd", "max"], ["vd", "check", "--k", "7"], ["complex", "check-prop", "--k", "7"]],
+    [["vd", "max"], ["vd", "check", "--k", "5"], ["complex", "check-prop", "--k", "5"]],
     ids=["vd-max", "vd-check", "check-prop"],
 )
 def test_level_budget_exit_code(files, capsys, monkeypatch, command):
-    # refuting level 7 on P16 makes about 44k memo entries
+    # C6 x K3 is at level 4 below a greedy independent-set bound of 6, so
+    # k = 5 needs a search; it and max make 12,627 memo entries
     monkeypatch.setenv("TVF_BUDGET", "1000")
-    p16 = files / "p16.txt"
-    p16.write_text("p 16 15\n" + "".join(f"e {i} {i + 1}\n" for i in range(15)))
-    code, out, err = run(capsys, *command, "--graph", p16)
+    c6k3 = files / "c6k3.txt"
+    c6k3.write_text(format_edgelist(product_with_complete(Graph.cycle(6), 3)))
+    code, out, err = run(capsys, *command, "--graph", c6k3)
     assert code == 2 and out == ""
     assert json.loads(err) == {
         "error": "level budget exceeded (1001 > 1000 memo entries)",
@@ -607,6 +608,16 @@ def _path_2500(files):
 
 def test_vd_check_decides_a_2500_vertex_path(files, capsys):
     code, out, err = run(capsys, "vd", "check", "--graph", _path_2500(files), "--k", "2")
+    assert code == 0 and err == ""
+    assert out == '{"k":2,"vd":true}\n'
+
+
+def test_vd_check_decides_a_deeply_nested_search(files, capsys):
+    # the tenth power of P1300 at k = 2: capped searches nest 1056 deep
+    path = files / "p1300-power10.txt"
+    edges = [(i, j) for i in range(1300) for j in range(i + 1, min(1300, i + 11))]
+    path.write_text(f"p 1300 {len(edges)}\n" + "".join(f"e {i} {j}\n" for i, j in edges))
+    code, out, err = run(capsys, "vd", "check", "--graph", path, "--k", "2")
     assert code == 0 and err == ""
     assert out == '{"k":2,"vd":true}\n'
 

@@ -123,30 +123,67 @@ def test_solver_matches_recursive_solver_property(G):
 
 
 def test_is_vd_decides_a_2500_vertex_path():
-    # about 1250 nested pivot searches, beyond the interpreter's recursion limit
+    # the first pivot leaves path components of known level: one search, no nesting
     assert is_vd(Graph.path(2500), 2) is True
 
 
+def _path_power(n, d):
+    """The d-th power of the n-vertex path: i ~ j when 0 < |i - j| <= d."""
+    return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, min(n, i + d + 1))])
+
+
+def test_is_vd_decides_a_deeply_nested_search():
+    # each pivot's deletion leaves the graph connected, so the capped searches
+    # nest 1056 deep (measured), beyond the interpreter's recursion limit
+    assert is_vd(_path_power(1300, 10), 2) is True
+
+
 def test_level_decisions_stop_at_the_budget():
-    # refuting level 7 on P16 makes about 44k memo entries
+    # C6 x K3 is at level 4 with a greedy independent-set bound of 6; max_vd
+    # and is_vd at k = 5 make 12,627 memo entries, so both stop at 1000
+    G = product_with_complete(Graph.cycle(6), 3)
     with pytest.raises(BudgetExceeded, match=r"^level budget exceeded \(1001 > 1000 memo entries\)$"):
-        max_vd(Graph.path(16), budget=1000)
+        max_vd(G, budget=1000)
     with pytest.raises(BudgetExceeded):
-        is_vd(Graph.path(16), 7, budget=1000)
-    assert is_vd(Graph.path(16), 6, budget=1000) is True  # proven within 165 entries
+        is_vd(G, 5, budget=1000)
+    assert is_vd(Graph.path(16), 6, budget=1000) is True  # proven within 14 entries
 
 
 def test_level_budget_counts_memo_entries():
-    G = Graph.path(10)
+    G = product_with_complete(Graph.cycle(5), 3)
     s = _Solver(G)
-    k = 1
-    while s.vd(s.full, k):
-        k += 1
-    entries = len(s._bounds)  # what max_vd's walk up to the refuted level k makes
-    assert max_vd(G, budget=entries) == k - 1
+    top = s.capped(s.full, G.n)
+    entries = len(s._bounds)  # what max_vd's capped search makes
+    assert all(s._component(mask) == mask for mask in s._bounds)
+    assert max_vd(G, budget=entries) == top == 4
     with pytest.raises(BudgetExceeded) as exc:
         max_vd(G, budget=entries - 1)
     assert (exc.value.used, exc.value.limit) == (entries, entries - 1)
+
+
+@st.composite
+def _interleaved_pairs(draw):
+    """Two graphs of at most 5 vertices each, their labels interleaved at random."""
+    sizes = draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    labels = draw(st.permutations(range(sum(sizes))))
+    parts = []
+    for vertices in (sorted(labels[: sizes[0]]), sorted(labels[sizes[0] :])):
+        pairs = list(itertools.combinations(vertices, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        parts.append(Graph(vertices, edges))
+    return parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_interleaved_pairs())
+def test_levels_add_over_a_disjoint_union(parts):
+    G, H = parts
+    union = Graph(G.vertices + H.vertices, G.edges + H.edges)
+    want = oracles.recursive_levels(union)  # no component split
+    level = want.count(True) - 1
+    assert level == sum(oracles.recursive_levels(X).count(True) - 1 for X in parts)
+    assert max_vd(union) == level
+    assert [is_vd(union, k) for k in range(union.n + 2)] == want
 
 
 def _peeling_keys(G):
