@@ -224,8 +224,7 @@ class _Run:
 
 def cmd_graph_product(run: _Run) -> int:
     args = run.args
-    P = gr.product_with_complete(run.graph(args.graph), args.q, run.budget)
-    run.emit(gr.format_edgelist(P), args.out)
+    run.emit(gr.product_edgelist(run.graph(args.graph), args.q, run.budget), args.out)
     return 0
 
 
@@ -276,7 +275,7 @@ def cmd_vd_verify(run: _Run) -> int:
     else:
         if args.q is None:
             raise GraphError("--graph-product requires --q")
-        G = gr.product_with_complete(run.graph(args.graph_product), args.q, run.budget)
+        G = vd.MaskView(gr.product_with_complete(run.graph(args.graph_product), args.q, run.budget))
     cert = vd.certificate_from_json(run.read(args.cert))
     result = vd.verify_certificate(G, cert)
     run.emit(
@@ -485,19 +484,19 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    g = top.add_parser("graph").add_subparsers(
-        dest="command", required=True, parser_class=_Parser
-    )
-    p = sub(g, "product", cmd_graph_product, help="cartesian product G x K_q")
+    def group(name):
+        parser = top.add_parser(name)
+        return parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    g = group("graph")
+    p = sub(g, "product", cmd_graph_product, help="edge list of G x K_q")
     p.add_argument("--graph", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out")
     p = sub(g, "info", cmd_graph_info, help="vertex/edge counts, degrees, thresholds")
     p.add_argument("--graph", required=True)
 
-    v = top.add_parser("vd").add_subparsers(
-        dest="command", required=True, parser_class=_Parser
-    )
+    v = group("vd")
     p = sub(v, "check", cmd_vd_check, help="decide level k")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -512,9 +511,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int)
     p.add_argument("--cert", required=True)
 
-    s = top.add_parser("squid").add_subparsers(
-        dest="command", required=True, parser_class=_Parser
-    )
+    s = group("squid")
     p = sub(s, "df1", cmd_squid_df1, help="lexicographic-pivot removal trace")
     p.add_argument("--graph", required=True)
     p.add_argument("--q", type=int, required=True)
@@ -531,9 +528,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--out")
 
-    c = top.add_parser("scheme").add_subparsers(
-        dest="command", required=True, parser_class=_Parser
-    )
+    c = group("scheme")
     p = sub(c, "constants", cmd_scheme_constants, help="a, gamma, K_eps")
     p.add_argument("--epsilon", type=_rational, required=True)
     p = sub(c, "build", cmd_scheme_build, help="geometric integer scheme")
@@ -545,9 +540,7 @@ def build_parser() -> _Parser:
     p = sub(c, "validate", cmd_scheme_validate, help="exact inequality check")
     p.add_argument("--file", required=True)
 
-    x = top.add_parser("complex").add_subparsers(
-        dest="command", required=True, parser_class=_Parser
-    )
+    x = group("complex")
     p = sub(x, "ind", cmd_complex_ind, help="independence complex facets")
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
@@ -562,9 +555,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
 
-    t = top.add_parser("tverberg").add_subparsers(
-        dest="command", required=True, parser_class=_Parser
-    )
+    t = group("tverberg")
     p = sub(t, "search", cmd_tverberg_search, help="exact witness search")
     p.add_argument("--graph", required=True)
     p.add_argument("--points", required=True)

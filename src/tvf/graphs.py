@@ -5,8 +5,9 @@ The branching recursions elsewhere in the package do not build a Graph per
 subgraph: they work on bitmasks over neighbor_masks.  Every recursion in
 the package runs as a generator on run's explicit stack.
 
-A vertex of G x K_q is its integer label index(base)*q + (row-1) in
-memory; only the trace JSON writes it as a (base, row) pair.
+A vertex of G x K_q is its integer label index(base)*q + (row-1), and the
+product is its label masks (product_with_complete), never a Graph; only the
+trace JSON writes a vertex as a (base, row) pair.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from typing import Generator, Iterable, Iterator, Optional
 
 from .errors import Budget, GraphError
 
-# Edges one product G x K_q may have.  Building K1 x K_1415 (1,000,405
-# edges) and its bitmask view takes 6-9 s at 689 MB peak RSS on a 2-vCPU
-# machine; 1e7 edges take about 2 minutes at 6 GB.
+# Edges one product G x K_q may have, counted before anything of its size
+# is built.  The masks of a product cost about labels x highest neighbor
+# label / 8 bytes, not a fixed amount per edge: on a 2-vCPU machine
+# K1 x K_1414 (998,991 edges) builds in 1 ms into 0.25 MB of masks, while
+# P10000 x K7 (279,993 edges, 70,000 labels) takes 0.4 s and 306 MB.
+# product_edgelist needs no masks: 0.4 s at 38 MB peak RSS on K1 x K_1414.
 DEFAULT_PRODUCT_BUDGET = 1_000_000
 
 
@@ -110,10 +114,6 @@ class Graph:
             raise GraphError("a cycle needs at least 3 vertices")
         return cls(range(n), [(i, (i + 1) % n) for i in range(n)])
 
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
-
 
 def distance_two_set(G: Graph, v: int, mode: str = "walk") -> frozenset[int]:
     """Vertices two steps from v.
@@ -124,19 +124,11 @@ def distance_two_set(G: Graph, v: int, mode: str = "walk") -> frozenset[int]:
     q-threshold satisfied under it is satisfied under the other; it is the
     default everywhere.
     """
+    if mode not in ("walk", "distance"):
+        raise GraphError(f"unknown distance-two mode {mode!r}")
     nbrs = G.neighbors(v)
-    if mode == "walk":
-        out: set[int] = set()
-        for u in nbrs:
-            out.update(G.neighbors(u))
-        out.discard(v)
-        return frozenset(out)
-    if mode == "distance":
-        out = set()
-        for u in nbrs:
-            out.update(G.neighbors(u))
-        return frozenset(out - nbrs - {v})
-    raise GraphError(f"unknown distance-two mode {mode!r}")
+    walks = frozenset().union(*map(G.neighbors, nbrs)) - {v}
+    return walks if mode == "walk" else walks - nbrs
 
 
 def induced_subgraph(G: Graph, keep: Iterable[int]) -> Graph:
@@ -147,42 +139,43 @@ def induced_subgraph(G: Graph, keep: Iterable[int]) -> Graph:
     return Graph(sorted(keepset), [(u, v) for u, v in G.edges if u in keepset and v in keepset])
 
 
-def cartesian_product(G: Graph, H: Graph) -> Graph:
-    """Cartesian product on V(G) x V(H), relabeled to integers.
-
-    The pair (u_a, w_b) — a, b being positions in the sorted vertex lists —
-    gets label a*|V(H)| + b.  Edge count is |E(G)|*|V(H)| + |V(G)|*|E(H)|.
-    """
-    gi = {v: i for i, v in enumerate(G.vertices)}
-    hi = {w: i for i, w in enumerate(H.vertices)}
-    nh = H.n
-    verts = range(G.n * nh)
-    edges = []
-    for u, v in G.edges:
-        for w in H.vertices:
-            edges.append((gi[u] * nh + hi[w], gi[v] * nh + hi[w]))
-    for w, x in H.edges:
-        for u in G.vertices:
-            edges.append((gi[u] * nh + hi[w], gi[u] * nh + hi[x]))
-    return Graph(verts, edges)
-
-
-def check_product_size(G: Graph, q: int, budget: Optional[int] = None) -> None:
-    """Raise BudgetExceeded if G x K_q has more edges than budget (None:
-    DEFAULT_PRODUCT_BUDGET), counting them without building anything."""
-    edges = G.m * q + G.n * (q * (q - 1) // 2)
-    Budget(budget, DEFAULT_PRODUCT_BUDGET, "product", "edges").spend(edges)
-
-
-def product_with_complete(G: Graph, q: int, budget: Optional[int] = None) -> Graph:
-    """G x K_q; (base, row) gets label index(base)*q + (row-1).
-
-    budget bounds its edges (None: DEFAULT_PRODUCT_BUDGET).
-    """
+def check_product_size(G: Graph, q: int, budget: Optional[int] = None) -> int:
+    """The edge count of G x K_q, counted without building anything; raises
+    GraphError unless q >= 1 and BudgetExceeded past budget (None:
+    DEFAULT_PRODUCT_BUDGET)."""
     if q < 1:
         raise GraphError("q must be a positive integer")
+    edges = G.m * q + G.n * (q * (q - 1) // 2)
+    Budget(budget, DEFAULT_PRODUCT_BUDGET, "product", "edges").spend(edges)
+    return edges
+
+
+def product_with_complete(G: Graph, q: int, budget: Optional[int] = None) -> list[int]:
+    """The open-neighborhood masks of G x K_q by label: (base, row) is label
+    b*q + (row-1), b = index(base), adjacent to the rest of its column and to
+    its row on each neighbor of its base.  budget bounds the product's edges
+    (None: DEFAULT_PRODUCT_BUDGET), checked before any mask is built."""
     check_product_size(G, q, budget)
-    return cartesian_product(G, Graph.complete(q))
+    nbr = []
+    for b, mask in enumerate(neighbor_masks(G)[2]):
+        row = sum(1 << ((low.bit_length() - 1) * q) for low in bits(mask))  # bit u*q per neighbor u
+        column = ((1 << q) - 1) << (b * q)
+        nbr.extend((row << r) | (column ^ (1 << (b * q + r))) for r in range(q))
+    return nbr
+
+
+def product_edgelist(G: Graph, q: int, budget: Optional[int] = None) -> str:
+    """The edge-list text of G x K_q on product_with_complete's labels,
+    written from G's neighbors, as the masks' memory grows with the square
+    of the label count; budget as for product_with_complete."""
+    parts = [f"p {G.n * q} {check_product_size(G, q, budget)}\n"]
+    index = {v: b for b, v in enumerate(G.vertices)}
+    for b, v in enumerate(G.vertices):
+        end, later = (b + 1) * q, sorted(index[u] * q for u in G.neighbors(v) if index[u] > b)
+        for r, x in enumerate(range(b * q, end)):  # its column, then its row on later bases
+            ys = [*range(x + 1, end), *(u + r for u in later)]
+            parts.append("".join([f"e {x} {y}\n" for y in ys]))
+    return "".join(parts)
 
 
 # -- edge-list text format --
@@ -229,14 +222,6 @@ def parse_edgelist(text: str) -> Graph:
     if m is not None and m != len(edges):
         raise GraphError(f"problem line declares {m} edges but {len(edges)} given")
     return Graph(range(n), edges)
-
-
-def format_edgelist(G: Graph) -> str:
-    if G.vertices != tuple(range(G.n)):
-        raise GraphError("edge-list format requires vertex labels 0..n-1; relabel first")
-    lines = [f"p {G.n} {G.m}"]
-    lines.extend(f"e {u} {v}" for u, v in G.edges)
-    return "\n".join(lines) + "\n"
 
 
 def neighbor_masks(G: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:

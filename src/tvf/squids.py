@@ -151,8 +151,8 @@ class RemovalTrace(NamedTuple):
     mode: str = "walk"
     scheme: Optional[schemes.SizeScheme] = None
 
-    def product(self) -> Graph:
-        return product_with_complete(self.graph, self.q)
+    def product(self) -> MaskView:
+        return MaskView(product_with_complete(self.graph, self.q))
 
     def nodes(self) -> list[TraceNode]:
         """Unique nodes in depth-first preorder from the root."""
@@ -198,11 +198,9 @@ class RemovalTrace(NamedTuple):
 
         def squid_text(s: Squid) -> str:
             # ascending labels are the pairs in sorted order
-            col = column.get(s.body, -1)
-            mask, inside = s.mask, 0
-            if col >= 0:
-                inside = mask >> col & rows_mask
-                mask ^= inside << col
+            col = column[s.body]  # every squid's body is a vertex of G
+            inside = s.mask >> col & rows_mask
+            mask = s.mask ^ inside << col
             arms = []
             while mask:
                 low = mask & -mask
@@ -302,10 +300,19 @@ class RemovalTrace(NamedTuple):
             return gi[base] * q + (row - 1)
 
         def squid(o: dict) -> Squid:
-            body = json_int(o["body"], "squid body")
-            kind = o["kind"]
-            if kind not in ("I", "II"):
-                raise ValueError(f"squid kind must be 'I' or 'II', got {kind!r}")
+            """The squid of o, with its fields checked but not its arm patterns."""
+            body, kind = json_int(o["body"], "squid body"), o["kind"]
+            if body not in gi:
+                raise ValueError(f"squid body {body} is not a vertex of the graph")
+            rows = json_ints(o["rows"], "squid rows")
+            two = len(rows) == 2 and rows[0] < rows[1]
+            if not (kind == "I" and len(rows) == 1 or kind == "II" and two):
+                raise ValueError(f"a kind {kind!r} squid cannot mark rows {list(rows)}")
+            if rows[0] < 1 or rows[-1] > q:  # rows are increasing
+                raise ValueError(f"squid rows {list(rows)} are not all in 1..{q}")
+            hearts = o["hearts"]
+            if hearts != [[body, r] for r in rows] or {type(v) for h in hearts for v in h} != {int}:
+                raise ValueError(f"squid hearts {hearts!r} are not its body on its rows")
             arms = o["arms"]
             if type(arms) is not list:
                 raise ValueError(f"squid arms must be a list, got {arms!r}")
@@ -316,7 +323,9 @@ class RemovalTrace(NamedTuple):
                 mask |= 1 << label((body, r))
             witness = o.get("witness")
             witness = None if witness is None else json_int(witness, "squid witness")
-            return Squid(body, kind, json_ints(o["rows"], "squid rows"), mask, witness)
+            if kind == "I" and (arms or witness is not None) and witness not in G.neighbors(body):
+                raise ValueError(f"witness {witness} of a kind I squid is not adjacent to its body")
+            return Squid(body, kind, rows, mask, witness)
 
         built: dict[int, TraceNode] = {}
         open_ids: set[int] = set()  # nodes whose children are being built
@@ -402,7 +411,6 @@ class _Engine:
         self.G = G
         self.q = q
         self.view = MaskView(product_with_complete(G, q, budget))  # labels are bit indices
-        self.nbr = self.view.nbr
         self.base_of = [G.vertices[lab // q] for lab in range(G.n * q)]
         self.row_of = [lab % q + 1 for lab in range(G.n * q)]
 
@@ -417,8 +425,7 @@ class _Engine:
             # row neighbor: one-row squid with body w and the pivot as witness
             return Squid(body=wb, kind="I", rows=(i,), mask=squid_mask, witness=v)
         # column neighbor: two-row squid with the pivot's body
-        lo, hi = min(i, wr), max(i, wr)
-        return Squid(body=v, kind="II", rows=(lo, hi), mask=squid_mask)
+        return Squid(body=v, kind="II", rows=(min(i, wr), max(i, wr)), mask=squid_mask)
 
     def classify_link_squid(self, pivot_label: int, squid_mask: int) -> Squid:
         v, i = self.base_of[pivot_label], self.row_of[pivot_label]
@@ -436,14 +443,14 @@ class _Engine:
     def expand(self, mask: int, pivot_label: int):
         """Child squids of a node: (w, squid, child_mask) per neighbor, then
         the closed-neighborhood link squid. Asserts the body-column condition."""
-        nb = self.nbr[pivot_label] & mask
+        nb = self.view.nbr[pivot_label] & mask
         col_nb = nb & self.column_mask(pivot_label)
         order = self.view.labels(nb & ~col_nb) + self.view.labels(col_nb)  # row neighbors first
         arm_out = []
         prefix = 0
         for w in order:
             prefix |= 1 << w
-            squid_mask = (self.nbr[w] & mask) | prefix
+            squid_mask = (self.view.nbr[w] & mask) | prefix
             child_mask = mask & ~squid_mask
             squid = self.classify_arm_squid(w, pivot_label, squid_mask)
             if self.column_mask(w) & child_mask:  # w's column is the body's

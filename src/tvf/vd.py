@@ -100,11 +100,16 @@ class MaskView:
 
     verts[i] is the i-th smallest label and index maps labels back to bits;
     nbr[i] and closed[i] are the open and closed neighborhood masks of bit
-    i.  The edgeless test is cached per view.
+    i.  G is a Graph, or masks whose labels are their bits, as
+    graphs.product_with_complete returns.  The edgeless test is cached.
     """
 
-    def __init__(self, G: Graph):
-        self.verts, self.index, self.nbr = neighbor_masks(G)
+    def __init__(self, G: Union[Graph, list[int]]):
+        if isinstance(G, Graph):
+            self.verts, self.index, self.nbr = neighbor_masks(G)
+        else:
+            self.verts, self.nbr = tuple(range(len(G))), G
+            self.index = dict(zip(self.verts, self.verts))
         self.closed = [m | (1 << i) for i, m in enumerate(self.nbr)]
         self.full = (1 << len(self.verts)) - 1
         self._edgeless: dict[int, bool] = {}
@@ -169,7 +174,10 @@ class _Solver(MaskView):
     maximal in G - N[v] (a vertex there with no neighbor in I - v would have
     none in I), and G - N[v] is at level k-1, so |I| - 1 >= k - 1.  The
     greedy set takes the lowest bit and drops its closed neighborhood until
-    nothing is left, O(|mask|) work per new mask.
+    nothing is left; a second one starts at a vertex of highest degree in
+    the mask (lowest label on ties), which decides a star whose center has
+    the highest label, and the smaller size bounds the entry.  That is
+    O(|mask|) work per new mask.
 
     capped(mask, cap) = min(l(mask), cap), by branch and bound.  Components
     add their capped levels, each under the cap that remains: _known sums
@@ -191,13 +199,21 @@ class _Solver(MaskView):
         self._bits = tuple(range(len(self.verts)))  # one int object per bit, shared by the calls
 
     def _facts(self, mask: int) -> list[int]:
-        """``[lo, hi]`` from the exact facts: edgeless masks, level 1 and the greedy bound."""
-        m, rest = 0, mask
-        while rest:
-            rest &= ~self.closed[(rest & -rest).bit_length() - 1]
-            m += 1
-        size = mask.bit_count()
-        return [size, size + 1] if m == size else [1, m + 1]
+        """``[lo, hi]`` from the exact facts: edgeless masks, level 1 and the greedy bounds."""
+        nbr, closed, hub, most, rest = self.nbr, self.closed, 0, -1, mask
+        while rest:  # hub: a vertex of highest degree in mask, lowest label on ties
+            i = (rest & -rest).bit_length() - 1
+            if (degree := (nbr[i] & mask).bit_count()) > most:
+                hub, most = i, degree
+            rest &= rest - 1
+        if most < 1:
+            return [mask.bit_count(), mask.bit_count() + 1]
+        sizes = [0, 1]  # greedy sets from the lowest bit and from the hub
+        for j, rest in enumerate((mask, mask & ~closed[hub])):
+            while rest:
+                rest &= ~closed[(rest & -rest).bit_length() - 1]
+                sizes[j] += 1
+        return [1, min(sizes) + 1]
 
     def _component(self, mask: int) -> int:
         """The component of mask's lowest bit."""
@@ -307,8 +323,8 @@ class CertCheck(NamedTuple):
         return self.ok
 
 
-def verify_certificate(G: Graph, cert: VdCertificate) -> CertCheck:
-    """Check a certificate tree against G by replaying its deletions.
+def verify_certificate(G: Union[Graph, MaskView], cert: VdCertificate) -> CertCheck:
+    """Check a certificate tree against G (a Graph or MaskView) by replaying its deletions.
 
     Leaves are matched against the actual induced subgraph reached along
     the path; node levels must agree with both children.  Runs once per
@@ -317,7 +333,7 @@ def verify_certificate(G: Graph, cert: VdCertificate) -> CertCheck:
     as a (step, parent) chain, so an entry costs O(1) at any depth, and
     only a failing entry's path becomes a tuple.
     """
-    s = MaskView(G)
+    s = G if isinstance(G, MaskView) else MaskView(G)
     seen: set[tuple[int, int]] = set()
     stack: list[tuple[VdCertificate, int, object]] = [(cert, s.full, None)]
     while stack:

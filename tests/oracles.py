@@ -24,7 +24,10 @@ sorted label tuples, with a quadratic maximality filter for every complex
 and no connectivity prune in the decomposability search; its independence
 complexes come from every independent set, found by brute force.
 The last section holds Graph-space references that left the library
-because no command needs them: delete_vertices, ProductVertex, product_label
+because no command needs them: delete_vertices, complete_graph,
+cartesian_product and product_graph (G x K_q as a Graph, which the library
+builds only as label masks), format_edgelist (the edge-list text of a
+Graph), ProductVertex, product_label
 and product_vertices (the product labeling convention, both ways),
 squid_hearts and squid_arms (a squid's parts), check_squid (squid
 well-formedness), _product_neighbors and squid_admissible (the paper's two
@@ -800,7 +803,7 @@ def build_certificate_degree_bound(G: Graph) -> VdCertificate:
 
 def extract_certificate(trace):
     """Certificate for a complete removal trace, one Graph per residual."""
-    P = trace.product()
+    P = product_graph(trace.graph, trace.q)
     cache = {}
 
     def certify(node):
@@ -1030,11 +1033,13 @@ def trace_to_json(trace) -> str:
 # Graph-space references for subgraphs, product labels and squids
 # ---------------------------------------------------------------------------
 #
-# Vertex deletion, product labels and the squid patterns on Graph objects
-# and ProductVertex sets.  The library needs none of them: it works on
-# label masks and never re-checks a squid it generated.  Tests use them as
-# references for the paper's squid patterns, and the Graph-space oracles
-# above build their subgraphs with them.
+# Vertex deletion, complete graphs, G x K_q as a Graph, the edge-list text
+# of a Graph, product labels and the squid patterns on Graph objects and
+# ProductVertex sets.  The library needs none of them: it works on label
+# masks, and its trace reader checks a squid's fields but not its arm
+# patterns.  Tests use them as references for the product and the paper's
+# squid patterns, and the Graph-space oracles above build their subgraphs
+# with them.
 
 
 def delete_vertices(G: Graph, drop: Iterable[int]) -> Graph:
@@ -1046,6 +1051,45 @@ def delete_vertices(G: Graph, drop: Iterable[int]) -> Graph:
     keep = [v for v in G.vertices if v not in dropset]
     keepset = set(keep)
     return Graph(keep, [(u, v) for u, v in G.edges if u in keepset and v in keepset])
+
+
+def cartesian_product(G: Graph, H: Graph) -> Graph:
+    """Cartesian product on V(G) x V(H), relabeled to integers.
+
+    The pair (u_a, w_b) — a, b being positions in the sorted vertex lists —
+    gets label a*|V(H)| + b.  Edge count is |E(G)|*|V(H)| + |V(G)|*|E(H)|.
+    """
+    gi = {v: i for i, v in enumerate(G.vertices)}
+    hi = {w: i for i, w in enumerate(H.vertices)}
+    nh = H.n
+    verts = range(G.n * nh)
+    edges = []
+    for u, v in G.edges:
+        for w in H.vertices:
+            edges.append((gi[u] * nh + hi[w], gi[v] * nh + hi[w]))
+    for w, x in H.edges:
+        for u in G.vertices:
+            edges.append((gi[u] * nh + hi[w], gi[u] * nh + hi[x]))
+    return Graph(verts, edges)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(range(n), itertools.combinations(range(n), 2))
+
+
+def product_graph(G: Graph, q: int) -> Graph:
+    """G x K_q as a Graph, on the labels of graphs.product_with_complete."""
+    return cartesian_product(G, complete_graph(q))
+
+
+def format_edgelist(G: Graph) -> str:
+    """The edge-list text of G, from its Graph: graphs.product_edgelist's
+    reference, and the writer of the tests' graph files."""
+    if G.vertices != tuple(range(G.n)):
+        raise GraphError("edge-list format requires vertex labels 0..n-1; relabel first")
+    lines = [f"p {G.n} {G.m}"]
+    lines.extend(f"e {u} {v}" for u, v in G.edges)
+    return "\n".join(lines) + "\n"
 
 
 class ProductVertex(NamedTuple):

@@ -34,7 +34,7 @@ from tvf.tverberg import (
 from tvf.vd import is_vd, max_vd, verify_certificate
 
 from conftest import all_labeled_graphs
-from oracles import brute_certificate_search, hulls_intersect_oracle
+from oracles import brute_certificate_search, complete_graph, hulls_intersect_oracle
 
 
 def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -194,7 +194,7 @@ def test_c6_tverberg_witnesses():
         ]
         assert (hulls_intersect(parts) is not None) == hulls_intersect_oracle(parts)
         agreements += 1
-    K3 = Graph.complete(3)
+    K3 = complete_graph(3)
     collinear = PointConfiguration(1, {0: (F(0),), 1: (F(1),), 2: (F(2),)})
     assert search_witness(K3, collinear, 2) is None
     elapsed = time.monotonic() - t0

@@ -16,10 +16,11 @@ import tvf.cli
 import tvf.errors
 from tvf import vd
 from tvf.cli import _DOMAIN_ERRORS, main
-from tvf.graphs import Graph, format_edgelist, product_with_complete
+from tvf.graphs import Graph
 from tvf.squids import run_df1
 
 from conftest import python_process
+from oracles import format_edgelist, product_graph
 
 TWO_K2 = "p 4 2\ne 0 1\ne 2 3\n"
 K2 = "p 2 1\ne 0 1\n"
@@ -230,10 +231,10 @@ def test_budget_exit_code(files, capsys, monkeypatch):
 )
 def test_level_budget_exit_code(files, capsys, monkeypatch, command):
     # C6 x K3 is at level 4 below a greedy independent-set bound of 6, so
-    # k = 5 needs a search; it and max make 12,627 memo entries
+    # k = 5 needs a search; it and max make 12,505 memo entries
     monkeypatch.setenv("TVF_BUDGET", "1000")
     c6k3 = files / "c6k3.txt"
-    c6k3.write_text(format_edgelist(product_with_complete(Graph.cycle(6), 3)))
+    c6k3.write_text(format_edgelist(product_graph(Graph.cycle(6), 3)))
     code, out, err = run(capsys, *command, "--graph", c6k3)
     assert code == 2 and out == ""
     assert json.loads(err) == {
@@ -462,6 +463,44 @@ def test_trace_node_without_residual_size_is_squid_error(files, capsys):
     assert code == 1 and out == ""
     assert set(obj) == {"error", "kind"} and obj["kind"] == "SquidError"
     assert "node 1" in obj["error"] and "residual_size" in obj["error"]
+
+
+def test_trace_with_a_false_squid_is_squid_error(files, capsys):
+    trace = files / "trace.json"
+    code, _, _ = run(capsys, "squid", "df1", "--graph", files / "k2.txt", "--q", "3", "--out", trace)
+    assert code == 0
+    obj = json.loads(trace.read_text())
+    squid = obj["nodes"][0]["children"][0]["squid"]
+    squid.update(hearts=[[99, 99]], rows=[10**100], witness=12345, kind="II")
+    trace.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "squid", "extract", "--trace", trace)
+    obj = json.loads(err)
+    assert code == 1 and out == ""
+    assert obj["kind"] == "SquidError" and "node 0" in obj["error"] and "rows" in obj["error"]
+
+
+def test_product_commands_build_no_product_graph(files, capsys, monkeypatch):
+    # squid df1, vd verify --graph-product and squid extract on C6 x K7 hold
+    # the product as label masks: the one Graph each builds is its input graph
+    inits = []
+    graph_init = Graph.__init__
+
+    def counting_init(graph, *args, **kwargs):
+        inits.append(None)
+        graph_init(graph, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    c6 = files / "c6.txt"
+    c6.write_text("p 6 6\n" + "".join(f"e {i} {(i + 1) % 6}\n" for i in range(6)))
+    trace, cert = files / "trace.json", files / "cert.json"
+    for argv in (
+        ["squid", "df1", "--graph", c6, "--q", "7", "--out", trace, "--cert-out", cert],
+        ["vd", "verify", "--graph-product", c6, "--q", "7", "--cert", cert],
+        ["squid", "extract", "--trace", trace, "--out", files / "again.json"],
+    ):
+        inits.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(inits) == 1, argv
 
 
 def _set(path, value):

@@ -26,7 +26,7 @@ from tvf.vd import max_vd
 
 import oracles
 from conftest import all_labeled_graphs
-from oracles import delete_vertices, dense_betti
+from oracles import complete_graph, delete_vertices, dense_betti
 
 TWO_K2 = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
 EMPTY_COMPLEX = SimplicialComplex([()])
@@ -135,7 +135,7 @@ def test_link_and_delete():
     simplex = SimplicialComplex([(0, 1, 2)])
     lk, dl = link(simplex, 0), deletion(simplex, 0)
     assert lk.facets == ((1, 2),) and dl.facets == ((1, 2),)
-    ind_k2 = independence_complex(Graph.complete(2))
+    ind_k2 = independence_complex(complete_graph(2))
     lk2, dl2 = link(ind_k2, 0), deletion(ind_k2, 0)
     assert lk2 == EMPTY_COMPLEX and dl2.facets == ((1,),)
     with pytest.raises(ComplexError):
@@ -275,7 +275,7 @@ def test_check_prop_examples():
     from tvf.vd import VdError
 
     with pytest.raises(VdError):
-        check_prop_isvd(Graph.complete(2), 2)
+        check_prop_isvd(complete_graph(2), 2)
 
 
 def test_check_prop_at_max_level_small():

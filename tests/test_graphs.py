@@ -3,20 +3,28 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvf.errors import BudgetExceeded
 from tvf.graphs import (
     Graph,
     GraphError,
-    cartesian_product,
     distance_two_set,
-    format_edgelist,
+    neighbor_masks,
     parse_edgelist,
+    product_edgelist,
     product_with_complete,
 )
 
 from conftest import all_labeled_graphs
-from oracles import delete_vertices
+from oracles import (
+    cartesian_product,
+    complete_graph,
+    delete_vertices,
+    format_edgelist,
+    product_graph,
+)
 
 
 def test_constructor_rejects_bad_input():
@@ -44,7 +52,7 @@ def test_open_neighborhood():
 def test_distance_two_modes():
     P3 = Graph.path(3)
     assert distance_two_set(P3, 0, "walk") == {2}
-    K3 = Graph.complete(3)
+    K3 = complete_graph(3)
     assert distance_two_set(K3, 0, "walk") == {1, 2}
     assert distance_two_set(K3, 0, "distance") == frozenset()
     C5 = Graph.cycle(5)
@@ -101,14 +109,14 @@ def test_delete_composition():
 
 
 def test_cartesian_product_shapes():
-    K2 = Graph.complete(2)
+    K2 = complete_graph(2)
     square = cartesian_product(K2, K2)
     assert square.n == 4 and square.m == 4
     assert all(len(square.neighbors(v)) == 2 for v in square.vertices)  # a 4-cycle
     G = Graph([3, 7], [(3, 7)])
-    again = cartesian_product(G, Graph.complete(1))
+    again = cartesian_product(G, complete_graph(1))
     assert again.n == 2 and again.m == 1
-    C5K7 = cartesian_product(Graph.cycle(5), Graph.complete(7))
+    C5K7 = cartesian_product(Graph.cycle(5), complete_graph(7))
     assert C5K7.n == 35 and C5K7.m == 5 * 21 + 7 * 5
 
 
@@ -126,13 +134,43 @@ def test_product_degrees_and_max_degree():
                 degree = len(G.neighbors(u)) + len(H.neighbors(w))
                 assert len(P.neighbors(a * H.n + b)) == degree
         q = rnd.randint(1, 5)
-        PK = product_with_complete(G, q)
-        assert PK.max_degree() == G.max_degree() + q - 1
+        degrees = [mask.bit_count() for mask in product_with_complete(G, q)]
+        assert max(degrees) == G.max_degree() + q - 1
+
+
+@st.composite
+def _graphs_and_q(draw):
+    """A graph with arbitrary non-negative labels (isolated vertices
+    included) and a q in 1..6."""
+    labels = draw(st.lists(st.integers(0, 40), unique=True, max_size=7))
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(labels, edges), draw(st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs_and_q())
+def test_product_masks_match_the_reference_product(case):
+    G, q = case
+    P = product_graph(G, q)
+    assert product_with_complete(G, q) == neighbor_masks(P)[2]
+    assert product_edgelist(G, q) == format_edgelist(P)
+
+
+def test_large_complete_column_text_matches_the_reference_product():
+    # K1 x K_1414: 998,991 edges, all in one column, inside the default
+    # budget.  It is K_1414 on the same labels, so format_edgelist of the
+    # reference product lists every pair in ascending order; building that
+    # Graph takes about 7 s and 690 MB, so the pairs stand in for it.
+    text = product_edgelist(Graph.empty(1), 1414)
+    pairs = itertools.combinations(range(1414), 2)
+    assert text == "p 1414 998991\n" + "".join(f"e {u} {v}\n" for u, v in pairs)
 
 
 def test_product_budget_counts_edges_before_building():
     C5 = Graph.cycle(5)
-    assert product_with_complete(C5, 7, 140).m == 140  # 5*7 row edges, 5*21 column edges
+    edges = sum(mask.bit_count() for mask in product_with_complete(C5, 7, 140)) // 2
+    assert edges == 140  # 5*7 row edges, 5*21 column edges
     with pytest.raises(BudgetExceeded) as exc:
         product_with_complete(C5, 7, 139)
     assert (exc.value.used, exc.value.limit) == (140, 139)
@@ -141,7 +179,7 @@ def test_product_budget_counts_edges_before_building():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as exc:
-            product_with_complete(Graph.complete(1), 20000)
+            product_with_complete(complete_graph(1), 20000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

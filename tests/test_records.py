@@ -1,4 +1,5 @@
-"""Semantics of the record types, and the import graph of the CLI.
+"""Semantics of the record types, the import graph of the CLI, and the
+names the benchmark's tracer wraps.
 
 Every record is an immutable value: fields cannot be set, equal fields give
 equal objects (with equal hashes where every field is hashable), truth
@@ -6,7 +7,10 @@ follows `ok` on the four check outcomes and is True everywhere else, and
 repr reads Name(field=value, ...).
 """
 
+import importlib
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,20 @@ def test_point_configuration_checks_coordinate_counts():
         PointConfiguration(2, {0: (F(0), F(1)), 3: (F(2),)})
     with pytest.raises(TverbergError, match=r"^point for vertex 0 has 3 coordinates$"):
         PointConfiguration(dimension=2, points={0: (F(0), F(1), F(2))})
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    """bench/tracer.py wraps layer functions and two RemovalTrace methods by
+    name, so a rename fails here instead of in every traced benchmark run."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, name in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"tvf.{layer}"), name, None)), (layer, name)
+    assert set(tracer.TRACE_METHODS) == {"to_json", "from_json"}
+    assert callable(RemovalTrace.__dict__["to_json"])
+    assert isinstance(RemovalTrace.__dict__["from_json"], classmethod)
 
 
 def test_cli_import_graph():

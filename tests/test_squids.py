@@ -31,6 +31,7 @@ from conftest import all_labeled_graphs, same_certificate_dag
 from oracles import (
     ProductVertex,
     check_squid,
+    complete_graph,
     product_label,
     product_vertices,
     squid_admissible,
@@ -61,14 +62,14 @@ def test_df1_threshold_and_check():
     assert df1_threshold(C5) == 6
     assert df1_check(C5, 7) and not df1_check(C5, 6)
     assert df1_check(Graph.empty(4), 1)
-    assert df1_threshold(Graph.complete(3), "walk") == 6
-    assert df1_threshold(Graph.complete(3), "distance") == 4
+    assert df1_threshold(complete_graph(3), "walk") == 6
+    assert df1_threshold(complete_graph(3), "distance") == 4
     with pytest.raises(SquidError):
         df1_check(C5, 0)
 
 
 def test_squid_validation():
-    K2, E3 = Graph.complete(2), Graph.empty(3)
+    K2, E3 = complete_graph(2), Graph.empty(3)
     ok = Squid(body=0, kind="I", rows=(1,), mask=_mask(K2, 2, (0, 1), (1, 1)), witness=1)
     check_squid(ok, K2, 2)
     with pytest.raises(SquidError):  # heart outside the vertex set
@@ -90,7 +91,7 @@ def test_squid_validation():
 
 
 def test_run_df1_single_vertex():
-    trace = run_df1(Graph.complete(1), 1)
+    trace = run_df1(complete_graph(1), 1)
     assert trace.m == 1 and trace.root.level == 1
     cert = extract_certificate(trace)
     assert cert.level == 1
@@ -196,7 +197,7 @@ def test_run_dynamic_p4_example():
 
 def test_run_dynamic_forced_single_block():
     scheme = SizeScheme((1,), 4, 2, 1)
-    trace = run_dynamic(Graph.complete(2), 2, scheme)
+    trace = run_dynamic(complete_graph(2), 2, scheme)
     assert _pair(trace, trace.root.pivot) == _pv(0, 1)
     assert squid_hearts(trace.root.link_child.squid)[0] == _pv(0, 1)
     cert = extract_certificate(trace)
@@ -207,17 +208,17 @@ def test_run_dynamic_preconditions():
     with pytest.raises(SquidError):
         run_dynamic(Graph.empty(3), 2, SizeScheme((1,), 6, 2, 1))
     with pytest.raises(SquidError):  # scheme q mismatch
-        run_dynamic(Graph.complete(2), 3, SizeScheme((1,), 4, 2, 1))
+        run_dynamic(complete_graph(2), 3, SizeScheme((1,), 4, 2, 1))
     with pytest.raises(SquidError):  # invalid inequality for the real delta
-        run_dynamic(Graph.complete(2), 2, SizeScheme((2, 2), 4, 2, 1))
+        run_dynamic(complete_graph(2), 2, SizeScheme((2, 2), 4, 2, 1))
     with pytest.raises(SquidError):  # budget above the product size
-        run_dynamic(Graph.complete(2), 2, SizeScheme((1,), 99, 2, 1))
+        run_dynamic(complete_graph(2), 2, SizeScheme((1,), 99, 2, 1))
 
 
 def test_run_dynamic_row_exhaustion_diagnostic():
     # (2,) validates against n = |product| = 4 but one branch empties row 1
     with pytest.raises(SchemeRunError):
-        run_dynamic(Graph.complete(2), 2, SizeScheme((2,), 4, 2, 1))
+        run_dynamic(complete_graph(2), 2, SizeScheme((2,), 4, 2, 1))
 
 
 def test_dynamic_row_choice_rule_per_branch():
@@ -269,7 +270,7 @@ def test_trace_json_round_trips():
 
 
 def test_trace_from_obj_rejects_corruption():
-    trace = run_df1(Graph.complete(2), 3)
+    trace = run_df1(complete_graph(2), 3)
     obj = json.loads(trace.to_json())
     obj["nodes"][0]["residual_size"] += 1
     with pytest.raises(SquidError):
@@ -351,7 +352,7 @@ WRITER_TRACES = {
     **TRACES,
     "C5xK7-distance": lambda: run_df1(Graph.cycle(5), 7, "distance"),
     # K3's walk threshold is 6, so q = 5 admits only the distance reading
-    "K3xK5-distance": lambda: run_df1(Graph.complete(3), 5, "distance"),
+    "K3xK5-distance": lambda: run_df1(complete_graph(3), 5, "distance"),
     "empty": lambda: run_df1(Graph.empty(0), 1),
 }
 
@@ -396,8 +397,39 @@ def test_extraction_matches_graph_space_oracle(name):
     assert certificate_to_json(again) == text
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"hearts": [[1, 2]]}, "hearts"),
+        ({"hearts": [[1, True]]}, "hearts"),
+        ({"hearts": [[1.0, 1]]}, "hearts"),
+        ({"rows": [4], "hearts": [[1, 4]]}, "rows"),
+        ({"rows": [1, 2], "hearts": [[1, 1], [1, 2]]}, "kind 'I' squid cannot mark rows"),
+        ({"kind": "II", "rows": [2, 1], "hearts": [[1, 2], [1, 1]], "witness": None}, "kind 'II' squid cannot"),
+        ({"kind": "III"}, "kind 'III'"),
+        ({"body": 5, "hearts": [[5, 1]]}, "not a vertex"),
+        ({"witness": None}, "not adjacent"),
+        ({"witness": 1}, "not adjacent"),
+    ],
+    ids=[
+        "hearts", "heart-bool", "heart-float", "row-range", "kind-I-rows", "kind-II-rows", "kind", "body",
+        "no-witness", "witness",
+    ],
+)
+def test_trace_from_obj_checks_squid_fields(edit, message):
+    # the first arm squid of K2 x K3: body 1 on row 1, witness 0, one arm (0, 1)
+    obj = json.loads(run_df1(complete_graph(2), 3).to_json())
+    squid = obj["nodes"][0]["children"][0]["squid"]
+    assert (squid["body"], squid["kind"], squid["rows"], squid["witness"]) == (1, "I", [1], 0)
+    assert squid["arms"] == [[0, 1]]
+    RemovalTrace.from_obj(obj)
+    obj["nodes"][0]["children"][0]["squid"] = {**squid, **edit}
+    with pytest.raises(SquidError, match=f"node 0: .*{message}"):
+        RemovalTrace.from_obj(obj)
+
+
 def test_trace_from_obj_names_the_malformed_node():
-    obj = json.loads(run_df1(Graph.complete(2), 3).to_json())
+    obj = json.loads(run_df1(complete_graph(2), 3).to_json())
     for key, value in (("residual_size", None), ("pivot", [9, 1]), ("children", 5)):
         bad = {**obj, "nodes": [dict(n) for n in obj["nodes"]]}
         if value is None:
@@ -415,7 +447,7 @@ def test_trace_from_obj_names_the_malformed_node():
 @pytest.mark.parametrize(
     "search",
     [
-        lambda budget: run_df1(Graph.complete(5), 13, budget=budget),
+        lambda budget: run_df1(complete_graph(5), 13, budget=budget),
         lambda budget: run_dynamic(Graph.path(4), 5, SizeScheme((2, 1), 20, 5, 2), budget),
     ],
     ids=["df1", "dynamic"],
@@ -455,11 +487,11 @@ def test_extraction_budget_counts_memo_entries(monkeypatch):
 @pytest.mark.parametrize(
     "call, used",
     [
-        (lambda: run_df1(Graph.complete(1), 20000), 199_990_000),
-        (lambda: run_dynamic(Graph.complete(2), 20000, SizeScheme((1,), 2, 20000, 1)), 400_000_000),
-        (lambda: RemovalTrace.from_obj({**json.loads(run_df1(Graph.complete(1), 1).to_json()), "q": 10**13}),
+        (lambda: run_df1(complete_graph(1), 20000), 199_990_000),
+        (lambda: run_dynamic(complete_graph(2), 20000, SizeScheme((1,), 2, 20000, 1)), 400_000_000),
+        (lambda: RemovalTrace.from_obj({**json.loads(run_df1(complete_graph(1), 1).to_json()), "q": 10**13}),
          10**13 * (10**13 - 1) // 2),
-        (lambda: extract_certificate(run_df1(Graph.complete(1), 1)._replace(q=20000)), 199_990_000),
+        (lambda: extract_certificate(run_df1(complete_graph(1), 1)._replace(q=20000)), 199_990_000),
     ],
     ids=["df1", "dynamic", "read", "extract"],
 )

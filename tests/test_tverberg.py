@@ -24,7 +24,12 @@ from tvf.tverberg import (
 )
 
 import oracles
-from oracles import fraction_simplex, hulls_intersect_oracle, unpruned_search_witness
+from oracles import (
+    complete_graph,
+    fraction_simplex,
+    hulls_intersect_oracle,
+    unpruned_search_witness,
+)
 
 
 def _rand_point(rnd, d=2):
@@ -106,7 +111,7 @@ def test_verify_witness_requires_q_nonempty_classes():
 
 
 def test_search_witness_chromatic_obstruction():
-    K3 = Graph.complete(3)
+    K3 = complete_graph(3)
     cfg = PointConfiguration(1, {0: (F(0),), 1: (F(1),), 2: (F(2),)})
     assert search_witness(K3, cfg, 2) is None
 
@@ -169,7 +174,7 @@ def test_greedy_extension():
     full = greedy_extension(G, {0: 1}, 3)
     assert all(full[u] != full[v] for u, v in G.edges)
     with pytest.raises(TverbergError):
-        greedy_extension(Graph.complete(3), {}, 2)
+        greedy_extension(complete_graph(3), {}, 2)
 
 
 def test_corollary_pipeline_tiny_instance():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import tvf.vd
 from tvf.errors import BudgetExceeded
-from tvf.graphs import Graph, GraphError, product_with_complete
+from tvf.graphs import Graph, GraphError
 from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
     CertificateBuilder,
@@ -34,7 +34,7 @@ from tvf.vd import (
 
 import oracles
 from conftest import all_labeled_graphs, same_certificate_dag
-from oracles import brute_certificate_search, delete_vertices
+from oracles import brute_certificate_search, complete_graph, delete_vertices, product_graph
 
 TWO_K2 = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
 
@@ -46,11 +46,11 @@ def _lift_isolated(G, v, cert):
 
 
 def test_is_vd_base_cases_and_examples():
-    for G in (Graph.empty(0), Graph.complete(3), Graph.cycle(4)):
+    for G in (Graph.empty(0), complete_graph(3), Graph.cycle(4)):
         assert is_vd(G, 0)
     assert is_vd(Graph.empty(3), 3)
-    assert is_vd(Graph.complete(2), 1)
-    assert not is_vd(Graph.complete(2), 2)
+    assert is_vd(complete_graph(2), 1)
+    assert not is_vd(complete_graph(2), 2)
     assert not is_vd(Graph.path(3), 2)
     with pytest.raises(VdError):
         is_vd(Graph.empty(1), -1)
@@ -103,7 +103,7 @@ def test_solver_matches_recursive_solver_on_random_graphs():
 
 def test_solver_matches_recursive_solver_on_relabeled_benchmark_graphs():
     rnd = random.Random(43)
-    C5xK3 = product_with_complete(Graph.cycle(5), 3)
+    C5xK3 = product_graph(Graph.cycle(5), 3)
     for G in (Graph.cycle(13), Graph.path(12), C5xK3):
         _assert_matches_recursive_solver(_relabeled(G, rnd))
 
@@ -140,8 +140,8 @@ def test_is_vd_decides_a_deeply_nested_search():
 
 def test_level_decisions_stop_at_the_budget():
     # C6 x K3 is at level 4 with a greedy independent-set bound of 6; max_vd
-    # and is_vd at k = 5 make 12,627 memo entries, so both stop at 1000
-    G = product_with_complete(Graph.cycle(6), 3)
+    # and is_vd at k = 5 make 12,505 memo entries, so both stop at 1000
+    G = product_graph(Graph.cycle(6), 3)
     with pytest.raises(BudgetExceeded, match=r"^level budget exceeded \(1001 > 1000 memo entries\)$"):
         max_vd(G, budget=1000)
     with pytest.raises(BudgetExceeded):
@@ -149,8 +149,16 @@ def test_level_decisions_stop_at_the_budget():
     assert is_vd(Graph.path(16), 6, budget=1000) is True  # proven within 14 entries
 
 
+def test_star_with_its_center_labeled_last_is_decided_at_once():
+    # lowest-label greedy takes the 16 leaves, bounding the level by 16; the
+    # greedy pass from the center bounds it by 1, which level 1 meets
+    star = Graph(range(17), [(leaf, 16) for leaf in range(16)])
+    assert max_vd(star, budget=50) == 1
+    assert is_vd(star, 2, budget=50) is False
+
+
 def test_level_budget_counts_memo_entries():
-    G = product_with_complete(Graph.cycle(5), 3)
+    G = product_graph(Graph.cycle(5), 3)
     s = _Solver(G)
     top = s.capped(s.full, G.n)
     entries = len(s._bounds)  # what max_vd's capped search makes
@@ -211,7 +219,7 @@ def _peeling_keys(G):
     return keys
 
 
-@pytest.mark.parametrize("G", [Graph.path(12), Graph.cycle(9), product_with_complete(Graph.path(3), 2)])
+@pytest.mark.parametrize("G", [Graph.path(12), Graph.cycle(9), product_graph(Graph.path(3), 2)])
 def test_certificate_budget_counts_memo_entries(G, monkeypatch):
     builders = []
 
@@ -252,7 +260,7 @@ def test_maximal_independent_sets_reach_the_top_level(atlas):
 
 
 def test_verify_certificate_hand_cases():
-    K2 = Graph.complete(2)
+    K2 = complete_graph(2)
     good = Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1)
     assert verify_certificate(K2, good).ok
     assert verify_certificate(K2, LeafAny()).ok
@@ -262,7 +270,7 @@ def test_verify_certificate_hand_cases():
 
 
 def test_verify_rejects_malformed_trees():
-    K2 = Graph.complete(2)
+    K2 = complete_graph(2)
     wrong_link_level = Node(0, LeafEdgeless((1,)), LeafEdgeless((1,)), 1)
     res = verify_certificate(K2, wrong_link_level)
     assert not res.ok and "link child" in res.reason
@@ -425,7 +433,7 @@ def test_verify_rejects_edgeless_leaf_with_repeated_vertices():
 
 def _c5_certificate_text():
     trace = run_df1(Graph.cycle(5), 7)
-    return trace.product(), certificate_to_json(extract_certificate(trace))
+    return product_graph(Graph.cycle(5), 7), certificate_to_json(extract_certificate(trace))
 
 
 def _unique_objects(cert):
