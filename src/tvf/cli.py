@@ -12,8 +12,9 @@ usage error.
 
 Every search and construction that follows its input's depth runs on the
 explicit stack of graphs.run, so no input meets the interpreter's recursion
-limit.  JSON nested past the parser's limit is a domain error of the reader
-that parses it.
+limit.  JSON nested past the parser's limit, or holding an integer past
+int()'s digit limit, is a domain error of the reader that parses it
+(errors.read_json).
 
 Each command is a cold process, so the layer modules are registered in
 sys.modules lazily: a command compiles and runs only the layers it calls,

@@ -18,14 +18,17 @@ stderr and exits with the code given below.  ``kind`` is one of:
   ``CertificateError``; ``SquidError``, ``TheoremViolation``,
   ``SchemeRunError``; ``SchemeError``, ``InfeasibleScheme``;
   ``ComplexError``; ``TverbergError``.  JSON nested past the parser's
-  limit is an error of its reader: ``CertificateError`` for a
-  certificate, ``SquidError`` for a trace, ``SchemeError`` for a scheme.
+  limit, or holding an integer past its digit limit, is an error of its
+  reader (read_json): ``CertificateError`` for a certificate,
+  ``SquidError`` for a trace, ``SchemeError`` for a scheme.
 - exit 1, an unreadable input: ``JSONDecodeError`` for malformed JSON,
   ``UnicodeDecodeError`` for a file that is not UTF-8 text, and the name of
   the OSError raised for a file that cannot be read or written, such as
   ``FileNotFoundError``, ``IsADirectoryError``, ``NotADirectoryError``,
   ``PermissionError`` or ``OSError`` itself.
 """
+
+import json
 
 
 class GraphError(ValueError):
@@ -96,3 +99,20 @@ def json_ints(value, what: str) -> tuple[int, ...]:
         if type(v) is not int:
             json_int(v, f"{what} entry")  # raises, naming the entry
     return tuple(value)
+
+
+def read_json(text: str, what: str, domain_error: type[ValueError]):
+    """The value of JSON text, parsed by the json module.
+
+    Text nested past the parser's limit, or holding an integer past
+    int()'s digit limit, raises domain_error, the error of the reader of
+    `what`; malformed text raises json.JSONDecodeError.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise domain_error(f"{what} JSON is nested too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise domain_error(f"{what} JSON cannot be read: {exc}") from None

@@ -23,12 +23,11 @@ coverage falls short and the inequality still permits.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import SchemeError, json_int, json_ints
+from .errors import SchemeError, json_int, json_ints, read_json
 
 EpsilonLike = Union[int, float, str, Fraction]
 
@@ -145,11 +144,7 @@ class SizeScheme(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "SizeScheme":
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise SchemeError("scheme JSON is nested too deeply to read") from None
-        return cls.from_obj(obj)
+        return cls.from_obj(read_json(text, "scheme", SchemeError))
 
 
 class EpsilonConstants(NamedTuple):

@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 # Bound as a module, not by name: under the CLI's lazy layers
 # squid df1 and squid extract then never load schemes.
 from . import schemes
-from .errors import Budget, SquidError, json_int, json_ints
+from .errors import Budget, SquidError, json_int, json_ints, read_json
 from .graphs import Graph, check_product_size, distance_two_set, product_with_complete, run
 from .vd import (
     CertificateBuilder,
@@ -394,11 +394,7 @@ class RemovalTrace(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str, budget: Optional[int] = None) -> "RemovalTrace":
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise SquidError("trace JSON is nested too deeply to read") from None
-        return cls.from_obj(obj, budget)
+        return cls.from_obj(read_json(text, "trace", SquidError), budget)
 
 
 # ---------------------------------------------------------------------------

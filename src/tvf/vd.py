@@ -28,20 +28,18 @@ The JSON form is the expanded tree, but its cost follows unique subtrees.
 The writer formats each distinct subtree object once and copies the text
 of a repeat.  The reader scans the text the writer emits at any depth,
 parsing each distinct subtree text once and skipping its repeats by a
-text comparison; any other layout goes through json.loads, which builds
-and shares certificate objects as it parses, so the expanded tree of
-dicts is never held.  Either way structurally equal subtrees become one
-object, and verification follows unique nodes rather than the size of
-the expanded tree.
+text comparison; any other layout is parsed into the expanded tree of
+dicts (errors.read_json), which certificate_from_obj reads.  Either way
+structurally equal subtrees become one object, and verification follows
+unique nodes rather than the size of the expanded tree.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import NamedTuple, Optional, Union
 
-from .errors import Budget, GraphError, VdError
+from .errors import Budget, GraphError, VdError, read_json
 from .graphs import Graph, neighbor_masks, run
 
 # Memo entries one level decision may make; each costs about 150 bytes.
@@ -574,7 +572,6 @@ def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> Vd
 # Keys are emitted in sorted order and levels are always explicit.
 
 
-_BUILT = (LeafAny, LeafEdgeless, Node)
 _CLOSE = object()  # writer stack marker: the innermost open node's text ends here
 
 
@@ -636,18 +633,11 @@ def _malformed(where, message: str) -> CertificateError:
 
 
 class _Reader:
-    """One read's intern tables, and the checks of one certificate object.
+    """One read's intern tables, and the checks of one leaf object and one node.
 
-    The scanner of the writer's own text (_scan) builds every leaf and node
-    through leaf and node.  Any other text goes through json.loads, which
-    calls hook on every object as it is parsed, children first; hook builds
-    the certificate objects whose text has exactly the keys
-    certificate_to_json writes and passes every check, so the expanded tree
-    of dicts is never kept.  Every other object stays a dict for
-    certificate_from_obj, which reads it in del-first order and raises at
-    the first failed check with its path.  A built subtree has no failed
-    check below it, so that walk meets the same first failure as it would
-    on the plain dicts, and both passes intern through one table.
+    Both readers, the scanner of the writer's own text (_scan) and the walk
+    over parsed JSON (certificate_from_obj), build every leaf and node
+    through leaf and node.
     """
 
     def __init__(self):
@@ -676,16 +666,6 @@ class _Reader:
             return "edgeless leaf level must equal its vertex count"
         return got
 
-    @staticmethod
-    def body(o: dict):
-        """The pivot node body of o, or an error message; o must have a "node" key."""
-        body = o["node"]
-        if type(body) is not dict or "del" not in body or "link" not in body:
-            return "pivot node needs an object with 'del' and 'link'"
-        if type(body.get("pivot")) is not int:
-            return "pivot must be an integer"
-        return body
-
     def node(self, pivot: int, delete: VdCertificate, link: VdCertificate, level):
         """The interned pivot node over its read children, or an error message."""
         if type(level) is not int:
@@ -696,29 +676,8 @@ class _Reader:
             node = self.nodes[key] = Node(pivot, delete, link, level)
         return node
 
-    def hook(self, o: dict):
-        """o as a certificate object if it has exactly the writer's keys and passes its checks."""
-        if "pivot" in o or type(o.get("level")) is not int:
-            return o  # a pivot node's body, or a level the writer never emits
-        if "node" in o:
-            body = o["node"]
-            if len(o) != 2 or type(body) is not dict or len(body) != 3:
-                return o
-            delete, link, pivot = body.get("del"), body.get("link"), body.get("pivot")
-            if type(delete) not in _BUILT or type(link) not in _BUILT or type(pivot) is not int:
-                return o
-            got = self.node(pivot, delete, link, o["level"])
-        else:
-            leaf = o.get("leaf")
-            if not (
-                leaf == "any" and len(o) == 2 or leaf == "edgeless" and len(o) == 3 and "vertices" in o
-            ):
-                return o
-            got = self.leaf(o)
-        return o if type(got) is str else got
 
-
-def certificate_from_obj(obj, reader: Optional[_Reader] = None) -> VdCertificate:
+def certificate_from_obj(obj) -> VdCertificate:
     """Certificate from its nested JSON object, sharing equal subtrees.
 
     Structurally equal subtrees come back as one object: a single LeafAny,
@@ -728,11 +687,8 @@ def certificate_from_obj(obj, reader: Optional[_Reader] = None) -> VdCertificate
     verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
     levels and vertices must be JSON integers; anything malformed raises
     CertificateError naming its path, as del/link steps from the root.
-    Children that are already certificate objects are taken as read; reader
-    is the parse that built them, whose intern tables the rest joins.
     """
-    if reader is None:
-        reader = _Reader()
+    reader = _Reader()
     done: list[VdCertificate] = []
     # (JSON object, its path as a (step, parent) chain, and, once its
     # children are queued, the pivot node's body)
@@ -743,20 +699,21 @@ def certificate_from_obj(obj, reader: Optional[_Reader] = None) -> VdCertificate
             link = done.pop()
             level = o["level"] if "level" in o else link.level + 1
             got = reader.node(body["pivot"], done.pop(), link, level)
-        elif type(o) in _BUILT:
-            got = o
         elif type(o) is not dict:
             raise _malformed(where, "certificate JSON nodes must be objects")
         else:
             got = reader.leaf(o)
             if got is None and "node" in o:
-                body = reader.body(o)
-                if type(body) is not str:
+                body = o["node"]
+                if type(body) is not dict or "del" not in body or "link" not in body:
+                    got = "pivot node needs an object with 'del' and 'link'"
+                elif type(body.get("pivot")) is not int:
+                    got = "pivot must be an integer"
+                else:
                     stack.append((o, where, body))
                     stack.append((body["link"], ("link", where), None))
                     stack.append((body["del"], ("del", where), None))
                     continue
-                got = body
             elif got is None:
                 got = f"unrecognized certificate object with keys {sorted(o)}"
         if type(got) is str:
@@ -873,20 +830,15 @@ def certificate_from_json(text: str) -> VdCertificate:
 
     Text in certificate_to_json's own layout is scanned at any depth, and
     each distinct subtree text is parsed once (_scan).  Any other text is
-    read by json.loads, whose object hook builds the writer's objects as
-    soon as they are parsed (_Reader); that costs work per object of the
+    parsed into the expanded tree of dicts by read_json and read by
+    certificate_from_obj; that costs work and memory per object of the
     expanded text and is bound by the JSON nesting limit.  Both give the
     same certificate, and every error comes from the second.
     """
     try:
         cert = _scan(text)
-    except ValueError:  # an integer past int()'s digit limit; json.loads reports it
+    except ValueError:  # an integer past int()'s digit limit; read_json reports it
         cert = None
     if cert is not None:
         return cert
-    reader = _Reader()
-    try:
-        obj = json.loads(text, object_hook=reader.hook)
-    except RecursionError:
-        raise CertificateError("certificate JSON is nested too deeply to read") from None
-    return certificate_from_obj(obj, reader)
+    return certificate_from_obj(read_json(text, "certificate", CertificateError))

@@ -943,6 +943,10 @@ def certificate_from_json(text: str) -> VdCertificate:
         obj = json.loads(text)
     except RecursionError:
         raise CertificateError("certificate JSON is nested too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise CertificateError(f"certificate JSON cannot be read: {exc}") from None
     return certificate_from_obj(obj)
 
 

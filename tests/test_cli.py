@@ -881,24 +881,29 @@ def test_certificate_side_ignores_the_recursion_limit(files, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "command, kind, error",
+    "command, kind, what",
     [
-        (["scheme", "validate", "--file", "deep.json"], "SchemeError", "scheme JSON is nested too deeply to read"),
-        (
-            ["squid", "dynamic", "--graph", "k2.txt", "--q", "2", "--scheme", "deep.json"],
-            "SchemeError",
-            "scheme JSON is nested too deeply to read",
-        ),
-        (["squid", "extract", "--trace", "deep.json"], "SquidError", "trace JSON is nested too deeply to read"),
+        (["scheme", "validate", "--file", "bad.json"], "SchemeError", "scheme"),
+        (["squid", "dynamic", "--graph", "k2.txt", "--q", "2", "--scheme", "bad.json"], "SchemeError", "scheme"),
+        (["squid", "extract", "--trace", "bad.json"], "SquidError", "trace"),
+        (["vd", "verify", "--graph", "k2.txt", "--cert", "bad.json"], "CertificateError", "certificate"),
     ],
-    ids=["scheme", "dynamic-scheme", "trace"],
+    ids=["scheme", "dynamic-scheme", "trace", "certificate"],
 )
-def test_deep_json_is_an_error_of_its_reader(files, capsys, monkeypatch, command, kind, error):
+def test_deep_json_is_an_error_of_its_reader(files, capsys, monkeypatch, command, kind, what):
+    # JSON nested past the parser's limit, and an integer past int()'s digit
+    # limit.  The second text is a list at its root, so it is an error of the
+    # same kind on a Python without that limit too.
     monkeypatch.chdir(files)
-    (files / "deep.json").write_text("[" * 100_000)
-    code, out, err = run(capsys, *command)
-    assert code == 1 and out == ""
-    assert json.loads(err) == {"error": error, "kind": kind}
+    for text, error in [("[" * 100_000, f"{what} JSON is nested too deeply to read"), ("[" + "1" * 5000 + "]", None)]:
+        (files / "bad.json").write_text(text)
+        code, out, err = run(capsys, "--manifest", "run.json", *command)
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert set(report) == {"error", "kind"} and report["kind"] == kind
+        assert error is None or report["error"] == error
+        manifest = json.loads((files / "run.json").read_text())
+        assert (manifest["exit_code"], manifest["error_kind"]) == (1, kind)
 
 
 def _contract_kinds(text, start, end):
@@ -956,23 +961,39 @@ def small_traces(tmp_path_factory):
     return [(d / name).read_text() for name in ("k2.trace", "p4.trace")], d
 
 
+@pytest.fixture(scope="module")
+def small_certificates(small_traces):
+    """The certificates of the small traces, each with the vd verify arguments of its product."""
+    _, d = small_traces
+    with redirect_stdout(io.StringIO()):
+        for name in ("k2", "p4"):
+            assert main(["squid", "extract", "--trace", str(d / f"{name}.trace"), "--out", str(d / f"{name}.cert")]) == 0
+    return [
+        ((d / f"{name}.cert").read_text(), ["--graph-product", str(d / f"{name}.txt"), "--q", q])
+        for name, q in (("k2", "3"), ("p4", "5"))
+    ]
+
+
 _BIG_INTS = st.sampled_from([10**13, 2**63, 10**100]) | st.integers(-(10**40), 10**40)
 _ANY_JSON = _BIG_INTS | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+# Stands for an integer of 5000 digits, past int()'s digit limit, which
+# json.dumps cannot write; _mutated_text puts it into the text.
+_HUGE = "\ue000"
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_trace_reader_ends_every_input_in_the_error_contract(small_traces, data):
-    # one field of a valid trace, at any depth, becomes an arbitrary JSON value.
-    # The field is drawn top-level key first, then by its key path with list
-    # indices as "*", so that q or a node's pivot is drawn as often as a
-    # squid's arm.
-    texts, d = small_traces
-    obj = json.loads(data.draw(st.sampled_from(texts)))
+def _mutated_text(data, text: str) -> str:
+    """JSON text, with one field of text's object at any depth replaced by an arbitrary value.
+
+    The field is drawn top-level key first, then by its key path with list
+    indices as "*", so that a trace's q or a node's pivot is drawn as often
+    as a squid's arm.  The value may be a 5000-digit integer, and the text is
+    in the writer's compact sorted layout or in json.dumps' default one.
+    """
+    obj = json.loads(text)
     top = data.draw(st.sampled_from(sorted(obj)))
     fields: dict[tuple, list[tuple]] = {}
     for path in [(top,), *_json_paths(obj[top], (top,))]:
@@ -981,15 +1002,50 @@ def test_trace_reader_ends_every_input_in_the_error_contract(small_traces, data)
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = data.draw(_ANY_JSON)
-    (d / "mutated.trace").write_text(json.dumps(obj))
+    parent[path[-1]] = data.draw(_ANY_JSON | st.just(_HUGE))
+    if data.draw(st.booleans()):
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    else:
+        text = json.dumps(obj)
+    return text.replace(json.dumps(_HUGE), "1" * 5000)
+
+
+def _assert_in_the_error_contract(argv, verdicts):
+    """main(argv) prints a verdict and exits with one of verdicts, or reports one documented error."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["squid", "extract", "--trace", str(d / "mutated.trace")])  # raises on a traceback
-    assert code in (0, 1, 2)
-    if code == 0:
-        assert err.getvalue() == "" and json.loads(out.getvalue())
-    else:
+        code = main(argv)  # raises on a traceback
+    if err.getvalue():
         report = json.loads(err.getvalue())
+        assert code in (1, 2) and out.getvalue() == ""
         assert set(report) == {"error", "kind"} and "Traceback" not in report["error"]
         assert report["kind"] in _contract_kinds(tvf.errors.__doc__, "exit 64:", "itself.")
+    else:
+        assert code in verdicts and json.loads(out.getvalue())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trace_reader_ends_every_input_in_the_error_contract(small_traces, data):
+    texts, d = small_traces
+    (d / "mutated.trace").write_text(_mutated_text(data, data.draw(st.sampled_from(texts))))
+    _assert_in_the_error_contract(["squid", "extract", "--trace", str(d / "mutated.trace")], (0,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_certificate_reader_ends_every_input_in_the_error_contract(small_traces, small_certificates, data):
+    _, d = small_traces
+    text, product = data.draw(st.sampled_from(small_certificates))
+    (d / "mutated.cert").write_text(_mutated_text(data, text))
+    _assert_in_the_error_contract(["vd", "verify", *product, "--cert", str(d / "mutated.cert")], (0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scheme_reader_ends_every_input_in_the_error_contract(small_traces, data):
+    _, d = small_traces
+    schemes = [{"sizes": [1, 1], "n": 20, "q": 5, "delta": 2}, {"sizes": [5, 4], "n": 20, "q": 5, "delta": 2}]
+    text = json.dumps(data.draw(st.sampled_from(schemes)))
+    (d / "mutated.scheme").write_text(_mutated_text(data, text))
+    _assert_in_the_error_contract(["scheme", "validate", "--file", str(d / "mutated.scheme")], (0, 1))

@@ -15,7 +15,7 @@ ALLOWED = {
     "Graph.empty": "a graph family that tests and docs build",
     "Graph.cycle": "a graph family that tests and docs build",
     "RemovalTrace.product": "the product a trace certifies, for checking its certificate",
-    "CorollaryReport.all_checks_passed": "the corollary verdict that ROADMAP item 7(a) is about",
+    "CorollaryReport.all_checks_passed": "the corollary verdict that ROADMAP item 13(a) is about",
 }
 
 

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import random
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -341,7 +340,7 @@ def test_pinned_certificates_are_read_without_json_loads(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("certificate text went through json.loads")
 
-    monkeypatch.setattr(tvf.vd, "json", types.SimpleNamespace(loads=refuse))
+    monkeypatch.setattr(tvf.vd, "read_json", refuse)
     for variant in (text, text + "\n"):
         got = certificate_from_json(variant)
         assert same_certificate_dag(got, want)
