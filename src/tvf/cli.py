@@ -99,12 +99,14 @@ def _slices(text: str, end: str):
         yield end
 
 
-def _rational(text: str):
-    """argparse type of --epsilon: the Fraction of a rational such as 1/5 or 0.2."""
+def _rational(text: str) -> str:
+    """argparse type of --epsilon: text that reads as a rational such as 1/5
+    or 0.2, kept as given so that an error can name it as the user wrote it."""
     from fractions import Fraction  # only commands with --epsilon pay for it
 
     try:
-        return Fraction(text)
+        Fraction(text)
+        return text
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational such as 1/5 or 0.2, got {text!r}"
@@ -338,7 +340,7 @@ def cmd_squid_extract(run: _Run) -> int:
 
 
 def cmd_scheme_constants(run: _Run) -> int:
-    consts = sc.epsilon_constants(float(run.args.epsilon))
+    consts = sc.epsilon_constants(run.args.epsilon)
     run.emit(_dumps(consts.to_obj()), None)
     return 0
 

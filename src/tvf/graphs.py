@@ -206,6 +206,8 @@ def parse_edgelist(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'p <n> <m>'")
             n, m = _int(parts[1], lineno), _int(parts[2], lineno)
+            if n < 0 or m < 0:
+                raise GraphError(f"line {lineno}: vertex and edge counts must not be negative")
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before the problem line")

@@ -211,13 +211,22 @@ def validate_scheme(sizes: Sequence[int], n: int, q: int, delta: int) -> SchemeC
     return SchemeCheck(True)
 
 
-def epsilon_constants(epsilon: float) -> EpsilonConstants:
-    """Closed-form constants; double precision, relative error <= 1e-12."""
-    eps = float(epsilon)
-    if not eps > 0:
+def epsilon_constants(epsilon: EpsilonLike) -> EpsilonConstants:
+    """Closed-form constants; double precision, relative error <= 1e-12.
+
+    Positivity is decided on the exact rational.  A positive epsilon whose
+    constants a double cannot hold, past the largest double or so small
+    that sqrt(1 + epsilon) rounds to 1, raises SchemeError naming it as given.
+    """
+    exact = Fraction(epsilon)
+    if exact <= 0:
         raise SchemeError(f"epsilon must be positive, got {epsilon}")
-    a = math.sqrt(1.0 + eps)
-    gamma = -(1.0 / a) * math.log1p(-1.0 / a)
+    try:
+        eps = float(exact)
+        a = math.sqrt(1.0 + eps)
+        gamma = -(1.0 / a) * math.log1p(-1.0 / a)
+    except (OverflowError, ValueError):
+        raise SchemeError(f"epsilon {epsilon} is outside the range of double precision") from None
     return EpsilonConstants(epsilon=eps, a=a, gamma=gamma, k_epsilon=a - 1.0 + 2.0 * gamma)
 
 
@@ -233,7 +242,7 @@ def build_scheme(epsilon: EpsilonLike, N: int, delta: int, q: int) -> SchemeBuil
         raise SchemeError(f"epsilon must be positive, got {epsilon}")
     if N < 1 or delta < 1 or q < 1:
         raise SchemeError("build_scheme requires N >= 1, delta >= 1, q >= 1")
-    consts = epsilon_constants(float(eps))
+    consts = epsilon_constants(epsilon)
     if not q > consts.k_epsilon * delta:
         raise SchemeError(
             f"q={q} does not exceed K_eps*delta={format_real(consts.k_epsilon * delta)}"

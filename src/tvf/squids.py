@@ -27,14 +27,14 @@ Two pivot rules are provided: run_df1 takes the lexicographically smallest
 residual vertex (valid whenever q > |N2(v)| + 2|N(v)| for every v), and
 run_dynamic follows a block-size scheme, choosing at each block start the
 top-most surviving row with the most preserved vertices.  Both run one
-removal search, and it, trace reading and extraction all run on
-graphs.run's explicit stack; a budget of trace nodes bounds the search,
-and one of product edges bounds G x K_q itself.
+removal search on graphs.run's explicit stack, as extraction does; a
+budget of trace nodes bounds the search, and one of product edges bounds
+G x K_q itself.  The search is the only model of a removal step: a trace
+is read by rerunning the removal its header names and comparing texts.
 
 In memory a product vertex is its label index(base)*q + (row-1), and a
 squid or residual is a mask over those labels.  The (base, row) pairs
-appear only in the trace JSON, which RemovalTrace.to_json writes node row
-by node row and from_json reads.
+appear only in the trace JSON, which RemovalTrace.to_json writes.
 """
 
 from __future__ import annotations
@@ -137,10 +137,6 @@ class TraceNode(NamedTuple):
     block_row: Optional[int] = None  # dynamic runs: the row of the active block
     rows_used: Optional[tuple[int, ...]] = None  # dynamic runs: block rows so far
 
-    @property
-    def residual_size(self) -> int:
-        return self.residual_mask.bit_count()
-
 
 class RemovalTrace(NamedTuple):
     graph: Graph
@@ -156,31 +152,32 @@ class RemovalTrace(NamedTuple):
 
     def nodes(self) -> list[TraceNode]:
         """Unique nodes in depth-first preorder from the root."""
-        seen: dict[int, TraceNode] = {}
-        order: list[TraceNode] = []
-        stack = [self.root]
+        seen, order, stack = set(), [], [self.root]  # the trace keeps every node, so ids stay unique
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen[id(node)] = node
-            order.append(node)
-            children = list(node.arm_children)
-            if node.link_child is not None:
-                children.append(node.link_child)
-            for child in reversed(children):
-                stack.append(child.node)
+            if id(node) not in seen:
+                seen.add(id(node))
+                order.append(node)
+                link = () if node.link_child is None else (node.link_child,)
+                stack += [child.node for child in reversed(node.arm_children + link)]
         return order
 
-    def to_json(self) -> str:
-        """The JSON form, where each product label becomes its (base, row) pair.
+    def _head_and_tail(self) -> tuple[str, str]:
+        """The JSON text before the node rows and after them."""
+        head, tail = _canonical({
+            "graph": {"edges": self.graph.edges, "vertices": self.graph.vertices},
+            "kind": self.kind, "m": self.m, "mode": self.mode, "nodes": None, "q": self.q, "root": 0,
+            "scheme": None if self.scheme is None else self.scheme.to_obj(),
+        }).split('"nodes":null')
+        return head + '"nodes":[', "]" + tail
 
-        Each node is written straight to one row of text, with its keys
-        sorted and no spaces, exactly as json.dumps(sort_keys=True,
-        separators=(",", ":")) writes them, so no tree of dicts is built.
-        block_row and rows_used appear only in dynamic traces; an absent
-        pivot, link or witness is null.  The trace kind, the mode and the
-        squid kinds are fixed words that need no escaping.
+    def _node_rows(self):
+        """The JSON text of each node in id order, every row but the first led by a comma.
+
+        Each node is written straight to one row of text in _canonical's
+        layout, so no tree of dicts is built.  block_row and rows_used
+        appear only in dynamic traces; an absent pivot, link or witness is
+        null.  The squid kinds are fixed words that need no escaping.
         """
         G, q = self.graph, self.q
         pair = [f"[{v},{r}]" for v in G.vertices for r in range(1, q + 1)]  # by label
@@ -225,14 +222,6 @@ class RemovalTrace(NamedTuple):
         nodes = self.nodes()
         ids = {id(node): i for i, node in enumerate(nodes)}
         dynamic = self.kind == "dynamic"
-        scheme = "null" if self.scheme is None else json.dumps(
-            self.scheme.to_obj(), sort_keys=True, separators=(",", ":")
-        )
-        parts = [
-            f'{{"graph":{{"edges":[{",".join(f"[{u},{v}]" for u, v in G.edges)}],'
-            f'"vertices":[{ints(G.vertices)}]}},"kind":"{self.kind}","m":{self.m},'
-            f'"mode":"{self.mode}","nodes":['
-        ]
         for i, node in enumerate(nodes):
             row = "," if i else ""
             if dynamic:
@@ -250,151 +239,145 @@ class RemovalTrace(NamedTuple):
                 f'"children":[{children}],"id":{i},"level":{node.level},'
                 f'"link":{"null" if link is None else link},'
                 f'"pivot":{"null" if node.pivot is None else pair[node.pivot]},'
-                f'"residual_size":{node.residual_size}'
+                f'"residual_size":{node.residual_mask.bit_count()}'
             )
             if dynamic:
                 used = "null" if node.rows_used is None else f"[{ints(node.rows_used)}]"
                 row += f',"rows_used":{used}'
-            parts.append(row + "}")
-        parts.append(f'],"q":{q},"root":0,"scheme":{scheme}}}')
-        return "".join(parts)
+            yield row + "}"
+
+    def to_json(self) -> str:
+        """The canonical JSON form, where each product label becomes its (base, row) pair."""
+        head, tail = self._head_and_tail()
+        return head + "".join(self._node_rows()) + tail
 
     @classmethod
     def from_obj(cls, obj: dict, budget: Optional[int] = None) -> "RemovalTrace":
-        """Read the JSON form, turning each (base, row) pair into its label.
+        """The removal obj's header names, rerun, if obj is exactly its JSON form.
 
-        budget bounds the edges of G x K_q (None: the product default); it
-        is checked before anything of the product's size is built.
+        run_df1 and run_dynamic are deterministic, so the header (graph, q,
+        kind, and mode or scheme) fixes every node.  The rerun runs under
+        budget (the product's edges, checked first, and the trace nodes).
+        Unless obj's canonical JSON is its to_json, SquidError names the
+        first header key or node that differs, and each field there with
+        both of its values.
         """
-        try:
-            graph = obj["graph"]
-            G = Graph(
-                json_ints(graph["vertices"], "graph vertices"),
-                [json_ints(e, "graph edge") for e in graph["edges"]],
-            )
-            q = json_int(obj["q"], "q")
-            m = json_int(obj["m"], "m")
-            kind = obj["kind"]
-            if kind not in ("df1", "dynamic"):
-                raise ValueError(f"trace kind must be 'df1' or 'dynamic', got {kind!r}")
-            mode = obj.get("mode", "walk")
-            if mode not in ("walk", "distance"):
-                raise ValueError(f"trace mode must be 'walk' or 'distance', got {mode!r}")
-            node_objs = obj["nodes"]
-            root_id = json_int(obj["root"], "root")
-            scheme = obj.get("scheme")
-            if scheme is not None:
-                scheme = schemes.SizeScheme.from_obj(scheme)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SquidError(f"malformed trace object: {exc}") from exc
-        if q < 1:
-            raise SquidError(f"malformed trace object: q must be positive, got {q}")
-        check_product_size(G, q, budget)
-        gi = {v: i for i, v in enumerate(G.vertices)}
-        full = (1 << (G.n * q)) - 1
-
-        def label(pair) -> int:
-            base, row = pair
-            if type(base) is not int or base not in gi or type(row) is not int or not 1 <= row <= q:
-                raise ValueError(f"({base!r}, {row!r}) is not a vertex of the product")
-            return gi[base] * q + (row - 1)
-
-        def squid(o: dict) -> Squid:
-            """The squid of o, with its fields checked but not its arm patterns."""
-            body, kind = json_int(o["body"], "squid body"), o["kind"]
-            if body not in gi:
-                raise ValueError(f"squid body {body} is not a vertex of the graph")
-            rows = json_ints(o["rows"], "squid rows")
-            two = len(rows) == 2 and rows[0] < rows[1]
-            if not (kind == "I" and len(rows) == 1 or kind == "II" and two):
-                raise ValueError(f"a kind {kind!r} squid cannot mark rows {list(rows)}")
-            if rows[0] < 1 or rows[-1] > q:  # rows are increasing
-                raise ValueError(f"squid rows {list(rows)} are not all in 1..{q}")
-            hearts = o["hearts"]
-            if hearts != [[body, r] for r in rows] or {type(v) for h in hearts for v in h} != {int}:
-                raise ValueError(f"squid hearts {hearts!r} are not its body on its rows")
-            arms = o["arms"]
-            if type(arms) is not list:
-                raise ValueError(f"squid arms must be a list, got {arms!r}")
-            mask = 0
-            for pair in arms:
-                mask |= 1 << label(pair)
-            for r in json_ints(o["body_rows"], "squid body_rows"):
-                mask |= 1 << label((body, r))
-            witness = o.get("witness")
-            witness = None if witness is None else json_int(witness, "squid witness")
-            if kind == "I" and (arms or witness is not None) and witness not in G.neighbors(body):
-                raise ValueError(f"witness {witness} of a kind I squid is not adjacent to its body")
-            return Squid(body, kind, rows, mask, witness)
-
-        built: dict[int, TraceNode] = {}
-        open_ids: set[int] = set()  # nodes whose children are being built
-
-        def known(idx: int, mask: int) -> Optional[TraceNode]:
-            node = built.get(idx)
-            if node is not None and node.residual_mask != mask:
-                raise SquidError(f"node {idx} is reached with two different residuals")
-            return node
-
-        def build(idx: int, mask: int):
-            """Generator for run: the node of an index not yet built."""
-            if idx in open_ids:
-                raise SquidError(f"node {idx} is its own descendant")
-            try:
-                if not 0 <= idx < len(node_objs):
-                    raise IndexError(f"no node with id {idx}")
-                o = node_objs[idx]
-                size = json_int(o["residual_size"], "residual_size")
-                level = json_int(o["level"], "level")
-                arms = [
-                    (squid(ch["squid"]), json_int(ch["node"], "child node"), label(ch["w"]))
-                    for ch in o["children"]
-                ]
-                link = None
-                if o.get("link") is not None:
-                    link = (squid(o["link"]["squid"]), json_int(o["link"]["node"], "link node"))
-                pivot = None if o["pivot"] is None else label(o["pivot"])
-                block_row = o.get("block_row")
-                block_row = None if block_row is None else json_int(block_row, "block_row")
-                rows_used = o.get("rows_used")
-                rows_used = None if rows_used is None else json_ints(rows_used, "rows_used")
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise SquidError(
-                    f"node {idx}: malformed trace node ({type(exc).__name__}: {exc})"
-                ) from exc
-            if size != mask.bit_count():
-                raise SquidError(f"node {idx}: residual size does not replay")
-            open_ids.add(idx)
-            arm_children = []
-            for sq, child, w in arms:
-                cm = mask & ~sq.mask
-                node = known(child, cm) or (yield build(child, cm))
-                arm_children.append(TraceChild(squid=sq, node=node, w=w))
-            link_child = None
-            if link is not None:
-                sq, child = link
-                cm = mask & ~sq.mask
-                link_child = TraceChild(squid=sq, node=known(child, cm) or (yield build(child, cm)))
-            open_ids.discard(idx)
-            node = TraceNode(
-                level=level,
-                residual_mask=mask,
-                pivot=pivot,
-                arm_children=tuple(arm_children),
-                link_child=link_child,
-                block_row=block_row,
-                rows_used=rows_used,
-            )
-            built[idx] = node
-            return node
-
-        root = run(build(root_id, full))
-        del build
-        return cls(graph=G, q=q, m=m, kind=kind, root=root, mode=mode, scheme=scheme)
+        trace = _rerun(obj, budget)
+        _check_rerun(trace, obj)
+        return trace
 
     @classmethod
     def from_json(cls, text: str, budget: Optional[int] = None) -> "RemovalTrace":
-        return cls.from_obj(read_json(text, "trace", SquidError), budget)
+        """from_obj of the value of text.  Text that is the rerun's to_json,
+        trailing whitespace aside, is accepted as it stands; other text is
+        parsed again and re-serialized."""
+        trace = _rerun(read_json(text, "trace", SquidError), budget)
+        if not _writes(trace, text):
+            _check_rerun(trace, read_json(text, "trace", SquidError))
+        return trace
+
+
+def _canonical(value) -> str:
+    """The canonical JSON text of value: keys sorted, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _rerun(obj, budget: Optional[int]) -> RemovalTrace:
+    """The removal a trace object's header names, once the header is checked."""
+    try:
+        graph = obj["graph"]
+        edges = [json_ints(e, "graph edge") for e in graph["edges"]]
+        G = Graph(json_ints(graph["vertices"], "graph vertices"), edges)
+        q = json_int(obj["q"], "q")
+        json_int(obj["m"], "m")
+        kind = obj["kind"]
+        if kind not in ("df1", "dynamic"):
+            raise ValueError(f"trace kind must be 'df1' or 'dynamic', got {kind!r}")
+        mode = obj.get("mode", "walk")
+        if mode not in ("walk", "distance"):
+            raise ValueError(f"trace mode must be 'walk' or 'distance', got {mode!r}")
+        if type(obj["nodes"]) is not list:
+            raise ValueError(f"nodes must be a list, got {type(obj['nodes']).__name__}")
+        json_int(obj["root"], "root")
+        scheme = obj.get("scheme")
+        if scheme is not None:
+            scheme = schemes.SizeScheme.from_obj(scheme)
+        elif kind == "dynamic":
+            raise ValueError("a dynamic trace needs a scheme")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SquidError(f"malformed trace object: {exc}") from exc
+    if q < 1:
+        raise SquidError(f"malformed trace object: q must be positive, got {q}")
+    check_product_size(G, q, budget)
+    del obj  # a caller's temporary node table is freed before the rerun
+    return run_df1(G, q, mode, budget) if kind == "df1" else run_dynamic(G, q, scheme, budget)
+
+
+def _writes(trace: RemovalTrace, text: str) -> bool:
+    """Whether text is trace.to_json(), trailing whitespace aside, compared
+    a node row at a time so that the rerun's text is never built whole."""
+    head, tail = trace._head_and_tail()
+    pos = len(head) if text.startswith(head) else -1
+    for row in trace._node_rows():
+        if pos < 0 or not text.startswith(row, pos):
+            return False
+        pos += len(row)
+    return text.startswith(tail, pos) and not text[pos + len(tail) :].strip()
+
+
+def _check_rerun(trace: RemovalTrace, obj) -> None:
+    """Raise SquidError at the first header key or node where the
+    canonical JSON of obj differs from the text of trace."""
+    try:
+        if _writes(trace, _canonical(obj)):
+            return
+    except (TypeError, ValueError, RecursionError) as exc:  # not JSON, or too deep or long to write
+        raise SquidError(f"malformed trace object: {exc}") from None
+    removal = f"the {trace.kind} removal of its graph" + " and scheme" * (trace.kind == "dynamic")
+    head, tail = trace._head_and_tail()
+    found = _differences({**obj, "nodes": []}, json.loads(head + tail))
+    if found:
+        raise SquidError(f"malformed trace object: {'; '.join(found)} ({removal})")
+    nodes = obj["nodes"]
+    for i, row in enumerate(trace._node_rows()):
+        if i == len(nodes):
+            raise SquidError(f"the trace ends before node {i} of {removal}")
+        if _canonical(nodes[i]) != row.lstrip(","):
+            found = _differences(nodes[i], json.loads(row.lstrip(","))) if type(nodes[i]) is dict else []
+            raise SquidError(f"node {i}: {'; '.join(found) or 'not a node object'} ({removal})")
+    raise SquidError(f"node {i + 1} is past the last node of {removal}")
+
+
+_ABSENT = object()  # the value of a key that one of two compared objects lacks
+
+
+def _differences(got: dict, want: dict) -> list[str]:
+    """Each field where two JSON objects differ, with both of its values,
+    found on an explicit stack that descends into objects and into equally
+    long lists of objects."""
+
+    def show(value) -> str:
+        text = "absent" if value is _ABSENT else repr(value)
+        return text if len(text) <= 80 else text[:77] + "..."
+
+    found, stack = [], [((), got, want)]
+    while stack:
+        path, g, w = stack.pop()
+        if _ABSENT not in (g, w) and _canonical(g) == _canonical(w):
+            continue
+        if type(g) is type(w) is dict:
+            keys = list(w) + [k for k in g if k not in w]
+            stack += [(path + (k,), g.get(k, _ABSENT), w.get(k, _ABSENT)) for k in reversed(keys)]
+        elif type(g) is type(w) is list and len(g) == len(w) and all(type(x) is dict for x in g + w):
+            stack += [(path + (i,), g[i], w[i]) for i in reversed(range(len(g)))]
+        elif len(path) == 1:
+            found.append(f"{path[0]} is {show(g)}, not {show(w)}")
+        else:
+            *owner, key = path
+            owner = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in owner)[1:]
+            g, w = (f"no {key}" if v is _ABSENT else f"{key} {show(v)}" for v in (g, w))
+            found.append(f"{owner} has {g}, not {w}")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +387,7 @@ class RemovalTrace(NamedTuple):
 
 class _Engine:
     def __init__(self, G: Graph, q: int, budget: Optional[int]):
-        self.G = G
-        self.q = q
+        self.G, self.q = G, q
         self.view = MaskView(product_with_complete(G, q, budget))  # labels are bit indices
         self.base_of = [G.vertices[lab // q] for lab in range(G.n * q)]
         self.row_of = [lab % q + 1 for lab in range(G.n * q)]
@@ -413,15 +395,6 @@ class _Engine:
     def column_mask(self, label: int) -> int:
         """The labels of label's column: its base vertex on every row."""
         return ((1 << self.q) - 1) << (label - label % self.q)
-
-    def classify_arm_squid(self, w_label: int, pivot_label: int, squid_mask: int) -> Squid:
-        v, i = self.base_of[pivot_label], self.row_of[pivot_label]
-        wb, wr = self.base_of[w_label], self.row_of[w_label]
-        if wr == i and wb != v:
-            # row neighbor: one-row squid with body w and the pivot as witness
-            return Squid(body=wb, kind="I", rows=(i,), mask=squid_mask, witness=v)
-        # column neighbor: two-row squid with the pivot's body
-        return Squid(body=v, kind="II", rows=(min(i, wr), max(i, wr)), mask=squid_mask)
 
     def classify_link_squid(self, pivot_label: int, squid_mask: int) -> Squid:
         v, i = self.base_of[pivot_label], self.row_of[pivot_label]
@@ -439,16 +412,20 @@ class _Engine:
     def expand(self, mask: int, pivot_label: int):
         """Child squids of a node: (w, squid, child_mask) per neighbor, then
         the closed-neighborhood link squid. Asserts the body-column condition."""
+        v, i = self.base_of[pivot_label], self.row_of[pivot_label]
         nb = self.view.nbr[pivot_label] & mask
         col_nb = nb & self.column_mask(pivot_label)
-        order = self.view.labels(nb & ~col_nb) + self.view.labels(col_nb)  # row neighbors first
         arm_out = []
         prefix = 0
-        for w in order:
+        for w in self.view.labels(nb & ~col_nb) + self.view.labels(col_nb):  # row neighbors first
             prefix |= 1 << w
             squid_mask = (self.view.nbr[w] & mask) | prefix
             child_mask = mask & ~squid_mask
-            squid = self.classify_arm_squid(w, pivot_label, squid_mask)
+            if self.row_of[w] == i:  # one-row squid with body w and the pivot as witness
+                squid = Squid(body=self.base_of[w], kind="I", rows=(i,), mask=squid_mask, witness=v)
+            else:  # two-row squid with the pivot's body
+                j = self.row_of[w]
+                squid = Squid(body=v, kind="II", rows=(min(i, j), max(i, j)), mask=squid_mask)
             if self.column_mask(w) & child_mask:  # w's column is the body's
                 raise SquidError("engine invariant broken: body column survived removal")
             arm_out.append((w, squid, child_mask))
@@ -505,9 +482,7 @@ def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> Tr
     return root
 
 
-def run_df1(
-    G: Graph, q: int, mode: str = "walk", budget: Optional[int] = None
-) -> RemovalTrace:
+def run_df1(G: Graph, q: int, mode: str = "walk", budget: Optional[int] = None) -> RemovalTrace:
     """Full branching removal of |V(G)| squids with the lexicographic pivot.
 
     Requires df1_check(G, q, mode).  Every residual met above level 0 is
@@ -516,9 +491,7 @@ def run_df1(
     trace nodes.
     """
     if not df1_check(G, q, mode):
-        raise SquidError(
-            f"q={q} does not exceed the threshold {df1_threshold(G, mode)} for this graph"
-        )
+        raise SquidError(f"q={q} does not exceed the threshold {df1_threshold(G, mode)} for this graph")
     m = G.n
 
     def lowest(mask: int, depth: int, rows: None) -> tuple[int, None, None]:
@@ -550,9 +523,7 @@ def run_dynamic(
     if scheme.q != q:
         raise SquidError(f"scheme was declared for q={scheme.q}, run requested q={q}")
     if scheme.n > G.n * q:
-        raise SquidError(
-            f"scheme budget n={scheme.n} exceeds the product size {G.n * q}"
-        )
+        raise SquidError(f"scheme budget n={scheme.n} exceeds the product size {G.n * q}")
     check = schemes.validate_scheme(scheme.sizes, scheme.n, q, delta)
     if not check.ok:
         raise SquidError(f"scheme is not valid for this graph: {check.reason}")
@@ -611,24 +582,13 @@ def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> Vd
         if node.level == 0:
             cert: VdCertificate = LeafAny()
         else:
-            if node.pivot is None or node.link_child is None:
-                raise SquidError(f"trace incomplete at level {node.level}")
-            arm_certs = []
-            for ch in node.arm_children:
-                child = ch.node
-                arm_certs.append(
-                    cache.get((child.residual_mask, child.level)) or (yield certify(child))
-                )
-            child = node.link_child.node
-            link_cert = cache.get((child.residual_mask, child.level)) or (yield certify(child))
+            certs = []  # the arm children's, then the link child's
+            for child in [ch.node for ch in node.arm_children] + [node.link_child.node]:
+                certs.append(cache.get((child.residual_mask, child.level)) or (yield certify(child)))
+            link_cert = certs.pop()
+            ws = [ch.w for ch in node.arm_children]
             cert = assemble_pivot_decomposition(
-                builder,
-                node.residual_mask,
-                node.pivot,
-                [ch.w for ch in node.arm_children],
-                arm_certs,
-                link_cert,
-                node.level,
+                builder, node.residual_mask, node.pivot, ws, certs, link_cert, node.level
             )
         cache[node.residual_mask, node.level] = cert
         return cert

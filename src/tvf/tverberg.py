@@ -491,7 +491,7 @@ def corollary_pipeline(
     eps = Fraction(epsilon)
     if eps <= 0:
         raise TverbergError(f"epsilon must be positive, got {epsilon}")
-    consts = schemes.epsilon_constants(float(eps))
+    consts = schemes.epsilon_constants(epsilon)
     delta = G.max_degree()
     d = cfg.dimension
     checks: list[CheckItem] = []

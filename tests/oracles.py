@@ -1011,7 +1011,7 @@ def trace_to_obj(self) -> dict:
                 }
             ),
             "pivot": None if node.pivot is None else list(pairs[node.pivot]),
-            "residual_size": node.residual_size,
+            "residual_size": node.residual_mask.bit_count(),
         }
         if self.kind == "dynamic":
             obj["block_row"] = node.block_row

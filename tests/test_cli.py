@@ -101,6 +101,12 @@ def test_df1_c5_q7_flow_as_documented(files, capsys):
         "--cert", cert,
     )
     assert code == 0 and json.loads(out) == {"level": 5, "path": [], "reason": "", "valid": True}
+    # the trace replays to the same certificate, also re-indented
+    indented = files / "trace5-indented.json"
+    indented.write_text(json.dumps(json.loads(trace.read_text()), indent=1))
+    for source in (trace, indented):
+        code, _, err = run(capsys, "squid", "extract", "--trace", source, "--out", files / "replay.json")
+        assert (code, err) == (0, "") and (files / "replay.json").read_bytes() == cert.read_bytes()
 
 
 def test_vd_verify_rejects_wrong_claim(files, capsys):
@@ -151,6 +157,8 @@ def test_dynamic_flow(files, capsys):
         "--cert", cert,
     )
     assert code == 0 and json.loads(out)["level"] == 2
+    code, _, _ = run(capsys, "squid", "extract", "--trace", trace, "--out", files / "dyn_replay.json")
+    assert code == 0 and (files / "dyn_replay.json").read_bytes() == cert.read_bytes()
 
 
 def test_graph_commands(files, capsys):
@@ -589,6 +597,42 @@ def test_non_integer_dynamic_trace_field_is_squid_error(files, capsys, mutate):
     assert obj["kind"] == "SquidError" and "node 0" in obj["error"]
 
 
+# Each mutation leaves a trace whose every field is well formed, but which is
+# not the removal its header names.
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        # the first arm squid at the root has body 1, on the pivot's row, and
+        # the pivot's base 0 as its witness; 2 is the body's other neighbor
+        (_set(_ARM + ["squid", "witness"], 2), "node 0: children[0].squid has witness 2, not witness 0"),
+        (_set(["m"], 3), "malformed trace object: m is 3, not 5"),
+    ],
+    ids=["kind-I-witness-swapped", "header-m"],
+)
+def test_trace_that_is_not_its_removal_is_squid_error(files, capsys, mutate, error):
+    trace = files / "trace.json"
+    assert run(capsys, "squid", "df1", "--graph", files / "c5.txt", "--q", "7", "--out", trace)[0] == 0
+    obj = json.loads(trace.read_text())
+    squid = obj["nodes"][0]["children"][0]["squid"]
+    assert (obj["m"], squid["kind"], squid["body"], squid["witness"]) == (5, "I", 1, 0)
+    mutate(obj)
+    trace.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "squid", "extract", "--trace", trace)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": f"{error} (the df1 removal of its graph)", "kind": "SquidError"}
+
+
+def test_reading_a_trace_counts_its_nodes(files, capsys, monkeypatch):
+    # the C5 x K7 trace has 268 nodes; a limit of 200 admits its 140 product edges
+    trace = files / "trace.json"
+    assert run(capsys, "squid", "df1", "--graph", files / "c5.txt", "--q", "7", "--out", trace)[0] == 0
+    assert len(json.loads(trace.read_text())["nodes"]) == 268
+    monkeypatch.setenv("TVF_BUDGET", "200")
+    code, out, err = run(capsys, "squid", "extract", "--trace", trace)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "removal budget exceeded (201 > 200 trace nodes)", "kind": "budget"}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("sizes", [2.9, 1]), ("sizes", [2, True]), ("n", 20.0), ("q", 5.5), ("delta", "2"), ("delta", True)],
@@ -637,6 +681,29 @@ def test_bad_epsilon_is_usage_error(files, capsys, command, value):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "--epsilon" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("value", ["1e400", "1e-400"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scheme", "constants"],
+        ["scheme", "build", "--n", "1000", "--delta", "10", "--q", "40"],
+        ["tverberg", "corollary", "--graph", "e6.txt", "--points", "p6.pts", "--q", "3"],
+    ],
+    ids=["scheme-constants", "scheme-build", "tverberg-corollary"],
+)
+def test_epsilon_past_double_precision_is_scheme_error(files, capsys, monkeypatch, command, value):
+    # both are positive rationals; the first overflows a double and the second rounds to 0
+    monkeypatch.chdir(files)
+    (files / "e6.txt").write_text("p 6 0\n")
+    (files / "p6.pts").write_text("".join(f"{i} {i}\n" for i in range(6)))
+    code, out, err = run(capsys, *command, "--epsilon", value)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": f"epsilon {value} is outside the range of double precision",
+        "kind": "SchemeError",
+    }
 
 
 def _path_2500(files):

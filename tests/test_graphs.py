@@ -202,6 +202,10 @@ def test_edgelist_round_trip_and_errors():
         parse_edgelist("p 2 1\ne 0 x\n")
     with pytest.raises(GraphError, match="line 1"):
         parse_edgelist("p x 1\n")
+    with pytest.raises(GraphError, match="line 1: vertex and edge counts must not be negative"):
+        parse_edgelist("p -1 0\n")
+    with pytest.raises(GraphError, match="line 2: vertex and edge counts must not be negative"):
+        parse_edgelist("# comment\np 2 -1\n")
     with pytest.raises(GraphError):
         format_edgelist(Graph([1, 2], [(1, 2)]))
 

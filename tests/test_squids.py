@@ -403,12 +403,12 @@ def test_extraction_matches_graph_space_oracle(name):
         ({"hearts": [[1, True]]}, "hearts"),
         ({"hearts": [[1.0, 1]]}, "hearts"),
         ({"rows": [4], "hearts": [[1, 4]]}, "rows"),
-        ({"rows": [1, 2], "hearts": [[1, 1], [1, 2]]}, "kind 'I' squid cannot mark rows"),
-        ({"kind": "II", "rows": [2, 1], "hearts": [[1, 2], [1, 1]], "witness": None}, "kind 'II' squid cannot"),
+        ({"rows": [1, 2], "hearts": [[1, 1], [1, 2]]}, r"rows \[1, 2\], not rows \[1\]"),
+        ({"kind": "II", "rows": [2, 1], "hearts": [[1, 2], [1, 1]], "witness": None}, r"rows \[2, 1\], not rows \[1\]"),
         ({"kind": "III"}, "kind 'III'"),
-        ({"body": 5, "hearts": [[5, 1]]}, "not a vertex"),
-        ({"witness": None}, "not adjacent"),
-        ({"witness": 1}, "not adjacent"),
+        ({"body": 5, "hearts": [[5, 1]]}, "body 5, not body 1"),
+        ({"witness": None}, "witness None, not witness 0"),
+        ({"witness": 1}, "witness 1, not witness 0"),
     ],
     ids=[
         "hearts", "heart-bool", "heart-float", "row-range", "kind-I-rows", "kind-II-rows", "kind", "body",
