@@ -24,6 +24,7 @@ coverage falls short and the inequality still permits.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -214,20 +215,26 @@ def validate_scheme(sizes: Sequence[int], n: int, q: int, delta: int) -> SchemeC
 def epsilon_constants(epsilon: EpsilonLike) -> EpsilonConstants:
     """Closed-form constants; double precision, relative error <= 1e-12.
 
-    Positivity is decided on the exact rational.  A positive epsilon whose
-    constants a double cannot hold, past the largest double or so small
-    that sqrt(1 + epsilon) rounds to 1, raises SchemeError naming it as given.
+    a - 1 is computed as epsilon / (a + 1), which does not cancel, and
+    log(1 - 1/a) as log((a - 1)/a) below a = 2 and as log1p(-1/a) above,
+    each where its argument is well conditioned.  Positivity is decided on
+    the exact rational.  A positive epsilon that is not a normal double,
+    past the largest one or below the smallest, raises SchemeError naming
+    it as given.
     """
     exact = Fraction(epsilon)
     if exact <= 0:
         raise SchemeError(f"epsilon must be positive, got {epsilon}")
     try:
         eps = float(exact)
-        a = math.sqrt(1.0 + eps)
-        gamma = -(1.0 / a) * math.log1p(-1.0 / a)
-    except (OverflowError, ValueError):
-        raise SchemeError(f"epsilon {epsilon} is outside the range of double precision") from None
-    return EpsilonConstants(epsilon=eps, a=a, gamma=gamma, k_epsilon=a - 1.0 + 2.0 * gamma)
+    except OverflowError:
+        eps = math.inf
+    if not sys.float_info.min <= eps < math.inf:
+        raise SchemeError(f"epsilon {epsilon} is outside the range of double precision")
+    a = math.sqrt(1.0 + eps)
+    d = eps / (a + 1.0)  # a - 1
+    gamma = -(1.0 / a) * (math.log(d / a) if a < 2.0 else math.log1p(-1.0 / a))
+    return EpsilonConstants(epsilon=eps, a=a, gamma=gamma, k_epsilon=d + 2.0 * gamma)
 
 
 def build_scheme(epsilon: EpsilonLike, N: int, delta: int, q: int) -> SchemeBuild:

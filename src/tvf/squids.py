@@ -47,11 +47,10 @@ from typing import NamedTuple, Optional
 # Bound as a module, not by name: under the CLI's lazy layers
 # squid df1 and squid extract then never load schemes.
 from . import schemes
-from .errors import Budget, SquidError, json_int, json_ints, read_json
+from .errors import Budget, BudgetExceeded, SquidError, json_int, json_ints, read_json
 from .graphs import Graph, check_product_size, distance_two_set, product_with_complete, run
 from .vd import (
     CertificateBuilder,
-    LeafAny,
     MaskView,
     VdCertificate,
     assemble_pivot_decomposition,
@@ -283,7 +282,12 @@ def _canonical(value) -> str:
 
 
 def _rerun(obj, budget: Optional[int]) -> RemovalTrace:
-    """The removal a trace object's header names, once the header is checked."""
+    """The removal a trace object's header names, once the header is checked.
+
+    The rerun may make as many trace nodes as the trace has, within budget:
+    a removal that makes more is not the trace's, and stops with SquidError
+    at the node past the trace's count, before it costs more than the trace.
+    """
     try:
         graph = obj["graph"]
         edges = [json_ints(e, "graph edge") for e in graph["edges"]]
@@ -309,8 +313,19 @@ def _rerun(obj, budget: Optional[int]) -> RemovalTrace:
     if q < 1:
         raise SquidError(f"malformed trace object: q must be positive, got {q}")
     check_product_size(G, q, budget)
+    count = len(obj["nodes"])
     del obj  # a caller's temporary node table is freed before the rerun
-    return run_df1(G, q, mode, budget) if kind == "df1" else run_dynamic(G, q, scheme, budget)
+    limit = DEFAULT_REMOVAL_BUDGET if budget is None else budget
+    nodes = min(limit, count)
+    try:
+        if kind == "df1":
+            return run_df1(G, q, mode, budget, nodes)
+        return run_dynamic(G, q, scheme, budget, nodes)
+    except BudgetExceeded as exc:
+        if count >= limit:  # the run's budget stopped it
+            raise
+        message = f"the trace has {count} nodes, but {_removal(kind)} makes {exc.used} or more"
+        raise SquidError(message) from None
 
 
 def _writes(trace: RemovalTrace, text: str) -> bool:
@@ -325,23 +340,27 @@ def _writes(trace: RemovalTrace, text: str) -> bool:
     return text.startswith(tail, pos) and not text[pos + len(tail) :].strip()
 
 
+def _removal(kind: str) -> str:
+    """The removal a trace of this kind names, as errors call it."""
+    return f"the {kind} removal of its graph" + " and scheme" * (kind == "dynamic")
+
+
 def _check_rerun(trace: RemovalTrace, obj) -> None:
     """Raise SquidError at the first header key or node where the
-    canonical JSON of obj differs from the text of trace."""
+    canonical JSON of obj differs from the text of trace, the rerun of
+    obj's header, which has no more nodes than obj (_rerun)."""
     try:
         if _writes(trace, _canonical(obj)):
             return
     except (TypeError, ValueError, RecursionError) as exc:  # not JSON, or too deep or long to write
         raise SquidError(f"malformed trace object: {exc}") from None
-    removal = f"the {trace.kind} removal of its graph" + " and scheme" * (trace.kind == "dynamic")
+    removal = _removal(trace.kind)
     head, tail = trace._head_and_tail()
     found = _differences({**obj, "nodes": []}, json.loads(head + tail))
     if found:
         raise SquidError(f"malformed trace object: {'; '.join(found)} ({removal})")
     nodes = obj["nodes"]
     for i, row in enumerate(trace._node_rows()):
-        if i == len(nodes):
-            raise SquidError(f"the trace ends before node {i} of {removal}")
         if _canonical(nodes[i]) != row.lstrip(","):
             found = _differences(nodes[i], json.loads(row.lstrip(","))) if type(nodes[i]) is dict else []
             raise SquidError(f"node {i}: {'; '.join(found) or 'not a node object'} ({removal})")
@@ -482,13 +501,15 @@ def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> Tr
     return root
 
 
-def run_df1(G: Graph, q: int, mode: str = "walk", budget: Optional[int] = None) -> RemovalTrace:
+def run_df1(
+    G: Graph, q: int, mode: str = "walk", budget: Optional[int] = None, nodes: Optional[int] = None
+) -> RemovalTrace:
     """Full branching removal of |V(G)| squids with the lexicographic pivot.
 
     Requires df1_check(G, q, mode).  Every residual met above level 0 is
     checked nonempty at runtime (that nonemptiness is the substance of the
-    pivot rule's validity).  budget bounds the product's edges and the
-    trace nodes.
+    pivot rule's validity).  budget bounds the product's edges, and the
+    trace nodes unless nodes bounds them.
     """
     if not df1_check(G, q, mode):
         raise SquidError(f"q={q} does not exceed the threshold {df1_threshold(G, mode)} for this graph")
@@ -499,12 +520,16 @@ def run_df1(G: Graph, q: int, mode: str = "walk", budget: Optional[int] = None) 
             raise TheoremViolation(f"residual emptied with {m - depth} removal steps still to go")
         return (mask & -mask).bit_length() - 1, None, None
 
-    root = _remove(_Engine(G, q, budget), m, lowest, None, budget)
+    root = _remove(_Engine(G, q, budget), m, lowest, None, budget if nodes is None else nodes)
     return RemovalTrace(graph=G, q=q, m=m, kind="df1", root=root, mode=mode)
 
 
 def run_dynamic(
-    G: Graph, q: int, scheme: schemes.SizeScheme, budget: Optional[int] = None
+    G: Graph,
+    q: int,
+    scheme: schemes.SizeScheme,
+    budget: Optional[int] = None,
+    nodes: Optional[int] = None,
 ) -> RemovalTrace:
     """Blockwise removal: block l removes scheme.sizes[l-1] squids with
     hearts on one row, chosen at each block start as the smallest-index
@@ -515,7 +540,7 @@ def run_dynamic(
     (bounded by the product size) with the graph's true maximum degree; a
     mid-run exhausted row still raises the scheme-infeasible diagnostic,
     which certificate verification backstops.  budget bounds the
-    product's edges and the trace nodes.
+    product's edges, and the trace nodes unless nodes bounds them.
     """
     delta = G.max_degree()
     if delta < 1:
@@ -550,7 +575,7 @@ def run_dynamic(
             raise SchemeRunError(f"block {block} row {row} has no surviving vertices at step {step}")
         return (on_row & -on_row).bit_length() - 1, rows, row  # smallest base vertex on the row
 
-    root = _remove(eng, m, block_pivot, (), budget)
+    root = _remove(eng, m, block_pivot, (), budget if nodes is None else nodes)
     return RemovalTrace(graph=G, q=q, m=m, kind="dynamic", root=root, scheme=scheme)
 
 
@@ -562,7 +587,9 @@ def run_dynamic(
 def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> VdCertificate:
     """Convert a complete trace into a certificate for G x K_q at level m.
 
-    Each node's children supply exactly the ingredient certificates of the
+    A node whose residual has at least its level in connected components is
+    certified by the components leaf, without visiting its children.  Each
+    other node's children supply exactly the ingredient certificates of the
     pivot decomposition (neighbor-chain deletions and the closed-neighborhood
     deletion), assembled bottom-up with subtree sharing per (residual, level).
     Everything runs on residual bitmasks of the product: one
@@ -574,25 +601,21 @@ def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> Vd
     """
     view = MaskView(product_with_complete(trace.graph, trace.q, budget))
     builder = CertificateBuilder(view, budget)
-    cache: dict[tuple[int, int], VdCertificate] = {}
 
     def certify(node: TraceNode):
-        """Generator for run: the certificate of a node whose key is not cached."""
+        """Generator for run: the certificate of a node that builder.known lacks."""
         builder.budget.spend()
-        if node.level == 0:
-            cert: VdCertificate = LeafAny()
-        else:
-            certs = []  # the arm children's, then the link child's
-            for child in [ch.node for ch in node.arm_children] + [node.link_child.node]:
-                certs.append(cache.get((child.residual_mask, child.level)) or (yield certify(child)))
-            link_cert = certs.pop()
-            ws = [ch.w for ch in node.arm_children]
-            cert = assemble_pivot_decomposition(
-                builder, node.residual_mask, node.pivot, ws, certs, link_cert, node.level
-            )
-        cache[node.residual_mask, node.level] = cert
+        certs = []  # the arm children's, then the link child's
+        for child in [ch.node for ch in node.arm_children] + [node.link_child.node]:
+            certs.append(builder.known(child.residual_mask, child.level) or (yield certify(child)))
+        link_cert = certs.pop()
+        ws = [ch.w for ch in node.arm_children]
+        cert = assemble_pivot_decomposition(
+            builder, node.residual_mask, node.pivot, ws, certs, link_cert, node.level
+        )
+        builder.memo[node.residual_mask, node.level] = cert
         return cert
 
-    cert = run(certify(trace.root))
+    cert = builder.known(trace.root.residual_mask, trace.root.level) or run(certify(trace.root))
     del certify
     return cert

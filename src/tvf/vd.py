@@ -4,34 +4,33 @@ A graph is at level 0 unconditionally; an edgeless graph on k vertices is
 at level k; and a graph is at level k whenever some pivot v leaves G minus v
 at level k and G minus the closed neighborhood of v at level k-1.
 
-Certificates are binary derivation trees mirroring that recursion.  They
-are plain immutable values, independently re-checkable by
-verify_certificate, and serializable to a nested JSON form with explicit
-levels so third parties can re-verify them.
+Certificates are binary derivation trees mirroring that recursion: pivot
+nodes over three leaf kinds, "any" (level 0), "edgeless" (the edgeless
+graph on exactly its vertices) and "components" (level k on a graph with at
+least k connected components).  The components leaf holds because levels
+add over components, l(G + H) = l(G) + l(H) (proven at _Solver): pick k
+components; each is nonempty, so at level 1 (peel vertices down to a
+single one); every other component is at level 0; and the >= half of
+additivity sums these levels to k.  Certificates are immutable values
+that verify_certificate re-checks, with a nested JSON form.
 
 Every recursion over induced subgraphs runs on the bitmasks of one root
 graph (MaskView): bit i is the i-th smallest label, H - u is
 ``mask & ~(1 << i)`` and H - N[u] is ``mask & ~closed[i]``.  The decision
-solver, the verifier and the certificate builder (isolated-vertex lifting,
-pivot assembly, the degree-bound construction) all work there, and each
-memo belongs to an object made for one call.  The decision solver uses
-that levels add over connected components: it computes min(level, cap)
-by branch and bound, splits each mask into its components, and keeps one
-interval of proven and refuted levels per connected bitmask, bounded from
-above by a greedy maximal independent set.  The solver, lifting and the
-degree-bound construction all run on graphs.run's explicit stack, so no
-answer depends on the interpreter's recursion limit; budgets of memo
-entries, one for the decision and one for each construction, bound their
-memory.
+solver, the verifier and the certificate builder share it and its
+component search; each memo belongs to an object made for one call.  The
+solver computes min(level, cap) by branch and bound over the components of
+each mask, with one interval of proven and refuted levels per connected
+mask, bounded above by a greedy maximal independent set.  The solver,
+lifting and the degree-bound construction run on graphs.run's explicit
+stack, so no answer depends on the recursion limit; budgets of memo
+entries bound their memory.
 
-The JSON form is the expanded tree, but its cost follows unique subtrees.
-The writer formats each distinct subtree object once and copies the text
-of a repeat.  The reader scans the text the writer emits at any depth,
-parsing each distinct subtree text once and skipping its repeats by a
-text comparison; any other layout is parsed into the expanded tree of
-dicts (errors.read_json), which certificate_from_obj reads.  Either way
-structurally equal subtrees become one object, and verification follows
-unique nodes rather than the size of the expanded tree.
+The JSON form is the expanded tree, but its cost follows unique subtrees:
+the writer formats each distinct subtree once, and the reader parses each
+distinct subtree text of the writer's layout once (other layouts go
+through certificate_from_obj).  Either way structurally equal subtrees
+become one object, and verification follows unique nodes.
 """
 
 from __future__ import annotations
@@ -74,6 +73,12 @@ class LeafEdgeless(NamedTuple):
         return len(self.vertices)
 
 
+class LeafComponents(NamedTuple):
+    """Certifies any graph with at least `level` connected components."""
+
+    level: int
+
+
 class Node(NamedTuple):
     """Pivot step: delete-child claims the same level, link-child one lower."""
 
@@ -83,7 +88,7 @@ class Node(NamedTuple):
     level: int
 
 
-VdCertificate = Union[LeafAny, LeafEdgeless, Node]
+VdCertificate = Union[LeafAny, LeafEdgeless, LeafComponents, Node]
 
 _ANY = LeafAny()
 
@@ -99,7 +104,8 @@ class MaskView:
     verts[i] is the i-th smallest label and index maps labels back to bits;
     nbr[i] and closed[i] are the open and closed neighborhood masks of bit
     i.  G is a Graph, or masks whose labels are their bits, as
-    graphs.product_with_complete returns.  The edgeless test is cached.
+    graphs.product_with_complete returns.  The edgeless test and the
+    component count are cached per mask.
     """
 
     def __init__(self, G: Union[Graph, list[int]]):
@@ -111,6 +117,7 @@ class MaskView:
         self.closed = [m | (1 << i) for i, m in enumerate(self.nbr)]
         self.full = (1 << len(self.verts)) - 1
         self._edgeless: dict[int, bool] = {}
+        self._components: dict[int, int] = {}
 
     def edgeless(self, mask: int) -> bool:
         cached = self._edgeless.get(mask)
@@ -127,6 +134,30 @@ class MaskView:
             rest ^= low
         self._edgeless[mask] = result
         return result
+
+    def component(self, mask: int) -> int:
+        """The component of mask's lowest bit."""
+        comp = new = mask & -mask
+        while new:
+            reach = 0
+            while new:
+                low = new & -new
+                reach |= self.nbr[low.bit_length() - 1]
+                new ^= low
+            new = reach & mask & ~comp
+            comp |= new
+        return comp
+
+    def components(self, mask: int) -> int:
+        """The number of connected components of mask."""
+        count = self._components.get(mask)
+        if count is None:
+            count, rest = 0, mask
+            while rest:
+                rest ^= self.component(rest)
+                count += 1
+            self._components[mask] = count
+        return count
 
     def labels(self, mask: int) -> tuple[int, ...]:
         """Labels of the set bits, smallest first."""
@@ -213,19 +244,6 @@ class _Solver(MaskView):
                 sizes[j] += 1
         return [1, min(sizes) + 1]
 
-    def _component(self, mask: int) -> int:
-        """The component of mask's lowest bit."""
-        comp = new = mask & -mask
-        while new:
-            reach = 0
-            while new:
-                low = new & -new
-                reach |= self.nbr[low.bit_length() - 1]
-                new ^= low
-            new = reach & mask & ~comp
-            comp |= new
-        return comp
-
     def _pivots(self, mask: int) -> list[int]:
         """The bits of mask, highest residual degree first, then lowest label."""
         nbr = self.nbr
@@ -239,7 +257,7 @@ class _Solver(MaskView):
         bounds, total = self._bounds, 0
         while mask and total < cap:
             entry = bounds.get(mask)
-            comp = mask if entry else self._component(mask)
+            comp = mask if entry else self.component(mask)
             if comp & (comp - 1):
                 entry = entry or bounds.get(comp)
                 if not entry:
@@ -263,7 +281,7 @@ class _Solver(MaskView):
         """Generator for run: min(l(mask), cap), when mask's lowest component needs a search."""
         bounds, closed, total = self._bounds, self.closed, 0
         while mask:
-            comp = mask if mask in bounds else self._component(mask)
+            comp = mask if mask in bounds else self.component(mask)
             entry = bounds[comp]
             left = cap - total
             best, ub = entry[0], min(entry[1] - 1, left)
@@ -324,12 +342,11 @@ class CertCheck(NamedTuple):
 def verify_certificate(G: Union[Graph, MaskView], cert: VdCertificate) -> CertCheck:
     """Check a certificate tree against G (a Graph or MaskView) by replaying its deletions.
 
-    Leaves are matched against the actual induced subgraph reached along
-    the path; node levels must agree with both children.  Runs once per
-    distinct (subtree, subgraph) pair, so shared subtrees verify in time
-    polynomial in the tree's unique size.  Each stack entry holds its path
-    as a (step, parent) chain, so an entry costs O(1) at any depth, and
-    only a failing entry's path becomes a tuple.
+    Leaves are matched against the induced subgraph reached along the
+    path; node levels must agree with both children.  Each distinct
+    (subtree, subgraph) pair is checked once.  A stack entry holds its path
+    as a (step, parent) chain, O(1) at any depth, and only a failing
+    entry's path becomes a tuple.
     """
     s = G if isinstance(G, MaskView) else MaskView(G)
     seen: set[tuple[int, int]] = set()
@@ -342,6 +359,12 @@ def verify_certificate(G: Union[Graph, MaskView], cert: VdCertificate) -> CertCh
         if key in seen:
             continue
         seen.add(key)
+        if isinstance(c, LeafComponents):
+            count = s.components(mask)
+            if not 0 <= c.level <= count:
+                reason = f"components leaf at level {c.level}, but the subgraph has {count}"
+                return CertCheck(False, _steps(where), reason)
+            continue
         if isinstance(c, LeafEdgeless):
             actual = s.labels(mask)
             if len(c.vertices) != len(actual) or frozenset(actual) != frozenset(c.vertices):
@@ -382,90 +405,67 @@ def _steps(where) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def edgeless_certificate(vertices, k: int) -> VdCertificate:
-    """Certificate for the edgeless graph on these vertices at level k <= n."""
-    verts = tuple(sorted(vertices))
-    n = len(verts)
-    if k < 0 or k > n:
-        raise VdError(f"edgeless graph on {n} vertices is not at level {k}")
-    # Built level by level: row[j] certifies the last kk + j vertices at
-    # level kk, pivoting on the smallest of them.
-    spare = n - k
-    row: list[VdCertificate] = [_ANY] * (spare + 1)
-    for kk in range(1, k + 1):
-        nxt: list[VdCertificate] = [LeafEdgeless(verts[n - kk :])]
-        for j in range(1, spare + 1):
-            nxt.append(Node(verts[n - kk - j], nxt[j - 1], row[j], kk))
-        row = nxt
-    return row[spare]
-
-
 class CertificateBuilder:
     """Certificate construction on the bitmasks of one root graph.
 
-    Isolated-vertex lifts are memoized on (mask, isolated bit, id(cert))
-    for the life of the builder, so one builder serves every pivot
-    decomposition of a construction.  The memo keeps each keyed cert
-    referenced, so no id is reused while the builder lives.  budget counts
-    the lift memo entries and those of the construction that uses the
-    builder; the entry past its limit (None: DEFAULT_CERTIFICATE_BUDGET)
-    raises BudgetExceeded.
+    Leaves are shared, one per level; memo holds the construction's own
+    certificates by (mask, level), and lifts of pivot nodes are memoized on
+    (mask, isolated bit, id(cert)), which keeps each keyed cert alive so no
+    id is reused.  budget counts both memos' entries; the entry past its
+    limit (None: DEFAULT_CERTIFICATE_BUDGET) raises BudgetExceeded.
     """
 
     def __init__(self, view: MaskView, budget: Optional[int] = None):
         self.view = view
         self.budget = Budget(budget, DEFAULT_CERTIFICATE_BUDGET, "certificate", "memo entries")
         self._lifts: dict[tuple[int, int, int], tuple[VdCertificate, VdCertificate]] = {}
+        self._leaves: list[VdCertificate] = [_ANY]
+        self.memo: dict[tuple[int, int], VdCertificate] = {}
 
-    def edgeless(self, mask: int, k: int) -> VdCertificate:
-        return edgeless_certificate(self.view.labels(mask), k)
+    def _leaf(self, k: int) -> VdCertificate:
+        """The leaf at level k: any at level 0, else components."""
+        while len(self._leaves) <= k:
+            self._leaves.append(LeafComponents(len(self._leaves)))
+        return self._leaves[k]
 
-    def level1(self, mask: int) -> VdCertificate:
-        """Any nonempty subgraph is at level 1: peel minimum-label vertices."""
-        if mask == 0:
-            raise VdError("the empty graph is not at level 1")
-        peeled = []
-        while not self.view.edgeless(mask):
-            low = mask & -mask
-            peeled.append(self.view.verts[low.bit_length() - 1])
-            mask ^= low
-        cert = self.edgeless(mask, 1)
-        for v in reversed(peeled):
-            cert = Node(v, cert, _ANY, 1)
-        return cert
+    def known(self, mask: int, k: int) -> Optional[VdCertificate]:
+        """The leaf at level k if mask has at least k components, else memo's entry."""
+        return self._leaf(k) if self.view.components(mask) >= k else self.memo.get((mask, k))
 
     def lift(self, mask: int, v: int, cert: VdCertificate) -> VdCertificate:
         """Certificate for the subgraph `mask` one level above cert.
 
         cert must certify the subgraph minus bit v, which is isolated in
-        it; the result is rebuilt along cert's own pivots.
+        it.  The lift of a leaf is the components leaf one level up: v adds
+        a component.  A pivot node is rebuilt along cert's own pivots.
         """
+        return self._lifted(mask, v, cert) or run(self._lift(mask, v, cert))
+
+    def _lifted(self, mask: int, v: int, cert: VdCertificate) -> Optional[VdCertificate]:
+        """The lift of an any or components leaf, in O(1), or a memoized one; else None."""
+        if isinstance(cert, (LeafAny, LeafComponents)):
+            return self._leaf(cert.level + 1)
         got = self._lifts.get((mask, v, id(cert)))
-        return got[1] if got is not None else run(self._lift(mask, v, cert))
+        return None if got is None else got[1]
 
     def _lift(self, mask: int, v: int, cert: VdCertificate):
         """Generator for run: lift of a key not yet in the memo."""
         self.budget.spend()
-        view, lifts = self.view, self._lifts
-        if view.edgeless(mask):
-            out = self.edgeless(mask, cert.level + 1)
-        elif isinstance(cert, LeafAny):
-            out = self.level1(mask)
-        elif isinstance(cert, LeafEdgeless):
-            raise CertificateError("edgeless leaf given for a graph with edges")
+        view = self.view
+        if not isinstance(cert, Node):  # an edgeless leaf
+            if view.components(mask) <= cert.level:
+                raise CertificateError("edgeless leaf given for a graph with too few components")
+            out = self._leaf(cert.level + 1)
         else:
             u = cert.pivot
             i = view.index.get(u)
             if i is None or not mask >> i & 1 or i == v:
                 raise CertificateError(f"pivot {u} does not exist in the lifted graph")
-            child = mask & ~(1 << i)
-            got = lifts.get((child, v, id(cert.delete)))
-            del_lift = got[1] if got is not None else (yield self._lift(child, v, cert.delete))
-            child = mask & ~view.closed[i]
-            got = lifts.get((child, v, id(cert.link)))
-            link_lift = got[1] if got is not None else (yield self._lift(child, v, cert.link))
-            out = Node(u, del_lift, link_lift, cert.level + 1)
-        lifts[mask, v, id(cert)] = (cert, out)
+            kids = []
+            for child, c in ((mask & ~(1 << i), cert.delete), (mask & ~view.closed[i], cert.link)):
+                kids.append(self._lifted(child, v, c) or (yield self._lift(child, v, c)))
+            out = Node(u, kids[0], kids[1], cert.level + 1)
+        self._lifts[mask, v, id(cert)] = (cert, out)
         return out
 
 
@@ -484,8 +484,7 @@ def assemble_pivot_decomposition(
     once; arm_certs[i] must certify H minus (closed neighborhood of
     order[i], plus order[:i]) and link_cert must certify H minus the closed
     neighborhood of pivot, all at level-1.  The construction peels order
-    back-to-front and lifts the isolated pivot on the stripped core, through
-    the builder's memo.
+    back-to-front and lifts the isolated pivot on the stripped core.
     """
     view = builder.view
     p = view.index.get(pivot)
@@ -512,51 +511,40 @@ def assemble_pivot_decomposition(
 
 
 def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> VdCertificate:
-    """Constructive certificate at level floor(n / 2*maxdeg).
+    """Constructive certificate at level floor(n / 2*maxdeg), or n for an edgeless graph.
 
     Follows the inductive peeling proof: fix the smallest-label pivot,
     recurse on the closed-neighborhood deletion and on the neighbor-chain
-    deletions, then assemble.  An edgeless graph short-circuits to its
-    edgeless leaf at level n.  The peeling runs on graphs.run, and budget
-    bounds its memo entries together with the lifts' (None:
-    DEFAULT_CERTIFICATE_BUDGET).
+    deletions, then assemble; a subgraph with at least k components is the
+    leaf at level k.  The peeling runs on graphs.run, and budget bounds its
+    memo entries with the lifts' (None: DEFAULT_CERTIFICATE_BUDGET).
     """
     delta = G.max_degree()
-    if delta == 0:
-        return LeafEdgeless(G.vertices)
-    target = G.n // (2 * delta)
+    target = G.n // (2 * delta) if delta else G.n
     view = MaskView(G)
     builder = CertificateBuilder(view, budget)
-    memo: dict[tuple[int, int], VdCertificate] = {}
-
-    def known(mask: int, k: int) -> Optional[VdCertificate]:
-        if k == 0:
-            return _ANY
-        if view.edgeless(mask):
-            return builder.edgeless(mask, k)
-        return memo.get((mask, k))
 
     def build(mask: int, k: int):
-        """Generator for run: the certificate of a (mask, k) that known lacks."""
+        """Generator for run: the certificate of a (mask, k) that builder.known lacks."""
         builder.budget.spend()
         p = (mask & -mask).bit_length() - 1
         order = view.labels(view.nbr[p] & mask)
         child = mask & ~view.closed[p]
-        link_cert = known(child, k - 1) or (yield build(child, k - 1))
+        link_cert = builder.known(child, k - 1) or (yield build(child, k - 1))
         arm_certs = []
         prefix = 0
         for u in order:
             i = view.index[u]
             child = mask & ~(view.closed[i] | prefix)
-            arm_certs.append(known(child, k - 1) or (yield build(child, k - 1)))
+            arm_certs.append(builder.known(child, k - 1) or (yield build(child, k - 1)))
             prefix |= 1 << i
         cert = assemble_pivot_decomposition(
             builder, mask, view.verts[p], list(order), arm_certs, link_cert, k
         )
-        memo[mask, k] = cert
+        builder.memo[mask, k] = cert
         return cert
 
-    cert = known(view.full, target) or run(build(view.full, target))
+    cert = builder.known(view.full, target) or run(build(view.full, target))
     del build
     return cert
 
@@ -566,6 +554,7 @@ def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> Vd
 # ---------------------------------------------------------------------------
 #
 # {"leaf": "any", "level": 0}
+# {"leaf": "components", "level": k}
 # {"leaf": "edgeless", "level": k, "vertices": [...]}
 # {"level": k, "node": {"del": ..., "link": ..., "pivot": v}}
 #
@@ -578,11 +567,9 @@ _CLOSE = object()  # writer stack marker: the innermost open node's text ends he
 def certificate_to_json(cert: VdCertificate) -> str:
     """The nested JSON text of cert, in time that follows its unique objects.
 
-    Each object's text is a slice of parts; when an object is met again,
-    that slice is copied, which copies string pointers and formats nothing.
-    The slice bounds are kept as plain ints, which the garbage collector
-    does not track, so writing adds no collector work however large the
-    heap around it is.
+    Each object's text is a slice of parts; an object met again copies its
+    slice, string pointers only.  The slice bounds are plain ints, which
+    the garbage collector does not track, so writing adds it no work.
     """
     parts: list[str] = []
     starts: dict[int, int] = {}  # id of a written object -> its first part
@@ -605,7 +592,9 @@ def certificate_to_json(cert: VdCertificate) -> str:
             parts.extend(parts[start : ends[key]])
             continue
         start = len(parts)
-        if isinstance(item, LeafAny):
+        if isinstance(item, LeafComponents):
+            parts.append(f'{{"leaf":"components","level":{item.level}}}')
+        elif isinstance(item, LeafAny):
             parts.append('{"leaf":"any","level":0}')
         elif isinstance(item, LeafEdgeless):
             verts = ",".join(str(v) for v in item.vertices)
@@ -635,12 +624,12 @@ def _malformed(where, message: str) -> CertificateError:
 class _Reader:
     """One read's intern tables, and the checks of one leaf object and one node.
 
-    Both readers, the scanner of the writer's own text (_scan) and the walk
-    over parsed JSON (certificate_from_obj), build every leaf and node
+    Both readers (_scan and certificate_from_obj) build every leaf and node
     through leaf and node.
     """
 
     def __init__(self):
+        self.components: dict[int, LeafComponents] = {}
         self.edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
         self.nodes: dict[tuple[int, int, int, int], Node] = {}
 
@@ -651,6 +640,11 @@ class _Reader:
             if o.get("level", 0) != 0:
                 return "leaf 'any' must be at level 0"
             return _ANY
+        if leaf == "components":
+            level = o.get("level")
+            if type(level) is not int or level < 0:
+                return "components leaf level must be a non-negative integer"
+            return self.components.get(level) or self.components.setdefault(level, LeafComponents(level))
         if leaf != "edgeless":
             return None
         raw = o["vertices"] if "vertices" in o else []
@@ -681,8 +675,8 @@ def certificate_from_obj(obj) -> VdCertificate:
     """Certificate from its nested JSON object, sharing equal subtrees.
 
     Structurally equal subtrees come back as one object: a single LeafAny,
-    one LeafEdgeless per vertex tuple, and one Node per (pivot, delete,
-    link, level) over children that are already shared.  The result is a
+    one LeafComponents per level, one LeafEdgeless per vertex tuple, and one
+    Node per (pivot, delete, link, level) over children already shared: a
     DAG that certificate_to_json expands to the same text, and on which
     verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
     levels and vertices must be JSON integers; anything malformed raises
@@ -726,8 +720,9 @@ def certificate_from_obj(obj) -> VdCertificate:
 
 _INT = "-?(?:0|[1-9][0-9]*)"  # a JSON integer
 _ANY_TEXT = '{"leaf":"any","level":0}'
-_EDGELESS_TEXT = re.compile(
-    r'\{"leaf":"edgeless","level":(' + _INT + r'),"vertices":\[(' + f"(?:{_INT}(?:,{_INT})*)?" + r")\]\}"
+_LEAF_TEXT = re.compile(  # a components leaf, or an edgeless leaf
+    r'\{"leaf":"(?:components","level":(' + _INT + r')|edgeless","level":(' + _INT
+    + r'),"vertices":\[(' + f"(?:{_INT}(?:,{_INT})*)?" + r")\])\}"
 )
 _NODE_OPEN = re.compile(r'\{"level":(' + _INT + r'),"node":\{"del":')
 _LINK_TEXT = ',"link":'
@@ -739,24 +734,21 @@ _TAIL = 32  # characters of a node's text compared before all of it; every node 
 def _scan(text: str) -> Optional[VdCertificate]:
     """The certificate of text if it is exactly what certificate_to_json writes, else None.
 
-    The grammar is the writer's: the literal any-leaf, edgeless leaves,
+    The grammar is the writer's: the three leaves,
     ``{"level":L,"node":{"del":D,"link":K,"pivot":P}}`` and JSON integers,
-    with nothing around the root but trailing JSON whitespace.  Any other
-    text, and any leaf that fails a check, gives None, so the caller reads
-    it the general way and reports its errors with their paths.  The scan
-    runs on an explicit stack, so it reads any depth.
+    with nothing around the root but trailing JSON whitespace.  Other text,
+    and a leaf that fails a check, gives None, so the caller reads it the
+    general way and reports its errors with their paths.  The scan runs on
+    an explicit stack, so it reads any depth.
 
-    Each distinct subtree text is parsed once.  The grammar is prefix-free:
-    no string in it holds a brace, so an object's text ends at the brace
-    that balances its first, and if the text at p starts with the whole
-    text of a node read before, the value at p is exactly that text.
-    Parsing is deterministic and nodes are interned on their children's
-    identities, so that node is the object a fresh parse would build, and
-    the scan takes it and jumps past.  Candidates are found by a key that
-    lies inside the subtree and is bounded in size: the distance from p to
-    the first "}" after p, which every node text contains (each holds at
-    least four), and up to _KEY_WINDOW characters before that brace.  A
-    key match is only a candidate; the text itself is compared before a
+    Each distinct subtree text is parsed once.  The grammar is prefix-free
+    (no string in it holds a brace), so if the text at p starts with the
+    whole text of a node read before, the value at p is exactly that text;
+    nodes are interned on their children's identities, so that node is the
+    object a fresh parse would build, and the scan takes it and jumps past.
+    Candidates are keyed inside the subtree: by the distance from p to the
+    first "}" after p, which every node text holds, and up to _KEY_WINDOW
+    characters before that brace.  The text itself is compared before a
     node is reused.
     """
     reader = _Reader()
@@ -792,16 +784,15 @@ def _scan(text: str) -> Optional[VdCertificate]:
                 p = m.end()
                 continue
         else:
-            m = _EDGELESS_TEXT.match(text, p)
+            m = _LEAF_TEXT.match(text, p)
             if m is None:
                 return None
-            verts = m.group(2)
-            leaf = {
-                "leaf": "edgeless",
-                "level": int(m.group(1)),
-                "vertices": [int(v) for v in verts.split(",")] if verts else [],
-            }
-            got = reader.leaf(leaf)
+            components, level, verts = m.groups()
+            if verts is None:
+                got = reader.leaf({"leaf": "components", "level": int(components)})
+            else:
+                vertices = [int(v) for v in verts.split(",") if v]
+                got = reader.leaf({"leaf": "edgeless", "level": int(level), "vertices": vertices})
             if type(got) is str:
                 return None
             p = m.end()
@@ -828,12 +819,11 @@ def _scan(text: str) -> Optional[VdCertificate]:
 def certificate_from_json(text: str) -> VdCertificate:
     """certificate_from_obj of the parsed text, sharing equal subtrees.
 
-    Text in certificate_to_json's own layout is scanned at any depth, and
-    each distinct subtree text is parsed once (_scan).  Any other text is
-    parsed into the expanded tree of dicts by read_json and read by
-    certificate_from_obj; that costs work and memory per object of the
-    expanded text and is bound by the JSON nesting limit.  Both give the
-    same certificate, and every error comes from the second.
+    Text in certificate_to_json's own layout is scanned at any depth (_scan).
+    Other text is parsed into dicts by read_json, at a cost per object of
+    the expanded text and within the JSON nesting limit, and read by
+    certificate_from_obj.  Both give the same certificate, and every error
+    comes from the second.
     """
     try:
         cert = _scan(text)

@@ -57,6 +57,7 @@ from tvf.tverberg import (
 from tvf.vd import (
     CertificateError,
     LeafAny,
+    LeafComponents,
     LeafEdgeless,
     MaskView,
     Node,
@@ -660,49 +661,42 @@ def independence_complex(G: Graph) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 #
 # The construction as it ran before extraction moved to bitmasks: every
-# subgraph is a fresh Graph and each lift keeps its own memo.  Library
-# output must match it byte for byte.
+# subgraph is a fresh Graph and each lift keeps its own memo.  Its leaf
+# rule is the library's, checked by its own component count: a subgraph
+# with at least k components is the components leaf at level k, and the
+# lift of a leaf is the leaf one level up.  Library output must match it
+# byte for byte.
 
 
-def edgeless_certificate(vertices, k: int) -> VdCertificate:
-    """Certificate for the edgeless graph on these vertices at level k <= n."""
-    verts = tuple(sorted(vertices))
-    if k < 0 or k > len(verts):
-        raise VdError(f"edgeless graph on {len(verts)} vertices is not at level {k}")
-    memo: dict[tuple[int, int], VdCertificate] = {}
-
-    def rec(n_kept: int, kk: int) -> VdCertificate:
-        # vertices used are always the last n_kept of verts (smallest removed first)
-        if kk == 0:
-            return LeafAny()
-        sub = verts[len(verts) - n_kept :]
-        if kk == n_kept:
-            return LeafEdgeless(sub)
-        key = (n_kept, kk)
-        got = memo.get(key)
-        if got is None:
-            got = Node(sub[0], rec(n_kept - 1, kk), rec(n_kept - 1, kk - 1), kk)
-            memo[key] = got
-        return got
-
-    return rec(len(verts), k)
+def component_count(G: Graph) -> int:
+    """The number of connected components of G, by breadth-first search."""
+    seen: set[int] = set()
+    count = 0
+    for v in G.vertices:
+        if v not in seen:
+            count += 1
+            seen.add(v)
+            queue = [v]
+            while queue:
+                for u in G.neighbors(queue.pop()):
+                    if u not in seen:
+                        seen.add(u)
+                        queue.append(u)
+    return count
 
 
-def _level1_certificate(G: Graph) -> VdCertificate:
-    """Any nonempty graph is at level 1: peel minimum-label vertices."""
-    if G.n == 0:
-        raise VdError("the empty graph is not at level 1")
-    if not G.edges:
-        return edgeless_certificate(G.vertices, 1)
-    v = G.vertices[0]
-    return Node(v, _level1_certificate(delete_vertices(G, [v])), LeafAny(), 1)
+def _leaf(k: int) -> VdCertificate:
+    """The library's leaf at level k: any at level 0, else components."""
+    return LeafAny() if k == 0 else LeafComponents(k)
 
 
 def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
     """Raise a certificate for G minus an isolated vertex v by one level.
 
     cert must certify G minus v at some level k-1; the result certifies G
-    at level k, rebuilt along cert's own pivots (each subgraph keeps v
+    at level k.  A leaf lifts to the components leaf at level k, once G is
+    checked to have k components where cert is an edgeless leaf; a pivot
+    node is rebuilt along cert's own pivots (each subgraph keeps v
     isolated, so the rewrite recurses structurally).
     """
     if v not in G:
@@ -712,16 +706,16 @@ def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
     memo: dict[tuple[Graph, int], VdCertificate] = {}
 
     def rec(H: Graph, c: VdCertificate) -> VdCertificate:
+        if isinstance(c, (LeafAny, LeafComponents)):
+            return _leaf(c.level + 1)
         key = (H, id(c))
         got = memo.get(key)
         if got is not None:
             return got
-        if not H.edges:
-            out: VdCertificate = edgeless_certificate(H.vertices, c.level + 1)
-        elif isinstance(c, LeafAny):
-            out = _level1_certificate(H)
-        elif isinstance(c, LeafEdgeless):
-            raise CertificateError("edgeless leaf given for a graph with edges")
+        if isinstance(c, LeafEdgeless):
+            if component_count(H) <= c.level:
+                raise CertificateError("edgeless leaf given for a graph with too few components")
+            out: VdCertificate = _leaf(c.level + 1)
         else:
             u = c.pivot
             if u not in H or u == v:
@@ -769,20 +763,16 @@ def build_certificate_degree_bound(G: Graph) -> VdCertificate:
 
     Follows the inductive peeling proof: fix the smallest-label pivot,
     recurse on the closed-neighborhood deletion and on the neighbor-chain
-    deletions, then assemble.  An edgeless graph short-circuits to its
-    edgeless leaf at level n.
+    deletions, then assemble.  A subgraph with at least k components is
+    the leaf at level k, so an edgeless graph is one leaf at level n.
     """
     delta = G.max_degree()
-    if delta == 0:
-        return LeafEdgeless(G.vertices)
-    target = G.n // (2 * delta)
+    target = G.n // (2 * delta) if delta else G.n
     memo: dict[tuple[Graph, int], VdCertificate] = {}
 
     def build(H: Graph, k: int) -> VdCertificate:
-        if k == 0:
-            return LeafAny()
-        if not H.edges:
-            return edgeless_certificate(H.vertices, k)
+        if component_count(H) >= k:
+            return _leaf(k)
         key = (H, k)
         got = memo.get(key)
         if got is not None:
@@ -811,12 +801,12 @@ def extract_certificate(trace):
         got = cache.get(key)
         if got is not None:
             return got
-        if node.level == 0:
-            cert = LeafAny()
+        H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
+        if component_count(H) >= node.level:
+            cert = _leaf(node.level)
         else:
             arm_certs = [certify(ch.node) for ch in node.arm_children]
             link_cert = certify(node.link_child.node)
-            H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
             order = [ch.w for ch in node.arm_children]
             cert = assemble_pivot_decomposition(H, node.pivot, order, arm_certs, link_cert, node.level)
         cache[key] = cert
@@ -847,6 +837,8 @@ def certificate_to_json(cert: VdCertificate) -> str:
             parts.append(item)
         elif isinstance(item, LeafAny):
             parts.append('{"leaf":"any","level":0}')
+        elif isinstance(item, LeafComponents):
+            parts.append(f'{{"leaf":"components","level":{item.level}}}')
         elif isinstance(item, LeafEdgeless):
             verts = ",".join(str(v) for v in item.vertices)
             parts.append(f'{{"leaf":"edgeless","level":{item.level},"vertices":[{verts}]}}')
@@ -875,13 +867,14 @@ def certificate_from_obj(obj) -> VdCertificate:
     """Certificate from its nested JSON object, sharing equal subtrees.
 
     Structurally equal subtrees come back as one object: a single LeafAny,
-    one LeafEdgeless per vertex tuple, and one Node per (pivot, delete,
+    one LeafComponents per level, one LeafEdgeless per vertex tuple, and one Node per (pivot, delete,
     link, level) over children that are already shared.  The result is a
     DAG that certificate_to_json expands to the same text, and on which
     verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
     levels and vertices must be JSON integers; anything malformed raises
     CertificateError naming its path, as del/link steps from the root.
     """
+    components: dict[int, LeafComponents] = {}
     edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
     nodes: dict[tuple[int, int, int, int], Node] = {}
     done: list[VdCertificate] = []
@@ -909,6 +902,11 @@ def certificate_from_obj(obj) -> VdCertificate:
             if o.get("level", 0) != 0:
                 raise _malformed(where, "leaf 'any' must be at level 0")
             done.append(_ANY)
+        elif leaf == "components":
+            level = o.get("level")
+            if type(level) is not int or level < 0:
+                raise _malformed(where, "components leaf level must be a non-negative integer")
+            done.append(components.setdefault(level, LeafComponents(level)))
         elif leaf == "edgeless":
             raw = o.get("vertices", [])
             if type(raw) is not list or any(type(v) is not int for v in raw):

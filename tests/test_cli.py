@@ -352,14 +352,16 @@ def test_artifacts_span_chunks_and_match_their_digests(files, capsys, monkeypatc
 
 
 def test_budget_exit_writes_the_manifest(files, capsys, monkeypatch):
+    # certifying P12 at level 3 makes 4 memo entries; C5 at level 1 is one leaf and makes none
+    (files / "p12.txt").write_text("p 12 11\n" + "".join(f"e {i} {i + 1}\n" for i in range(11)))
     monkeypatch.setenv("TVF_BUDGET", "1")
     cert = files / "cert.json"
-    code, out, err = run(capsys, "vd", "build", "--graph", files / "c5.txt", "--out", cert)
+    code, out, err = run(capsys, "vd", "build", "--graph", files / "p12.txt", "--out", cert)
     assert code == 2 and out == "" and json.loads(err)["kind"] == "budget"
     assert not cert.exists()
     obj = json.loads((files / "cert.json.manifest.json").read_text())
     assert (obj["exit_code"], obj["error_kind"], obj["command"]) == (2, "budget", "vd build")
-    assert obj["outputs"] == [] and obj["inputs"][0]["path"].endswith("c5.txt")
+    assert obj["outputs"] == [] and obj["inputs"][0]["path"].endswith("p12.txt")
 
 
 def test_domain_error_exit_writes_the_manifest(files, capsys):
@@ -471,6 +473,38 @@ def test_trace_node_without_residual_size_is_squid_error(files, capsys):
     assert code == 1 and out == ""
     assert set(obj) == {"error", "kind"} and obj["kind"] == "SquidError"
     assert "node 1" in obj["error"] and "residual_size" in obj["error"]
+
+
+def test_trace_rerun_stops_at_the_trace_node_count(files, capsys, monkeypatch):
+    # A K2 x K3 trace (6 nodes) with q edited to 1000: the rerun of K2 x K1000
+    # would make 1,003 nodes of about 1000 squid masks each, hundreds of MB.
+    # It stops at the 7th node, in a process that stays small.
+    monkeypatch.chdir(files)
+    assert run(capsys, "squid", "df1", "--graph", "k2.txt", "--q", "3", "--out", "t.json")[0] == 0
+    obj = json.loads((files / "t.json").read_text())
+    assert len(obj["nodes"]) == 6
+    (files / "q1000.json").write_text(json.dumps({**obj, "q": 1000}))
+    # The peak RSS is the process's VmHWM: its ru_maxrss would also count
+    # the image it replaced at exec, which under posix_spawn is pytest's.
+    code = (
+        "import sys; from tvf.cli import main; code = main(); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM'))); "
+        "sys.exit(code)"
+    )
+    got = python_process(code, "squid", "extract", "--trace", "q1000.json", cwd=files)
+    assert got.returncode == 1
+    assert json.loads(got.stderr) == {
+        "error": "the trace has 6 nodes, but the df1 removal of its graph makes 7 or more",
+        "kind": "SquidError",
+    }
+    assert int(got.stdout) < 100_000  # KiB
+    # where the run's budget is below the trace's count, it stops the rerun (exit 2)
+    (files / "k5.txt").write_text("p 5 10\n" + "".join(f"e {i} {j}\n" for i, j in itertools.combinations(range(5), 2)))
+    assert run(capsys, "squid", "df1", "--graph", "k5.txt", "--q", "13", "--out", "k5.json")[0] == 0
+    monkeypatch.setenv("TVF_BUDGET", "600")  # the trace has 896 nodes
+    code, out, err = run(capsys, "squid", "extract", "--trace", "k5.json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "removal budget exceeded (601 > 600 trace nodes)", "kind": "budget"}
 
 
 def test_trace_with_a_false_squid_is_squid_error(files, capsys):
@@ -911,10 +945,11 @@ def _deep_inputs(files):
     (files / "same80.txt").write_text("".join(f"{i} 0\n" for i in range(80)))
     (files / "m300.txt").write_text("p 300 150\n" + "".join(f"e {2 * i} {2 * i + 1}\n" for i in range(150)))
     (files / "m300.scheme").write_text('{"delta":1,"n":300,"q":1,"sizes":[150]}\n')
-    # a star on 0..50 beside a matching on 51..249: level 2, and lifting the
-    # matching's level-1 certificate follows a chain of about 200 pivots
-    edges = [(0, u) for u in range(1, 51)] + [(i, i + 1) for i in range(51, 249, 2)]
-    (files / "star.txt").write_text(f"p 250 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    # a star on 0..250 with a path on 250..999 hanging from its last leaf:
+    # certified at level 2 by pivoting on the center, a chain of 250 nodes,
+    # one per leaf (every arm and the link are components leaves)
+    edges = [(0, u) for u in range(1, 251)] + [(i, i + 1) for i in range(250, 999)]
+    (files / "star.txt").write_text(f"p 1000 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
     assert main(["squid", "df1", "--graph", "e250.txt", "--q", "1", "--out", "e250.trace"]) == 0
 
 
@@ -935,8 +970,10 @@ def _deep_inputs(files):
     ids=["df1-cert", "dynamic", "extract", "vd-build", "tverberg-search"],
 )
 def test_certificate_side_ignores_the_recursion_limit(files, capsys, monkeypatch, limit, command, check):
-    # each input nests its search deeper than the limit, so a recursion left
-    # on the interpreter's stack would fail here
+    # each input nests deeper than the limit: the removal search (squid df1,
+    # squid dynamic, and the rerun in squid extract), the certificate (vd
+    # build) or the witness search, so a recursion left on the interpreter's
+    # stack would fail here
     monkeypatch.chdir(files)
     _deep_inputs(files)
     code = f"import sys; sys.setrecursionlimit({limit}); from tvf.cli import main; sys.exit(main())"

@@ -32,7 +32,7 @@ from tvf.tverberg import (
     TverbergError,
     TverbergWitness,
 )
-from tvf.vd import CertCheck, LeafAny, LeafEdgeless, Node
+from tvf.vd import CertCheck, LeafAny, LeafComponents, LeafEdgeless, Node
 
 from conftest import python_process
 
@@ -53,6 +53,7 @@ def _constants():
 RECORDS = {
     "LeafAny": (LeafAny, "LeafAny()", True),
     "LeafEdgeless": (lambda: LeafEdgeless((1, 2)), "LeafEdgeless(vertices=(1, 2))", True),
+    "LeafComponents": (lambda: LeafComponents(2), "LeafComponents(level=2)", True),
     "Node": (
         lambda: Node(0, LeafEdgeless((1,)), LeafAny(), 1),
         "Node(pivot=0, delete=LeafEdgeless(vertices=(1,)), link=LeafAny(), level=1)",
@@ -176,7 +177,7 @@ def test_every_record_type_is_listed():
         for name, obj in vars(module).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
     }
-    assert found - {"_PointFields"} == set(RECORDS) and len(RECORDS) == 22
+    assert found - {"_PointFields"} == set(RECORDS) and len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

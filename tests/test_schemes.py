@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -64,6 +65,21 @@ def test_epsilon_constants_against_high_precision():
         assert abs(c.a - float(a)) <= 1e-9
         assert abs(c.gamma - float(gamma)) <= 1e-9
         assert abs(c.k_epsilon - float(k)) <= 1e-9
+
+
+@pytest.mark.parametrize("eps", ["1e-6", "1e-8", "1e-12"])
+def test_small_epsilon_constants_against_60_digit_decimal(eps):
+    # a - 1 and 1 - 1/a cancel in double precision for small eps; the
+    # documented relative error of 1e-12 must hold here too
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e = decimal.Decimal(eps)
+        a = (1 + e).sqrt()
+        gamma = -(1 / a) * (1 - 1 / a).ln()
+        want = (a, gamma, a - 1 + 2 * gamma)
+    c = epsilon_constants(Fraction(eps))
+    for got, exact in zip((c.a, c.gamma, c.k_epsilon), want):
+        assert abs(decimal.Decimal(got) - exact) <= exact * decimal.Decimal("1e-12")
 
 
 def test_k_epsilon_ordering_is_checked_not_assumed():

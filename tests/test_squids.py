@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tvf.squids
 import tvf.vd
 from tvf.errors import BudgetExceeded
-from tvf.graphs import Graph
+from tvf.graphs import Graph, induced_subgraph
 from tvf.schemes import SizeScheme
 from tvf.squids import (
     RemovalTrace,
@@ -31,6 +31,7 @@ from oracles import (
     ProductVertex,
     check_squid,
     complete_graph,
+    product_graph,
     product_label,
     product_vertices,
     squid_admissible,
@@ -296,25 +297,26 @@ TRACES = {
     "P4xK5-dynamic": lambda: run_dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2)),
 }
 
-# SHA-256 of each trace's JSON and of its certificate's JSON, recorded when
-# the traces still held (base, row) pairs in memory; the label form must
-# write the same bytes.
+# SHA-256 of each trace's JSON and of its certificate's JSON.  The trace
+# digests were recorded when the traces still held (base, row) pairs in
+# memory, and the label form must write the same bytes; the certificate
+# digests were recorded when extraction first wrote components leaves.
 DIGESTS = {
     "C5xK7": (
         "fcfadf51b5f09918452b7bce37f35217e2b9d4ef825f705aae73645e849ccddb",
-        "562647f5cfc30c7724c0b3f7b3f4b7a1bf96a1380cc0a5b101e4797924d8782a",
+        "21f28539060ab5c5fafa87e1c74b0d3d905e42900a62c82d5db317499f6630cc",
     ),
     "C6xK7-relabel1": (
         "390c7639f8ce0f1e562bf34504572fe11f6958c81b1d430627dd67698af86f35",
-        "5e33366228a076f730260652a06e3c06ab9281081cccb12522f7338dca40a798",
+        "0f1d40d88d91adcd1e3c30239abb62c9f9ce54e54f3851eafd78c500f4c250bc",
     ),
     "C6xK7-relabel2": (
         "a36419bed01428c9e7be6081fbb78007c61b695aa59ca7c1c28ac5c49b90cdd2",
-        "081d5837c5bef1bc4a5a4b281e2145732803f4e457bcaec9030bd1991860fb7f",
+        "9f7e39d7706669f0c7fc0508de37723a40e926fdbb290e43c41b352347d039d2",
     ),
     "P4xK5-dynamic": (
         "d8906a60035182c0ae406ca5f80688a1e954a01b7b9c361c626b7af050ac133d",
-        "eeadd1a1d9dd55bf8f0838c6d208f2ce6c08bceec18c2564c3c477cc39feacb4",
+        "4280bc58c11bc165eb55e97882cec0c397e00435f49944e07dbb082f66a39546",
     ),
 }
 
@@ -326,8 +328,9 @@ def _sha256(text):
 @pytest.mark.parametrize("name", TRACES)
 def test_trace_and_certificate_bytes_are_pinned(name):
     trace = TRACES[name]()
-    cert_text = certificate_to_json(extract_certificate(trace))
-    assert (_sha256(trace.to_json()), _sha256(cert_text)) == DIGESTS[name]
+    cert = extract_certificate(trace)
+    assert cert.level == trace.m and verify_certificate(trace.product(), cert).ok
+    assert (_sha256(trace.to_json()), _sha256(certificate_to_json(cert))) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", TRACES)
@@ -474,8 +477,20 @@ def test_extraction_budget_counts_memo_entries(monkeypatch):
     monkeypatch.setattr(tvf.squids, "CertificateBuilder", Recording)
     trace = run_df1(Graph.cycle(5), 7)
     text = certificate_to_json(extract_certificate(trace))
-    # one entry per distinct (residual, level) of the trace, plus one per lift
-    entries = len({(n.residual_mask, n.level) for n in trace.nodes()}) + len(builders[0]._lifts)
+    # one entry per distinct (residual, level) that extraction visits, plus one
+    # per lift; a residual with at least its level in components is a leaf,
+    # and its children are not visited
+    P = product_graph(Graph.cycle(5), 7)
+    visited, stack = set(), [trace.root]
+    while stack:
+        node = stack.pop()
+        H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
+        if (node.residual_mask, node.level) in visited or oracles.component_count(H) >= node.level:
+            continue
+        visited.add((node.residual_mask, node.level))
+        stack += [ch.node for ch in node.arm_children] + [node.link_child.node]
+    assert 0 < len(visited) < len({(n.residual_mask, n.level) for n in trace.nodes()})
+    entries = len(visited) + len(builders[0]._lifts)
     assert certificate_to_json(extract_certificate(trace, entries)) == text
     with pytest.raises(BudgetExceeded) as exc:
         extract_certificate(trace, entries - 1)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import tvf.vd
 from tvf.errors import BudgetExceeded
-from tvf.graphs import Graph, GraphError
+from tvf.graphs import Graph, GraphError, induced_subgraph
 from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
     CertificateBuilder,
     CertificateError,
     LeafAny,
+    LeafComponents,
     LeafEdgeless,
     MaskView,
     Node,
@@ -26,7 +27,6 @@ from tvf.vd import (
     certificate_from_json,
     certificate_from_obj,
     certificate_to_json,
-    edgeless_certificate,
     is_vd,
     max_vd,
     verify_certificate,
@@ -109,8 +109,8 @@ def test_solver_matches_recursive_solver_on_relabeled_benchmark_graphs():
 
 
 @st.composite
-def _small_graphs(draw):
-    n = draw(st.integers(0, 9))
+def _small_graphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(range(n), edges)
@@ -162,7 +162,7 @@ def test_level_budget_counts_memo_entries():
     s = _Solver(G)
     top = s.capped(s.full, G.n)
     entries = len(s._bounds)  # what max_vd's capped search makes
-    assert all(s._component(mask) == mask for mask in s._bounds)
+    assert all(s.component(mask) == mask for mask in s._bounds)
     assert max_vd(G, budget=entries) == top == 4
     with pytest.raises(BudgetExceeded) as exc:
         max_vd(G, budget=entries - 1)
@@ -197,14 +197,14 @@ def test_levels_add_over_a_disjoint_union(parts):
 def _peeling_keys(G):
     """The (mask, level) pairs that the degree-bound construction memoizes.
 
-    Those are the pairs its peeling reaches at a level of at least 1 on a
-    mask with an edge; smaller cases are leaves, built without the memo.
+    Those are the pairs its peeling reaches on a mask with fewer than k
+    components; the others are leaves, built without the memo.
     """
     view = MaskView(G)
     keys = set()
 
     def walk(mask, k):
-        if k == 0 or view.edgeless(mask) or (mask, k) in keys:
+        if oracles.component_count(induced_subgraph(G, view.labels(mask))) >= k or (mask, k) in keys:
             return
         keys.add((mask, k))
         p = (mask & -mask).bit_length() - 1
@@ -219,7 +219,7 @@ def _peeling_keys(G):
     return keys
 
 
-@pytest.mark.parametrize("G", [Graph.path(12), Graph.cycle(9), product_graph(Graph.path(3), 2)])
+@pytest.mark.parametrize("G", [Graph.path(12), Graph.cycle(9), product_graph(Graph.path(12), 2)])
 def test_certificate_budget_counts_memo_entries(G, monkeypatch):
     builders = []
 
@@ -296,13 +296,13 @@ def test_verify_accepts_exactly_the_oracle_trees():
 
 
 def test_edgeless_certificate_levels():
+    # the edgeless graph on n vertices has n components: one leaf at each level up to n
     for n in range(0, 6):
         for k in range(0, n + 1):
-            cert = edgeless_certificate(range(n), k)
-            assert cert.level == k
-            assert verify_certificate(Graph.empty(n), cert).ok
-    with pytest.raises(VdError):
-        edgeless_certificate(range(2), 3)
+            assert verify_certificate(Graph.empty(n), LeafComponents(k)).ok
+        res = verify_certificate(Graph.empty(n), LeafComponents(n + 1))
+        assert not res.ok and res.reason == f"components leaf at level {n + 1}, but the subgraph has {n}"
+        assert build_certificate_degree_bound(Graph.empty(n)) == (LeafComponents(n) if n else LeafAny())
 
 
 def test_build_certificate_examples():
@@ -313,7 +313,7 @@ def test_build_certificate_examples():
     cert6 = build_certificate_degree_bound(C6)
     assert cert6.level == 1 and verify_certificate(C6, cert6).ok
     empty5 = build_certificate_degree_bound(Graph.empty(5))
-    assert isinstance(empty5, LeafEdgeless) and empty5.level == 5
+    assert isinstance(empty5, LeafComponents) and empty5.level == 5
 
 
 def test_build_certificate_exhaustive_small(atlas):
@@ -329,10 +329,10 @@ def test_build_certificate_exhaustive_small(atlas):
 
 
 def test_lift_isolated():
-    # single vertex: edgeless short-circuit
+    # single vertex: one component, so the components leaf at level 1
     single = Graph([4], [])
     lifted = _lift_isolated(single, 4, LeafAny())
-    assert isinstance(lifted, LeafEdgeless) and lifted.level == 1
+    assert lifted == LeafComponents(1)
     # K2 plus an isolated vertex, lifting a level-1 certificate to level 2
     G = Graph([0, 1, 2], [(0, 1)])
     base = Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1)
@@ -416,11 +416,12 @@ def test_assembly_keeps_every_ingredient_check():
     # lifting replays the link certificate inside H minus the pivot's neighbors
     K2_plus = Graph([0, 1, 2], [(0, 1)])
     with pytest.raises(CertificateError, match="edgeless leaf given"):
-        _lift_isolated(K2_plus, 2, LeafEdgeless((0,)))
+        _lift_isolated(K2_plus, 2, LeafEdgeless((0, 1)))  # K2_plus has 2 components, not 3
+    # a lift to level 3 is rebuilt along the pivots, as K2_plus has 2 components
     with pytest.raises(CertificateError, match="does not exist"):
-        _lift_isolated(K2_plus, 2, Node(2, LeafAny(), LeafAny(), 1))
+        _lift_isolated(K2_plus, 2, Node(2, LeafAny(), LeafAny(), 2))
     with pytest.raises(CertificateError, match="does not exist"):
-        _lift_isolated(K2_plus, 2, Node(7, LeafAny(), LeafAny(), 1))
+        _lift_isolated(K2_plus, 2, Node(7, LeafAny(), LeafAny(), 2))
 
 
 def test_verify_rejects_edgeless_leaf_with_repeated_vertices():
@@ -429,6 +430,53 @@ def test_verify_rejects_edgeless_leaf_with_repeated_vertices():
     assert not verify_certificate(single, LeafEdgeless((0, 0))).ok
     with pytest.raises(CertificateError, match="twice"):
         certificate_from_json('{"leaf":"edgeless","level":2,"vertices":[0,0]}')
+
+
+# ---------------------------------------------------------------------------
+# The components leaf
+# ---------------------------------------------------------------------------
+
+
+def _assert_level_is_at_least_the_component_count(G):
+    # l(G) >= c(G): each of c(G) components is at level 1, the rest at level 0,
+    # and levels add over components
+    count = oracles.component_count(G)
+    assert oracles.recursive_levels(G)[count], G.edges
+    assert verify_certificate(G, LeafComponents(count)).ok
+    res = verify_certificate(G, LeafComponents(count + 1))
+    assert (res.ok, res.path) == (False, ())
+    assert res.reason == f"components leaf at level {count + 1}, but the subgraph has {count}"
+
+
+def test_level_is_at_least_the_component_count_on_atlas6(atlas6):
+    for G in atlas6:
+        _assert_level_is_at_least_the_component_count(G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs(10))
+def test_level_is_at_least_the_component_count_property(G):
+    _assert_level_is_at_least_the_component_count(G)
+
+
+def test_shared_components_leaf_is_rechecked_at_each_subgraph():
+    # One LeafComponents(2) object: valid on the link side, where the
+    # subgraph is {1, 2, 3, 4}, and checked again at {4}, where it is wrong.
+    leaf = LeafComponents(2)
+    inner = Node(2, Node(3, leaf, LeafComponents(1), 2), LeafComponents(1), 2)
+    cert = Node(0, Node(1, LeafComponents(3), inner, 3), leaf, 3)
+    res = verify_certificate(Graph.empty(5), certificate_from_json(certificate_to_json(cert)))
+    assert (res.ok, res.path) == (False, ("del@0", "link@1", "del@2", "del@3"))
+    assert res.reason == "components leaf at level 2, but the subgraph has 1"
+
+
+def test_components_leaf_with_extra_keys_reads_like_the_reference():
+    # keys beside leaf and level are ignored, as on the other leaves; such
+    # text is not the writer's, so the scanner hands it to the object reader
+    for text in ('{"leaf":"components","level":2,"vertices":[0]}', '{"level":2,"leaf":"components","x":null}'):
+        got, want = certificate_from_json(text), oracles.certificate_from_json(text)
+        assert got == want == LeafComponents(2)
+        assert certificate_to_json(got) == '{"leaf":"components","level":2}'
 
 
 def _c5_certificate_text():
@@ -467,6 +515,8 @@ def test_reader_shares_each_distinct_subtree_once():
             shape = ("node", c.pivot, c.level, numbers[id(c.delete)], numbers[id(c.link)])
         elif isinstance(c, LeafEdgeless):
             shape = ("edgeless", c.vertices)
+        elif isinstance(c, LeafComponents):
+            shape = ("components", c.level)
         else:
             shape = ("any",)
         numbers[id(c)] = shapes.setdefault(shape, len(shapes))
@@ -474,8 +524,8 @@ def test_reader_shares_each_distinct_subtree_once():
     assert len(objects) < text.count('"level"')  # the tree itself repeats subtrees
 
 
-def _first_nonempty_leaf(o, path):
-    """First edgeless leaf with vertices below JSON object o, del-first, with its path."""
+def _first_leveled_leaf(o, path):
+    """First leaf above level 0 below JSON object o, del-first, with its path."""
     stack = [(o, path)]
     while stack:
         o, path = stack.pop()
@@ -483,7 +533,7 @@ def _first_nonempty_leaf(o, path):
             p = o["node"]["pivot"]
             stack.append((o["node"]["link"], path + (f"link@{p}",)))
             stack.append((o["node"]["del"], path + (f"del@{p}",)))
-        elif o["leaf"] == "edgeless" and o["vertices"]:
+        elif o["level"] > 0:
             return o, path
     return None
 
@@ -506,7 +556,7 @@ def test_tampered_occurrence_of_shared_subtree_is_reported_at_its_path():
     shared = [
         occ
         for occ in occurrences.values()
-        if len(occ) > 1 and _first_nonempty_leaf(occ[0][0], ()) is not None
+        if len(occ) > 1 and _first_leveled_leaf(occ[0][0], ()) is not None
     ]
     occ = max(shared, key=len)  # the verifier skips all but one of these
     for _, steps, path in (occ[0], occ[-1]):
@@ -514,8 +564,9 @@ def test_tampered_occurrence_of_shared_subtree_is_reported_at_its_path():
         o = bad
         for step in steps:
             o = o["node"][step]
-        leaf, leaf_path = _first_nonempty_leaf(o, path)
-        leaf["vertices"][0] = 10**6
+        leaf, leaf_path = _first_leveled_leaf(o, path)
+        # the same level, claimed by an edgeless leaf on vertices the graph lacks
+        leaf.update(leaf="edgeless", vertices=list(range(10**6, 10**6 + leaf["level"])))
         res = verify_certificate(G, certificate_from_json(json.dumps(bad)))
         assert not res.ok
         assert res.path == leaf_path and "different vertex set" in res.reason
@@ -556,7 +607,8 @@ def _rewrite(o, change):
 
 
 def _drop_levels(o, is_body):
-    o.pop("level", None)
+    if o.get("leaf") != "components":  # the one level a reader cannot infer
+        o.pop("level", None)
 
 
 def _extra_keys(o, is_body):
@@ -575,16 +627,21 @@ def _false_any_level(o, is_body):
 
 @pytest.mark.parametrize("change", [_drop_levels, _extra_keys, _unsorted_vertices, _false_any_level])
 def test_non_canonical_texts_read_like_the_reference(change):
+    # tvf writes components leaves; the exhaustive search makes edgeless ones
     _, text = _c5_certificate_text()
-    obj = json.loads(text)
-    assert any(o.get("leaf") == "edgeless" and len(o["vertices"]) > 1 for o in _objects(obj))
-    everywhere = json.dumps(_rewrite(obj, change))
+    P3xK3 = product_graph(Graph.path(3), 3)
+    texts = [text, certificate_to_json(brute_certificate_search(P3xK3, max_vd(P3xK3)))]
+    objs = [json.loads(text) for text in texts]
+    assert any(o.get("leaf") == "components" for o in _objects(objs[0]))
+    assert any(o.get("leaf") == "edgeless" and len(o["vertices"]) > 1 for o in _objects(objs[1]))
     rnd = random.Random(5)
-    somewhere = json.dumps(_rewrite(obj, lambda o, is_body: rnd.random() < 0.3 and change(o, is_body)))
-    for variant in (everywhere, somewhere):
-        cert = certificate_from_json(variant)
-        assert same_certificate_dag(cert, oracles.certificate_from_json(variant))
-        assert certificate_to_json(cert) == text
+    for text, obj in zip(texts, objs):
+        everywhere = json.dumps(_rewrite(obj, change))
+        somewhere = json.dumps(_rewrite(obj, lambda o, is_body: rnd.random() < 0.3 and change(o, is_body)))
+        for variant in (everywhere, somewhere):
+            cert = certificate_from_json(variant)
+            assert same_certificate_dag(cert, oracles.certificate_from_json(variant))
+            assert certificate_to_json(cert) == text
 
 
 def _objects(o):
@@ -645,6 +702,14 @@ _MALFORMED = [
     '[{"leaf":"any","level":0}]',
     "7",
     "null",
+    # components leaves: the level is required, a non-negative JSON integer
+    '{"leaf":"components","level":-1}',
+    '{"leaf":"components"}',
+    _at({"leaf": "components", "level": 1.0}, ["del"], _VALID),
+    _at({"leaf": "components", "level": True}, ["link", "del"], _VALID),
+    _at({"leaf": "components", "level": "1"}, ["link"], _VALID),
+    _at({"leaf": "components", "level": None, "vertices": [0]}, ["del", "del"], _VALID),
+    _at({"leaf": "components", "level": -3}, ["del"], {"leaf": "components", "level": 0}),
 ]
 
 
@@ -671,11 +736,13 @@ def _certificates(draw):
     """A certificate DAG: each new object may reuse any object made before it."""
     pool = [LeafAny()]
     for _ in range(draw(st.integers(0, 14))):
-        kind = draw(st.integers(0, 3))
+        kind = draw(st.integers(0, 4))
         if kind == 0:
             pool.append(LeafEdgeless(tuple(sorted(draw(st.sets(st.integers(0, 9), max_size=4))))))
         elif kind == 1:
             pool.append(LeafAny())
+        elif kind == 4:
+            pool.append(LeafComponents(draw(st.integers(0, 6))))
         else:
             delete, link = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
             pool.append(Node(draw(st.integers(0, 9)), delete, link, draw(st.integers(-2, 6))))
@@ -693,7 +760,7 @@ def test_certificate_round_trip_matches_the_reference(cert):
 
 
 _SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-1, 5), st.just(1.0), st.sampled_from(["any", "edgeless", "x"])
+    st.none(), st.booleans(), st.integers(-1, 5), st.just(1.0), st.sampled_from(["any", "components", "edgeless", "x"])
 )
 _LEVELS = st.one_of(st.integers(-1, 4), _SCALARS)
 
@@ -715,6 +782,7 @@ def _json_extend(children):
         st.fixed_dictionaries({"node": body}, optional=extra),
         st.fixed_dictionaries({"node": bent_body | children | _SCALARS}, optional=extra),
         st.fixed_dictionaries({"leaf": st.just("edgeless")}, optional={**extra, "vertices": vertices}),
+        st.fixed_dictionaries({"leaf": st.just("components")}, optional={**extra, "vertices": vertices}),
         st.fixed_dictionaries({"leaf": st.just("any") | _SCALARS | children}, optional=extra),
         st.lists(children, max_size=2) | _SCALARS,
     )
@@ -722,6 +790,7 @@ def _json_extend(children):
 
 _CANONICAL_LEAVES = st.one_of(
     st.just({"leaf": "any", "level": 0}),
+    st.integers(0, 3).map(lambda k: {"leaf": "components", "level": k}),
     st.lists(st.integers(0, 5), max_size=3, unique=True).map(
         lambda vs: {"leaf": "edgeless", "level": len(vs), "vertices": sorted(vs)}
     ),
@@ -750,7 +819,7 @@ def test_reader_matches_the_reference_on_any_json(obj):
             assert certificate_to_json(got) == oracles.certificate_to_json(want)
 
 
-_BYTES = st.sampled_from('{}[],:"-0123456789 \n\tadeglnoprstvx') | st.characters()
+_BYTES = st.sampled_from('{}[],:"-0123456789 \n\tacdeglmnoprstvx') | st.characters()
 _NOT_SPACE = _BYTES.filter(lambda c: c not in " \t\n\r")
 
 
