@@ -248,7 +248,7 @@ class RemovalTrace(NamedTuple):
     def to_json(self) -> str:
         """The canonical JSON form, where each product label becomes its (base, row) pair."""
         head, tail = self._head_and_tail()
-        return head + "".join(self._node_rows()) + tail
+        return "".join(itertools.chain((head,), self._node_rows(), (tail,)))  # one copy of the text
 
     @classmethod
     def from_obj(cls, obj: dict, budget: Optional[int] = None) -> "RemovalTrace":
@@ -261,17 +261,27 @@ class RemovalTrace(NamedTuple):
         first header key or node that differs, and each field there with
         both of its values.
         """
-        trace = _rerun(obj, budget)
+        trace = _rerun(_header(obj), len(obj["nodes"]), budget)
         _check_rerun(trace, obj)
         return trace
 
     @classmethod
     def from_json(cls, text: str, budget: Optional[int] = None) -> "RemovalTrace":
-        """from_obj of the value of text.  Text that is the rerun's to_json,
-        trailing whitespace aside, is accepted as it stands; other text is
-        parsed again and re-serialized."""
-        trace = _rerun(read_json(text, "trace", SquidError), budget)
-        if not _writes(trace, text):
+        """from_obj of the value of text.
+
+        Text in the writer's canonical layout is read with no JSON tree
+        (_read_canonical): it is accepted if it is the rerun's to_json,
+        trailing whitespace aside.  Any other text, in another layout or
+        failing there for any reason, is parsed whole, its node tree freed
+        for the rerun and parsed again for the comparison, so its errors
+        are from_obj's.
+        """
+        trace = _read_canonical(text, budget)
+        if trace is None:
+            obj = read_json(text, "trace", SquidError)
+            header, count = _header(obj), len(obj["nodes"])
+            del obj  # the node tree is freed before the rerun
+            trace = _rerun(header, count, budget)
             _check_rerun(trace, read_json(text, "trace", SquidError))
         return trace
 
@@ -281,40 +291,75 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _rerun(obj, budget: Optional[int]) -> RemovalTrace:
-    """The removal a trace object's header names, once the header is checked.
+_JSON_TYPES = {
+    dict: "object", list: "list", str: "string", int: "integer", float: "number", bool: "boolean",
+    type(None): "null",
+}
 
-    The rerun may make as many trace nodes as the trace has, within budget:
-    a removal that makes more is not the trace's, and stops with SquidError
-    at the node past the trace's count, before it costs more than the trace.
-    """
+
+def _json_type(value) -> str:
+    """The name of the JSON type of a parsed value, as errors call it."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _header(obj) -> tuple[Graph, int, str, str, Optional[schemes.SizeScheme]]:
+    """The graph, q, kind, mode and scheme of a trace object, once its
+    header is checked; SquidError names the first field that is wrong."""
+
+    def field(owner: dict, key: str, where: str = ""):
+        if key not in owner:
+            raise ValueError(f"missing key {key!r}{where}")
+        return owner[key]
+
     try:
-        graph = obj["graph"]
-        edges = [json_ints(e, "graph edge") for e in graph["edges"]]
-        G = Graph(json_ints(graph["vertices"], "graph vertices"), edges)
-        q = json_int(obj["q"], "q")
-        json_int(obj["m"], "m")
-        kind = obj["kind"]
+        if type(obj) is not dict:
+            raise ValueError(f"a trace is a JSON object, got {_json_type(obj)}")
+        graph = field(obj, "graph")
+        if type(graph) is not dict:
+            raise ValueError(f"graph must be an object, got {_json_type(graph)}")
+        edges = field(graph, "edges", " in graph")
+        if type(edges) is not list:
+            raise ValueError(f"graph edges must be a list, got {_json_type(edges)}")
+        edges = [json_ints(e, "graph edge") for e in edges]
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"graph edge must be a pair of vertices, got {list(e)}")
+        G = Graph(json_ints(field(graph, "vertices", " in graph"), "graph vertices"), edges)
+        q = json_int(field(obj, "q"), "q")
+        json_int(field(obj, "m"), "m")
+        kind = field(obj, "kind")
         if kind not in ("df1", "dynamic"):
             raise ValueError(f"trace kind must be 'df1' or 'dynamic', got {kind!r}")
         mode = obj.get("mode", "walk")
         if mode not in ("walk", "distance"):
             raise ValueError(f"trace mode must be 'walk' or 'distance', got {mode!r}")
-        if type(obj["nodes"]) is not list:
-            raise ValueError(f"nodes must be a list, got {type(obj['nodes']).__name__}")
-        json_int(obj["root"], "root")
+        nodes = field(obj, "nodes")
+        if type(nodes) is not list:
+            raise ValueError(f"nodes must be a list, got {_json_type(nodes)}")
+        json_int(field(obj, "root"), "root")
         scheme = obj.get("scheme")
         if scheme is not None:
+            if type(scheme) is not dict:
+                raise ValueError(f"scheme must be an object, got {_json_type(scheme)}")
             scheme = schemes.SizeScheme.from_obj(scheme)
         elif kind == "dynamic":
             raise ValueError("a dynamic trace needs a scheme")
-    except (KeyError, TypeError, ValueError) as exc:
+        if q < 1:
+            raise ValueError(f"q must be positive, got {q}")
+    except (TypeError, ValueError) as exc:
         raise SquidError(f"malformed trace object: {exc}") from exc
-    if q < 1:
-        raise SquidError(f"malformed trace object: q must be positive, got {q}")
+    return G, q, kind, mode, scheme
+
+
+def _rerun(header: tuple, count: int, budget: Optional[int]) -> RemovalTrace:
+    """The removal a checked header names (_header), for a trace of count nodes.
+
+    The rerun may make as many trace nodes as the trace has, within budget:
+    a removal that makes more is not the trace's, and stops with SquidError
+    at the node past the trace's count, before it costs more than the trace.
+    """
+    G, q, kind, mode, scheme = header
     check_product_size(G, q, budget)
-    count = len(obj["nodes"])
-    del obj  # a caller's temporary node table is freed before the rerun
     limit = DEFAULT_REMOVAL_BUDGET if budget is None else budget
     nodes = min(limit, count)
     try:
@@ -326,6 +371,29 @@ def _rerun(obj, budget: Optional[int]) -> RemovalTrace:
             raise
         message = f"the trace has {count} nodes, but {_removal(kind)} makes {exc.used} or more"
         raise SquidError(message) from None
+
+
+def _read_canonical(text: str, budget: Optional[int]) -> Optional[RemovalTrace]:
+    """The rerun of trace text in the writer's canonical layout, read with
+    no JSON tree; None for any other text.
+
+    In that layout the node rows lie between the first '"nodes":[' and the
+    last '],"q":', and each row holds one '"id":' key.  The header is parsed
+    from the text around the rows, and the rerun may make as many nodes as
+    there are rows.  Only text that is the rerun's to_json, trailing
+    whitespace aside, is accepted; a header or rerun that raises gives None,
+    so that every error is the full parse's.
+    """
+    opening = '"nodes":['
+    start, end = text.find(opening) + len(opening), text.rfind('],"q":')
+    if start < len(opening) or end < start:
+        return None
+    try:
+        header = _header(json.loads(text[:start] + text[end:]))
+        trace = _rerun(header, text.count('"id":', start, end), budget)
+    except (ValueError, RuntimeError):  # RuntimeError: BudgetExceeded, RecursionError
+        return None
+    return trace if _writes(trace, text) else None
 
 
 def _writes(trace: RemovalTrace, text: str) -> bool:

@@ -16,8 +16,9 @@ import tvf.cli
 import tvf.errors
 from tvf import vd
 from tvf.cli import _DOMAIN_ERRORS, main
+from tvf.errors import BudgetExceeded, SquidError, read_json
 from tvf.graphs import Graph
-from tvf.squids import run_df1
+from tvf.squids import RemovalTrace, run_df1
 
 from conftest import python_process
 from oracles import format_edgelist, product_graph
@@ -473,6 +474,29 @@ def test_trace_node_without_residual_size_is_squid_error(files, capsys):
     assert code == 1 and out == ""
     assert set(obj) == {"error", "kind"} and obj["kind"] == "SquidError"
     assert "node 1" in obj["error"] and "residual_size" in obj["error"]
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("5", "a trace is a JSON object, got integer"),
+        ("null", "a trace is a JSON object, got null"),
+        ("[]", "a trace is a JSON object, got list"),
+        ('{"graph": []}', "graph must be an object, got list"),
+        ("{}", "missing key 'graph'"),
+        ('{"graph": {"vertices": [0, 1]}}', "missing key 'edges' in graph"),
+        (
+            '{"graph": {"edges": [[0, 1, 2]], "vertices": [0, 1, 2]}}',
+            "graph edge must be a pair of vertices, got [0, 1, 2]",
+        ),
+    ],
+    ids=["integer", "null", "list", "graph-list", "empty-object", "no-edges", "edge-triple"],
+)
+def test_trace_header_error_names_the_field(files, capsys, text, error):
+    (files / "trace.json").write_text(text)
+    code, out, err = run(capsys, "squid", "extract", "--trace", files / "trace.json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": f"malformed trace object: {error}", "kind": "SquidError"}
 
 
 def test_trace_rerun_stops_at_the_trace_node_count(files, capsys, monkeypatch):
@@ -1134,6 +1158,37 @@ def test_trace_reader_ends_every_input_in_the_error_contract(small_traces, data)
     texts, d = small_traces
     (d / "mutated.trace").write_text(_mutated_text(data, data.draw(st.sampled_from(texts))))
     _assert_in_the_error_contract(["squid", "extract", "--trace", str(d / "mutated.trace")], (0,))
+
+
+def _read_outcome(read, text: str):
+    """The to_json of the trace read(text) gives, or the type and message of what it raises."""
+    try:
+        return read(text).to_json()
+    except (ValueError, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _full_read(text: str) -> RemovalTrace:
+    """The trace text's whole parse gives."""
+    return RemovalTrace.from_obj(read_json(text, "trace", SquidError))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trace_read_paths_agree(small_traces, data):
+    # from_json reads the writer's layout with no JSON tree and parses any
+    # other text whole; on every input it must end as the whole parse does
+    texts, _ = small_traces
+    text = data.draw(st.sampled_from(texts))
+    edit = data.draw(st.sampled_from(["mutate", "insert", "delete", "replace"]))
+    if edit == "mutate":
+        text = _mutated_text(data, text)
+    else:
+        cut = edit != "insert"  # characters the edit removes
+        i = data.draw(st.integers(0, len(text) - cut))
+        char = "" if edit == "delete" else data.draw(st.sampled_from('{}[],:" -.0123456789eflnrstu\n'))
+        text = text[:i] + char + text[i + cut :]
+    assert _read_outcome(RemovalTrace.from_json, text) == _read_outcome(_full_read, text)
 
 
 @settings(max_examples=300, deadline=None)

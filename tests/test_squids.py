@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +349,44 @@ def test_pinned_certificates_are_read_without_json_loads(name, monkeypatch):
         got = certificate_from_json(variant)
         assert same_certificate_dag(got, want)
         assert certificate_to_json(got) == text
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_pinned_traces_are_read_without_a_json_tree(name, monkeypatch):
+    # every trace tvf writes is in the layout whose node rows the reader
+    # compares as text; a silent fall back to the whole parse would hide
+    # that saving, so only the header may go through json.loads
+    text = TRACES[name]().to_json()
+    loads = json.loads
+
+    def header_only(s, *args, **kwargs):
+        assert '"children"' not in s, "trace node rows went through json.loads"
+        return loads(s, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trace text went through read_json")
+
+    monkeypatch.setattr(tvf.squids, "read_json", refuse)
+    monkeypatch.setattr(json, "loads", header_only)
+    for variant in (text, text + "\n"):
+        assert RemovalTrace.from_json(variant).to_json() == text
+
+
+@pytest.mark.parametrize("G", [Graph.cycle(6), Graph.path(50)], ids=["C6xK7", "P50xK7"])
+def test_reading_a_trace_peaks_below_writing_it(G):
+    # the read holds the rerun's nodes and one row of text at a time; a JSON
+    # tree of the text would cost about twice what writing it does
+    text = run_df1(G, 7).to_json()
+    tracemalloc.start()
+    try:
+        run_df1(G, 7).to_json()
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        RemovalTrace.from_json(text)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_peak < write_peak
 
 
 WRITER_TRACES = {
