@@ -41,6 +41,7 @@ from .errors import (
     SquidError,
     TverbergError,
     VdError,
+    past_digit_limit,
 )
 
 
@@ -101,7 +102,10 @@ def _slices(text: str, end: str):
 
 def _rational(text: str) -> str:
     """argparse type of --epsilon: text that reads as a rational such as 1/5
-    or 0.2, kept as given so that an error can name it as the user wrote it."""
+    or 0.2, kept as given so that an error can name it as the user wrote it.
+    A number past int()'s digit limit is rejected before it is read."""
+    if past_digit_limit(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a number past int()'s digit limit")
     from fractions import Fraction  # only commands with --epsilon pay for it
 
     try:

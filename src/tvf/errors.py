@@ -29,6 +29,7 @@ stderr and exits with the code given below.  ``kind`` is one of:
 """
 
 import json
+import sys
 
 
 class GraphError(ValueError):
@@ -84,6 +85,24 @@ class Budget:
             raise BudgetExceeded(message, self.used, self.limit)
 
 
+_JSON_TYPES = {
+    dict: "object", list: "list", str: "string", int: "integer", float: "number", bool: "boolean",
+    type(None): "null",
+}
+
+
+def json_type(value) -> str:
+    """The name of the JSON type of a parsed value, as errors call it."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def json_field(owner: dict, key: str, where: str = ""):
+    """owner[key]; a missing key raises ValueError naming it (and where)."""
+    if key not in owner:
+        raise ValueError(f"missing key {key!r}{where}")
+    return owner[key]
+
+
 def json_int(value, what: str) -> int:
     """value if it is a JSON integer; floats, strings and bools raise ValueError."""
     if type(value) is not int:
@@ -99,6 +118,25 @@ def json_ints(value, what: str) -> tuple[int, ...]:
         if type(v) is not int:
             json_int(v, f"{what} entry")  # raises, naming the entry
     return tuple(value)
+
+
+def past_digit_limit(text: str) -> bool:
+    """Whether Fraction(text) would build a power of ten past int()'s digit limit.
+
+    Fraction reads a decimal exponent e, or a fraction part of e digits, by
+    computing 10**e, in time that grows with e rather than with the text:
+    the coordinate 1e10000000 takes seconds.  Readers of rationals ask
+    this first and reject such text as their own error.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # the limit is off
+        return False
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    exponent = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    exponent = exponent.replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > len(str(limit)) or int(exponent) > limit):
+        return True
+    return len(mantissa.partition(".")[2].replace("_", "")) > limit
 
 
 def read_json(text: str, what: str, domain_error: type[ValueError]):

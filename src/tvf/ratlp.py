@@ -1,4 +1,10 @@
-"""Exact rational feasibility for {x >= 0 : A x = b}.
+"""Exact rational feasibility for {x >= 0 : A x = b}, with a certificate either way.
+
+By Farkas' lemma exactly one of two systems has a solution: x >= 0 with
+A x = b, or y with y^T A >= 0 (every entry) and y^T b < 0.  Such a y
+refutes the first system, since y^T A x >= 0 > y^T b for every x >= 0.
+The solver returns x, or else an integer y of this orientation, indexed
+by the caller's rows.
 
 Phase-1 simplex with Bland's rule (smallest eligible index enters; ties in
 the ratio test leave by smallest basic index), which cannot cycle, so the
@@ -14,6 +20,15 @@ Bareiss' identity makes exact; then D becomes p.  The rational tableau is
 the integer one over D, with the artificial columns scaled by one positive
 constant, so every sign and ratio comparison, and with them the pivot
 sequence and the returned x, are those of the plain rational simplex.
+
+The Farkas vector is read off the final phase-1 reduced costs.  With
+simplex multipliers pi, the reduced cost of artificial column i is
+1 - pi_i (stored as D - D*pi_i), and at the optimum every structural
+reduced cost -pi^T A'_j is nonnegative while the objective pi^T b' is
+positive when the system is infeasible.  So y' = -pi refutes the scaled,
+sign-flipped system A' x = b'; undoing the flip of each row with b_i < 0
+(the positive scale needs no undoing) gives y for A x = b.  It is
+returned divided by the gcd of its entries.
 """
 
 from __future__ import annotations
@@ -21,19 +36,28 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+
+class Feasibility(NamedTuple):
+    """x >= 0 with A x = b, or else y with y^T A >= 0 and y^T b < 0; the
+    other field is None."""
+
+    x: Optional[list[Fraction]]
+    y: Optional[list[int]]
 
 
 def solve_equality_feasibility(
     A: Sequence[Sequence[Rational]], b: Sequence[Rational]
-) -> Optional[list[Fraction]]:
-    """Return x >= 0 with A x = b, or None when no such x exists.
+) -> Feasibility:
+    """Return x >= 0 with A x = b, or a Farkas vector y when no such x exists.
 
-    Entries are ints or Fractions.  Raises ValueError on ragged input.
+    Entries are ints or Fractions.  y is an integer vector with coprime
+    entries.  Raises ValueError on ragged input.
     """
     m = len(A)
     if m == 0:
-        return []
+        return Feasibility([], None)
     n = len(A[0])
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent system dimensions")
@@ -95,9 +119,12 @@ def solve_equality_feasibility(
         D = p
 
     if obj != 0:
-        return None
+        # red[n + i] - D is D * -pi_i, and D > 0
+        y = [r - D if bi >= 0 else D - r for r, bi in zip(red[n:], b)]
+        g = math.gcd(*y)
+        return Feasibility(None, [v // g for v in y])
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = Fraction(rhs[i], D)
-    return x
+    return Feasibility(x, None)

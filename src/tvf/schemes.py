@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import SchemeError, json_int, json_ints, read_json
+from .errors import SchemeError, json_field, json_int, json_ints, json_type, read_json
 
 EpsilonLike = Union[int, float, str, Fraction]
 
@@ -132,15 +132,19 @@ class SizeScheme(NamedTuple):
         return {"delta": self.delta, "n": self.n, "q": self.q, "sizes": list(self.sizes)}
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "SizeScheme":
+    def from_obj(cls, obj) -> "SizeScheme":
+        """The scheme of a parsed JSON object; SchemeError names the first
+        field that is wrong."""
         try:
+            if type(obj) is not dict:
+                raise ValueError(f"a scheme is a JSON object, got {json_type(obj)}")
             return cls(
-                sizes=json_ints(obj["sizes"], "sizes"),
-                n=json_int(obj["n"], "n"),
-                q=json_int(obj["q"], "q"),
-                delta=json_int(obj["delta"], "delta"),
+                sizes=json_ints(json_field(obj, "sizes"), "sizes"),
+                n=json_int(json_field(obj, "n"), "n"),
+                q=json_int(json_field(obj, "q"), "q"),
+                delta=json_int(json_field(obj, "delta"), "delta"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemeError(f"malformed scheme object: {exc}") from exc
 
     @classmethod

@@ -47,7 +47,16 @@ from typing import NamedTuple, Optional
 # Bound as a module, not by name: under the CLI's lazy layers
 # squid df1 and squid extract then never load schemes.
 from . import schemes
-from .errors import Budget, BudgetExceeded, SquidError, json_int, json_ints, read_json
+from .errors import (
+    Budget,
+    BudgetExceeded,
+    SquidError,
+    json_field,
+    json_int,
+    json_ints,
+    json_type,
+    read_json,
+)
 from .graphs import Graph, check_product_size, distance_two_set, product_with_complete, run
 from .vd import (
     CertificateBuilder,
@@ -291,56 +300,39 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-_JSON_TYPES = {
-    dict: "object", list: "list", str: "string", int: "integer", float: "number", bool: "boolean",
-    type(None): "null",
-}
-
-
-def _json_type(value) -> str:
-    """The name of the JSON type of a parsed value, as errors call it."""
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
 def _header(obj) -> tuple[Graph, int, str, str, Optional[schemes.SizeScheme]]:
     """The graph, q, kind, mode and scheme of a trace object, once its
     header is checked; SquidError names the first field that is wrong."""
-
-    def field(owner: dict, key: str, where: str = ""):
-        if key not in owner:
-            raise ValueError(f"missing key {key!r}{where}")
-        return owner[key]
-
     try:
         if type(obj) is not dict:
-            raise ValueError(f"a trace is a JSON object, got {_json_type(obj)}")
-        graph = field(obj, "graph")
+            raise ValueError(f"a trace is a JSON object, got {json_type(obj)}")
+        graph = json_field(obj, "graph")
         if type(graph) is not dict:
-            raise ValueError(f"graph must be an object, got {_json_type(graph)}")
-        edges = field(graph, "edges", " in graph")
+            raise ValueError(f"graph must be an object, got {json_type(graph)}")
+        edges = json_field(graph, "edges", " in graph")
         if type(edges) is not list:
-            raise ValueError(f"graph edges must be a list, got {_json_type(edges)}")
+            raise ValueError(f"graph edges must be a list, got {json_type(edges)}")
         edges = [json_ints(e, "graph edge") for e in edges]
         for e in edges:
             if len(e) != 2:
                 raise ValueError(f"graph edge must be a pair of vertices, got {list(e)}")
-        G = Graph(json_ints(field(graph, "vertices", " in graph"), "graph vertices"), edges)
-        q = json_int(field(obj, "q"), "q")
-        json_int(field(obj, "m"), "m")
-        kind = field(obj, "kind")
+        G = Graph(json_ints(json_field(graph, "vertices", " in graph"), "graph vertices"), edges)
+        q = json_int(json_field(obj, "q"), "q")
+        json_int(json_field(obj, "m"), "m")
+        kind = json_field(obj, "kind")
         if kind not in ("df1", "dynamic"):
             raise ValueError(f"trace kind must be 'df1' or 'dynamic', got {kind!r}")
         mode = obj.get("mode", "walk")
         if mode not in ("walk", "distance"):
             raise ValueError(f"trace mode must be 'walk' or 'distance', got {mode!r}")
-        nodes = field(obj, "nodes")
+        nodes = json_field(obj, "nodes")
         if type(nodes) is not list:
-            raise ValueError(f"nodes must be a list, got {_json_type(nodes)}")
-        json_int(field(obj, "root"), "root")
+            raise ValueError(f"nodes must be a list, got {json_type(nodes)}")
+        json_int(json_field(obj, "root"), "root")
         scheme = obj.get("scheme")
         if scheme is not None:
             if type(scheme) is not dict:
-                raise ValueError(f"scheme must be an object, got {_json_type(scheme)}")
+                raise ValueError(f"scheme must be an object, got {json_type(scheme)}")
             scheme = schemes.SizeScheme.from_obj(scheme)
         elif kind == "dynamic":
             raise ValueError("a dynamic trace needs a scheme")

@@ -3,20 +3,22 @@
 A constraint graph G forbids same-colored adjacent vertices; a witness is a
 proper q-coloring plus a rational point lying in the convex hull of every
 color class, certified by explicit convex coefficients.  All feasibility
-questions are decided exactly, by disjoint bounding boxes or by an
-exact rational LP; a returned witness has been re-verified by substitution
+questions are decided exactly: by disjoint bounding boxes, by an exact
+rational LP, or by the Farkas vector or solution of an earlier LP that
+answers them too; a returned witness has been re-verified by substitution
 (verify_witness), and a "none" is definitive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 # Bound as a module, not by name: under the CLI's lazy layers
 # tverberg search then never load schemes.
 from . import schemes
-from .errors import Budget, TverbergError
+from .errors import Budget, TverbergError, past_digit_limit
 from .graphs import Graph, bits, induced_subgraph, neighbor_masks, run
 from .ratlp import solve_equality_feasibility
 
@@ -66,7 +68,9 @@ class PointConfiguration(_PointFields):
 
 
 def parse_points(text: str) -> PointConfiguration:
-    """Line format: "<vertex> <x_1> ... <x_d>", rationals as "p/q" or integers."""
+    """Line format: "<vertex> <x_1> ... <x_d>", rationals as "p/q", decimals
+    or integers.  A coordinate that is a number past int()'s digit limit
+    (errors.past_digit_limit) is rejected before it is read."""
     points: dict[int, Point] = {}
     dim: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,6 +86,11 @@ def parse_points(text: str) -> PointConfiguration:
             raise TverbergError(
                 f"line {lineno}: expected an integer vertex, got {parts[0]!r}"
             ) from None
+        huge = next((tok for tok in parts[1:] if past_digit_limit(tok)), None)
+        if huge is not None:
+            raise TverbergError(
+                f"line {lineno}: coordinate {huge!r} is a number past int()'s digit limit"
+            )
         try:
             coords = tuple(Fraction(tok) for tok in parts[1:])
         except (ValueError, ZeroDivisionError):
@@ -110,26 +119,21 @@ class HullWitness(NamedTuple):
     coefficients: tuple[tuple[Fraction, ...], ...]  # per part, aligned with its points
 
 
-def hulls_intersect(parts: Sequence[Sequence[Point]]) -> Optional[HullWitness]:
-    """Common point of the convex hulls of the parts, or None (both exact).
+def _hull_system(parts: Sequence[Sequence[Point]]) -> tuple[list[list], list[int]]:
+    """The rows and right-hand side of the LP of hulls_intersect.
 
-    Solved as rational LP feasibility in the convex coefficients: one
-    convexity row per part, and coordinate-equality rows tying every part's
-    combination to the first part's.
+    Its columns are the parts' convex coefficients, part by part.  Row c
+    (c < len(parts)) is part c's convexity row, and the last d rows tie the
+    last part's combination to the first part's, so a column of the last
+    part is 1 in row len(parts) - 1, p in the last d rows and 0 elsewhere.
     """
-    if not parts or any(not part for part in parts):
-        raise TverbergError("every part must be a nonempty point set")
     dim = len(parts[0][0])
-    for part in parts:
-        for p in part:
-            if len(p) != dim:
-                raise TverbergError("all points must share one dimension")
     offsets = []
     total = 0
     for part in parts:
         offsets.append(total)
         total += len(part)
-    rows: list[list[Fraction | int]] = []
+    rows: list[list] = []
     rhs: list[int] = []
     for c, part in enumerate(parts):
         row = [0] * total
@@ -146,17 +150,36 @@ def hulls_intersect(parts: Sequence[Sequence[Point]]) -> Optional[HullWitness]:
                 row[offsets[0] + t] -= p[i]
             rows.append(row)
             rhs.append(0)
-    sol = solve_equality_feasibility(rows, rhs)
+    return rows, rhs
+
+
+def hulls_intersect(parts: Sequence[Sequence[Point]]) -> Optional[HullWitness]:
+    """Common point of the convex hulls of the parts, or None (both exact).
+
+    Solved as rational LP feasibility in the convex coefficients: one
+    convexity row per part, and coordinate-equality rows tying every part's
+    combination to the first part's.
+    """
+    if not parts or any(not part for part in parts):
+        raise TverbergError("every part must be a nonempty point set")
+    dim = len(parts[0][0])
+    for part in parts:
+        for p in part:
+            if len(p) != dim:
+                raise TverbergError("all points must share one dimension")
+    sol = solve_equality_feasibility(*_hull_system(parts)).x
     if sol is None:
         return None
-    coeffs = tuple(
-        tuple(sol[offsets[c] + t] for t in range(len(part))) for c, part in enumerate(parts)
-    )
+    coeffs = []
+    start = 0
+    for part in parts:
+        coeffs.append(tuple(sol[start : start + len(part)]))
+        start += len(part)
     point = tuple(
         sum((lam * p[i] for lam, p in zip(coeffs[0], parts[0]) if lam), Fraction(0))
         for i in range(dim)
     )
-    return HullWitness(point, coeffs)
+    return HullWitness(point, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +260,30 @@ def search_witness(
     A single class always has a hull point, so its LP runs only as the
     final class when q = 1, to produce the witness.
 
+    A pruning LP over prefix + [c] (the prefix is one earlier class for a
+    pair test, all completed classes for the full LP) leaves a certificate
+    that decides later candidates c' under the same prefix exactly, without
+    an LP.  The columns of c' are (1, p) for its points p, in the last
+    part's convexity row and the last d rows; no other column and no entry
+    of the right-hand side depends on c'.
+    - Refuted: the Farkas vector y of an infeasible LP gives alpha (its
+      entry in that convexity row) and u (its last d entries) with
+      alpha + u.p >= 0 for every p in c.  The same y refutes prefix + [c']
+      whenever every point of c' satisfies that inequality; the points
+      that do are kept as a mask.
+    - Feasible: the support S of the last part's coefficients in the
+      solution x.  The same x solves prefix + [c'] for every c' that
+      contains S.
+    Only the final LP, whose solution is the witness, goes through
+    hulls_intersect.
+
     The search runs on graphs.run, one level per class.  The budget counts
     hull tests (None: DEFAULT_SEARCH_BUDGET): one unit per box test, pair
-    LP or full LP, which also bounds the pair cache.  A witness is
-    re-checked with verify_witness before it is returned; a failed check
-    raises TverbergError.
+    test or full test, whether an LP or a certificate decides it, so the
+    units spent and the point where the budget runs out do not depend on
+    the certificates; it also bounds the pair cache and the certificates,
+    at most one per LP.  A witness is re-checked with verify_witness before
+    it is returned; a failed check raises TverbergError.
     """
     if q < 1:
         raise TverbergError(f"q must be positive, got {q}")
@@ -252,8 +294,12 @@ def search_witness(
         return None  # every q-coloring would leave an empty class
     tests = Budget(budget, DEFAULT_SEARCH_BUDGET, "search", "hull tests")
     _, _, nbr = neighbor_masks(G)
-    points = [cfg.points[v] for v in verts]
+    # integral coordinates as ints: the same values, in cheaper arithmetic
+    points = [tuple(int(c) if c.denominator == 1 else c for c in cfg.points[v]) for v in verts]
+    dim = cfg.dimension
     meets: dict[tuple[int, int], bool] = {}  # (earlier class, new class) -> hulls meet
+    # prefix of classes -> (supports, covers) of the LPs run under it
+    certificates: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
 
     def members(mask: int) -> list[int]:
         return [low.bit_length() - 1 for low in bits(mask)]
@@ -265,12 +311,32 @@ def search_witness(
         coords = list(zip(*(points[i] for i in members(mask))))
         return [min(c) for c in coords], [max(c) for c in coords]
 
-    def lp(masks: list[int]) -> Optional[HullWitness]:
+    def meet(prefix: tuple[int, ...], cls: int) -> bool:
+        """Whether the hulls of the prefix's classes and cls's share a point."""
         tests.spend()
-        return hulls_intersect([[points[i] for i in members(m)] for m in masks])
+        entry = certificates.get(prefix)
+        if entry is None:
+            entry = certificates[prefix] = ([], [])
+        supports, covers = entry
+        if any(not support & ~cls for support in supports):
+            return True
+        if any(not cls & ~cover for cover in covers):
+            return False
+        last = members(cls)
+        parts = [[points[i] for i in members(m)] for m in prefix]
+        parts.append([points[i] for i in last])
+        x, y = solve_equality_feasibility(*_hull_system(parts))
+        if x is not None:
+            supports.append(sum(1 << i for i, lam in zip(last, x[-len(last):]) if lam))
+            return True
+        alpha, u = y[len(prefix)], y[-dim:]
+        covers.append(
+            sum(1 << i for i, p in enumerate(points) if alpha + sum(map(mul, u, p)) >= 0)
+        )
+        return False
 
     def meets_all(classes: list, cls: int, cls_box, pair_lps: bool) -> bool:
-        """Whether cls's hull meets each earlier class's: boxes, then pair LPs.
+        """Whether cls's hull meets each earlier class's: boxes, then pair tests.
 
         Without pair_lps only the boxes are tested; the caller's full LP then
         acts as the pair test.
@@ -290,7 +356,7 @@ def search_witness(
         if not pair_lps:
             return True
         for e in undecided:
-            met = meets[e, cls] = lp([e, cls]) is not None
+            met = meets[e, cls] = meet((e,), cls)
             if not met:
                 return False
         return True
@@ -304,7 +370,8 @@ def search_witness(
             ):
                 return None
             full = [e for e, _ in classes] + [remaining]
-            hull = lp(full)
+            tests.spend()
+            hull = hulls_intersect([[points[i] for i in members(m)] for m in full])
             if hull is None:
                 return None
             coloring = {}
@@ -328,7 +395,7 @@ def search_witness(
                 # the pair LP is the LP over all completed classes
                 if not classes or (
                     meets_all(classes, cls, cls_box, True)
-                    and (len(classes) == 1 or lp([e for e, _ in classes] + [cls]) is not None)
+                    and (len(classes) == 1 or meet(tuple(e for e, _ in classes), cls))
                 ):
                     found = yield recurse(remaining ^ cls, classes + [(cls, cls_box)])
                     if found is not None:
@@ -445,14 +512,22 @@ class CorollaryReport(NamedTuple):
 
 
 def witness_to_obj(w: TverbergWitness) -> dict:
-    return {
-        "barycentric": [
-            [c, sorted([v, str(lam)] for v, lam in coeffs.items())]
-            for c, coeffs in sorted(w.barycentric.items())
-        ],
-        "coloring": sorted([v, c] for v, c in w.coloring.items()),
-        "common_point": [str(x) for x in w.common_point],
-    }
+    """The JSON object of a witness, rationals as "p/q" text.
+
+    A witness that holds a number past int()'s digit limit, which points
+    with large exponents can give, cannot be written: TverbergError.
+    """
+    try:
+        return {
+            "barycentric": [
+                [c, sorted([v, str(lam)] for v, lam in coeffs.items())]
+                for c, coeffs in sorted(w.barycentric.items())
+            ],
+            "coloring": sorted([v, c] for v, c in w.coloring.items()),
+            "common_point": [str(x) for x in w.common_point],
+        }
+    except ValueError:
+        raise TverbergError("the witness holds a number past int()'s digit limit") from None
 
 
 def greedy_extension(G: Graph, partial: dict[int, int], q: int) -> dict[int, int]:

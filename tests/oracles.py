@@ -38,12 +38,14 @@ residuals as labels and label masks; these oracles decode them to
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from tvf.complexes import DEFAULT_FACE_BUDGET, ShellingCheck, VertexDecomposition
 from tvf.errors import Budget, ComplexError
 from tvf.graphs import Graph, GraphError, induced_subgraph, run
+from tvf.ratlp import Feasibility
 from tvf.squids import Squid, SquidError
 from tvf.tverberg import (
     DEFAULT_SEARCH_BUDGET,
@@ -265,7 +267,10 @@ def hulls_intersect_oracle(parts):
 # ---------------------------------------------------------------------------
 #
 # The phase-1 simplex as it ran on Fractions, with the same Bland's rule.
-# The library's integer tableau must return exactly the same x or None.
+# The library's integer tableau must return exactly the same x, or the same
+# Farkas vector: here y_i = 1 - pi_i is the final reduced cost of artificial
+# column i, so -pi, with each negated row's sign undone, refutes A x = b,
+# and it is returned as the coprime integer vector of the same direction.
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -273,11 +278,11 @@ ONE = Fraction(1)
 
 def fraction_simplex(
     A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
-    """Return x >= 0 with A x = b, or None when no such x exists."""
+) -> Feasibility:
+    """Return x >= 0 with A x = b, or else a Farkas vector y."""
     m = len(A)
     if m == 0:
-        return []
+        return Feasibility([], None)
     n = len(A[0])
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent system dimensions")
@@ -332,12 +337,16 @@ def fraction_simplex(
         basis[leave] = enter
 
     if obj != 0:
-        return None
+        y = [red[n + i] - ONE if b[i] >= 0 else ONE - red[n + i] for i in range(m)]
+        scale = math.lcm(*(v.denominator for v in y))
+        ints = [int(v * scale) for v in y]
+        g = math.gcd(*ints)
+        return Feasibility(None, [v // g for v in ints])
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = rhs[i]
-    return x
+    return Feasibility(x, None)
 
 
 # ---------------------------------------------------------------------------

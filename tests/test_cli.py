@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tvf.cli
 import tvf.errors
+import tvf.tverberg
 from tvf import vd
 from tvf.cli import _DOMAIN_ERRORS, main
 from tvf.errors import BudgetExceeded, SquidError, read_json
@@ -692,6 +693,24 @@ def test_reading_a_trace_counts_its_nodes(files, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[]", "a scheme is a JSON object, got list"),
+        ("null", "a scheme is a JSON object, got null"),
+        ("5", "a scheme is a JSON object, got integer"),
+        ("{}", "missing key 'sizes'"),
+        ('{"sizes": [2, 1], "n": 20, "delta": 2}', "missing key 'q'"),
+    ],
+    ids=["list", "null", "integer", "empty-object", "no-q"],
+)
+def test_scheme_header_error_names_the_field(files, capsys, text, error):
+    (files / "scheme.json").write_text(text)
+    code, out, err = run(capsys, "scheme", "validate", "--file", files / "scheme.json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": f"malformed scheme object: {error}", "kind": "SchemeError"}
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("sizes", [2.9, 1]), ("sizes", [2, True]), ("n", 20.0), ("q", 5.5), ("delta", "2"), ("delta", True)],
     ids=["sizes-float", "sizes-bool", "n-float", "q-float", "delta-string", "delta-bool"],
@@ -723,7 +742,7 @@ def test_bad_points_file_is_tverberg_error(files, capsys, text, line):
     assert obj["kind"] == "TverbergError" and f"line {line}" in obj["error"]
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "1e10000000"])
 @pytest.mark.parametrize(
     "command",
     [
@@ -739,6 +758,50 @@ def test_bad_epsilon_is_usage_error(files, capsys, command, value):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "--epsilon" in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "text, line, token",
+    [
+        ("0 1e10000000 0\n", 1, "1e10000000"),
+        ("0 0 0\n1 -2.5E-10000000 1\n", 2, "-2.5E-10000000"),
+        ("0 1e1_0000_000 0\n", 1, "1e1_0000_000"),
+        ("0 0." + "3" * 5000 + " 0\n", 1, "0." + "3" * 5000),
+    ],
+    ids=["exponent", "negative-exponent", "underscores", "long-fraction-part"],
+)
+def test_huge_coordinate_is_rejected_before_it_is_read(files, capsys, monkeypatch, text, line, token):
+    # Fraction would build 10**(10**7) for the first three, taking seconds
+    read = []
+    real = tvf.tverberg.Fraction
+    monkeypatch.setattr(tvf.tverberg, "Fraction", lambda *args: read.append(args) or real(*args))
+    (files / "e2.txt").write_text("p 2 0\n")
+    (files / "huge.pts").write_text(text)
+    code, out, err = run(
+        capsys, "tverberg", "search", "--graph", files / "e2.txt", "--points", files / "huge.pts",
+        "--q", "2",
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": f"line {line}: coordinate {token!r} is a number past int()'s digit limit",
+        "kind": "TverbergError",
+    }
+    assert all(token not in args for args in read)
+
+
+def test_witness_past_the_digit_limit_is_tverberg_error(files, capsys):
+    # 10**4300 is within int()'s digit limit, but this witness's coefficient
+    # 1/10**4300 cannot be written
+    (files / "e3.txt").write_text("p 3 0\n")
+    (files / "big.pts").write_text("0 1e4300\n1 0\n2 1\n")
+    code, out, err = run(
+        capsys, "tverberg", "search", "--graph", files / "e3.txt", "--points", files / "big.pts",
+        "--q", "2",
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "the witness holds a number past int()'s digit limit", "kind": "TverbergError"
+    }
 
 
 @pytest.mark.parametrize("value", ["1e400", "1e-400"])
@@ -1208,3 +1271,39 @@ def test_scheme_reader_ends_every_input_in_the_error_contract(small_traces, data
     text = json.dumps(data.draw(st.sampled_from(schemes)))
     (d / "mutated.scheme").write_text(_mutated_text(data, text))
     _assert_in_the_error_contract(["scheme", "validate", "--file", str(d / "mutated.scheme")], (0, 1))
+
+
+_COORDINATES = (
+    st.integers(-9, 9).map(str)
+    | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))
+    | st.sampled_from([
+        "0.5", "-.25", "3.", "1e3", "-2E-2", "1e+1", "1_000", "1e1_0", "1e4300", "-1e-4300",
+        "1e4301", "1e10000000", "-1E-10000000", "2.5e99999999999999999999", "0." + "7" * 4301,
+        "1" * 5000, "1e", "e5", "0x1", "nan", "inf", "\u0663", "1e\u0663", "--1", "#",
+    ])
+)
+
+
+@st.composite
+def _points_texts(draw):
+    """Points-file text for vertices 0..2: mostly well-formed lines, some
+    with a wrong vertex, a wrong coordinate count or any token."""
+    d = draw(st.integers(1, 2))
+    lines = []
+    for v in range(draw(st.integers(0, 4))):
+        vertex = draw(st.sampled_from([str(v % 3)] * 4 + ["a", "-1", "#"]))
+        count = draw(st.sampled_from([d, d, d, d - 1, d + 1]))
+        lines.append(" ".join([vertex, *draw(st.lists(_COORDINATES, min_size=count, max_size=count))]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", "   "])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_points_texts(), q=st.integers(1, 3))
+def test_points_parser_ends_every_input_in_the_error_contract(small_traces, text, q):
+    _, d = small_traces
+    (d / "e3.txt").write_text("p 3 0\n")
+    (d / "mutated.pts").write_text(text, encoding="utf-8")
+    argv = ["tverberg", "search", "--graph", str(d / "e3.txt"), "--points", str(d / "mutated.pts")]
+    _assert_in_the_error_contract([*argv, "--q", str(q)], (0, 1))

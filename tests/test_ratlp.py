@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,12 +20,24 @@ def _entry(rnd):
     return F(rnd.randint(-9, 9), rnd.randint(1, 7))
 
 
+def _assert_farkas(A, b, y):
+    """y is a coprime integer vector with y^T A >= 0 and y^T b < 0."""
+    assert len(y) == len(A) and all(type(v) is int for v in y) and math.gcd(*y) == 1
+    n = len(A[0])
+    assert all(sum(yi * row[j] for yi, row in zip(y, A)) >= 0 for j in range(n))
+    assert sum(yi * bi for yi, bi in zip(y, b)) < 0
+
+
 def _check(A, b):
-    x = solve_equality_feasibility(A, b)
-    assert x == fraction_simplex(A, b)
+    result = solve_equality_feasibility(A, b)
+    assert result == fraction_simplex(A, b)
+    x, y = result
+    assert (x is None) != (y is None)
     if x is not None:
         assert all(type(v) is F and v >= 0 for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))
+    else:
+        _assert_farkas(A, b, y)
     return x
 
 
@@ -67,15 +80,36 @@ def test_negative_right_hand_sides_and_large_denominators():
 
 
 def test_hand_examples():
-    assert solve_equality_feasibility([[1, 1]], [F(1, 2)]) == [F(1, 2), F(0)]
-    assert solve_equality_feasibility([[1, 1]], [-1]) is None
-    assert solve_equality_feasibility([[F(2, 3), -1]], [-2]) == [F(0), F(2)]
-    assert solve_equality_feasibility([[], []], [0, 0]) == []
-    assert solve_equality_feasibility([[]], [1]) is None
+    assert solve_equality_feasibility([[1, 1]], [F(1, 2)]) == ([F(1, 2), F(0)], None)
+    assert solve_equality_feasibility([[1, 1]], [-1]) == (None, [1])
+    assert solve_equality_feasibility([[F(2, 3), -1]], [-2]) == ([F(0), F(2)], None)
+    assert solve_equality_feasibility([[], []], [0, 0]) == ([], None)
+    assert solve_equality_feasibility([[]], [1]) == (None, [-1])
+    # x1 + x2 = 1 and x1 - x2 = 3 need x2 = -1: the first row minus the
+    # second reads 0 x1 + 2 x2 = -2
+    assert solve_equality_feasibility([[1, 1], [1, -1]], [1, 3]) == (None, [1, -1])
+
+
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        ([[1, 1]], [-1]),
+        ([[]], [-3]),
+        ([[1, 2], [2, 4]], [1, 3]),
+        ([[1, 0, -1], [0, 1, 1]], [F(-1, 2), -2]),
+        ([[F(1, 3), 1], [-1, F(2, 5)], [0, 1]], [2, -3, F(-7, 4)]),
+    ],
+    ids=["negative-b", "no-columns", "parallel-rows", "two-negative-rows", "mixed-signs"],
+)
+def test_farkas_vectors_refute_exactly(A, b):
+    x, y = solve_equality_feasibility(A, b)
+    assert x is None
+    _assert_farkas(A, b, y)
+    assert (x, y) == fraction_simplex(A, b)
 
 
 def test_edge_cases():
-    assert solve_equality_feasibility([], []) == []
+    assert solve_equality_feasibility([], []) == ([], None)
     with pytest.raises(ValueError):
         solve_equality_feasibility([[1, 2], [3]], [1, 1])
     with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from tvf.tverberg import (
     witness_to_obj,
 )
 
-import oracles
 from oracles import (
     complete_graph,
     fraction_simplex,
@@ -296,23 +295,49 @@ def _p9_refutation():
     return Graph.path(9), PointConfiguration(2, _planar(rnd, 9, False)), 4
 
 
+def _count_lps(monkeypatch, d):
+    """The number of parts of every LP run from now on, in call order."""
+    real = tvf.tverberg.solve_equality_feasibility
+    calls = []
+
+    def counted(A, b):
+        # p parts make p convexity rows and (p - 1) * d coordinate rows
+        calls.append((len(A) + d) // (d + 1))
+        return real(A, b)
+
+    monkeypatch.setattr(tvf.tverberg, "solve_equality_feasibility", counted)
+    return calls
+
+
 def test_pruned_search_makes_fewer_multi_part_lps(monkeypatch):
     G, cfg, q = _p9_refutation()
-    real = tvf.tverberg.hulls_intersect
-
-    def counted(parts):
-        calls.append(len(parts))
-        return real(parts)
-
-    monkeypatch.setattr(tvf.tverberg, "hulls_intersect", counted)
-    monkeypatch.setattr(oracles, "hulls_intersect", counted)
-    calls = []
+    calls = _count_lps(monkeypatch, cfg.dimension)
     assert search_witness(G, cfg, q) is None
     pruned = sum(k >= 3 for k in calls)
-    calls = []
+    calls.clear()
     assert unpruned_search_witness(G, cfg, q) is None
     reference = sum(k >= 3 for k in calls)
     assert pruned < reference
+
+
+def test_certificates_replace_most_lps_of_the_p9_refutation(monkeypatch):
+    # Before Farkas rows and solution supports decided later classes, this
+    # search ran 576 LPs (444 pair LPs, 132 with more parts); with them it
+    # runs 235 (141 and 94).
+    G, cfg, q = _p9_refutation()
+    calls = _count_lps(monkeypatch, cfg.dimension)
+    assert search_witness(G, cfg, q) is None
+    assert len(calls) < 576 // 2
+
+
+def test_certificates_leave_the_budget_unchanged():
+    # a decision read from a certificate spends the unit of the LP it
+    # replaces, so the smallest budget that completes the P9 refutation is
+    # still the 1409 hull tests it took before certificates
+    G, cfg, q = _p9_refutation()
+    assert search_witness(G, cfg, q, budget=1409) is None
+    with pytest.raises(BudgetExceeded):
+        search_witness(G, cfg, q, budget=1408)
 
 
 def _random_instance(rnd):
