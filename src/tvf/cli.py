@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 domain or verification failure, 2 budget
 exhausted, 64 usage errors.  Artifact-writing commands (--out, --cert-out)
-emit a sibling <path>.manifest.json recording input/output digests, the
-seed, timing, the exit code and the error kind (null on success); a failed
-run writes it too.  Identical inputs and seed reproduce byte-identical
-artifacts.  The TVF_BUDGET environment variable, a positive integer,
-replaces the default limit of every budget a command counts (faces, facets,
-memo entries, trace nodes, product edges, hull tests); any other value is a
-usage error.
+emit a sibling <path>.manifest.json recording input/output digests,
+timing, the exit code and the error kind (null on success); a failed run
+writes it too.  No command draws a random number, so identical inputs
+reproduce byte-identical artifacts.  The TVF_BUDGET environment variable,
+a positive integer, replaces the default limit of every budget a command
+counts (faces, facets, memo entries, trace nodes, product edges, hull
+tests, trial divisions); any other value is a usage error.
 
 Every search and construction that follows its input's depth runs on the
 explicit stack of graphs.run, so no input meets the interpreter's recursion
@@ -217,7 +217,6 @@ class _Run:
             "exit_code": exit_code,
             "inputs": [{"path": p, "sha256": d} for p, d in self.inputs],
             "outputs": [{"path": p, "sha256": d} for p, d in self.outputs],
-            "seed": self.args.seed,
             "stdout_sha256": self.stdout_digest,
             "version": __version__,
         }
@@ -469,7 +468,7 @@ def cmd_tverberg_corollary(run: _Run) -> int:
 
 
 def cmd_tverberg_primes(run: _Run) -> int:
-    power, prime = tv.prime_utilities(run.args.q)
+    power, prime = tv.prime_utilities(run.args.q, run.budget)
     run.emit(_dumps({"bertrand_prime": prime, "is_prime_power": power}), None)
     return 0
 
@@ -481,7 +480,6 @@ def cmd_tverberg_primes(run: _Run) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tvf", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in manifests")
     parser.add_argument("--manifest", help="write a run manifest to this path")
     parser.add_argument("--version", action="version", version=f"tvf {__version__}")
     top = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)

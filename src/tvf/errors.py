@@ -10,9 +10,9 @@ stderr and exits with the code given below.  ``kind`` is one of:
 - exit 64: ``usage``, a bad value of TVF_BUDGET.  Argument-parsing errors
   also exit 64, but print argparse usage text instead of JSON.
 - exit 2: ``budget``, a Budget was exhausted (BudgetExceeded): faces,
-  facets, memo entries, trace nodes, product edges or hull tests.  Every
-  search and construction that follows its input's depth runs on
-  graphs.run's explicit stack, so no input meets the interpreter's
+  facets, memo entries, trace nodes, product edges, hull tests or trial
+  divisions.  Every search and construction that follows its input's depth
+  runs on graphs.run's explicit stack, so no input meets the interpreter's
   recursion limit.
 - exit 1, a domain error, named by its class: ``GraphError``; ``VdError``,
   ``CertificateError``; ``SquidError``, ``TheoremViolation``,

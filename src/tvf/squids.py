@@ -656,7 +656,7 @@ def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> Vd
     CertificateBuilder serves every node, so isolated-vertex lifts repeated
     across pivot decompositions are built once, and no Graph is built per
     node.  The walk runs on graphs.run, and the builder's budget counts its
-    memo entries with the lifts' (None: vd.DEFAULT_CERTIFICATE_BUDGET);
+    memo entries, lifts included (None: vd.DEFAULT_CERTIFICATE_BUDGET);
     budget bounds the product's edges too.
     """
     view = MaskView(product_with_complete(trace.graph, trace.q, budget))

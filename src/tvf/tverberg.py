@@ -23,6 +23,8 @@ from .graphs import Graph, bits, induced_subgraph, neighbor_masks, run
 from .ratlp import solve_equality_feasibility
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
+# Trial divisions one prime computation may make: it decides every q below 1e12.
+DEFAULT_DIVISION_BUDGET = 1_000_000
 
 Point = tuple[Fraction, ...]
 
@@ -416,23 +418,35 @@ def search_witness(
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
+def _division_budget(budget: Optional[int] = None) -> Budget:
+    """A budget of trial divisions (None: DEFAULT_DIVISION_BUDGET)."""
+    return Budget(budget, DEFAULT_DIVISION_BUDGET, "division", "trial divisions")
+
+
+def _is_prime(n: int, divisions: Budget) -> bool:
     if n < 2:
         return False
     f = 2
     while f * f <= n:
+        divisions.spend()
         if n % f == 0:
             return False
         f += 1
     return True
 
 
-def is_prime_power(q: int) -> bool:
-    """Whether q = p^k for a prime p and k >= 1, by trial factorization."""
+def is_prime_power(q: int, divisions: Optional[Budget] = None) -> bool:
+    """Whether q = p^k for a prime p and k >= 1, by trial factorization.
+
+    Each trial divisor spends one unit of divisions (None: a fresh
+    _division_budget()), which raises BudgetExceeded past its limit.
+    """
     if q < 2:
         return False
+    divisions = divisions or _division_budget()
     p = 2
     while p * p <= q:
+        divisions.spend()
         if q % p == 0:
             while q % p == 0:
                 q //= p
@@ -441,21 +455,27 @@ def is_prime_power(q: int) -> bool:
     return True  # q itself is prime
 
 
-def bertrand_prime(q: int) -> int:
-    """Largest prime <= q; for q >= 2 it always exists and exceeds q/2."""
+def bertrand_prime(q: int, divisions: Optional[Budget] = None) -> int:
+    """Largest prime <= q; for q >= 2 it always exists and exceeds q/2.
+
+    Every trial division of every candidate spends one unit of divisions
+    (None: a fresh _division_budget()).
+    """
     if q < 2:
         raise TverbergError(f"need q >= 2, got {q}")
+    divisions = divisions or _division_budget()
     for p in range(q, 1, -1):
-        if _is_prime(p):
+        if _is_prime(p, divisions):
             return p
     raise AssertionError("unreachable")
 
 
-def prime_utilities(q: int) -> tuple[bool, int]:
-    """(is q a prime power, largest prime <= q)."""
+def prime_utilities(q: int, budget: Optional[int] = None) -> tuple[bool, int]:
+    """(is q a prime power, largest prime <= q), under one budget of `budget` trial divisions."""
     if q < 2:
         raise TverbergError(f"need q >= 2, got {q}")
-    return is_prime_power(q), bertrand_prime(q)
+    divisions = _division_budget(budget)
+    return is_prime_power(q, divisions), bertrand_prime(q, divisions)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +581,8 @@ def corollary_pipeline(
     Steps: gate q against K_eps*delta, drop to the largest prime q_p <= q,
     take the lexicographically-first floor((d+1)(q_p-1)+1)*(1+eps) vertices,
     search a q_p-witness there, then greedily extend its coloring to all of
-    G with q colors.  Failed checks are recorded, not fatal.
+    G with q colors.  Failed checks are recorded, not fatal.  budget bounds
+    the search's hull tests and, apart, the trial divisions that find q_p.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -577,7 +598,7 @@ def corollary_pipeline(
             f"q={q} vs K_eps*delta={schemes.format_real(consts.k_epsilon * delta)}",
         )
     )
-    qp = bertrand_prime(q) if q >= 2 else 2
+    qp = bertrand_prime(q, _division_budget(budget)) if q >= 2 else 2
     checks.append(
         CheckItem(
             "prime_exceeds_half_gate",

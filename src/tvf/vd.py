@@ -5,10 +5,10 @@ at level k; and a graph is at level k whenever some pivot v leaves G minus v
 at level k and G minus the closed neighborhood of v at level k-1.
 
 Certificates are binary derivation trees mirroring that recursion: pivot
-nodes over three leaf kinds, "any" (level 0), "edgeless" (the edgeless
-graph on exactly its vertices) and "components" (level k on a graph with at
-least k connected components).  The components leaf holds because levels
-add over components, l(G + H) = l(G) + l(H) (proven at _Solver): pick k
+nodes over one leaf kind, "components" (level k on a graph with at least k
+connected components).  At level 0 it holds on any graph, and an edgeless
+graph on k vertices has k components.  The leaf holds because levels add
+over components, l(G + H) = l(G) + l(H) (proven at _Solver): pick k
 components; each is nonempty, so at level 1 (peel vertices down to a
 single one); every other component is at level 0; and the >= half of
 additivity sums these levels to k.  Certificates are immutable values
@@ -52,27 +52,6 @@ class CertificateError(VdError):
     """A certificate is structurally malformed for the requested use."""
 
 
-class LeafAny(NamedTuple):
-    """Certifies any graph at level 0."""
-
-    @property
-    def level(self) -> int:
-        return 0
-
-    def __bool__(self) -> bool:
-        return True  # an empty tuple, but a certificate like any other
-
-
-class LeafEdgeless(NamedTuple):
-    """Certifies the edgeless graph on exactly these vertices, at level |vertices|."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def level(self) -> int:
-        return len(self.vertices)
-
-
 class LeafComponents(NamedTuple):
     """Certifies any graph with at least `level` connected components."""
 
@@ -88,9 +67,7 @@ class Node(NamedTuple):
     level: int
 
 
-VdCertificate = Union[LeafAny, LeafEdgeless, LeafComponents, Node]
-
-_ANY = LeafAny()
+VdCertificate = Union[LeafComponents, Node]
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +81,8 @@ class MaskView:
     verts[i] is the i-th smallest label and index maps labels back to bits;
     nbr[i] and closed[i] are the open and closed neighborhood masks of bit
     i.  G is a Graph, or masks whose labels are their bits, as
-    graphs.product_with_complete returns.  The edgeless test and the
-    component count are cached per mask.
+    graphs.product_with_complete returns.  The component count is cached
+    per mask.
     """
 
     def __init__(self, G: Union[Graph, list[int]]):
@@ -116,24 +93,7 @@ class MaskView:
             self.index = dict(zip(self.verts, self.verts))
         self.closed = [m | (1 << i) for i, m in enumerate(self.nbr)]
         self.full = (1 << len(self.verts)) - 1
-        self._edgeless: dict[int, bool] = {}
         self._components: dict[int, int] = {}
-
-    def edgeless(self, mask: int) -> bool:
-        cached = self._edgeless.get(mask)
-        if cached is not None:
-            return cached
-        rest = mask
-        result = True
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if self.nbr[i] & mask:
-                result = False
-                break
-            rest ^= low
-        self._edgeless[mask] = result
-        return result
 
     def component(self, mask: int) -> int:
         """The component of mask's lowest bit."""
@@ -343,8 +303,9 @@ def verify_certificate(G: Union[Graph, MaskView], cert: VdCertificate) -> CertCh
     """Check a certificate tree against G (a Graph or MaskView) by replaying its deletions.
 
     Leaves are matched against the induced subgraph reached along the
-    path; node levels must agree with both children.  Each distinct
-    (subtree, subgraph) pair is checked once.  A stack entry holds its path
+    path; node levels must agree with both children.  A level-0 leaf holds
+    on any subgraph and is passed over; each other distinct (subtree,
+    subgraph) pair is checked once.  A stack entry holds its path
     as a (step, parent) chain, O(1) at any depth, and only a failing
     entry's path becomes a tuple.
     """
@@ -353,24 +314,18 @@ def verify_certificate(G: Union[Graph, MaskView], cert: VdCertificate) -> CertCh
     stack: list[tuple[VdCertificate, int, object]] = [(cert, s.full, None)]
     while stack:
         c, mask, where = stack.pop()
-        if isinstance(c, LeafAny):
+        leaf = isinstance(c, LeafComponents)
+        if leaf and c.level == 0:
             continue
         key = (id(c), mask)
         if key in seen:
             continue
         seen.add(key)
-        if isinstance(c, LeafComponents):
+        if leaf:
             count = s.components(mask)
             if not 0 <= c.level <= count:
                 reason = f"components leaf at level {c.level}, but the subgraph has {count}"
                 return CertCheck(False, _steps(where), reason)
-            continue
-        if isinstance(c, LeafEdgeless):
-            actual = s.labels(mask)
-            if len(c.vertices) != len(actual) or frozenset(actual) != frozenset(c.vertices):
-                return CertCheck(False, _steps(where), "edgeless leaf lists a different vertex set")
-            if not s.edgeless(mask):
-                return CertCheck(False, _steps(where), "edgeless leaf but the subgraph has an edge")
             continue
         if isinstance(c, Node):
             if c.level < 1:
@@ -408,22 +363,23 @@ def _steps(where) -> tuple[str, ...]:
 class CertificateBuilder:
     """Certificate construction on the bitmasks of one root graph.
 
-    Leaves are shared, one per level; memo holds the construction's own
-    certificates by (mask, level), and lifts of pivot nodes are memoized on
-    (mask, isolated bit, id(cert)), which keeps each keyed cert alive so no
-    id is reused.  budget counts both memos' entries; the entry past its
-    limit (None: DEFAULT_CERTIFICATE_BUDGET) raises BudgetExceeded.
+    Leaves are shared, one per level.  memo holds a certificate of the
+    subgraph mask at level k under the key (mask, k): the construction's
+    own, and each lift of a pivot node, stored at one level above the
+    certificate it lifts.  Any entry under a key certifies what the key
+    names, so one certificate serves every later need of that key.  budget
+    counts the memo's entries; the entry past its limit (None:
+    DEFAULT_CERTIFICATE_BUDGET) raises BudgetExceeded.
     """
 
     def __init__(self, view: MaskView, budget: Optional[int] = None):
         self.view = view
         self.budget = Budget(budget, DEFAULT_CERTIFICATE_BUDGET, "certificate", "memo entries")
-        self._lifts: dict[tuple[int, int, int], tuple[VdCertificate, VdCertificate]] = {}
-        self._leaves: list[VdCertificate] = [_ANY]
+        self._leaves: list[LeafComponents] = []
         self.memo: dict[tuple[int, int], VdCertificate] = {}
 
-    def _leaf(self, k: int) -> VdCertificate:
-        """The leaf at level k: any at level 0, else components."""
+    def _leaf(self, k: int) -> LeafComponents:
+        """The shared leaf at level k."""
         while len(self._leaves) <= k:
             self._leaves.append(LeafComponents(len(self._leaves)))
         return self._leaves[k]
@@ -439,33 +395,26 @@ class CertificateBuilder:
         it.  The lift of a leaf is the components leaf one level up: v adds
         a component.  A pivot node is rebuilt along cert's own pivots.
         """
-        return self._lifted(mask, v, cert) or run(self._lift(mask, v, cert))
+        return self._lifted(mask, cert) or run(self._lift(mask, v, cert))
 
-    def _lifted(self, mask: int, v: int, cert: VdCertificate) -> Optional[VdCertificate]:
-        """The lift of an any or components leaf, in O(1), or a memoized one; else None."""
-        if isinstance(cert, (LeafAny, LeafComponents)):
+    def _lifted(self, mask: int, cert: VdCertificate) -> Optional[VdCertificate]:
+        """The lift of a leaf, in O(1), or memo's entry one level above cert; else None."""
+        if isinstance(cert, LeafComponents):
             return self._leaf(cert.level + 1)
-        got = self._lifts.get((mask, v, id(cert)))
-        return None if got is None else got[1]
+        return self.memo.get((mask, cert.level + 1))
 
-    def _lift(self, mask: int, v: int, cert: VdCertificate):
-        """Generator for run: lift of a key not yet in the memo."""
+    def _lift(self, mask: int, v: int, cert: Node):
+        """Generator for run: the lift of a pivot node whose key is not in the memo."""
         self.budget.spend()
         view = self.view
-        if not isinstance(cert, Node):  # an edgeless leaf
-            if view.components(mask) <= cert.level:
-                raise CertificateError("edgeless leaf given for a graph with too few components")
-            out = self._leaf(cert.level + 1)
-        else:
-            u = cert.pivot
-            i = view.index.get(u)
-            if i is None or not mask >> i & 1 or i == v:
-                raise CertificateError(f"pivot {u} does not exist in the lifted graph")
-            kids = []
-            for child, c in ((mask & ~(1 << i), cert.delete), (mask & ~view.closed[i], cert.link)):
-                kids.append(self._lifted(child, v, c) or (yield self._lift(child, v, c)))
-            out = Node(u, kids[0], kids[1], cert.level + 1)
-        self._lifts[mask, v, id(cert)] = (cert, out)
+        u = cert.pivot
+        i = view.index.get(u)
+        if i is None or not mask >> i & 1 or i == v:
+            raise CertificateError(f"pivot {u} does not exist in the lifted graph")
+        kids = []
+        for child, c in ((mask & ~(1 << i), cert.delete), (mask & ~view.closed[i], cert.link)):
+            kids.append(self._lifted(child, c) or (yield self._lift(child, v, c)))
+        out = self.memo[mask, cert.level + 1] = Node(u, kids[0], kids[1], cert.level + 1)
         return out
 
 
@@ -517,7 +466,7 @@ def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> Vd
     recurse on the closed-neighborhood deletion and on the neighbor-chain
     deletions, then assemble; a subgraph with at least k components is the
     leaf at level k.  The peeling runs on graphs.run, and budget bounds its
-    memo entries with the lifts' (None: DEFAULT_CERTIFICATE_BUDGET).
+    memo entries, lifts included (None: DEFAULT_CERTIFICATE_BUDGET).
     """
     delta = G.max_degree()
     target = G.n // (2 * delta) if delta else G.n
@@ -553,12 +502,12 @@ def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> Vd
 # JSON form
 # ---------------------------------------------------------------------------
 #
-# {"leaf": "any", "level": 0}
 # {"leaf": "components", "level": k}
-# {"leaf": "edgeless", "level": k, "vertices": [...]}
 # {"level": k, "node": {"del": ..., "link": ..., "pivot": v}}
 #
-# Keys are emitted in sorted order and levels are always explicit.
+# Keys are emitted in sorted order and levels are always explicit.  The
+# reader refuses any other leaf kind, such as the "any" and "edgeless"
+# leaves of earlier versions.
 
 
 _CLOSE = object()  # writer stack marker: the innermost open node's text ends here
@@ -594,11 +543,6 @@ def certificate_to_json(cert: VdCertificate) -> str:
         start = len(parts)
         if isinstance(item, LeafComponents):
             parts.append(f'{{"leaf":"components","level":{item.level}}}')
-        elif isinstance(item, LeafAny):
-            parts.append('{"leaf":"any","level":0}')
-        elif isinstance(item, LeafEdgeless):
-            verts = ",".join(str(v) for v in item.vertices)
-            parts.append(f'{{"leaf":"edgeless","level":{item.level},"vertices":[{verts}]}}')
         elif isinstance(item, Node):
             parts.append(f'{{"level":{item.level},"node":{{"del":')
             opened += (key, start)
@@ -622,7 +566,7 @@ def _malformed(where, message: str) -> CertificateError:
 
 
 class _Reader:
-    """One read's intern tables, and the checks of one leaf object and one node.
+    """One read's intern tables, and the checks of one leaf level and one node.
 
     Both readers (_scan and certificate_from_obj) build every leaf and node
     through leaf and node.
@@ -630,35 +574,13 @@ class _Reader:
 
     def __init__(self):
         self.components: dict[int, LeafComponents] = {}
-        self.edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
         self.nodes: dict[tuple[int, int, int, int], Node] = {}
 
-    def leaf(self, o: dict):
-        """The leaf certificate of o, an error message, or None if o is no leaf."""
-        leaf = o.get("leaf")
-        if leaf == "any":
-            if o.get("level", 0) != 0:
-                return "leaf 'any' must be at level 0"
-            return _ANY
-        if leaf == "components":
-            level = o.get("level")
-            if type(level) is not int or level < 0:
-                return "components leaf level must be a non-negative integer"
-            return self.components.get(level) or self.components.setdefault(level, LeafComponents(level))
-        if leaf != "edgeless":
-            return None
-        raw = o["vertices"] if "vertices" in o else []
-        if type(raw) is not list or any(type(v) is not int for v in raw):
-            return "edgeless leaf vertices must be a list of integers"
-        verts = tuple(sorted(raw))
-        got = self.edgeless.get(verts)
-        if got is None:  # a tuple in the table has no repeats
-            if len(set(verts)) != len(verts):
-                return "edgeless leaf lists a vertex twice"
-            got = self.edgeless[verts] = LeafEdgeless(verts)
-        if o.get("level", len(verts)) != len(verts):
-            return "edgeless leaf level must equal its vertex count"
-        return got
+    def leaf(self, level):
+        """The interned components leaf at level, or an error message."""
+        if type(level) is not int or level < 0:
+            return "components leaf level must be a non-negative integer"
+        return self.components.get(level) or self.components.setdefault(level, LeafComponents(level))
 
     def node(self, pivot: int, delete: VdCertificate, link: VdCertificate, level):
         """The interned pivot node over its read children, or an error message."""
@@ -674,13 +596,13 @@ class _Reader:
 def certificate_from_obj(obj) -> VdCertificate:
     """Certificate from its nested JSON object, sharing equal subtrees.
 
-    Structurally equal subtrees come back as one object: a single LeafAny,
-    one LeafComponents per level, one LeafEdgeless per vertex tuple, and one
-    Node per (pivot, delete, link, level) over children already shared: a
-    DAG that certificate_to_json expands to the same text, and on which
-    verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
-    levels and vertices must be JSON integers; anything malformed raises
-    CertificateError naming its path, as del/link steps from the root.
+    Structurally equal subtrees come back as one object: one
+    LeafComponents per level and one Node per (pivot, delete, link, level)
+    over children already shared: a DAG that certificate_to_json expands to
+    the same text, and on which verify_certificate checks each (subtree,
+    subgraph) pair once.  Pivots and levels must be JSON integers; another
+    leaf kind, or anything else malformed, raises CertificateError naming
+    its path, as del/link steps from the root.
     """
     reader = _Reader()
     done: list[VdCertificate] = []
@@ -695,21 +617,23 @@ def certificate_from_obj(obj) -> VdCertificate:
             got = reader.node(body["pivot"], done.pop(), link, level)
         elif type(o) is not dict:
             raise _malformed(where, "certificate JSON nodes must be objects")
+        elif o.get("leaf") == "components":
+            got = reader.leaf(o.get("level"))
+        elif "node" in o:
+            body = o["node"]
+            if type(body) is not dict or "del" not in body or "link" not in body:
+                got = "pivot node needs an object with 'del' and 'link'"
+            elif type(body.get("pivot")) is not int:
+                got = "pivot must be an integer"
+            else:
+                stack.append((o, where, body))
+                stack.append((body["link"], ("link", where), None))
+                stack.append((body["del"], ("del", where), None))
+                continue
+        elif type(o.get("leaf")) is str:
+            got = f"unrecognized leaf kind {o['leaf']!r}"
         else:
-            got = reader.leaf(o)
-            if got is None and "node" in o:
-                body = o["node"]
-                if type(body) is not dict or "del" not in body or "link" not in body:
-                    got = "pivot node needs an object with 'del' and 'link'"
-                elif type(body.get("pivot")) is not int:
-                    got = "pivot must be an integer"
-                else:
-                    stack.append((o, where, body))
-                    stack.append((body["link"], ("link", where), None))
-                    stack.append((body["del"], ("del", where), None))
-                    continue
-            elif got is None:
-                got = f"unrecognized certificate object with keys {sorted(o)}"
+            got = f"unrecognized certificate object with keys {sorted(o)}"
         if type(got) is str:
             raise _malformed(where, got)
         done.append(got)
@@ -719,11 +643,7 @@ def certificate_from_obj(obj) -> VdCertificate:
 
 
 _INT = "-?(?:0|[1-9][0-9]*)"  # a JSON integer
-_ANY_TEXT = '{"leaf":"any","level":0}'
-_LEAF_TEXT = re.compile(  # a components leaf, or an edgeless leaf
-    r'\{"leaf":"(?:components","level":(' + _INT + r')|edgeless","level":(' + _INT
-    + r'),"vertices":\[(' + f"(?:{_INT}(?:,{_INT})*)?" + r")\])\}"
-)
+_LEAF_TEXT = re.compile(r'\{"leaf":"components","level":(' + _INT + r")\}")
 _NODE_OPEN = re.compile(r'\{"level":(' + _INT + r'),"node":\{"del":')
 _LINK_TEXT = ',"link":'
 _NODE_CLOSE = re.compile(r',"pivot":(' + _INT + r")\}\}")
@@ -734,7 +654,7 @@ _TAIL = 32  # characters of a node's text compared before all of it; every node 
 def _scan(text: str) -> Optional[VdCertificate]:
     """The certificate of text if it is exactly what certificate_to_json writes, else None.
 
-    The grammar is the writer's: the three leaves,
+    The grammar is the writer's: ``{"leaf":"components","level":L}``,
     ``{"level":L,"node":{"del":D,"link":K,"pivot":P}}`` and JSON integers,
     with nothing around the root but trailing JSON whitespace.  Other text,
     and a leaf that fails a check, gives None, so the caller reads it the
@@ -758,10 +678,7 @@ def _scan(text: str) -> Optional[VdCertificate]:
     p = 0
     while True:
         # the value that starts at p
-        if text.startswith(_ANY_TEXT, p):
-            got = _ANY
-            p += len(_ANY_TEXT)
-        elif text.startswith('{"level":', p):
+        if text.startswith('{"level":', p):
             if brace < p:
                 brace = text.find("}", p)
                 if brace < 0:
@@ -787,12 +704,7 @@ def _scan(text: str) -> Optional[VdCertificate]:
             m = _LEAF_TEXT.match(text, p)
             if m is None:
                 return None
-            components, level, verts = m.groups()
-            if verts is None:
-                got = reader.leaf({"leaf": "components", "level": int(components)})
-            else:
-                vertices = [int(v) for v in verts.split(",") if v]
-                got = reader.leaf({"leaf": "edgeless", "level": int(level), "vertices": vertices})
+            got = reader.leaf(int(m.group(1)))
             if type(got) is str:
                 return None
             p = m.end()

@@ -58,9 +58,7 @@ from tvf.tverberg import (
 )
 from tvf.vd import (
     CertificateError,
-    LeafAny,
     LeafComponents,
-    LeafEdgeless,
     MaskView,
     Node,
     VdCertificate,
@@ -69,7 +67,11 @@ from tvf.vd import (
 
 
 def brute_certificate_search(G, k):
-    """Exhaustive derivation-tree search straight off the definition."""
+    """Exhaustive derivation-tree search straight off the definition.
+
+    Its leaves are level 0, and the edgeless graph on exactly kk vertices at
+    level kk, each written as the components leaf that says the same.
+    """
     adj = {v: frozenset(G.neighbors(v)) for v in G.vertices}
     memo = {}
 
@@ -78,12 +80,12 @@ def brute_certificate_search(G, k):
         if key in memo:
             return memo[key]
         if kk == 0:
-            result = LeafAny()
+            result = LeafComponents(0)
         else:
             edgeless = all(adj[v].isdisjoint(verts) for v in verts)
             result = None
             if edgeless and len(verts) == kk:
-                result = LeafEdgeless(tuple(sorted(verts)))
+                result = LeafComponents(kk)
             else:
                 for v in sorted(verts):
                     dcert = rec(verts - {v}, kk)
@@ -118,6 +120,15 @@ class _Solver(MaskView):
     def __init__(self, G: Graph):
         super().__init__(G)
         self._memo: dict[tuple[int, int], bool] = {}
+
+    def edgeless(self, mask: int) -> bool:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if self.nbr[low.bit_length() - 1] & mask:
+                return False
+            rest ^= low
+        return True
 
     def vd(self, mask: int, k: int) -> bool:
         if k == 0:
@@ -694,19 +705,13 @@ def component_count(G: Graph) -> int:
     return count
 
 
-def _leaf(k: int) -> VdCertificate:
-    """The library's leaf at level k: any at level 0, else components."""
-    return LeafAny() if k == 0 else LeafComponents(k)
-
-
 def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
     """Raise a certificate for G minus an isolated vertex v by one level.
 
     cert must certify G minus v at some level k-1; the result certifies G
-    at level k.  A leaf lifts to the components leaf at level k, once G is
-    checked to have k components where cert is an edgeless leaf; a pivot
-    node is rebuilt along cert's own pivots (each subgraph keeps v
-    isolated, so the rewrite recurses structurally).
+    at level k.  A leaf lifts to the components leaf at level k (v adds a
+    component); a pivot node is rebuilt along cert's own pivots (each
+    subgraph keeps v isolated, so the rewrite recurses structurally).
     """
     if v not in G:
         raise GraphError(f"vertex {v} not in the graph")
@@ -715,23 +720,18 @@ def lift_isolated(G: Graph, v: int, cert: VdCertificate) -> VdCertificate:
     memo: dict[tuple[Graph, int], VdCertificate] = {}
 
     def rec(H: Graph, c: VdCertificate) -> VdCertificate:
-        if isinstance(c, (LeafAny, LeafComponents)):
-            return _leaf(c.level + 1)
+        if isinstance(c, LeafComponents):
+            return LeafComponents(c.level + 1)
         key = (H, id(c))
         got = memo.get(key)
         if got is not None:
             return got
-        if isinstance(c, LeafEdgeless):
-            if component_count(H) <= c.level:
-                raise CertificateError("edgeless leaf given for a graph with too few components")
-            out: VdCertificate = _leaf(c.level + 1)
-        else:
-            u = c.pivot
-            if u not in H or u == v:
-                raise CertificateError(f"pivot {u} does not exist in the lifted graph")
-            del_lift = rec(delete_vertices(H, [u]), c.delete)
-            link_lift = rec(delete_vertices(H, H.neighbors(u) | {u}), c.link)
-            out = Node(u, del_lift, link_lift, c.level + 1)
+        u = c.pivot
+        if u not in H or u == v:
+            raise CertificateError(f"pivot {u} does not exist in the lifted graph")
+        del_lift = rec(delete_vertices(H, [u]), c.delete)
+        link_lift = rec(delete_vertices(H, H.neighbors(u) | {u}), c.link)
+        out = Node(u, del_lift, link_lift, c.level + 1)
         memo[key] = out
         return out
 
@@ -781,7 +781,7 @@ def build_certificate_degree_bound(G: Graph) -> VdCertificate:
 
     def build(H: Graph, k: int) -> VdCertificate:
         if component_count(H) >= k:
-            return _leaf(k)
+            return LeafComponents(k)
         key = (H, k)
         got = memo.get(key)
         if got is not None:
@@ -812,7 +812,7 @@ def extract_certificate(trace):
             return got
         H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
         if component_count(H) >= node.level:
-            cert = _leaf(node.level)
+            cert = LeafComponents(node.level)
         else:
             arm_certs = [certify(ch.node) for ch in node.arm_children]
             link_cert = certify(node.link_child.node)
@@ -834,9 +834,6 @@ def extract_certificate(trace):
 # write the same text, read the same shared DAG, and raise the same message
 # at the same path.
 
-_ANY = LeafAny()
-
-
 def certificate_to_json(cert: VdCertificate) -> str:
     parts: list[str] = []
     stack: list[object] = [cert]
@@ -844,13 +841,8 @@ def certificate_to_json(cert: VdCertificate) -> str:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-        elif isinstance(item, LeafAny):
-            parts.append('{"leaf":"any","level":0}')
         elif isinstance(item, LeafComponents):
             parts.append(f'{{"leaf":"components","level":{item.level}}}')
-        elif isinstance(item, LeafEdgeless):
-            verts = ",".join(str(v) for v in item.vertices)
-            parts.append(f'{{"leaf":"edgeless","level":{item.level},"vertices":[{verts}]}}')
         elif isinstance(item, Node):
             parts.append(f'{{"level":{item.level},"node":{{"del":')
             stack.append(f',"pivot":{item.pivot}}}}}')
@@ -875,16 +867,15 @@ def _malformed(where, message: str) -> CertificateError:
 def certificate_from_obj(obj) -> VdCertificate:
     """Certificate from its nested JSON object, sharing equal subtrees.
 
-    Structurally equal subtrees come back as one object: a single LeafAny,
-    one LeafComponents per level, one LeafEdgeless per vertex tuple, and one Node per (pivot, delete,
-    link, level) over children that are already shared.  The result is a
-    DAG that certificate_to_json expands to the same text, and on which
-    verify_certificate checks each (subtree, subgraph) pair once.  Pivots,
-    levels and vertices must be JSON integers; anything malformed raises
-    CertificateError naming its path, as del/link steps from the root.
+    Structurally equal subtrees come back as one object: one LeafComponents
+    per level, and one Node per (pivot, delete, link, level) over children
+    that are already shared.  The result is a DAG that certificate_to_json
+    expands to the same text, and on which verify_certificate checks each
+    (subtree, subgraph) pair once.  Pivots and levels must be JSON integers;
+    another leaf kind, or anything else malformed, raises CertificateError
+    naming its path, as del/link steps from the root.
     """
     components: dict[int, LeafComponents] = {}
-    edgeless: dict[tuple[int, ...], LeafEdgeless] = {}
     nodes: dict[tuple[int, int, int, int], Node] = {}
     done: list[VdCertificate] = []
     # (JSON object, its path as a (step, parent) chain, and, once its
@@ -907,28 +898,11 @@ def certificate_from_obj(obj) -> VdCertificate:
         if type(o) is not dict:
             raise _malformed(where, "certificate JSON nodes must be objects")
         leaf = o.get("leaf")
-        if leaf == "any":
-            if o.get("level", 0) != 0:
-                raise _malformed(where, "leaf 'any' must be at level 0")
-            done.append(_ANY)
-        elif leaf == "components":
+        if leaf == "components":
             level = o.get("level")
             if type(level) is not int or level < 0:
                 raise _malformed(where, "components leaf level must be a non-negative integer")
             done.append(components.setdefault(level, LeafComponents(level)))
-        elif leaf == "edgeless":
-            raw = o.get("vertices", [])
-            if type(raw) is not list or any(type(v) is not int for v in raw):
-                raise _malformed(where, "edgeless leaf vertices must be a list of integers")
-            verts = tuple(sorted(raw))
-            if len(set(verts)) != len(verts):
-                raise _malformed(where, "edgeless leaf lists a vertex twice")
-            if o.get("level", len(verts)) != len(verts):
-                raise _malformed(where, "edgeless leaf level must equal its vertex count")
-            got = edgeless.get(verts)
-            if got is None:
-                got = edgeless[verts] = LeafEdgeless(verts)
-            done.append(got)
         elif "node" in o:
             body = o["node"]
             if type(body) is not dict or "del" not in body or "link" not in body:
@@ -938,6 +912,8 @@ def certificate_from_obj(obj) -> VdCertificate:
             stack.append((o, where, body))
             stack.append((body["link"], ("link", where), None))
             stack.append((body["del"], ("del", where), None))
+        elif isinstance(leaf, str):
+            raise _malformed(where, f"unrecognized leaf kind {leaf!r}")
         else:
             raise _malformed(where, f"unrecognized certificate object with keys {sorted(o)}")
     if len(done) != 1:

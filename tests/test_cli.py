@@ -113,7 +113,7 @@ def test_df1_c5_q7_flow_as_documented(files, capsys):
 
 def test_vd_verify_rejects_wrong_claim(files, capsys):
     cert = files / "bad.json"
-    cert.write_text('{"leaf":"edgeless","level":2,"vertices":[0,1]}\n')
+    cert.write_text('{"leaf":"components","level":2}\n')  # K2 has one component
     code, out, _ = run(capsys, "vd", "verify", "--graph", files / "k2.txt", "--cert", cert)
     assert code == 1 and json.loads(out)["valid"] is False
 
@@ -210,6 +210,9 @@ def test_tverberg_commands(files, capsys):
     assert code == 1 and json.loads(out)["witness"] is None
     code, out, _ = run(capsys, "tverberg", "primes", "--q", "8")
     assert code == 0 and json.loads(out) == {"bertrand_prime": 7, "is_prime_power": True}
+    code, out, err = run(capsys, "tverberg", "primes", "--q", "1000000000000000003")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "division budget exceeded (1000001 > 1000000 trial divisions)", "kind": "budget"}
     six = files / "e6.txt"
     six.write_text("p 6 0\n")
     pts6 = files / "pts6.txt"
@@ -322,9 +325,25 @@ def test_stdout_manifest_on_request(files, capsys):
     )
     assert code == 0
     obj = json.loads(manifest.read_text())
-    assert obj["stdout_sha256"] is not None and obj["seed"] == 0
-    assert obj["version"]
+    assert obj["stdout_sha256"] is not None and obj["version"]
     assert (obj["exit_code"], obj["error_kind"]) == (0, None)
+    assert set(obj) == {
+        "argv", "command", "duration_seconds", "error_kind", "exit_code", "inputs", "outputs",
+        "stdout_sha256", "version",
+    }
+
+
+def test_seed_option_is_gone(files, capsys):
+    # no command draws a random number, so there is no seed to set or record
+    graph = str(files / "2k2.txt")
+    for argv in (["--seed", "0", "vd", "max", "--graph", graph], ["vd", "max", "--graph", graph, "--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+    assert "--seed" not in tvf.cli.build_parser().format_help()
+    out = files / "build.json"
+    assert run(capsys, "vd", "build", "--graph", files / "2k2.txt", "--out", out)[0] == 0
+    assert "seed" not in json.loads((files / "build.json.manifest.json").read_text())
 
 
 def test_artifacts_span_chunks_and_match_their_digests(files, capsys, monkeypatch):
@@ -380,29 +399,36 @@ def test_domain_error_exit_writes_the_manifest(files, capsys):
     assert (obj["exit_code"], obj["error_kind"], obj["inputs"]) == (1, "FileNotFoundError", [])
 
 
+_LEAF0 = {"leaf": "components", "level": 0}
+
+
 def _nest(bad, steps):
     """Certificate JSON with `bad` at the del/link path `steps` below the root."""
-    any_leaf = {"leaf": "any", "level": 0}
     for step in reversed(steps):
-        node = {"del": any_leaf, "link": any_leaf, "pivot": 0}
+        node = {"del": _LEAF0, "link": _LEAF0, "pivot": 0}
         node[step] = bad
         bad = {"level": 1, "node": node}
     return json.dumps(bad)
 
 
-_DEEP = '{"level":1,"node":{"del":' * 3000 + '{"leaf":"any"}' + ',"link":{"leaf":"any"},"pivot":0}}' * 3000
+# not the writer's layout (the spaces), so read_json parses it and stops at its nesting limit
+_DEEP = (
+    '{"level":1,"node":{"del":' * 3000 + '{"leaf": "components", "level": 0}'
+    + ',"link":{"leaf":"components","level":0},"pivot":0}}' * 3000
+)
 
 
 @pytest.mark.parametrize(
     "text, where",
     [
-        (_nest({"level": 1, "node": {"del": {"leaf": "any"}, "pivot": 0}}, ["del", "link", "del"]), "del/link/del"),
+        (_nest({"level": 1, "node": {"del": _LEAF0, "pivot": 0}}, ["del", "link", "del"]), "del/link/del"),
         (_nest({"level": 1, "node": 5}, ["link"]), "link"),
-        (_nest({"level": 1, "node": {"del": {"leaf": "any"}, "link": {"leaf": "any"}, "pivot": "x"}}, ["del"]), "del"),
-        (_nest({"leaf": "edgeless", "vertices": ["a"]}, ["del", "del"]), "del/del"),
+        (_nest({"level": 1, "node": {"del": _LEAF0, "link": _LEAF0, "pivot": "x"}}, ["del"]), "del"),
+        (_nest({"leaf": "edgeless", "vertices": ["a"]}, ["del", "del"]), "del/del: unrecognized leaf kind 'edgeless'"),
+        (_nest({"leaf": "any", "level": 0}, ["link"]), "link: unrecognized leaf kind 'any'"),
         (_DEEP, "nested too deeply"),
     ],
-    ids=["missing-link", "node-not-object", "pivot-not-integer", "vertex-not-integer", "nested-3000-deep"],
+    ids=["missing-link", "node-not-object", "pivot-not-integer", "vertex-not-integer", "any-leaf", "nested-3000-deep"],
 )
 def test_malformed_certificate_is_certificate_error(files, capsys, text, where):
     (files / "bad.json").write_text(text)
@@ -416,20 +442,20 @@ def test_malformed_certificate_is_certificate_error(files, capsys, text, where):
 def _level1_chain(n, bottom_link):
     """Level-1 certificate text for the edgeless graph on 0..n-1, nested n - 1 deep.
 
-    Pivots 0..n-3 each delete their vertex (link: any); pivot n - 2 has the
-    edgeless leaf [n - 1] and bottom_link.
+    Pivots 0..n-3 each delete their vertex (link: the level-0 leaf); pivot
+    n - 2 has the level-1 leaf on [n - 1] and bottom_link.
     """
-    bottom = vd.certificate_to_json(vd.Node(n - 2, vd.LeafEdgeless((n - 1,)), bottom_link, 1))
-    tail = "".join(f',"link":{{"leaf":"any","level":0}},"pivot":{v}}}}}' for v in reversed(range(n - 2)))
+    bottom = vd.certificate_to_json(vd.Node(n - 2, vd.LeafComponents(1), bottom_link, 1))
+    tail = "".join(f',"link":{{"leaf":"components","level":0}},"pivot":{v}}}}}' for v in reversed(range(n - 2)))
     return '{"level":1,"node":{"del":' * (n - 2) + bottom + tail
 
 
 def test_deep_canonical_certificate_is_read_and_verified(files, capsys):
     # The writer's layout is scanned at any depth: a valid level-1 chain
     # 10,000 deep on the edgeless 10,000-vertex graph, peeling 0..9998 over
-    # the edgeless leaf [9999].  json.loads alone stops near 1000 deep.
+    # the level-1 leaf on [9999].  json.loads alone stops near 1000 deep.
     n = 10_000
-    text = _level1_chain(n, vd.LeafAny())
+    text = _level1_chain(n, vd.LeafComponents(0))
     (files / "e10000.txt").write_text(f"p {n} 0\n")
     (files / "chain.json").write_text(text + "\n")
     code, out, _ = run(capsys, "vd", "verify", "--graph", files / "e10000.txt", "--cert", files / "chain.json")
@@ -452,7 +478,7 @@ def test_deep_failing_certificate_reports_its_whole_path(files, capsys, depth):
     # the failure sits on the link side of the deepest node, below `depth`
     # del steps; the path and the output are those of a shallow failure
     n = depth + 2
-    text = _level1_chain(n, vd.Node(n - 1, vd.LeafAny(), vd.LeafAny(), 0))
+    text = _level1_chain(n, vd.Node(n - 1, vd.LeafComponents(0), vd.LeafComponents(0), 0))
     (files / "e.txt").write_text(f"p {n} 0\n")
     (files / "bad.json").write_text(text + "\n")
     code, out, err = run(capsys, "vd", "verify", "--graph", files / "e.txt", "--cert", files / "bad.json")
@@ -936,7 +962,7 @@ def test_disconnected_complex_is_refuted_without_a_search(files, capsys, monkeyp
     [
         (["vd", "max", "--graph"], b"\x7fELF\x02\x01\x01\x00\xb0\x0f\xf8\xff"),
         (["scheme", "validate", "--file"], b"\xff\xfe{\x00}\x00"),
-        (["vd", "verify", "--graph", "k2.txt", "--cert"], b"{\"leaf\":\"any\",\xd0}"),
+        (["vd", "verify", "--graph", "k2.txt", "--cert"], b"{\"leaf\":\"components\",\xd0}"),
     ],
     ids=["binary-graph", "utf16-scheme", "binary-cert"],
 )
@@ -1002,7 +1028,7 @@ def test_huge_q_stops_at_the_product_budget(files, capsys, monkeypatch, command,
     monkeypatch.chdir(files)
     (files / "k1.txt").write_text("p 1 0\n")
     (files / "q20000.scheme").write_text('{"delta":1,"n":2,"q":20000,"sizes":[1]}\n')
-    (files / "any.json").write_text('{"leaf":"any","level":0}\n')
+    (files / "any.json").write_text('{"leaf":"components","level":0}\n')
     assert main(["squid", "df1", "--graph", "k1.txt", "--q", "1", "--out", "k1.trace"]) == 0
     trace = json.loads((files / "k1.trace").read_text())
     (files / "huge-q.trace").write_text(json.dumps({**trace, "q": 10**13}))
@@ -1307,3 +1333,30 @@ def test_points_parser_ends_every_input_in_the_error_contract(small_traces, text
     (d / "mutated.pts").write_text(text, encoding="utf-8")
     argv = ["tverberg", "search", "--graph", str(d / "e3.txt"), "--points", str(d / "mutated.pts")]
     _assert_in_the_error_contract([*argv, "--q", str(q)], (0, 1))
+
+
+_LABELS = (
+    st.integers(-3, 9).map(str)
+    | st.sampled_from(["1" * 5000, "9" * 4300, "+2", "-0", "0x1", "1.0", "1e3", "1_0", "\u0663", "a", "#"])
+    | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=2)
+)
+
+
+@st.composite
+def _facets_texts(draw):
+    """Facets-file text: mostly lines of small labels, some with any token."""
+    lines = [" ".join(draw(st.lists(_LABELS, max_size=5))) for _ in range(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", "   ", "\t"])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_facets_texts(),
+    command=st.sampled_from([["complex", "vd"], ["complex", "betti"], ["complex", "betti", "--k", "1"]]),
+)
+def test_facets_parser_ends_every_input_in_the_error_contract(small_traces, text, command):
+    _, d = small_traces
+    (d / "mutated.facets").write_text(text, encoding="utf-8")
+    _assert_in_the_error_contract([*command, "--facets", str(d / "mutated.facets")], (0, 1))

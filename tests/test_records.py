@@ -32,7 +32,7 @@ from tvf.tverberg import (
     TverbergError,
     TverbergWitness,
 )
-from tvf.vd import CertCheck, LeafAny, LeafComponents, LeafEdgeless, Node
+from tvf.vd import CertCheck, LeafComponents, Node
 
 from conftest import python_process
 
@@ -51,12 +51,10 @@ def _constants():
 
 # (make, expected repr, hashable); make builds a fresh instance on each call
 RECORDS = {
-    "LeafAny": (LeafAny, "LeafAny()", True),
-    "LeafEdgeless": (lambda: LeafEdgeless((1, 2)), "LeafEdgeless(vertices=(1, 2))", True),
     "LeafComponents": (lambda: LeafComponents(2), "LeafComponents(level=2)", True),
     "Node": (
-        lambda: Node(0, LeafEdgeless((1,)), LeafAny(), 1),
-        "Node(pivot=0, delete=LeafEdgeless(vertices=(1,)), link=LeafAny(), level=1)",
+        lambda: Node(0, LeafComponents(1), LeafComponents(0), 1),
+        "Node(pivot=0, delete=LeafComponents(level=1), link=LeafComponents(level=0), level=1)",
         True,
     ),
     "CertCheck": (
@@ -177,7 +175,7 @@ def test_every_record_type_is_listed():
         for name, obj in vars(module).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
     }
-    assert found - {"_PointFields"} == set(RECORDS) and len(RECORDS) == 23
+    assert found - {"_PointFields"} == set(RECORDS) and len(RECORDS) == 21
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

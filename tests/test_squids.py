@@ -516,9 +516,9 @@ def test_extraction_budget_counts_memo_entries(monkeypatch):
     monkeypatch.setattr(tvf.squids, "CertificateBuilder", Recording)
     trace = run_df1(Graph.cycle(5), 7)
     text = certificate_to_json(extract_certificate(trace))
-    # one entry per distinct (residual, level) that extraction visits, plus one
-    # per lift; a residual with at least its level in components is a leaf,
-    # and its children are not visited
+    # one memo entry per distinct (residual, level) that extraction visits,
+    # and one per lift; a residual with at least its level in components is
+    # a leaf, and its children are not visited
     P = product_graph(Graph.cycle(5), 7)
     visited, stack = set(), [trace.root]
     while stack:
@@ -529,7 +529,8 @@ def test_extraction_budget_counts_memo_entries(monkeypatch):
         visited.add((node.residual_mask, node.level))
         stack += [ch.node for ch in node.arm_children] + [node.link_child.node]
     assert 0 < len(visited) < len({(n.residual_mask, n.level) for n in trace.nodes()})
-    entries = len(visited) + len(builders[0]._lifts)
+    entries = len(builders[0].memo)
+    assert visited < builders[0].memo.keys()
     assert certificate_to_json(extract_certificate(trace, entries)) == text
     with pytest.raises(BudgetExceeded) as exc:
         extract_certificate(trace, entries - 1)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import tvf.tverberg
-from tvf.errors import BudgetExceeded
+from tvf.errors import Budget, BudgetExceeded
 from tvf.graphs import Graph
 from tvf.tverberg import (
     PointConfiguration,
@@ -166,6 +166,28 @@ def test_prime_utilities():
         assert p <= q and 2 * p > q  # Bertrand: a prime above q/2
     with pytest.raises(TverbergError):
         prime_utilities(1)
+
+
+def test_prime_utilities_stop_at_the_division_budget():
+    for q in range(2, 300):
+        divisions = Budget(None, 10**6, "division", "trial divisions")
+        want = (is_prime_power(q, divisions), bertrand_prime(q, divisions))
+        used = divisions.used
+        assert prime_utilities(q, used) == want
+        if used:
+            with pytest.raises(BudgetExceeded) as exc:
+                prime_utilities(q, used - 1)
+            assert (exc.value.used, exc.value.limit) == (used, used - 1)
+    # the corollary at q <= 4 finds q_p within 3 divisions, so a small
+    # TVF_BUDGET still stops it where its search does
+    for q in (2, 3, 4):
+        divisions = Budget(None, 10**6, "division", "trial divisions")
+        bertrand_prime(q, divisions)
+        assert divisions.used <= 3
+    # a prime near 1e18 would take 1e9 divisions
+    with pytest.raises(BudgetExceeded) as exc:
+        prime_utilities(10**18 + 3)
+    assert str(exc.value) == "division budget exceeded (1000001 > 1000000 trial divisions)"
 
 
 def test_greedy_extension():

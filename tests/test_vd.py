@@ -15,9 +15,7 @@ from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
     CertificateBuilder,
     CertificateError,
-    LeafAny,
     LeafComponents,
-    LeafEdgeless,
     MaskView,
     Node,
     VdError,
@@ -37,6 +35,7 @@ from conftest import all_labeled_graphs, same_certificate_dag
 from oracles import brute_certificate_search, complete_graph, delete_vertices, product_graph
 
 TWO_K2 = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
+L0, L1, L2 = LeafComponents(0), LeafComponents(1), LeafComponents(2)
 
 
 def _lift_isolated(G, v, cert):
@@ -230,7 +229,8 @@ def test_certificate_budget_counts_memo_entries(G, monkeypatch):
 
     monkeypatch.setattr(tvf.vd, "CertificateBuilder", Recording)
     text = certificate_to_json(build_certificate_degree_bound(G))
-    entries = len(_peeling_keys(G)) + len(builders[0]._lifts)
+    entries = len(builders[0].memo)  # the peeling's keys, and the lifts' beside them
+    assert _peeling_keys(G) <= builders[0].memo.keys()
     assert certificate_to_json(build_certificate_degree_bound(G, entries)) == text
     with pytest.raises(BudgetExceeded) as exc:
         build_certificate_degree_bound(G, entries - 1)
@@ -261,26 +261,34 @@ def test_maximal_independent_sets_reach_the_top_level(atlas):
 
 def test_verify_certificate_hand_cases():
     K2 = complete_graph(2)
-    good = Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1)
+    good = Node(0, L1, L0, 1)
     assert verify_certificate(K2, good).ok
-    assert verify_certificate(K2, LeafAny()).ok
-    bad = LeafEdgeless((0, 1))
-    res = verify_certificate(K2, bad)
-    assert not res.ok and "edge" in res.reason
+    assert verify_certificate(K2, L0).ok
+    res = verify_certificate(K2, L2)  # K2 has one component
+    assert not res.ok and res.reason == "components leaf at level 2, but the subgraph has 1"
 
 
 def test_verify_rejects_malformed_trees():
     K2 = complete_graph(2)
-    wrong_link_level = Node(0, LeafEdgeless((1,)), LeafEdgeless((1,)), 1)
+    wrong_link_level = Node(0, L1, L1, 1)
     res = verify_certificate(K2, wrong_link_level)
     assert not res.ok and "link child" in res.reason
-    wrong_pivot = Node(7, LeafEdgeless((1,)), LeafEdgeless(()), 1)
-    assert not verify_certificate(K2, wrong_pivot).ok
-    wrong_vertices = Node(0, LeafEdgeless((0,)), LeafEdgeless(()), 1)
-    res2 = verify_certificate(K2, wrong_vertices)
-    assert not res2.ok and res2.path == ("del@0",)
-    level_zero_node = Node(0, LeafAny(), LeafAny(), 0)
-    assert not verify_certificate(K2, level_zero_node).ok
+    wrong_delete_level = Node(0, L0, L0, 1)
+    res = verify_certificate(K2, wrong_delete_level)
+    assert not res.ok and res.reason == "delete child claims 0, expected 1"
+    wrong_pivot = Node(7, L1, L0, 1)
+    res = verify_certificate(K2, wrong_pivot)
+    assert not res.ok and res.reason == "pivot 7 not in the subgraph"
+    # deleting 0 and then 1 leaves the empty graph, which has no component
+    emptied = Node(0, Node(1, L1, L0, 1), L0, 1)
+    res2 = verify_certificate(K2, emptied)
+    assert not res2.ok and res2.path == ("del@0", "del@1")
+    assert res2.reason == "components leaf at level 1, but the subgraph has 0"
+    level_zero_node = Node(0, L0, L0, 0)
+    res3 = verify_certificate(K2, level_zero_node)
+    assert not res3.ok and res3.reason == "pivot node at level 0"
+    res4 = verify_certificate(K2, (0,))
+    assert not res4.ok and res4.reason == "unknown certificate object tuple"
 
 
 def test_verify_accepts_exactly_the_oracle_trees():
@@ -302,7 +310,7 @@ def test_edgeless_certificate_levels():
             assert verify_certificate(Graph.empty(n), LeafComponents(k)).ok
         res = verify_certificate(Graph.empty(n), LeafComponents(n + 1))
         assert not res.ok and res.reason == f"components leaf at level {n + 1}, but the subgraph has {n}"
-        assert build_certificate_degree_bound(Graph.empty(n)) == (LeafComponents(n) if n else LeafAny())
+        assert build_certificate_degree_bound(Graph.empty(n)) == LeafComponents(n)
 
 
 def test_build_certificate_examples():
@@ -331,11 +339,11 @@ def test_build_certificate_exhaustive_small(atlas):
 def test_lift_isolated():
     # single vertex: one component, so the components leaf at level 1
     single = Graph([4], [])
-    lifted = _lift_isolated(single, 4, LeafAny())
+    lifted = _lift_isolated(single, 4, L0)
     assert lifted == LeafComponents(1)
     # K2 plus an isolated vertex, lifting a level-1 certificate to level 2
     G = Graph([0, 1, 2], [(0, 1)])
-    base = Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1)
+    base = Node(0, L1, L0, 1)
     assert verify_certificate(delete_vertices(G, [2]), base).ok
     up = _lift_isolated(G, 2, base)
     assert up.level == 2 and verify_certificate(G, up).ok
@@ -361,23 +369,27 @@ def test_lift_isolated_randomized_against_verifier():
 
 def test_certificate_json_round_trip():
     G = Graph([0, 1, 2], [(0, 1)])
-    cert = _lift_isolated(G, 2, Node(0, LeafEdgeless((1,)), LeafEdgeless(()), 1))
+    cert = _lift_isolated(G, 2, Node(0, L1, L0, 1))
     text = certificate_to_json(cert)
+    assert text == (
+        '{"level":2,"node":{"del":{"leaf":"components","level":2},'
+        '"link":{"leaf":"components","level":1},"pivot":0}}'
+    )
     again = certificate_from_json(text)
     assert certificate_to_json(again) == text
     assert verify_certificate(G, again).ok
-    # leaves tolerate omitted levels; inconsistent levels are rejected
-    assert certificate_from_json('{"leaf":"any"}').level == 0
-    assert certificate_from_json('{"leaf":"edgeless","vertices":[2,0]}').vertices == (0, 2)
-    with pytest.raises(VdError):
-        certificate_from_json('{"leaf":"edgeless","level":1,"vertices":[0,1]}')
-    with pytest.raises(VdError):
-        certificate_from_json('{"leaf":"any","level":2}')
+    # a node may omit its level, which is one above its link child's; a
+    # leaf may not, and a leaf level must be a non-negative integer
+    assert certificate_from_json('{"node":{"del":{"leaf":"components","level":1},"link":'
+                                 '{"leaf":"components","level":0},"pivot":0}}').level == 1
+    for bad in ('{"leaf":"components"}', '{"leaf":"components","level":-1}'):
+        with pytest.raises(VdError, match="non-negative integer"):
+            certificate_from_json(bad)
 
 
 def test_lift_isolated_has_no_recursion_limit():
     G = Graph(range(2501), [(i, i + 1) for i in range(2499)])  # 2500 is isolated
-    cert = _lift_isolated(G, 2500, LeafAny())
+    cert = _lift_isolated(G, 2500, L0)
     assert cert.level == 1
     assert verify_certificate(G, cert).ok
 
@@ -394,42 +406,57 @@ def test_assembly_keeps_every_ingredient_check():
     P3 = Graph.path(3)  # pivot 1 with neighbors 0 and 2
     view = MaskView(P3)
     builder = CertificateBuilder(view)
-    arms = [LeafAny(), LeafAny()]
+    arms = [L0, L0]
 
-    def assemble(pivot=1, order=(0, 2), arm_certs=arms, link=LeafAny(), level=1, mask=view.full):
+    def assemble(pivot=1, order=(0, 2), arm_certs=arms, link=L0, level=1, mask=view.full):
         return assemble_pivot_decomposition(builder, mask, pivot, list(order), arm_certs, link, level)
 
     cert = assemble()
     assert certificate_to_json(cert) == certificate_to_json(
-        oracles.assemble_pivot_decomposition(P3, 1, [0, 2], arms, LeafAny(), 1)
+        oracles.assemble_pivot_decomposition(P3, 1, [0, 2], arms, L0, 1)
     )
     assert verify_certificate(P3, cert).ok
     for order in ((0,), (0, 2, 2), (0, 0), (2, 0, 9)):
         with pytest.raises(VdError, match="open neighborhood"):
             assemble(order=order)
     with pytest.raises(VdError, match="one arm certificate"):
-        assemble(arm_certs=[LeafAny()])
+        assemble(arm_certs=[L0])
     with pytest.raises(VdError, match="level-1"):
-        assemble(link=LeafEdgeless((0,)))
+        assemble(link=L1)
     with pytest.raises(GraphError):
         assemble(mask=view.full & ~(1 << view.index[1]))  # pivot not in H
-    # lifting replays the link certificate inside H minus the pivot's neighbors
-    K2_plus = Graph([0, 1, 2], [(0, 1)])
-    with pytest.raises(CertificateError, match="edgeless leaf given"):
-        _lift_isolated(K2_plus, 2, LeafEdgeless((0, 1)))  # K2_plus has 2 components, not 3
     # a lift to level 3 is rebuilt along the pivots, as K2_plus has 2 components
+    K2_plus = Graph([0, 1, 2], [(0, 1)])
     with pytest.raises(CertificateError, match="does not exist"):
-        _lift_isolated(K2_plus, 2, Node(2, LeafAny(), LeafAny(), 2))
+        _lift_isolated(K2_plus, 2, Node(2, L0, L0, 2))
     with pytest.raises(CertificateError, match="does not exist"):
-        _lift_isolated(K2_plus, 2, Node(7, LeafAny(), LeafAny(), 2))
+        _lift_isolated(K2_plus, 2, Node(7, L0, L0, 2))
 
 
-def test_verify_rejects_edgeless_leaf_with_repeated_vertices():
-    # a repeated vertex would otherwise claim one level per repeat
-    single = Graph.empty(1)
-    assert not verify_certificate(single, LeafEdgeless((0, 0))).ok
-    with pytest.raises(CertificateError, match="twice"):
-        certificate_from_json('{"leaf":"edgeless","level":2,"vertices":[0,0]}')
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"leaf":"any","level":0}', "root"),
+        ('{"leaf":"any"}', "root"),
+        ('{"leaf":"edgeless","level":1,"vertices":[0]}', "root"),
+        ('{"level":1,"node":{"del":{"leaf":"components","level":1},"link":{"leaf":"any","level":0},"pivot":0}}',
+         "link"),
+        ('{"level":1,"node":{"del":{"leaf":"edgeless","level":1,"vertices":[1]},'
+         '"link":{"leaf":"components","level":0},"pivot":0}}', "del"),
+    ],
+    ids=["any", "any-without-level", "edgeless", "any-as-link", "edgeless-as-delete"],
+)
+def test_reader_refuses_the_any_and_edgeless_leaves(text, path):
+    # both are unrecognized leaf kinds: a components leaf says what either said
+    kind = json.loads(text)
+    while "node" in kind:
+        kind = kind["node"][path]
+    with pytest.raises(CertificateError) as exc:
+        certificate_from_json(text)
+    assert str(exc.value) == f"certificate path {path}: unrecognized leaf kind {kind['leaf']!r}"
+    with pytest.raises(CertificateError) as want:
+        oracles.certificate_from_json(text)
+    assert str(want.value) == str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +540,8 @@ def test_reader_shares_each_distinct_subtree_once():
             continue
         if isinstance(c, Node):
             shape = ("node", c.pivot, c.level, numbers[id(c.delete)], numbers[id(c.link)])
-        elif isinstance(c, LeafEdgeless):
-            shape = ("edgeless", c.vertices)
-        elif isinstance(c, LeafComponents):
-            shape = ("components", c.level)
         else:
-            shape = ("any",)
+            shape = ("components", c.level)
         numbers[id(c)] = shapes.setdefault(shape, len(shapes))
     assert len(shapes) == len(objects)
     assert len(objects) < text.count('"level"')  # the tree itself repeats subtrees
@@ -565,24 +588,28 @@ def test_tampered_occurrence_of_shared_subtree_is_reported_at_its_path():
         for step in steps:
             o = o["node"][step]
         leaf, leaf_path = _first_leveled_leaf(o, path)
-        # the same level, claimed by an edgeless leaf on vertices the graph lacks
-        leaf.update(leaf="edgeless", vertices=list(range(10**6, 10**6 + leaf["level"])))
+        # the same level, claimed by a pivot node on a vertex the graph lacks
+        k = leaf.pop("level")
+        leaf.clear()
+        leaf.update(level=k, node={
+            "del": {"leaf": "components", "level": k}, "link": {"leaf": "components", "level": k - 1}, "pivot": 10**6,
+        })
         res = verify_certificate(G, certificate_from_json(json.dumps(bad)))
         assert not res.ok
-        assert res.path == leaf_path and "different vertex set" in res.reason
+        assert res.path == leaf_path and res.reason == f"pivot {10**6} not in the subgraph"
 
 
 def test_shared_leaf_is_rechecked_at_each_subgraph():
-    # The reader makes both uses of LeafEdgeless((3,)) one object.  It is
+    # The reader makes every use of LeafComponents(1) one object.  It is
     # valid where the subgraph is {3} (checked first, on the link side) and
-    # wrong where it is {2}; skipping it there would accept a false claim.
-    leaf = LeafEdgeless((3,))
-    link_side = Node(1, Node(2, leaf, LeafAny(), 1), LeafAny(), 1)
-    delete_side = Node(1, LeafEdgeless((2, 3)), Node(3, leaf, LeafAny(), 1), 2)
+    # wrong where it is empty; skipping it there would accept a false claim.
+    link_side = Node(1, Node(2, L1, L0, 1), L0, 1)
+    delete_side = Node(1, L2, Node(3, Node(2, L1, L0, 1), L0, 1), 2)
     text = certificate_to_json(Node(0, delete_side, link_side, 2))
     res = verify_certificate(Graph.empty(4), certificate_from_json(text))
     assert not res.ok
-    assert res.path == ("del@0", "link@1", "del@3")
+    assert res.path == ("del@0", "link@1", "del@3", "del@2")
+    assert res.reason == "components leaf at level 1, but the subgraph has 0"
 
 
 # ---------------------------------------------------------------------------
@@ -612,28 +639,25 @@ def _drop_levels(o, is_body):
 
 
 def _extra_keys(o, is_body):
-    o["note"] = {"leaf": "any", "level": 0}  # a canonical object where no certificate is read
+    o["note"] = {"leaf": "components", "level": 0}  # a canonical object where no certificate is read
 
 
-def _unsorted_vertices(o, is_body):
-    if o.get("leaf") == "edgeless":
-        o["vertices"] = o["vertices"][::-1]
+def _reordered_keys(o, is_body):
+    items = list(o.items())
+    o.clear()
+    o.update(reversed(items))
 
 
-def _false_any_level(o, is_body):
-    if o.get("leaf") == "any":
-        o["level"] = False
-
-
-@pytest.mark.parametrize("change", [_drop_levels, _extra_keys, _unsorted_vertices, _false_any_level])
+@pytest.mark.parametrize("change", [_drop_levels, _extra_keys, _reordered_keys])
 def test_non_canonical_texts_read_like_the_reference(change):
-    # tvf writes components leaves; the exhaustive search makes edgeless ones
+    # tvf's extraction, and the exhaustive search, whose edgeless subgraphs
+    # are leaves too
     _, text = _c5_certificate_text()
     P3xK3 = product_graph(Graph.path(3), 3)
     texts = [text, certificate_to_json(brute_certificate_search(P3xK3, max_vd(P3xK3)))]
     objs = [json.loads(text) for text in texts]
-    assert any(o.get("leaf") == "components" for o in _objects(objs[0]))
-    assert any(o.get("leaf") == "edgeless" and len(o["vertices"]) > 1 for o in _objects(objs[1]))
+    for obj in objs:
+        assert any(o.get("leaf") == "components" and o["level"] > 1 for o in _objects(obj))
     rnd = random.Random(5)
     for text, obj in zip(texts, objs):
         everywhere = json.dumps(_rewrite(obj, change))
@@ -653,10 +677,10 @@ def _objects(o):
             stack += [o["node"]["del"], o["node"]["link"]]
 
 
-_ANY_JSON = {"leaf": "any", "level": 0}
+_LEAF0 = {"leaf": "components", "level": 0}
 
 
-def _at(bad, steps, sibling=_ANY_JSON):
+def _at(bad, steps, sibling=_LEAF0):
     """Certificate JSON with bad at the del/link path steps, sibling elsewhere."""
     for step in reversed(steps):
         node = {"del": sibling, "link": sibling, "pivot": 0}
@@ -665,41 +689,41 @@ def _at(bad, steps, sibling=_ANY_JSON):
     return json.dumps(bad)
 
 
-_VALID = {"level": 1, "node": {"del": {"leaf": "edgeless", "level": 1, "vertices": [1]}, "link": _ANY_JSON, "pivot": 0}}
+_VALID = {"level": 1, "node": {"del": {"leaf": "components", "level": 1}, "link": _LEAF0, "pivot": 0}}
 
 _MALFORMED = [
     # the command-line cases
-    _at({"level": 1, "node": {"del": {"leaf": "any"}, "pivot": 0}}, ["del", "link", "del"]),
+    _at({"level": 1, "node": {"del": _LEAF0, "pivot": 0}}, ["del", "link", "del"]),
     _at({"level": 1, "node": 5}, ["link"]),
-    _at({"level": 1, "node": {"del": {"leaf": "any"}, "link": {"leaf": "any"}, "pivot": "x"}}, ["del"]),
+    _at({"level": 1, "node": {"del": _LEAF0, "link": _LEAF0, "pivot": "x"}}, ["del"]),
     _at({"leaf": "edgeless", "vertices": ["a"]}, ["del", "del"]),
-    '{"level":1,"node":{"del":' * 3000 + '{"leaf":"any"}' + ',"link":{"leaf":"any"},"pivot":0}}' * 3000,
-    # the level and vertex cases
+    '{"level":1,"node":{"del":' * 3000 + '{"leaf": "components", "level": 0}' + ',"link":{"leaf":"components","level":0},"pivot":0}}' * 3000,
+    # leaf kinds other than components
     '{"leaf":"edgeless","level":1,"vertices":[0,1]}',
     '{"leaf":"any","level":2}',
-    '{"leaf":"edgeless","level":2,"vertices":[0,0]}',
+    '{"leaf":null,"level":0}',
     # each check, below written subtrees and beside them
     _at({"leaf": "any", "level": 1}, ["link", "del"], _VALID),
     _at({"leaf": "edgeless", "level": 1, "vertices": [0, 1]}, ["del"], _VALID),
-    _at({"leaf": "edgeless", "level": 2, "vertices": [3, 3]}, ["link"], _VALID),
-    _at({"leaf": "edgeless", "level": 1, "vertices": 4}, ["link", "link"], _VALID),
-    _at({"leaf": "edgeless", "level": 1, "vertices": [True]}, ["del"], _VALID),
-    _at({"leaf": "edgeless", "level": 1, "vertices": [1.0]}, ["del"], _VALID),
+    _at({"leaf": "", "level": 0}, ["link"], _VALID),
+    _at({"leaf": ["components"], "level": 1}, ["link", "link"], _VALID),
+    _at({"leaf": "components", "level": False}, ["del"], _VALID),
+    _at({"leaf": "Components", "level": 1}, ["del"], _VALID),
     _at({"level": "2", "node": _VALID["node"]}, ["link"], _VALID),
     _at({"level": 1.0, "node": _VALID["node"]}, ["del"], _VALID),
     _at({"level": 1, "node": {**_VALID["node"], "pivot": True}}, ["del"], _VALID),
-    _at({"level": 1, "node": {"del": _VALID, "link": _ANY_JSON}}, ["link"], _VALID),
-    _at({"level": 1, "node": _ANY_JSON}, ["del"], _VALID),
+    _at({"level": 1, "node": {"del": _VALID, "link": _LEAF0}}, ["link"], _VALID),
+    _at({"level": 1, "node": _LEAF0}, ["del"], _VALID),
     _at({"level": 1, "node": [_VALID]}, ["del"], _VALID),
     _at({"leaf": "tree", "level": 0}, ["del", "link"], _VALID),
     _at({}, ["link"], _VALID),
-    _at([_ANY_JSON], ["del"], _VALID),
+    _at([_LEAF0], ["del"], _VALID),
     _at(3, ["link"], _VALID),
-    _at({"leaf": "edgeless", "level": 1, "vertices": [_ANY_JSON]}, ["del"], _VALID),
-    _at({"leaf": "any", "level": _ANY_JSON}, ["del"], _VALID),
-    _at({"level": _ANY_JSON, "node": _VALID["node"]}, ["del"], _VALID),
-    _at({"leaf": _ANY_JSON, "level": 0}, ["del"], _VALID),
-    '[{"leaf":"any","level":0}]',
+    _at({"leaf": "edgeless", "level": 1, "vertices": [_LEAF0]}, ["del"], _VALID),
+    _at({"leaf": "components", "level": _LEAF0}, ["del"], _VALID),
+    _at({"level": _LEAF0, "node": _VALID["node"]}, ["del"], _VALID),
+    _at({"leaf": _LEAF0, "level": 0}, ["del"], _VALID),
+    '[{"leaf":"components","level":0}]',
     "7",
     "null",
     # components leaves: the level is required, a non-negative JSON integer
@@ -723,7 +747,7 @@ def test_malformed_certificates_fail_like_the_reference(text):
 
 
 def test_writer_rejects_what_the_reference_rejects():
-    for bad in (Node(0, LeafAny(), (1,), 1), Node(0, 5, LeafAny(), 1), None):
+    for bad in (Node(0, L0, (1,), 1), Node(0, 5, L0, 1), None):
         with pytest.raises(CertificateError) as want:
             oracles.certificate_to_json(bad)
         with pytest.raises(CertificateError) as got:
@@ -734,14 +758,12 @@ def test_writer_rejects_what_the_reference_rejects():
 @st.composite
 def _certificates(draw):
     """A certificate DAG: each new object may reuse any object made before it."""
-    pool = [LeafAny()]
+    pool = [L0]
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.integers(0, 4))
         if kind == 0:
-            pool.append(LeafEdgeless(tuple(sorted(draw(st.sets(st.integers(0, 9), max_size=4))))))
-        elif kind == 1:
-            pool.append(LeafAny())
-        elif kind == 4:
+            pool.append(LeafComponents(0))
+        elif kind in (1, 4):
             pool.append(LeafComponents(draw(st.integers(0, 6))))
         else:
             delete, link = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
@@ -781,20 +803,13 @@ def _json_extend(children):
         canonical,
         st.fixed_dictionaries({"node": body}, optional=extra),
         st.fixed_dictionaries({"node": bent_body | children | _SCALARS}, optional=extra),
-        st.fixed_dictionaries({"leaf": st.just("edgeless")}, optional={**extra, "vertices": vertices}),
         st.fixed_dictionaries({"leaf": st.just("components")}, optional={**extra, "vertices": vertices}),
-        st.fixed_dictionaries({"leaf": st.just("any") | _SCALARS | children}, optional=extra),
+        st.fixed_dictionaries({"leaf": _SCALARS | children}, optional={**extra, "vertices": vertices}),
         st.lists(children, max_size=2) | _SCALARS,
     )
 
 
-_CANONICAL_LEAVES = st.one_of(
-    st.just({"leaf": "any", "level": 0}),
-    st.integers(0, 3).map(lambda k: {"leaf": "components", "level": k}),
-    st.lists(st.integers(0, 5), max_size=3, unique=True).map(
-        lambda vs: {"leaf": "edgeless", "level": len(vs), "vertices": sorted(vs)}
-    ),
-)
+_CANONICAL_LEAVES = st.integers(0, 3).map(lambda k: {"leaf": "components", "level": k})
 
 
 @settings(max_examples=500, deadline=None)
