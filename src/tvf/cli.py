@@ -7,8 +7,9 @@ timing, the exit code and the error kind (null on success); a failed run
 writes it too.  No command draws a random number, so identical inputs
 reproduce byte-identical artifacts.  The TVF_BUDGET environment variable,
 a positive integer, replaces the default limit of every budget a command
-counts (faces, facets, memo entries, trace nodes, product edges, hull
-tests, trial divisions); any other value is a usage error.
+counts (faces, facets, memo entries, objects of a certificate text, trace
+nodes, product edges, hull tests, trial divisions, scheme blocks); any
+other value is a usage error.
 
 Every search and construction that follows its input's depth runs on the
 explicit stack of graphs.run, so no input meets the interpreter's recursion
@@ -268,7 +269,7 @@ def cmd_vd_max(run: _Run) -> int:
 def cmd_vd_build(run: _Run) -> int:
     G = run.graph(run.args.graph)
     cert = vd.build_certificate_degree_bound(G, run.budget)
-    run.emit(vd.certificate_to_json(cert), run.args.out, "\n")
+    run.emit(vd.certificate_to_json(cert, run.budget), run.args.out, "\n")
     return 0
 
 
@@ -313,7 +314,7 @@ def _emit_trace(run: _Run, trace: sq.RemovalTrace) -> None:
     if run.args.cert_out:
         cert = sq.extract_certificate(trace, run.budget)
         del trace
-        run.write(run.args.cert_out, vd.certificate_to_json(cert), "\n")
+        run.write(run.args.cert_out, vd.certificate_to_json(cert, run.budget), "\n")
 
 
 def cmd_squid_df1(run: _Run) -> int:
@@ -333,7 +334,7 @@ def cmd_squid_extract(run: _Run) -> int:
     trace = sq.RemovalTrace.from_json(run.read(run.args.trace), run.budget)
     cert = sq.extract_certificate(trace, run.budget)
     del trace  # freed before the certificate text is built
-    run.emit(vd.certificate_to_json(cert), run.args.out, "\n")
+    run.emit(vd.certificate_to_json(cert, run.budget), run.args.out, "\n")
     return 0
 
 
@@ -350,7 +351,7 @@ def cmd_scheme_constants(run: _Run) -> int:
 
 def cmd_scheme_build(run: _Run) -> int:
     args = run.args
-    built = sc.build_scheme(args.epsilon, args.n, args.delta, args.q)
+    built = sc.build_scheme(args.epsilon, args.n, args.delta, args.q, run.budget)
     report = {
         "blocks_extended": built.blocks_extended,
         "blocks_initial": built.blocks_initial,

@@ -18,10 +18,11 @@ of dimension at least 1: it is not shellable, so not vertex decomposable
 (Provan-Billera 1980).
 
 The Betti numbers come from boundary-matrix ranks over Q, computed by
-sparse exact elimination on integer columns.  Generated faces,
+sparse exact elimination on integer columns of face masks, so only facets,
+shellings and the facets text are in labels.  Generated faces,
 independence-complex facets and decomposability memo entries each have a
-budget, 2e6 by default; the Bron-Kerbosch and decomposability searches run
-on graphs.run's stack.
+budget, 2e6 by default; Bron-Kerbosch, on the graph's own masks, and the
+decomposability search run on graphs.run's stack.
 """
 
 from __future__ import annotations
@@ -31,16 +32,12 @@ from bisect import bisect_left
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import Budget, ComplexError
-from .graphs import Graph, bits, neighbor_masks, run
+from .errors import Budget, ComplexError, int_token
+from .graphs import Graph, bits, mask_labels, run
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
 Face = tuple[int, ...]
-
-
-def _labels(verts: tuple[int, ...], mask: int) -> Face:
-    return tuple(verts[low.bit_length() - 1] for low in bits(mask))
 
 
 def _union(masks: Iterable[int]) -> int:
@@ -96,12 +93,12 @@ class SimplicialComplex:
     @property
     def facets(self) -> tuple[Face, ...]:
         if self._facets is None:
-            self._facets = tuple(sorted(_labels(self._verts, m) for m in self._masks))
+            self._facets = tuple(sorted(mask_labels(self._verts, m) for m in self._masks))
         return self._facets
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return _labels(self._verts, _union(self._masks))
+        return mask_labels(self._verts, _union(self._masks))
 
     @property
     def dim(self) -> int:
@@ -124,18 +121,20 @@ class SimplicialComplex:
         return f"SimplicialComplex(facets={len(self._masks)}, dim={self.dim})"
 
 
-def faces_by_dim(S: SimplicialComplex, budget: Optional[int] = None) -> dict[int, tuple[Face, ...]]:
-    """All faces grouped by dimension (including the empty face at -1)."""
+def faces_by_dim(S: SimplicialComplex, budget: Optional[int] = None) -> dict[int, tuple[int, ...]]:
+    """All faces as sorted masks over S's labels, grouped by dimension
+    (including the empty face at -1); budget counts each subset of each facet."""
     b = Budget(budget, DEFAULT_FACE_BUDGET, "face", "faces")
-    seen: set[Face] = set()
-    for facet in S.facets:
-        for r in range(len(facet) + 1):
-            for combo in itertools.combinations(facet, r):
-                b.spend()
-                seen.add(combo)
-    out: dict[int, list[Face]] = {}
+    seen: set[int] = set()
+    for m in S._masks:
+        sub = m
+        for _ in range(1 << m.bit_count()):  # the submasks of m, from m down to 0
+            b.spend()
+            seen.add(sub)
+            sub = (sub - 1) & m
+    out: dict[int, list[int]] = {}
     for f in seen:
-        out.setdefault(len(f) - 1, []).append(f)
+        out.setdefault(f.bit_count() - 1, []).append(f)
     return {d: tuple(sorted(fs)) for d, fs in sorted(out.items())}
 
 
@@ -190,9 +189,8 @@ def _maximal_independent_sets(G: Graph, budget: Budget) -> list[int]:
     # Bron-Kerbosch with pivoting on the complement graph, on bitmasks: bit i
     # is the i-th smallest label, and the pivot is the vertex of maybe or
     # exclude with the most non-neighbors in maybe, the lowest on ties.
-    _, _, nbr = neighbor_masks(G)
-    full = (1 << len(nbr)) - 1
-    nonadj = [full & ~(m | 1 << i) for i, m in enumerate(nbr)]
+    full = (1 << G.n) - 1
+    nonadj = [full & ~(m | 1 << i) for i, m in enumerate(G.nbr)]
     out: list[int] = []
 
     def grow(include: int, maybe: int, exclude: int):
@@ -307,7 +305,7 @@ def is_vertex_decomposable(
     shelling = run(_vd_shelling(S, {}, b))
     if shelling is None:
         return VertexDecomposition(False)
-    return VertexDecomposition(True, tuple(_labels(S._verts, m) for m in shelling))
+    return VertexDecomposition(True, tuple(mask_labels(S._verts, m) for m in shelling))
 
 
 class ShellingCheck(NamedTuple):
@@ -395,10 +393,11 @@ def _clear(v: dict[int, int], p: dict[int, int], k: int) -> dict[int, int]:
     return v
 
 
-def _boundary_rank(lower: Sequence[Face], upper: Sequence[Face]) -> int:
-    """Rank over Q of the boundary map from the faces in upper to those in lower.
+def _boundary_rank(lower: Sequence[int], upper: Sequence[int]) -> int:
+    """Rank over Q of the boundary map from the face masks in upper to those in lower.
 
-    Each face becomes a sparse integer column {row: +-1}, which is reduced
+    Each face becomes a sparse integer column {row: +-1}: dropping its bit
+    of rank i (lowest first) gives the row of sign (-1)**i.  It is reduced
     against pivot columns keyed by their leading (largest) row until its
     leading row is free.  Pivots are linearly independent, so their number
     is the rank.  When a stored pivot's leading entry is not a unit but the
@@ -410,7 +409,7 @@ def _boundary_rank(lower: Sequence[Face], upper: Sequence[Face]) -> int:
     index = {f: i for i, f in enumerate(lower)}
     pivots: dict[int, dict[int, int]] = {}
     for face in upper:
-        v = {index[face[:i] + face[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(face))}
+        v = {index[face ^ low]: -1 if i & 1 else 1 for i, low in enumerate(bits(face))}
         while v:
             k = max(v)
             p = pivots.get(k)
@@ -521,12 +520,7 @@ def parse_facets(text: str) -> SimplicialComplex:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            facets.append(tuple(int(x) for x in line.split()))
-        except ValueError:
-            raise ComplexError(
-                f"line {lineno}: expected integer vertex labels, got {line!r}"
-            ) from None
+        facets.append([int_token(t, lineno, ComplexError, "an integer label") for t in line.split()])
     return SimplicialComplex(facets)
 
 

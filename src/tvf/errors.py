@@ -10,9 +10,10 @@ stderr and exits with the code given below.  ``kind`` is one of:
 - exit 64: ``usage``, a bad value of TVF_BUDGET.  Argument-parsing errors
   also exit 64, but print argparse usage text instead of JSON.
 - exit 2: ``budget``, a Budget was exhausted (BudgetExceeded): faces,
-  facets, memo entries, trace nodes, product edges, hull tests or trial
-  divisions.  Every search and construction that follows its input's depth
-  runs on graphs.run's explicit stack, so no input meets the interpreter's
+  facets, memo entries, objects of a certificate text, trace nodes,
+  product edges, hull tests, trial divisions or scheme blocks.  Every
+  search and construction that follows its input's depth runs on
+  graphs.run's explicit stack, so no input meets the interpreter's
   recursion limit.
 - exit 1, a domain error, named by its class: ``GraphError``; ``VdError``,
   ``CertificateError``; ``SquidError``, ``TheoremViolation``,
@@ -118,6 +119,16 @@ def json_ints(value, what: str) -> tuple[int, ...]:
         if type(v) is not int:
             json_int(v, f"{what} entry")  # raises, naming the entry
     return tuple(value)
+
+
+def int_token(token: str, lineno: int, domain_error: type[ValueError], what: str) -> int:
+    """int(token), else domain_error naming line lineno and the token, cut to
+    40 characters; int() also refuses a number past its digit limit."""
+    try:
+        return int(token)
+    except ValueError:
+        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+        raise domain_error(f"line {lineno}: expected {what}, got {shown}") from None
 
 
 def past_digit_limit(text: str) -> bool:

@@ -1,9 +1,9 @@
 """Finite simple graphs on non-negative integer labels.
 
-Graphs are immutable values; nothing here mutates after construction.
-The branching recursions elsewhere in the package do not build a Graph per
-subgraph: they work on bitmasks over neighbor_masks.  Every recursion in
-the package runs as a generator on run's explicit stack.
+Graphs are immutable values.  A Graph keeps its adjacency only as bitmasks:
+bit i is its i-th smallest label, index maps labels to bits and nbr[i] is
+bit i's open neighborhood.  Recursions elsewhere work on masks over nbr, not
+a Graph per subgraph, as generators on run's explicit stack.
 
 A vertex of G x K_q is its integer label index(base)*q + (row-1), and the
 product is its label masks (product_with_complete), never a Graph; only the
@@ -12,9 +12,9 @@ trace JSON writes a vertex as a (base, row) pair.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Iterator, Optional
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
-from .errors import Budget, GraphError
+from .errors import Budget, GraphError, int_token
 
 # Edges one product G x K_q may have, counted before anything of its size
 # is built.  The masks of a product cost about labels x highest neighbor
@@ -26,9 +26,10 @@ DEFAULT_PRODUCT_BUDGET = 1_000_000
 
 
 class Graph:
-    """Immutable simple graph. Vertices are unique non-negative ints."""
+    """Immutable simple graph on unique non-negative int labels: sorted
+    vertices, sorted edges (u, v) with u < v, and the masks index and nbr."""
 
-    __slots__ = ("_vertices", "_adj", "_edges", "_hash")
+    __slots__ = ("vertices", "edges", "index", "nbr", "_hash")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         vset: set[int] = set()
@@ -38,6 +39,9 @@ class Graph:
             if v in vset:
                 raise GraphError(f"duplicate vertex label {v}")
             vset.add(v)
+        self.vertices: tuple[int, ...] = tuple(sorted(vset))
+        index = self.index = {v: i for i, v in enumerate(self.vertices)}
+        nbr = [0] * len(index)
         eset: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
@@ -45,44 +49,27 @@ class Graph:
             if u not in vset or v not in vset:
                 raise GraphError(f"edge ({u},{v}) has an endpoint that is not a listed vertex")
             eset.add((u, v) if u < v else (v, u))
-        self._vertices: tuple[int, ...] = tuple(sorted(vset))
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(eset))
-        adj: dict[int, set[int]] = {v: set() for v in self._vertices}
-        for u, v in self._edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: dict[int, frozenset[int]] = {v: frozenset(ns) for v, ns in adj.items()}
-        self._hash = hash((self._vertices, self._edges))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+            nbr[index[u]] |= 1 << index[v]
+            nbr[index[v]] |= 1 << index[u]
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(eset))
+        self.nbr: tuple[int, ...] = tuple(nbr)
+        self._hash = hash((self.vertices, self.edges))
 
     @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices)
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return len(self.edges)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._adj
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._vertices)
-
-    def __len__(self) -> int:
-        return len(self._vertices)
+        return v in self.index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
         return self._hash
@@ -91,12 +78,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if v not in self._adj:
+        if v not in self.index:
             raise GraphError(f"unknown vertex {v}")
-        return self._adj[v]
+        return frozenset(mask_labels(self.vertices, self.nbr[self.index[v]]))
 
     def max_degree(self) -> int:
-        return max((len(ns) for ns in self._adj.values()), default=0)
+        return max((m.bit_count() for m in self.nbr), default=0)
 
     # -- standard small families used throughout the tests and CLI --
 
@@ -157,7 +144,7 @@ def product_with_complete(G: Graph, q: int, budget: Optional[int] = None) -> lis
     (None: DEFAULT_PRODUCT_BUDGET), checked before any mask is built."""
     check_product_size(G, q, budget)
     nbr = []
-    for b, mask in enumerate(neighbor_masks(G)[2]):
+    for b, mask in enumerate(G.nbr):
         row = sum(1 << ((low.bit_length() - 1) * q) for low in bits(mask))  # bit u*q per neighbor u
         column = ((1 << q) - 1) << (b * q)
         nbr.extend((row << r) | (column ^ (1 << (b * q + r))) for r in range(q))
@@ -166,14 +153,13 @@ def product_with_complete(G: Graph, q: int, budget: Optional[int] = None) -> lis
 
 def product_edgelist(G: Graph, q: int, budget: Optional[int] = None) -> str:
     """The edge-list text of G x K_q on product_with_complete's labels,
-    written from G's neighbors, as the masks' memory grows with the square
-    of the label count; budget as for product_with_complete."""
+    written from G's masks, as the product's masks grow with the square of
+    its label count; budget as for product_with_complete."""
     parts = [f"p {G.n * q} {check_product_size(G, q, budget)}\n"]
-    index = {v: b for b, v in enumerate(G.vertices)}
-    for b, v in enumerate(G.vertices):
-        end, later = (b + 1) * q, sorted(index[u] * q for u in G.neighbors(v) if index[u] > b)
-        for r, x in enumerate(range(b * q, end)):  # its column, then its row on later bases
-            ys = [*range(x + 1, end), *(u + r for u in later)]
+    for b, mask in enumerate(G.nbr):
+        later = [(low.bit_length() - 1) * q for low in bits(mask >> (b + 1) << (b + 1))]
+        for r, x in enumerate(range(b * q, (b + 1) * q)):  # its column, then its row on later bases
+            ys = [*range(x + 1, (b + 1) * q), *(u + r for u in later)]
             parts.append("".join([f"e {x} {y}\n" for y in ys]))
     return "".join(parts)
 
@@ -182,13 +168,6 @@ def product_edgelist(G: Graph, q: int, budget: Optional[int] = None) -> str:
 #
 # First line "p <n> <m>", then m lines "e <u> <v>" with 0-based labels in
 # 0..n-1; blank lines and lines starting with "#" are ignored.
-
-
-def _int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GraphError(f"line {lineno}: expected an integer, got {token!r}") from None
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -205,7 +184,7 @@ def parse_edgelist(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: repeated problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'p <n> <m>'")
-            n, m = _int(parts[1], lineno), _int(parts[2], lineno)
+            n, m = (int_token(t, lineno, GraphError, "an integer") for t in parts[1:])
             if n < 0 or m < 0:
                 raise GraphError(f"line {lineno}: vertex and edge counts must not be negative")
         elif parts[0] == "e":
@@ -213,7 +192,7 @@ def parse_edgelist(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: edge before the problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = _int(parts[1], lineno), _int(parts[2], lineno)
+            u, v = (int_token(t, lineno, GraphError, "an integer") for t in parts[1:])
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"line {lineno}: endpoint outside 0..{n - 1}")
             edges.append((u, v))
@@ -226,27 +205,22 @@ def parse_edgelist(text: str) -> Graph:
     return Graph(range(n), edges)
 
 
-def neighbor_masks(G: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
-    """Bitmask view for subgraph recursions.
-
-    Returns (vertex tuple, label->bit index, open-neighborhood masks).
-    Bit i corresponds to the i-th smallest vertex label.
-    """
-    verts = G.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for u, v in G.edges:
-        masks[index[u]] |= 1 << index[v]
-        masks[index[v]] |= 1 << index[u]
-    return verts, index, masks
-
-
 def bits(mask: int) -> Iterator[int]:
     """The set bits of mask as one-bit masks, lowest first."""
     while mask:
         low = mask & -mask
         yield low
         mask ^= low
+
+
+def mask_labels(verts: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The labels verts[i] of the set bits i of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(verts[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def run(call: Generator):

@@ -57,7 +57,7 @@ from .errors import (
     json_type,
     read_json,
 )
-from .graphs import Graph, check_product_size, distance_two_set, product_with_complete, run
+from .graphs import Graph, check_product_size, distance_two_set, mask_labels, product_with_complete, run
 from .vd import (
     CertificateBuilder,
     MaskView,
@@ -189,7 +189,6 @@ class RemovalTrace(NamedTuple):
         """
         G, q = self.graph, self.q
         pair = [f"[{v},{r}]" for v in G.vertices for r in range(1, q + 1)]  # by label
-        column = {v: i * q for i, v in enumerate(G.vertices)}  # base -> its lowest label
         rows_mask = (1 << q) - 1
 
         def ints(values) -> str:
@@ -203,14 +202,9 @@ class RemovalTrace(NamedTuple):
 
         def squid_text(s: Squid) -> str:
             # ascending labels are the pairs in sorted order
-            col = column[s.body]  # every squid's body is a vertex of G
+            col = G.index[s.body] * q  # the lowest label of the body's column
             inside = s.mask >> col & rows_mask
-            mask = s.mask ^ inside << col
-            arms = []
-            while mask:
-                low = mask & -mask
-                arms.append(pair[low.bit_length() - 1])
-                mask ^= low
+            arms = mask_labels(pair, s.mask ^ inside << col)
             rows = body_rows_text.get(inside)
             if rows is None:
                 rows = body_rows_text[inside] = ints(
@@ -496,7 +490,8 @@ class _Engine:
         col_nb = nb & self.column_mask(pivot_label)
         arm_out = []
         prefix = 0
-        for w in self.view.labels(nb & ~col_nb) + self.view.labels(col_nb):  # row neighbors first
+        verts = self.view.verts  # the product's labels, which are its bits
+        for w in mask_labels(verts, nb & ~col_nb) + mask_labels(verts, col_nb):  # row neighbors first
             prefix |= 1 << w
             squid_mask = (self.view.nbr[w] & mask) | prefix
             child_mask = mask & ~squid_mask

@@ -18,8 +18,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # Bound as a module, not by name: under the CLI's lazy layers
 # tverberg search then never load schemes.
 from . import schemes
-from .errors import Budget, TverbergError, past_digit_limit
-from .graphs import Graph, bits, induced_subgraph, neighbor_masks, run
+from .errors import Budget, TverbergError, int_token, past_digit_limit
+from .graphs import Graph, bits, induced_subgraph, run
 from .ratlp import solve_equality_feasibility
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -82,12 +82,7 @@ def parse_points(text: str) -> PointConfiguration:
         parts = line.split()
         if len(parts) < 2:
             raise TverbergError(f"line {lineno}: expected '<vertex> <coords...>'")
-        try:
-            v = int(parts[0])
-        except ValueError:
-            raise TverbergError(
-                f"line {lineno}: expected an integer vertex, got {parts[0]!r}"
-            ) from None
+        v = int_token(parts[0], lineno, TverbergError, "an integer vertex")
         huge = next((tok for tok in parts[1:] if past_digit_limit(tok)), None)
         if huge is not None:
             raise TverbergError(
@@ -295,7 +290,6 @@ def search_witness(
     if len(verts) < q:
         return None  # every q-coloring would leave an empty class
     tests = Budget(budget, DEFAULT_SEARCH_BUDGET, "search", "hull tests")
-    _, _, nbr = neighbor_masks(G)
     # integral coordinates as ints: the same values, in cheaper arithmetic
     points = [tuple(int(c) if c.denominator == 1 else c for c in cfg.points[v]) for v in verts]
     dim = cfg.dimension
@@ -307,7 +301,7 @@ def search_witness(
         return [low.bit_length() - 1 for low in bits(mask)]
 
     def independent(mask: int) -> bool:
-        return not any(nbr[i] & mask for i in members(mask))
+        return not any(G.nbr[i] & mask for i in members(mask))
 
     def box(mask: int) -> tuple[list[Fraction], list[Fraction]]:
         coords = list(zip(*(points[i] for i in members(mask))))
@@ -385,7 +379,7 @@ def search_witness(
                 barycentric[ci] = dict(zip(labels, hull.coefficients[ci - 1]))
             return TverbergWitness(coloring, hull.point, barycentric)
         anchor = remaining & -remaining
-        free = (remaining ^ anchor) & ~nbr[anchor.bit_length() - 1]
+        free = (remaining ^ anchor) & ~G.nbr[anchor.bit_length() - 1]
         # leave at least one vertex for each later class
         most = remaining.bit_count() - 1 - (q - len(classes) - 1)
         chosen = 0

@@ -15,9 +15,9 @@ additivity sums these levels to k.  Certificates are immutable values
 that verify_certificate re-checks, with a nested JSON form.
 
 Every recursion over induced subgraphs runs on the bitmasks of one root
-graph (MaskView): bit i is the i-th smallest label, H - u is
-``mask & ~(1 << i)`` and H - N[u] is ``mask & ~closed[i]``.  The decision
-solver, the verifier and the certificate builder share it and its
+graph (MaskView, a Graph's own masks): bit i is the i-th smallest label,
+H - u is ``mask & ~(1 << i)`` and H - N[u] is ``mask & ~closed[i]``.  The
+decision solver, the verifier and the certificate builder share it and its
 component search; each memo belongs to an object made for one call.  The
 solver computes min(level, cap) by branch and bound over the components of
 each mask, with one interval of proven and refuted levels per connected
@@ -27,10 +27,11 @@ stack, so no answer depends on the recursion limit; budgets of memo
 entries bound their memory.
 
 The JSON form is the expanded tree, but its cost follows unique subtrees:
-the writer formats each distinct subtree once, and the reader parses each
-distinct subtree text of the writer's layout once (other layouts go
-through certificate_from_obj).  Either way structurally equal subtrees
-become one object, and verification follows unique nodes.
+the writer counts the expanded tree's objects on a budget and then formats
+each distinct subtree once, and the reader parses each distinct subtree
+text of the writer's layout once (other layouts go through
+certificate_from_obj).  Either way structurally equal subtrees become one
+object, and verification follows unique nodes.
 """
 
 from __future__ import annotations
@@ -39,13 +40,16 @@ import re
 from typing import NamedTuple, Optional, Union
 
 from .errors import Budget, GraphError, VdError, read_json
-from .graphs import Graph, neighbor_masks, run
+from .graphs import Graph, mask_labels, run
 
 # Memo entries one level decision may make; each costs about 150 bytes.
 DEFAULT_LEVEL_BUDGET = 1_000_000
 # Memo entries one certificate construction may make, lifts included; a lift
 # costs about 350 bytes.
 DEFAULT_CERTIFICATE_BUDGET = 1_000_000
+# Objects of its expanded tree one certificate text may hold.  Writing peaks at about 54
+# bytes per object: P10 x K7 (25,287,553 objects, 974 MB of text) peaks at 1.37 GB RSS.
+DEFAULT_TEXT_BUDGET = 30_000_000
 
 
 class CertificateError(VdError):
@@ -80,14 +84,14 @@ class MaskView:
 
     verts[i] is the i-th smallest label and index maps labels back to bits;
     nbr[i] and closed[i] are the open and closed neighborhood masks of bit
-    i.  G is a Graph, or masks whose labels are their bits, as
-    graphs.product_with_complete returns.  The component count is cached
-    per mask.
+    i.  G is a Graph, whose own masks are taken as they are, or masks whose
+    labels are their bits, as graphs.product_with_complete returns.  The
+    component count is cached per mask.
     """
 
     def __init__(self, G: Union[Graph, list[int]]):
         if isinstance(G, Graph):
-            self.verts, self.index, self.nbr = neighbor_masks(G)
+            self.verts, self.index, self.nbr = G.vertices, G.index, G.nbr
         else:
             self.verts, self.nbr = tuple(range(len(G))), G
             self.index = dict(zip(self.verts, self.verts))
@@ -118,15 +122,6 @@ class MaskView:
                 count += 1
             self._components[mask] = count
         return count
-
-    def labels(self, mask: int) -> tuple[int, ...]:
-        """Labels of the set bits, smallest first."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.verts[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
 
 
 class _Solver(MaskView):
@@ -477,7 +472,7 @@ def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> Vd
         """Generator for run: the certificate of a (mask, k) that builder.known lacks."""
         builder.budget.spend()
         p = (mask & -mask).bit_length() - 1
-        order = view.labels(view.nbr[p] & mask)
+        order = mask_labels(view.verts, view.nbr[p] & mask)
         child = mask & ~view.closed[p]
         link_cert = builder.known(child, k - 1) or (yield build(child, k - 1))
         arm_certs = []
@@ -513,13 +508,32 @@ def build_certificate_degree_bound(G: Graph, budget: Optional[int] = None) -> Vd
 _CLOSE = object()  # writer stack marker: the innermost open node's text ends here
 
 
-def certificate_to_json(cert: VdCertificate) -> str:
+def _expanded_size(cert: VdCertificate) -> int:
+    """The number of objects in the expanded tree of cert, in one pass over its unique objects."""
+    sizes: dict[int, int] = {}
+    stack = [cert]
+    while stack:
+        c = stack.pop()
+        if type(c) is not Node:
+            sizes[id(c)] = 1
+            continue
+        d, k = sizes.get(id(c.delete)), sizes.get(id(c.link))
+        if d is None or k is None:  # c again, once its children are counted
+            stack += (c, c.delete, c.link)
+        else:
+            sizes[id(c)] = 1 + d + k
+    return sizes[id(cert)]
+
+
+def certificate_to_json(cert: VdCertificate, budget: Optional[int] = None) -> str:
     """The nested JSON text of cert, in time that follows its unique objects.
 
     Each object's text is a slice of parts; an object met again copies its
     slice, string pointers only.  The slice bounds are plain ints, which
-    the garbage collector does not track, so writing adds it no work.
+    the garbage collector does not track, so writing adds it no work.  The
+    expanded tree's objects are counted on budget (None: DEFAULT_TEXT_BUDGET) first.
     """
+    Budget(budget, DEFAULT_TEXT_BUDGET, "certificate text", "objects").spend(_expanded_size(cert))
     parts: list[str] = []
     starts: dict[int, int] = {}  # id of a written object -> its first part
     ends: dict[int, int] = {}  # id of a written object -> one past its last part

@@ -1012,6 +1012,28 @@ def test_removal_and_extraction_budget_exit_code(files, capsys, monkeypatch, com
     assert json.loads(err) == {"error": error, "kind": "budget"}
 
 
+def test_certificate_text_stops_at_its_budget_before_any_text(files, capsys, monkeypatch):
+    # P11 x K7 certifies within 1e6 memo entries, but its nested text would
+    # expand its shared subtrees into 151,725,309 objects
+    monkeypatch.chdir(files)
+    (files / "p11.txt").write_text("p 11 10\n" + "".join(f"e {i} {i + 1}\n" for i in range(10)))
+    code, out, err = run(capsys, "squid", "df1", "--graph", "p11.txt", "--q", "7", "--out", "t.json", "--cert-out", "c.json")
+    assert (code, out) == (2, "") and not (files / "c.json").exists()
+    error = "certificate text budget exceeded (151725309 > 30000000 objects)"
+    assert json.loads(err) == {"error": error, "kind": "budget"}
+    manifest = json.loads((files / "t.json.manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error_kind"]) == (2, "budget")
+
+
+def test_scheme_build_stops_at_its_budget_before_the_exact_terms(files, capsys):
+    # k = min(q, ceil(2 * delta * gamma)) = 173,658 exact terms, each one
+    # with a denominator 2 * delta times the last one's
+    argv = ["scheme", "build", "--epsilon", "1", "--n", "1000000000000", "--delta", "100000", "--q", "10000000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "scheme budget exceeded (173658 > 1000 blocks)", "kind": "budget"}
+
+
 @pytest.mark.parametrize(
     "command, used",
     [

@@ -256,6 +256,15 @@ def test_euler_characteristic_matches_betti():
         assert euler == sum((-1) ** d * b[d] for d in range(-1, S.dim + 1))
 
 
+def test_faces_are_the_independent_set_masks():
+    for n in range(1, 6):
+        for G in all_labeled_graphs(n):
+            by_dim = faces_by_dim(independence_complex(G))
+            independent = {m for m in range(1 << n) if not any(m >> u & m >> v & 1 for u, v in G.edges)}
+            assert {f for fs in by_dim.values() for f in fs} == independent
+            assert all(fs == tuple(sorted(fs)) and {f.bit_count() for f in fs} == {d + 1} for d, fs in by_dim.items())
+
+
 def test_budget_exceeded():
     big = SimplicialComplex([tuple(range(20))])
     with pytest.raises(BudgetExceeded):
@@ -291,6 +300,10 @@ def test_facet_file_round_trip():
     assert parse_facets("# c\n\n0 1\n") == SimplicialComplex([(0, 1)])
     with pytest.raises(ComplexError, match="line 3"):
         parse_facets("0 1\n\n0 y\n")
+    with pytest.raises(ComplexError) as bad:
+        parse_facets("0 1\n2 " + "7" * 5000 + " 3\n")  # past int()'s digit limit
+    assert str(bad.value).startswith("line 2: expected an integer label, got '7777")
+    assert len(str(bad.value)) < 200
 
 
 def test_betti_vector_access():

@@ -11,7 +11,6 @@ from tvf.graphs import (
     Graph,
     GraphError,
     distance_two_set,
-    neighbor_masks,
     parse_edgelist,
     product_edgelist,
     product_with_complete,
@@ -36,6 +35,32 @@ def test_constructor_rejects_bad_input():
         Graph([0, 0], [])
     with pytest.raises(GraphError):
         Graph([-1], [])
+
+
+@st.composite
+def _edge_lists(draw):
+    """Distinct labels and an edge list over them, with repeats and both orientations."""
+    labels = draw(st.lists(st.integers(0, 60), unique=True, max_size=9))
+    pairs = [(u, v) for u in labels for v in labels if u != v]
+    return labels, draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists())
+def test_masks_neighbors_degrees_and_edges_agree(case):
+    labels, edges = case
+    G = Graph(labels, edges)
+    verts = sorted(labels)
+    assert G.vertices == tuple(verts) and G.index == {v: i for i, v in enumerate(verts)}
+    adjacent = {v: {b for a, b in edges if a == v} | {a for a, b in edges if b == v} for v in verts}
+    assert G.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
+    assert len(G.nbr) == G.n and G.max_degree() == max(map(len, adjacent.values()), default=0)
+    from_masks = set()
+    for i, v in enumerate(verts):
+        assert G.neighbors(v) == adjacent[v]
+        assert G.nbr[i] == sum(1 << G.index[u] for u in adjacent[v])
+        from_masks |= {(v, u) for j, u in enumerate(verts) if G.nbr[i] >> j & 1 and v < u}
+    assert from_masks == set(G.edges)
 
 
 def test_open_neighborhood():
@@ -153,7 +178,7 @@ def _graphs_and_q(draw):
 def test_product_masks_match_the_reference_product(case):
     G, q = case
     P = product_graph(G, q)
-    assert product_with_complete(G, q) == neighbor_masks(P)[2]
+    assert product_with_complete(G, q) == list(P.nbr)
     assert product_edgelist(G, q) == format_edgelist(P)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from tvf.errors import BudgetExceeded
 from tvf.schemes import (
     InfeasibleScheme,
     Quad,
@@ -134,6 +135,15 @@ def test_build_scheme_epsilon_three_grid():
             k = len(built.scheme.sizes)
             assert built.coverage >= N - 10 * k
             assert validate_scheme(built.scheme.sizes, built.scheme.n, q, delta).ok
+
+
+def test_build_scheme_budget_counts_terms_and_top_up_blocks():
+    built = build_scheme(3, 10, 7, 20, budget=7)  # k = 5 terms, then 2 top-up blocks
+    assert (built.blocks_initial, built.blocks_extended) == (5, 2)
+    assert build_scheme(3, 10, 7, 20) == built
+    for budget, used in ((6, 7), (4, 5)):
+        with pytest.raises(BudgetExceeded, match=rf"scheme budget exceeded \({used} > {budget} blocks\)"):
+            build_scheme(3, 10, 7, 20, budget=budget)
 
 
 def test_build_scheme_fractional_budget_flag():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import tvf.vd
 from tvf.errors import BudgetExceeded
-from tvf.graphs import Graph, GraphError, induced_subgraph
+from tvf.graphs import Graph, GraphError, induced_subgraph, mask_labels
 from tvf.squids import extract_certificate, run_df1
 from tvf.vd import (
     CertificateBuilder,
@@ -203,7 +203,8 @@ def _peeling_keys(G):
     keys = set()
 
     def walk(mask, k):
-        if oracles.component_count(induced_subgraph(G, view.labels(mask))) >= k or (mask, k) in keys:
+        H = induced_subgraph(G, mask_labels(view.verts, mask))
+        if oracles.component_count(H) >= k or (mask, k) in keys:
             return
         keys.add((mask, k))
         p = (mask & -mask).bit_length() - 1
@@ -520,6 +521,17 @@ def _unique_objects(cert):
             if isinstance(c, Node):
                 stack.extend((c.delete, c.link))
     return out
+
+
+def test_certificate_text_budget_counts_the_expanded_objects():
+    _, text = _c5_certificate_text()
+    cert = certificate_from_json(text)
+    objects = text.count('"level"')  # one per leaf and per node
+    assert len(_unique_objects(cert)) < objects  # a shared subtree counts once per place
+    assert certificate_to_json(cert, objects) == text
+    error = rf"certificate text budget exceeded \({objects} > {objects - 1} objects\)"
+    with pytest.raises(BudgetExceeded, match=error):
+        certificate_to_json(cert, objects - 1)
 
 
 def test_reader_shares_each_distinct_subtree_once():
