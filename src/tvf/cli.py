@@ -43,6 +43,7 @@ from .errors import (
     TverbergError,
     VdError,
     past_digit_limit,
+    quoted,
 )
 
 
@@ -106,7 +107,7 @@ def _rational(text: str) -> str:
     or 0.2, kept as given so that an error can name it as the user wrote it.
     A number past int()'s digit limit is rejected before it is read."""
     if past_digit_limit(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is a number past int()'s digit limit")
+        raise argparse.ArgumentTypeError(f"{quoted(text)} is a number past int()'s digit limit")
     from fractions import Fraction  # only commands with --epsilon pay for it
 
     try:
@@ -114,7 +115,7 @@ def _rational(text: str) -> str:
         return text
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"expected a rational such as 1/5 or 0.2, got {text!r}"
+            f"expected a rational such as 1/5 or 0.2, got {quoted(text)}"
         ) from None
 
 

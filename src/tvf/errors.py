@@ -121,14 +121,19 @@ def json_ints(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def quoted(text: str) -> str:
+    """User text as an error quotes it: its repr, or past 40 characters the
+    repr of the first 40 and the length of the whole."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def int_token(token: str, lineno: int, domain_error: type[ValueError], what: str) -> int:
-    """int(token), else domain_error naming line lineno and the token, cut to
-    40 characters; int() also refuses a number past its digit limit."""
+    """int(token), else domain_error naming line lineno and the token
+    (quoted); int() also refuses a number past its digit limit."""
     try:
         return int(token)
     except ValueError:
-        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
-        raise domain_error(f"line {lineno}: expected {what}, got {shown}") from None
+        raise domain_error(f"line {lineno}: expected {what}, got {quoted(token)}") from None
 
 
 def past_digit_limit(text: str) -> bool:

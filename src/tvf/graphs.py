@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
-from .errors import Budget, GraphError, int_token
+from .errors import Budget, GraphError, int_token, quoted
 
 # Edges one product G x K_q may have, counted before anything of its size
 # is built.  The masks of a product cost about labels x highest neighbor
@@ -197,7 +197,7 @@ def parse_edgelist(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: endpoint outside 0..{n - 1}")
             edges.append((u, v))
         else:
-            raise GraphError(f"line {lineno}: unrecognized line {line!r}")
+            raise GraphError(f"line {lineno}: unrecognized line {quoted(line)}")
     if n is None:
         raise GraphError("missing problem line 'p <n> <m>'")
     if m is not None and m != len(edges):

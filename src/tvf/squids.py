@@ -27,10 +27,15 @@ Two pivot rules are provided: run_df1 takes the lexicographically smallest
 residual vertex (valid whenever q > |N2(v)| + 2|N(v)| for every v), and
 run_dynamic follows a block-size scheme, choosing at each block start the
 top-most surviving row with the most preserved vertices.  Both run one
-removal search on graphs.run's explicit stack, as extraction does; a
-budget of trace nodes bounds the search, and one of product edges bounds
-G x K_q itself.  The search is the only model of a removal step: a trace
-is read by rerunning the removal its header names and comparing texts.
+removal search, a loop on an explicit stack that fills a node table
+(NodeTable): per node its residual, level, pivot and child numbers, and
+for dynamic runs its block rows.  A budget of trace nodes bounds the
+search, and one of product edges bounds G x K_q itself.  No squid is
+stored: a squid is what its child removed from the residual, and _squids
+derives its kind, rows and witness when the trace is written or asked for
+its children.  Extraction walks the table on graphs.run's explicit stack.
+The search is the only model of a removal step: a trace is read by
+rerunning the removal its header names and comparing texts.
 
 In memory a product vertex is its label index(base)*q + (row-1), and a
 squid or residual is a mask over those labels.  The (base, row) pairs
@@ -127,23 +132,27 @@ def df1_check(G: Graph, q: int, mode: str = "walk") -> bool:
 # ---------------------------------------------------------------------------
 
 
-class TraceChild(NamedTuple):
-    squid: Squid
-    node: "TraceNode"
-    w: Optional[int] = None  # label of the neighbor consumed; None on the link child
+class NodeTable(NamedTuple):
+    """The nodes of one removal, numbered in depth-first preorder: node 0 is
+    the root, and each node comes before its children, arms before link.
 
+    Node i has the residual mask residual[i], the level level[i] and the
+    pivot label pivot[i] (None at level 0).  Its children's numbers are
+    child[first[i]:first[i + 1]]: one per arm in order, then the link, none
+    at level 0; first holds one entry past the last node.  A dynamic
+    removal also gives each node block_row[i], the row of its active block
+    (None at level 0), and rows_used[i], the block rows so far; a df1
+    removal has neither column.  No squid is stored: RemovalTrace.children
+    derives them (_squids).
+    """
 
-class TraceNode(NamedTuple):
-    """One residual of a removal: its product labels as a mask, and the
-    label of its pivot (None at level 0)."""
-
-    level: int
-    residual_mask: int
-    pivot: Optional[int] = None
-    arm_children: tuple[TraceChild, ...] = ()
-    link_child: Optional[TraceChild] = None
-    block_row: Optional[int] = None  # dynamic runs: the row of the active block
-    rows_used: Optional[tuple[int, ...]] = None  # dynamic runs: block rows so far
+    residual: list[int]
+    level: list[int]
+    pivot: list[Optional[int]]
+    first: list[int]
+    child: list[int]
+    block_row: Optional[list[Optional[int]]] = None
+    rows_used: Optional[list[tuple[int, ...]]] = None
 
 
 class RemovalTrace(NamedTuple):
@@ -151,24 +160,23 @@ class RemovalTrace(NamedTuple):
     q: int
     m: int
     kind: str  # "df1" | "dynamic"
-    root: TraceNode
+    nodes: NodeTable
     mode: str = "walk"
     scheme: Optional[schemes.SizeScheme] = None
 
     def product(self) -> MaskView:
         return MaskView(product_with_complete(self.graph, self.q))
 
-    def nodes(self) -> list[TraceNode]:
-        """Unique nodes in depth-first preorder from the root."""
-        seen, order, stack = set(), [], [self.root]  # the trace keeps every node, so ids stay unique
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                order.append(node)
-                link = () if node.link_child is None else (node.link_child,)
-                stack += [child.node for child in reversed(node.arm_children + link)]
-        return order
+    def children(self, i: int) -> list[tuple[Optional[int], Squid, int]]:
+        """Node i's children as (w, squid, node): each arm with the label w of
+        the neighbor it consumed, in order, then the link with w None; no
+        children at level 0.  The squids are derived (_squids), not stored."""
+        t = self.nodes
+        kids = t.child[t.first[i] : t.first[i + 1]]
+        if not kids:
+            return []
+        squids = _squids(self.graph, self.q, t.residual[i], t.pivot[i], [t.residual[c] for c in kids])
+        return [(s[0], Squid(*s[1:]), c) for s, c in zip(squids, kids)]
 
     def _head_and_tail(self) -> tuple[str, str]:
         """The JSON text before the node rows and after them."""
@@ -183,7 +191,8 @@ class RemovalTrace(NamedTuple):
         """The JSON text of each node in id order, every row but the first led by a comma.
 
         Each node is written straight to one row of text in _canonical's
-        layout, so no tree of dicts is built.  block_row and rows_used
+        layout, so no tree of dicts is built, with its children's squids
+        derived from the table (_squids).  block_row and rows_used
         appear only in dynamic traces; an absent pivot, link or witness is
         null.  The squid kinds are fixed words that need no escaping.
         """
@@ -194,58 +203,58 @@ class RemovalTrace(NamedTuple):
         def ints(values) -> str:
             return ",".join(map(str, values))
 
-        # A squid's text is its arms, then the text of the rows it holds of
-        # its body's column, then a tail fixed by its other fields; the last
-        # two repeat across squids and are formatted once each.
+        # A child's text is its node number and arms, then the text of the
+        # rows its squid holds of its body's column, then a tail fixed by its
+        # squid's other fields and w; the last two repeat across children
+        # and are formatted once each.
         body_rows_text: dict[int, str] = {}
         tails: dict[tuple, str] = {}
 
-        def squid_text(s: Squid) -> str:
+        def child_text(c: int, squid: tuple) -> str:
+            w, body, kind, rows, mask, witness = squid
             # ascending labels are the pairs in sorted order
-            col = G.index[s.body] * q  # the lowest label of the body's column
-            inside = s.mask >> col & rows_mask
-            arms = mask_labels(pair, s.mask ^ inside << col)
-            rows = body_rows_text.get(inside)
-            if rows is None:
-                rows = body_rows_text[inside] = ints(
-                    r for r in range(1, q + 1) if inside >> (r - 1) & 1
-                )
-            key = (s.body, s.kind, s.rows, s.witness)
+            col = G.index[body] * q  # the lowest label of the body's column
+            inside = mask >> col & rows_mask
+            arms = mask_labels(pair, mask ^ inside << col)
+            text = body_rows_text.get(inside)
+            if text is None:
+                text = body_rows_text[inside] = ints(r for r in range(1, q + 1) if inside >> (r - 1) & 1)
+            key = (w, body, kind, rows, witness)
             tail = tails.get(key)
             if tail is None:
-                hearts = ",".join(f"[{s.body},{r}]" for r in s.rows)
-                witness = "null" if s.witness is None else s.witness
+                hearts = ",".join(f"[{body},{r}]" for r in rows)
                 tail = tails[key] = (
-                    f'],"hearts":[{hearts}],"kind":"{s.kind}","rows":[{ints(s.rows)}],'
-                    f'"witness":{witness}}}'
+                    f'],"hearts":[{hearts}],"kind":"{kind}","rows":[{ints(rows)}],'
+                    f'"witness":{"null" if witness is None else witness}}}'
+                    + ("}" if w is None else f',"w":{pair[w]}}}')
                 )
-            return f'{{"arms":[{",".join(arms)}],"body":{s.body},"body_rows":[{rows}{tail}'
+            return f'{{"node":{c},"squid":{{"arms":[{",".join(arms)}],"body":{body},"body_rows":[{text}{tail}'
 
-        nodes = self.nodes()
-        ids = {id(node): i for i, node in enumerate(nodes)}
+        t = self.nodes
+        residual, first, child = t.residual, t.first, t.child
         dynamic = self.kind == "dynamic"
-        for i, node in enumerate(nodes):
+        for i, level in enumerate(t.level):
             row = "," if i else ""
             if dynamic:
-                row += f'{{"block_row":{"null" if node.block_row is None else node.block_row},'
+                row += f'{{"block_row":{"null" if t.block_row[i] is None else t.block_row[i]},'
             else:
                 row += "{"
-            children = ",".join(
-                f'{{"node":{ids[id(ch.node)]},"squid":{squid_text(ch.squid)},"w":{pair[ch.w]}}}'
-                for ch in node.arm_children
-            )
-            link = node.link_child
-            if link is not None:
-                link = f'{{"node":{ids[id(link.node)]},"squid":{squid_text(link.squid)}}}'
+            p = t.pivot[i]
+            if p is None:
+                children, link = "", "null"
+            else:
+                kids = child[first[i] : first[i + 1]]
+                squids = _squids(G, q, residual[i], p, [residual[c] for c in kids])
+                parts = list(map(child_text, kids, squids))
+                link = parts.pop()
+                children = ",".join(parts)
             row += (
-                f'"children":[{children}],"id":{i},"level":{node.level},'
-                f'"link":{"null" if link is None else link},'
-                f'"pivot":{"null" if node.pivot is None else pair[node.pivot]},'
-                f'"residual_size":{node.residual_mask.bit_count()}'
+                f'"children":[{children}],"id":{i},"level":{level},"link":{link},'
+                f'"pivot":{"null" if p is None else pair[p]},'
+                f'"residual_size":{residual[i].bit_count()}'
             )
             if dynamic:
-                used = "null" if node.rows_used is None else f"[{ints(node.rows_used)}]"
-                row += f',"rows_used":{used}'
+                row += f',"rows_used":[{ints(t.rows_used[i])}]'
             yield row + "}"
 
     def to_json(self) -> str:
@@ -458,102 +467,126 @@ def _differences(got: dict, want: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-class _Engine:
-    def __init__(self, G: Graph, q: int, budget: Optional[int]):
-        self.G, self.q = G, q
-        self.view = MaskView(product_with_complete(G, q, budget))  # labels are bit indices
-        self.base_of = [G.vertices[lab // q] for lab in range(G.n * q)]
-        self.row_of = [lab % q + 1 for lab in range(G.n * q)]
-
-    def column_mask(self, label: int) -> int:
-        """The labels of label's column: its base vertex on every row."""
-        return ((1 << self.q) - 1) << (label - label % self.q)
-
-    def classify_link_squid(self, pivot_label: int, squid_mask: int) -> Squid:
-        v, i = self.base_of[pivot_label], self.row_of[pivot_label]
-        nbrs = self.G.neighbors(v)
-        if nbrs:
-            return Squid(body=v, kind="I", rows=(i,), mask=squid_mask, witness=min(nbrs))
-        # v is isolated in G, so the squid lies in the pivot's column
-        rest = squid_mask & ~(1 << pivot_label)
-        if rest:
-            j = self.row_of[(rest & -rest).bit_length() - 1]  # the smallest other row
-            return Squid(body=v, kind="II", rows=(min(i, j), max(i, j)), mask=squid_mask)
-        # bare pivot: isolated body with nothing else left in its column
-        return Squid(body=v, kind="I", rows=(i,), mask=squid_mask, witness=None)
-
-    def expand(self, mask: int, pivot_label: int):
-        """Child squids of a node: (w, squid, child_mask) per neighbor, then
-        the closed-neighborhood link squid. Asserts the body-column condition."""
-        v, i = self.base_of[pivot_label], self.row_of[pivot_label]
-        nb = self.view.nbr[pivot_label] & mask
-        col_nb = nb & self.column_mask(pivot_label)
-        arm_out = []
-        prefix = 0
-        verts = self.view.verts  # the product's labels, which are its bits
-        for w in mask_labels(verts, nb & ~col_nb) + mask_labels(verts, col_nb):  # row neighbors first
-            prefix |= 1 << w
-            squid_mask = (self.view.nbr[w] & mask) | prefix
-            child_mask = mask & ~squid_mask
-            if self.row_of[w] == i:  # one-row squid with body w and the pivot as witness
-                squid = Squid(body=self.base_of[w], kind="I", rows=(i,), mask=squid_mask, witness=v)
-            else:  # two-row squid with the pivot's body
-                j = self.row_of[w]
-                squid = Squid(body=v, kind="II", rows=(min(i, j), max(i, j)), mask=squid_mask)
-            if self.column_mask(w) & child_mask:  # w's column is the body's
-                raise SquidError("engine invariant broken: body column survived removal")
-            arm_out.append((w, squid, child_mask))
-        link_mask = nb | (1 << pivot_label)
-        link_squid = self.classify_link_squid(pivot_label, link_mask)
-        link_child_mask = mask & ~link_mask
-        if self.column_mask(pivot_label) & link_child_mask:
-            raise SquidError("engine invariant broken: pivot column survived removal")
-        return arm_out, link_squid, link_child_mask
+def _arm_order(q: int, nb: int, p: int) -> list[int]:
+    """The labels of nb, the neighbors of pivot p in a residual, in the order
+    the node's arms consume them: those on p's row, then those in p's
+    column, each ascending."""
+    col = nb & ((1 << q) - 1) << (p - p % q)
+    out = []
+    for part in (nb ^ col, col):
+        while part:
+            low = part & -part
+            out.append(low.bit_length() - 1)
+            part ^= low
+    return out
 
 
-def _remove(eng: _Engine, m: int, pivot_rule, rows, budget: Optional[int]) -> TraceNode:
-    """Root of the full branching removal of m squids, searched on graphs.run.
+def _squids(G: Graph, q: int, mask: int, p: int, kids: list[int]) -> list[tuple]:
+    """The child squids of the node with residual mask and pivot label p,
+    given its children's residuals kids (the arms', then the link's), each
+    as (w, body, kind, rows, squid mask, witness), Squid's fields after the
+    label w of the neighbor an arm consumed (None on the link).
+
+    A squid is what its child removed from the residual; the link's is
+    the pivot's closed neighborhood, so the arms' neighbors are read from it
+    in the engine's order.  An arm whose neighbor w lies on the pivot's row
+    is kind I, with w's base as body and the pivot's as witness; any other
+    is kind II on the pivot's base and both rows.  The link is kind I with
+    the smallest neighbor of the pivot's base in G as witness.  At a base
+    isolated in G it lies in the pivot's column: kind II on the pivot's row
+    and the smallest other row left, or, with no other row left, the bare
+    pivot, kind I without a witness.
+    """
+    b, i = p // q, p % q + 1
+    vertices = G.vertices
+    v = vertices[b]
+    link = mask ^ kids[-1]
+    nb = link ^ 1 << p
+    out = []
+    for w, kid in zip(_arm_order(q, nb, p), kids):
+        j = w % q + 1
+        if j == i:
+            out.append((w, vertices[w // q], "I", (i,), mask ^ kid, v))
+        else:
+            out.append((w, v, "II", (i, j) if i < j else (j, i), mask ^ kid, None))
+    around = G.nbr[b]
+    if around:
+        out.append((None, v, "I", (i,), link, vertices[(around & -around).bit_length() - 1]))
+    elif nb:
+        j = ((nb & -nb).bit_length() - 1) % q + 1  # the smallest other row
+        out.append((None, v, "II", (i, j) if i < j else (j, i), link, None))
+    else:
+        out.append((None, v, "I", (i,), link, None))
+    return out
+
+
+def _remove(nbr: list[int], q: int, m: int, pivot_rule, rows, budget: Optional[int]) -> NodeTable:
+    """The node table of the full branching removal of m squids from the
+    product whose label masks are nbr.
 
     pivot_rule(mask, depth, rows) gives the pivot label of a residual after
     depth removals, the block rows to pass down, and the node's block row;
-    rows starts as given (None for a rule without blocks).  Nodes are shared
-    per (residual, depth, rows), and the node past `budget` (None:
-    DEFAULT_REMOVAL_BUDGET) raises BudgetExceeded.
+    rows starts as given (None for a rule without blocks, whose table has
+    no block columns).  Nodes are shared per (residual, depth, rows).  A
+    node is numbered when it is first reached, and an explicit stack
+    expands its children depth-first, arms in order, then the link; each
+    child slot holds the child's residual until the child is numbered.  The
+    node past `budget` (None: DEFAULT_REMOVAL_BUDGET) raises BudgetExceeded.
+    Every squid must empty its body's column from the child residual.
     """
     spend = Budget(budget, DEFAULT_REMOVAL_BUDGET, "removal", "trace nodes").spend
-    memo: dict[tuple, TraceNode] = {}
+    column = (1 << q) - 1
+    dynamic = rows is not None
+    table = NodeTable([], [], [], [], [], *([[], []] if dynamic else []))
+    residual, level, pivot, first, child, block_row, rows_used = table
+    numbers: dict[tuple, int] = {}
+    stack: list[list] = []  # per node being expanded: [next slot, end slot, child depth, rows]
 
-    def explore(mask: int, depth: int, rows):
-        """Generator for run: the node of a key not yet in the memo."""
+    def enter(mask: int, depth: int, rows) -> int:
+        """Number a new node and, above level 0, stack its children."""
         spend()
-        key = (mask, depth, rows)
+        node = numbers[mask, depth, rows] = len(residual)
+        residual.append(mask)
+        level.append(m - depth)
+        first.append(len(child))
         if depth == m:
-            node = TraceNode(level=0, residual_mask=mask, rows_used=rows)
-        else:
-            pivot_label, rows, block_row = pivot_rule(mask, depth, rows)
-            arms, link_squid, link_mask = eng.expand(mask, pivot_label)
-            arm_children = []
-            for w, s, cm in arms:
-                child = memo.get((cm, depth + 1, rows)) or (yield explore(cm, depth + 1, rows))
-                arm_children.append(TraceChild(squid=s, node=child, w=w))
-            child = memo.get((link_mask, depth + 1, rows)) or (
-                yield explore(link_mask, depth + 1, rows)
-            )
-            node = TraceNode(
-                level=m - depth,
-                residual_mask=mask,
-                pivot=pivot_label,
-                arm_children=tuple(arm_children),
-                link_child=TraceChild(squid=link_squid, node=child),
-                block_row=block_row,
-                rows_used=rows,
-            )
-        memo[key] = node
+            pivot.append(None)
+            if dynamic:
+                block_row.append(None)
+                rows_used.append(rows)
+            return node
+        p, rows, row = pivot_rule(mask, depth, rows)
+        nb = nbr[p] & mask
+        prefix = 0
+        for w in _arm_order(q, nb, p):
+            prefix |= 1 << w
+            kid = mask & ~(nbr[w] | prefix)
+            if kid >> (w - w % q) & column:  # w's column is the squid's body's
+                raise SquidError("engine invariant broken: body column survived removal")
+            child.append(kid)
+        kid = mask & ~(nb | 1 << p)
+        if kid >> (p - p % q) & column:
+            raise SquidError("engine invariant broken: pivot column survived removal")
+        child.append(kid)
+        pivot.append(p)
+        if dynamic:
+            block_row.append(row)
+            rows_used.append(rows)
+        stack.append([first[node], len(child), depth + 1, rows])
         return node
 
-    root = run(explore(eng.view.full, 0, rows))
-    del explore
-    return root
+    enter((1 << len(nbr)) - 1, 0, rows)
+    while stack:
+        frame = stack[-1]
+        slot, end, depth, rows = frame
+        if slot == end:
+            stack.pop()
+            continue
+        frame[0] = slot + 1
+        node = numbers.get((child[slot], depth, rows))
+        child[slot] = enter(child[slot], depth, rows) if node is None else node
+    first.append(len(child))
+    return table
 
 
 def run_df1(
@@ -575,8 +608,9 @@ def run_df1(
             raise TheoremViolation(f"residual emptied with {m - depth} removal steps still to go")
         return (mask & -mask).bit_length() - 1, None, None
 
-    root = _remove(_Engine(G, q, budget), m, lowest, None, budget if nodes is None else nodes)
-    return RemovalTrace(graph=G, q=q, m=m, kind="df1", root=root, mode=mode)
+    nbr = product_with_complete(G, q, budget)
+    table = _remove(nbr, q, m, lowest, None, budget if nodes is None else nodes)
+    return RemovalTrace(graph=G, q=q, m=m, kind="df1", nodes=table, mode=mode)
 
 
 def run_dynamic(
@@ -611,7 +645,7 @@ def run_dynamic(
     if m > G.n:
         raise SquidError(f"scheme removes {m} squids but the tuple bound needs m <= |G| = {G.n}")
     cumulative = list(itertools.accumulate(scheme.sizes))
-    eng = _Engine(G, q, budget)
+    nbr = product_with_complete(G, q, budget)
     row_masks = {r: sum(1 << lab for lab in range(r - 1, G.n * q, q)) for r in range(1, q + 1)}
 
     def block_pivot(mask: int, depth: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
@@ -630,8 +664,8 @@ def run_dynamic(
             raise SchemeRunError(f"block {block} row {row} has no surviving vertices at step {step}")
         return (on_row & -on_row).bit_length() - 1, rows, row  # smallest base vertex on the row
 
-    root = _remove(eng, m, block_pivot, (), budget if nodes is None else nodes)
-    return RemovalTrace(graph=G, q=q, m=m, kind="dynamic", root=root, scheme=scheme)
+    table = _remove(nbr, q, m, block_pivot, (), budget if nodes is None else nodes)
+    return RemovalTrace(graph=G, q=q, m=m, kind="dynamic", nodes=table, scheme=scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -656,21 +690,22 @@ def extract_certificate(trace: RemovalTrace, budget: Optional[int] = None) -> Vd
     """
     view = MaskView(product_with_complete(trace.graph, trace.q, budget))
     builder = CertificateBuilder(view, budget)
+    q = trace.q
+    residual, level, pivot, first, child = trace.nodes[:5]
 
-    def certify(node: TraceNode):
-        """Generator for run: the certificate of a node that builder.known lacks."""
+    def certify(i: int):
+        """Generator for run: the certificate of node i, which builder.known lacks."""
         builder.budget.spend()
         certs = []  # the arm children's, then the link child's
-        for child in [ch.node for ch in node.arm_children] + [node.link_child.node]:
-            certs.append(builder.known(child.residual_mask, child.level) or (yield certify(child)))
+        for c in child[first[i] : first[i + 1]]:
+            certs.append(builder.known(residual[c], level[c]) or (yield certify(c)))
         link_cert = certs.pop()
-        ws = [ch.w for ch in node.arm_children]
-        cert = assemble_pivot_decomposition(
-            builder, node.residual_mask, node.pivot, ws, certs, link_cert, node.level
-        )
-        builder.memo[node.residual_mask, node.level] = cert
+        mask, p = residual[i], pivot[i]
+        ws = _arm_order(q, view.nbr[p] & mask, p)
+        cert = assemble_pivot_decomposition(builder, mask, p, ws, certs, link_cert, level[i])
+        builder.memo[mask, level[i]] = cert
         return cert
 
-    cert = builder.known(trace.root.residual_mask, trace.root.level) or run(certify(trace.root))
+    cert = builder.known(residual[0], level[0]) or run(certify(0))
     del certify
     return cert

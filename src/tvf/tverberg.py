@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # Bound as a module, not by name: under the CLI's lazy layers
 # tverberg search then never load schemes.
 from . import schemes
-from .errors import Budget, TverbergError, int_token, past_digit_limit
+from .errors import Budget, TverbergError, int_token, past_digit_limit, quoted
 from .graphs import Graph, bits, induced_subgraph, run
 from .ratlp import solve_equality_feasibility
 
@@ -86,13 +86,13 @@ def parse_points(text: str) -> PointConfiguration:
         huge = next((tok for tok in parts[1:] if past_digit_limit(tok)), None)
         if huge is not None:
             raise TverbergError(
-                f"line {lineno}: coordinate {huge!r} is a number past int()'s digit limit"
+                f"line {lineno}: coordinate {quoted(huge)} is a number past int()'s digit limit"
             )
         try:
             coords = tuple(Fraction(tok) for tok in parts[1:])
         except (ValueError, ZeroDivisionError):
             raise TverbergError(
-                f"line {lineno}: expected rational coordinates, got {line!r}"
+                f"line {lineno}: expected rational coordinates, got {quoted(line)}"
             ) from None
         if dim is None:
             dim = len(coords)

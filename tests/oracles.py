@@ -19,7 +19,9 @@ The certificate JSON writer and reader are the walkers over the expanded
 tree that the library's unique-structure writer and parse-time reader
 replaced.  The trace JSON reference is the tree of dicts that
 RemovalTrace.to_obj built for json.dumps, which the library's row writer
-replaced.  The complex oracle is the library's earlier complex layer on
+replaced.  The removal reference is the record engine, one Squid,
+TraceChild and TraceNode per squid, child and node, that the library's
+node table replaced.  The complex oracle is the library's earlier complex layer on
 sorted label tuples, with a quadratic maximality filter for every complex
 and no connectivity prune in the decomposability search; its independence
 complexes come from every independent set, found by brute force.
@@ -36,6 +38,7 @@ residuals as labels and label masks; these oracles decode them to
 (base, row) pairs with product_vertices and check the patterns on pairs.
 """
 
+import bisect
 import itertools
 import json
 import math
@@ -44,9 +47,18 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from tvf.complexes import DEFAULT_FACE_BUDGET, ShellingCheck, VertexDecomposition
 from tvf.errors import Budget, ComplexError
-from tvf.graphs import Graph, GraphError, induced_subgraph, run
+from tvf.graphs import Graph, GraphError, induced_subgraph, mask_labels, product_with_complete, run
 from tvf.ratlp import Feasibility
-from tvf.squids import Squid, SquidError
+from tvf.squids import (
+    DEFAULT_REMOVAL_BUDGET,
+    NodeTable,
+    SchemeRunError,
+    Squid,
+    SquidError,
+    TheoremViolation,
+    df1_check,
+    df1_threshold,
+)
 from tvf.tverberg import (
     DEFAULT_SEARCH_BUDGET,
     HullWitness,
@@ -57,6 +69,7 @@ from tvf.tverberg import (
     verify_witness,
 )
 from tvf.vd import (
+    CertificateBuilder,
     CertificateError,
     LeafComponents,
     MaskView,
@@ -64,6 +77,7 @@ from tvf.vd import (
     VdCertificate,
     VdError,
 )
+from tvf.vd import assemble_pivot_decomposition as vd_assemble_pivot_decomposition
 
 
 def brute_certificate_search(G, k):
@@ -803,25 +817,26 @@ def build_certificate_degree_bound(G: Graph) -> VdCertificate:
 def extract_certificate(trace):
     """Certificate for a complete removal trace, one Graph per residual."""
     P = product_graph(trace.graph, trace.q)
+    table = trace.nodes
     cache = {}
 
-    def certify(node):
-        key = (node.residual_mask, node.level)
-        got = cache.get(key)
+    def certify(i):
+        mask, level = table.residual[i], table.level[i]
+        got = cache.get((mask, level))
         if got is not None:
             return got
-        H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
-        if component_count(H) >= node.level:
-            cert = LeafComponents(node.level)
+        H = induced_subgraph(P, [v for v in P.vertices if mask >> v & 1])
+        if component_count(H) >= level:
+            cert = LeafComponents(level)
         else:
-            arm_certs = [certify(ch.node) for ch in node.arm_children]
-            link_cert = certify(node.link_child.node)
-            order = [ch.w for ch in node.arm_children]
-            cert = assemble_pivot_decomposition(H, node.pivot, order, arm_certs, link_cert, node.level)
-        cache[key] = cert
+            *arms, (_, _, link) = trace.children(i)
+            arm_certs = [certify(node) for _, _, node in arms]
+            order = [w for w, _, _ in arms]
+            cert = assemble_pivot_decomposition(H, table.pivot[i], order, arm_certs, certify(link), level)
+        cache[mask, level] = cert
         return cert
 
-    return certify(trace.root)
+    return certify(0)
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +955,14 @@ def certificate_from_json(text: str) -> VdCertificate:
 # RemovalTrace.to_obj as it ran before RemovalTrace.to_json wrote each node
 # row straight to text: the whole trace as one tree of dicts and lists,
 # which json.dumps then serialized.  The library must write the same bytes.
+# It reads a trace only through its node table and children accessor, so
+# it writes a RecordTrace of the record engine below as well.
 
 
-def trace_to_obj(self) -> dict:
-    """The JSON form, where each product label becomes its (base, row) pair."""
-    G, q = self.graph, self.q
+def trace_to_obj(trace) -> dict:
+    """The JSON form, where each product label becomes its (base, row) pair;
+    the nodes are read through trace.nodes and trace.children."""
+    G, q = trace.graph, trace.q
     pairs = [(v, r) for v in G.vertices for r in range(1, q + 1)]  # by label
 
     def squid_obj(s: Squid) -> dict:
@@ -968,52 +986,259 @@ def trace_to_obj(self) -> dict:
             "witness": s.witness,
         }
 
-    ids: dict[int, int] = {}
-    nodes = self.nodes()
-    for i, node in enumerate(nodes):
-        ids[id(node)] = i
+    table = trace.nodes
     node_objs = []
-    for i, node in enumerate(nodes):
+    for i, level in enumerate(table.level):
+        children = trace.children(i)
+        pivot = table.pivot[i]
         obj = {
             "children": [
-                {
-                    "node": ids[id(ch.node)],
-                    "squid": squid_obj(ch.squid),
-                    "w": list(pairs[ch.w]),
-                }
-                for ch in node.arm_children
+                {"node": node, "squid": squid_obj(squid), "w": list(pairs[w])}
+                for w, squid, node in children[:-1]
             ],
             "id": i,
-            "level": node.level,
+            "level": level,
             "link": (
                 None
-                if node.link_child is None
-                else {
-                    "node": ids[id(node.link_child.node)],
-                    "squid": squid_obj(node.link_child.squid),
-                }
+                if not children
+                else {"node": children[-1][2], "squid": squid_obj(children[-1][1])}
             ),
-            "pivot": None if node.pivot is None else list(pairs[node.pivot]),
-            "residual_size": node.residual_mask.bit_count(),
+            "pivot": None if pivot is None else list(pairs[pivot]),
+            "residual_size": table.residual[i].bit_count(),
         }
-        if self.kind == "dynamic":
-            obj["block_row"] = node.block_row
-            obj["rows_used"] = None if node.rows_used is None else list(node.rows_used)
+        if trace.kind == "dynamic":
+            obj["block_row"] = table.block_row[i]
+            rows = table.rows_used[i]
+            obj["rows_used"] = None if rows is None else list(rows)
         node_objs.append(obj)
     return {
-        "graph": {"edges": [list(e) for e in self.graph.edges], "vertices": list(self.graph.vertices)},
-        "kind": self.kind,
-        "m": self.m,
-        "mode": self.mode,
+        "graph": {"edges": [list(e) for e in G.edges], "vertices": list(G.vertices)},
+        "kind": trace.kind,
+        "m": trace.m,
+        "mode": trace.mode,
         "nodes": node_objs,
-        "q": self.q,
+        "q": trace.q,
         "root": 0,
-        "scheme": None if self.scheme is None else self.scheme.to_obj(),
+        "scheme": None if trace.scheme is None else trace.scheme.to_obj(),
     }
 
 
 def trace_to_json(trace) -> str:
     return json.dumps(trace_to_obj(trace), sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
+# Record removal engine (reference for the node table)
+# ---------------------------------------------------------------------------
+#
+# The removal engine as it ran before it filled a node table: a generator
+# recursion on graphs.run that builds one Squid per child squid, one
+# TraceChild per child and one TraceNode per node, and extraction walking
+# those records.  The library's table must write the same trace text and
+# extract the same certificate, and a budget must stop both at the same
+# node.  RecordTrace gives the records the table's reading interface, so
+# that trace_to_obj writes both.  record_run_dynamic skips the library's
+# checks of the scheme, which callers meet.
+
+
+class TraceChild(NamedTuple):
+    squid: Squid
+    node: "TraceNode"
+    w: Optional[int] = None  # label of the neighbor consumed; None on the link child
+
+
+class TraceNode(NamedTuple):
+    level: int
+    residual_mask: int
+    pivot: Optional[int] = None
+    arm_children: tuple[TraceChild, ...] = ()
+    link_child: Optional[TraceChild] = None
+    block_row: Optional[int] = None
+    rows_used: Optional[tuple[int, ...]] = None
+
+
+class RecordTrace:
+    """A removal as TraceNode records, numbered in depth-first preorder
+    from the root, read through a NodeTable and children as RemovalTrace is."""
+
+    def __init__(self, graph, q, m, kind, root, mode="walk", scheme=None):
+        self.graph, self.q, self.m, self.kind, self.root = graph, q, m, kind, root
+        self.mode, self.scheme = mode, scheme
+        seen, order, stack = set(), [], [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                order.append(node)
+                link = () if node.link_child is None else (node.link_child,)
+                stack += [child.node for child in reversed(node.arm_children + link)]
+        ids = {id(node): i for i, node in enumerate(order)}
+        self._children = [
+            [(ch.w, ch.squid, ids[id(ch.node)]) for ch in node.arm_children + (node.link_child,)]
+            if node.link_child is not None
+            else []
+            for node in order
+        ]
+        first = list(itertools.accumulate((len(c) for c in self._children), initial=0))
+        dynamic = kind == "dynamic"
+        self.nodes = NodeTable(
+            [node.residual_mask for node in order],
+            [node.level for node in order],
+            [node.pivot for node in order],
+            first,
+            [c for children in self._children for _, _, c in children],
+            [node.block_row for node in order] if dynamic else None,
+            [node.rows_used for node in order] if dynamic else None,
+        )
+
+    def children(self, i):
+        return self._children[i]
+
+
+class _RecordEngine:
+    def __init__(self, G: Graph, q: int, budget: Optional[int]):
+        self.G, self.q = G, q
+        self.view = MaskView(product_with_complete(G, q, budget))
+        self.base_of = [G.vertices[lab // q] for lab in range(G.n * q)]
+        self.row_of = [lab % q + 1 for lab in range(G.n * q)]
+
+    def column_mask(self, label: int) -> int:
+        return ((1 << self.q) - 1) << (label - label % self.q)
+
+    def classify_link_squid(self, pivot_label: int, squid_mask: int) -> Squid:
+        v, i = self.base_of[pivot_label], self.row_of[pivot_label]
+        nbrs = self.G.neighbors(v)
+        if nbrs:
+            return Squid(body=v, kind="I", rows=(i,), mask=squid_mask, witness=min(nbrs))
+        rest = squid_mask & ~(1 << pivot_label)
+        if rest:
+            j = self.row_of[(rest & -rest).bit_length() - 1]
+            return Squid(body=v, kind="II", rows=(min(i, j), max(i, j)), mask=squid_mask)
+        return Squid(body=v, kind="I", rows=(i,), mask=squid_mask, witness=None)
+
+    def expand(self, mask: int, pivot_label: int):
+        v, i = self.base_of[pivot_label], self.row_of[pivot_label]
+        nb = self.view.nbr[pivot_label] & mask
+        col_nb = nb & self.column_mask(pivot_label)
+        arm_out = []
+        prefix = 0
+        verts = self.view.verts
+        for w in mask_labels(verts, nb & ~col_nb) + mask_labels(verts, col_nb):
+            prefix |= 1 << w
+            squid_mask = (self.view.nbr[w] & mask) | prefix
+            child_mask = mask & ~squid_mask
+            if self.row_of[w] == i:
+                squid = Squid(body=self.base_of[w], kind="I", rows=(i,), mask=squid_mask, witness=v)
+            else:
+                j = self.row_of[w]
+                squid = Squid(body=v, kind="II", rows=(min(i, j), max(i, j)), mask=squid_mask)
+            if self.column_mask(w) & child_mask:
+                raise SquidError("engine invariant broken: body column survived removal")
+            arm_out.append((w, squid, child_mask))
+        link_mask = nb | (1 << pivot_label)
+        link_squid = self.classify_link_squid(pivot_label, link_mask)
+        link_child_mask = mask & ~link_mask
+        if self.column_mask(pivot_label) & link_child_mask:
+            raise SquidError("engine invariant broken: pivot column survived removal")
+        return arm_out, link_squid, link_child_mask
+
+
+def _record_remove(eng: _RecordEngine, m: int, pivot_rule, rows, budget: Optional[int]) -> TraceNode:
+    spend = Budget(budget, DEFAULT_REMOVAL_BUDGET, "removal", "trace nodes").spend
+    memo: dict[tuple, TraceNode] = {}
+
+    def explore(mask: int, depth: int, rows):
+        spend()
+        key = (mask, depth, rows)
+        if depth == m:
+            node = TraceNode(level=0, residual_mask=mask, rows_used=rows)
+        else:
+            pivot_label, rows, block_row = pivot_rule(mask, depth, rows)
+            arms, link_squid, link_mask = eng.expand(mask, pivot_label)
+            arm_children = []
+            for w, s, cm in arms:
+                child = memo.get((cm, depth + 1, rows)) or (yield explore(cm, depth + 1, rows))
+                arm_children.append(TraceChild(squid=s, node=child, w=w))
+            child = memo.get((link_mask, depth + 1, rows)) or (
+                yield explore(link_mask, depth + 1, rows)
+            )
+            node = TraceNode(
+                level=m - depth,
+                residual_mask=mask,
+                pivot=pivot_label,
+                arm_children=tuple(arm_children),
+                link_child=TraceChild(squid=link_squid, node=child),
+                block_row=block_row,
+                rows_used=rows,
+            )
+        memo[key] = node
+        return node
+
+    return run(explore(eng.view.full, 0, rows))
+
+
+def record_run_df1(G: Graph, q: int, mode: str = "walk", budget=None, nodes=None) -> RecordTrace:
+    """run_df1 on the record engine; budget and nodes as there."""
+    if not df1_check(G, q, mode):
+        raise SquidError(f"q={q} does not exceed the threshold {df1_threshold(G, mode)} for this graph")
+    m = G.n
+
+    def lowest(mask: int, depth: int, rows: None):
+        if mask == 0:
+            raise TheoremViolation(f"residual emptied with {m - depth} removal steps still to go")
+        return (mask & -mask).bit_length() - 1, None, None
+
+    root = _record_remove(_RecordEngine(G, q, budget), m, lowest, None, budget if nodes is None else nodes)
+    return RecordTrace(G, q, m, "df1", root, mode)
+
+
+def record_run_dynamic(G: Graph, q: int, scheme, budget=None, nodes=None) -> RecordTrace:
+    """run_dynamic on the record engine, for a scheme run_dynamic accepts."""
+    m = sum(scheme.sizes)
+    cumulative = list(itertools.accumulate(scheme.sizes))
+    eng = _RecordEngine(G, q, budget)
+    row_masks = {r: sum(1 << lab for lab in range(r - 1, G.n * q, q)) for r in range(1, q + 1)}
+
+    def block_pivot(mask: int, depth: int, rows: tuple[int, ...]):
+        step = depth + 1
+        block = bisect.bisect_left(cumulative, step) + 1
+        if block > len(rows):
+            unused = [r for r in range(1, q + 1) if r not in rows]
+            counts = {r: (mask & row_masks[r]).bit_count() for r in unused}
+            best = max(counts.values(), default=0)
+            if best == 0:
+                raise SchemeRunError(f"no unused row has surviving vertices at step {step}")
+            rows = rows + (min(r for r in unused if counts[r] == best),)
+        row = rows[block - 1]
+        on_row = mask & row_masks[row]
+        if not on_row:
+            raise SchemeRunError(f"block {block} row {row} has no surviving vertices at step {step}")
+        return (on_row & -on_row).bit_length() - 1, rows, row
+
+    root = _record_remove(eng, m, block_pivot, (), budget if nodes is None else nodes)
+    return RecordTrace(G, q, m, "dynamic", root, scheme=scheme)
+
+
+def record_extract_certificate(trace: RecordTrace, budget=None) -> VdCertificate:
+    """extract_certificate walking the TraceNode records, on the library's
+    CertificateBuilder and pivot assembly."""
+    view = MaskView(product_with_complete(trace.graph, trace.q, budget))
+    builder = CertificateBuilder(view, budget)
+
+    def certify(node: TraceNode):
+        builder.budget.spend()
+        certs = []
+        for child in [ch.node for ch in node.arm_children] + [node.link_child.node]:
+            certs.append(builder.known(child.residual_mask, child.level) or (yield certify(child)))
+        link_cert = certs.pop()
+        ws = [ch.w for ch in node.arm_children]
+        cert = vd_assemble_pivot_decomposition(
+            builder, node.residual_mask, node.pivot, ws, certs, link_cert, node.level
+        )
+        builder.memo[node.residual_mask, node.level] = cert
+        return cert
+
+    return builder.known(trace.root.residual_mask, trace.root.level) or run(certify(trace.root))
 
 
 # ---------------------------------------------------------------------------

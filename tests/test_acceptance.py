@@ -146,25 +146,26 @@ def test_c5_dynamic_scheme_run():
     assert cert.level == sum(scheme.sizes)
     assert verify_certificate(trace.product(), cert).ok
     # row-choice rule at every block boundary (every step here starts a block)
-    q = trace.q
+    q, table = trace.q, trace.nodes
     gi = {v: i for i, v in enumerate(trace.graph.vertices)}
     boundaries = 0
-    for node in trace.nodes():
-        if node.pivot is None:
+    for i, pivot in enumerate(table.pivot):
+        if pivot is None:
             continue
+        mask, block_row, rows_used = table.residual[i], table.block_row[i], table.rows_used[i]
         residual = [
             (v, r)
             for v in trace.graph.vertices
             for r in range(1, q + 1)
-            if node.residual_mask >> (gi[v] * q + (r - 1)) & 1
+            if mask >> (gi[v] * q + (r - 1)) & 1
         ]
-        used_before = node.rows_used[: node.rows_used.index(node.block_row)]
+        used_before = rows_used[: rows_used.index(block_row)]
         counts = {r: sum(1 for _, rr in residual if rr == r) for r in range(1, q + 1)}
         unused = [r for r in range(1, q + 1) if r not in used_before]
         best = max(counts[r] for r in unused)
-        assert counts[node.block_row] == best
-        assert node.block_row == min(r for r in unused if counts[r] == best)
-        assert node.pivot % q + 1 == node.block_row  # the pivot label's row
+        assert counts[block_row] == best
+        assert block_row == min(r for r in unused if counts[r] == best)
+        assert pivot % q + 1 == block_row  # the pivot label's row
         boundaries += 1
     elapsed = time.monotonic() - t0
     ok = elapsed < 60

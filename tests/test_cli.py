@@ -787,16 +787,16 @@ def test_bad_epsilon_is_usage_error(files, capsys, command, value):
 
 
 @pytest.mark.parametrize(
-    "text, line, token",
+    "text, line, token, shown",
     [
-        ("0 1e10000000 0\n", 1, "1e10000000"),
-        ("0 0 0\n1 -2.5E-10000000 1\n", 2, "-2.5E-10000000"),
-        ("0 1e1_0000_000 0\n", 1, "1e1_0000_000"),
-        ("0 0." + "3" * 5000 + " 0\n", 1, "0." + "3" * 5000),
+        ("0 1e10000000 0\n", 1, "1e10000000", "'1e10000000'"),
+        ("0 0 0\n1 -2.5E-10000000 1\n", 2, "-2.5E-10000000", "'-2.5E-10000000'"),
+        ("0 1e1_0000_000 0\n", 1, "1e1_0000_000", "'1e1_0000_000'"),
+        ("0 0." + "3" * 5000 + " 0\n", 1, "0." + "3" * 5000, "'0." + "3" * 38 + "'... (5002 characters)"),
     ],
     ids=["exponent", "negative-exponent", "underscores", "long-fraction-part"],
 )
-def test_huge_coordinate_is_rejected_before_it_is_read(files, capsys, monkeypatch, text, line, token):
+def test_huge_coordinate_is_rejected_before_it_is_read(files, capsys, monkeypatch, text, line, token, shown):
     # Fraction would build 10**(10**7) for the first three, taking seconds
     read = []
     real = tvf.tverberg.Fraction
@@ -809,10 +809,58 @@ def test_huge_coordinate_is_rejected_before_it_is_read(files, capsys, monkeypatc
     )
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": f"line {line}: coordinate {token!r} is a number past int()'s digit limit",
+        "error": f"line {line}: coordinate {shown} is a number past int()'s digit limit",
         "kind": "TverbergError",
     }
     assert all(token not in args for args in read)
+
+
+# Each error that quotes a line or token of user text, on a 5,000-character
+# line: the quote is cut to its first 40 characters and its length.
+_LONG = "x" * 5000
+_LONG_NUMBER = "0." + "3" * 4998
+
+
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (
+            ["graph", "info", "--graph", "{dir}/long.txt"],
+            "p 2 0\n" + _LONG + "\n",
+            f"line 2: unrecognized line {_LONG[:40]!r}... (5000 characters)",
+        ),
+        (
+            ["tverberg", "search", "--graph", "{dir}/e2.txt", "--points", "{dir}/long.txt", "--q", "2"],
+            "0 " + _LONG[2:] + "\n",
+            f"line 1: expected rational coordinates, got {('0 ' + _LONG[2:])[:40]!r}... (5000 characters)",
+        ),
+        (
+            ["tverberg", "search", "--graph", "{dir}/e2.txt", "--points", "{dir}/long.txt", "--q", "2"],
+            "0 " + _LONG_NUMBER[:-2] + "\n",
+            f"line 1: coordinate {_LONG_NUMBER[:40]!r}... (4998 characters) is a number past "
+            "int()'s digit limit",
+        ),
+    ],
+    ids=["edge-list-line", "points-line", "points-digit-limit"],
+)
+def test_long_user_text_is_cut_in_errors(files, capsys, argv, text, error):
+    (files / "e2.txt").write_text("p 2 0\n")
+    (files / "long.txt").write_text(text)
+    code, out, err = run(capsys, *(a.format(dir=files) for a in argv))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == error and len(err) < 200
+
+
+def test_long_epsilon_is_cut_in_its_usage_error(files, capsys):
+    # --epsilon is read by argparse, so its errors are usage text, not JSON
+    (files / "e6.txt").write_text("p 6 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["tverberg", "corollary", "--graph", str(files / "e6.txt"), "--points", str(files / "pts.txt"),
+              "--q", "3", "--epsilon", _LONG_NUMBER])
+    err = capsys.readouterr().err
+    assert exc.value.code == 64
+    assert f"{_LONG_NUMBER[:40]!r}... (5000 characters) is a number past int()'s digit limit" in err
+    assert len(err) < 1000
 
 
 def test_witness_past_the_digit_limit_is_tverberg_error(files, capsys):

@@ -23,7 +23,7 @@ import tvf.vd
 from tvf.complexes import BettiVector, ShellingCheck, SkeletonReport, VertexDecomposition
 from tvf.graphs import Graph
 from tvf.schemes import EpsilonConstants, Quad, SchemeBuild, SchemeCheck, SizeScheme
-from tvf.squids import RemovalTrace, Squid, TraceChild, TraceNode
+from tvf.squids import NodeTable, RemovalTrace, Squid
 from tvf.tverberg import (
     CheckItem,
     CorollaryReport,
@@ -67,25 +67,18 @@ RECORDS = {
         "Squid(body=0, kind='I', rows=(1,), mask=1, witness=1)",
         True,
     ),
-    "TraceChild": (
-        lambda: TraceChild(_squid(), TraceNode(0, 2), 1),
-        "TraceChild(squid=Squid(body=0, kind='I', rows=(1,), mask=1, witness=1), "
-        "node=TraceNode(level=0, residual_mask=2, pivot=None, arm_children=(), link_child=None, "
-        "block_row=None, rows_used=None), w=1)",
-        True,
-    ),
-    "TraceNode": (
-        lambda: TraceNode(level=1, residual_mask=3, pivot=0, block_row=1, rows_used=(1,)),
-        "TraceNode(level=1, residual_mask=3, pivot=0, arm_children=(), "
-        "link_child=None, block_row=1, rows_used=(1,))",
-        True,
+    "NodeTable": (
+        lambda: NodeTable([3, 0], [1, 0], [0, None], [0, 1, 1], [1], [1, None], [(1,), (1,)]),
+        "NodeTable(residual=[3, 0], level=[1, 0], pivot=[0, None], first=[0, 1, 1], child=[1], "
+        "block_row=[1, None], rows_used=[(1,), (1,)])",
+        False,
     ),
     "RemovalTrace": (
-        lambda: RemovalTrace(Graph([0], []), 2, 1, "df1", TraceNode(0, 0)),
-        "RemovalTrace(graph=Graph(n=1, m=0), q=2, m=1, kind='df1', root=TraceNode(level=0, "
-        "residual_mask=0, pivot=None, arm_children=(), link_child=None, block_row=None, "
-        "rows_used=None), mode='walk', scheme=None)",
-        True,
+        lambda: RemovalTrace(Graph([0], []), 2, 1, "df1", NodeTable([0], [0], [None], [0, 0], [])),
+        "RemovalTrace(graph=Graph(n=1, m=0), q=2, m=1, kind='df1', nodes=NodeTable(residual=[0], "
+        "level=[0], pivot=[None], first=[0, 0], child=[], block_row=None, rows_used=None), "
+        "mode='walk', scheme=None)",
+        False,
     ),
     "Quad": (
         lambda: Quad(F(1), F(-1, 2), F(3)),
@@ -175,7 +168,7 @@ def test_every_record_type_is_listed():
         for name, obj in vars(module).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
     }
-    assert found - {"_PointFields"} == set(RECORDS) and len(RECORDS) == 21
+    assert found - {"_PointFields"} == set(RECORDS) and len(RECORDS) == 20
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

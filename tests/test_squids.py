@@ -5,14 +5,14 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tvf.squids
 import tvf.vd
 from tvf.errors import BudgetExceeded
 from tvf.graphs import Graph, induced_subgraph
-from tvf.schemes import SizeScheme
+from tvf.schemes import SizeScheme, validate_scheme
 from tvf.squids import (
     RemovalTrace,
     SchemeRunError,
@@ -49,8 +49,8 @@ def _mask(G, q, *pairs):
     return sum(1 << product_label(G, q, _pv(b, r)) for b, r in pairs)
 
 
-def _residual_set(trace, node):
-    return product_vertices(trace.graph, trace.q, node.residual_mask)
+def _residual_set(trace, i):
+    return product_vertices(trace.graph, trace.q, trace.nodes.residual[i])
 
 
 def _pair(trace, label):
@@ -93,11 +93,11 @@ def test_squid_validation():
 
 def test_run_df1_single_vertex():
     trace = run_df1(complete_graph(1), 1)
-    assert trace.m == 1 and trace.root.level == 1
+    assert trace.m == 1 and trace.nodes.level[0] == 1
     cert = extract_certificate(trace)
     assert cert.level == 1
     assert verify_certificate(trace.product(), cert).ok
-    bare = trace.root.link_child.squid
+    _, bare, _ = trace.children(0)[-1]
     assert bare.witness is None and not squid_arms(bare, trace.graph, trace.q) and bare.kind == "I"
 
 
@@ -143,13 +143,13 @@ def _isolated_in(res, pivot, G):
 
 def _assert_squids_admissible(trace):
     degenerate = 0
-    for node in trace.nodes():
-        if node.pivot is None:
+    for i, p in enumerate(trace.nodes.pivot):
+        if p is None:
             continue
-        res, pivot = _residual_set(trace, node), _pair(trace, node.pivot)
-        for ch in node.arm_children:
-            assert squid_admissible(ch.squid, pivot, res, trace.graph, trace.q), (pivot, ch.squid)
-        link = node.link_child.squid
+        res, pivot = _residual_set(trace, i), _pair(trace, p)
+        *arms, (_, link, _) = trace.children(i)
+        for _, squid, _ in arms:
+            assert squid_admissible(squid, pivot, res, trace.graph, trace.q), (pivot, squid)
         if link.mask.bit_count() == 1 and not squid_arms(link, trace.graph, trace.q):
             # bare pivot: arises exactly when the pivot is isolated in the
             # residual, where neither membership pattern can apply
@@ -165,32 +165,26 @@ def test_generated_squids_are_admissible_and_well_formed():
         for G in all_labeled_graphs(n):
             trace = run_df1(G, df1_threshold(G) + 1)
             _assert_squids_admissible(trace)
-            for node in trace.nodes():
-                for ch in node.arm_children:
-                    check_squid(ch.squid, G, trace.q)
-                if node.link_child is not None:
-                    check_squid(node.link_child.squid, G, trace.q)
+            for i in range(len(trace.nodes.level)):
+                for _, squid, _ in trace.children(i):
+                    check_squid(squid, G, trace.q)
     _assert_squids_admissible(run_df1(Graph.cycle(5), 7))
 
 
 def test_body_columns_leave_residuals():
     trace = run_df1(Graph.cycle(5), 7)
-    for node in trace.nodes():
-        children = list(node.arm_children)
-        if node.link_child is not None:
-            children.append(node.link_child)
-        for ch in children:
-            body = ch.squid.body
-            child_res = _residual_set(trace, ch.node)
-            assert not any(pv.base == body for pv in child_res)
+    for i in range(len(trace.nodes.level)):
+        for _, squid, child in trace.children(i):
+            child_res = _residual_set(trace, child)
+            assert not any(pv.base == squid.body for pv in child_res)
 
 
 def test_run_dynamic_p4_example():
     scheme = SizeScheme((1, 1), 20, 5, 2)
     trace = run_dynamic(Graph.path(4), 5, scheme)
     assert trace.m == 2
-    assert trace.root.block_row == 1
-    assert _pair(trace, trace.root.pivot) == _pv(0, 1)
+    assert trace.nodes.block_row[0] == 1
+    assert _pair(trace, trace.nodes.pivot[0]) == _pv(0, 1)
     cert = extract_certificate(trace)
     assert cert.level == 2
     assert verify_certificate(trace.product(), cert).ok
@@ -199,8 +193,8 @@ def test_run_dynamic_p4_example():
 def test_run_dynamic_forced_single_block():
     scheme = SizeScheme((1,), 4, 2, 1)
     trace = run_dynamic(complete_graph(2), 2, scheme)
-    assert _pair(trace, trace.root.pivot) == _pv(0, 1)
-    assert squid_hearts(trace.root.link_child.squid)[0] == _pv(0, 1)
+    assert _pair(trace, trace.nodes.pivot[0]) == _pv(0, 1)
+    assert squid_hearts(trace.children(0)[-1][1])[0] == _pv(0, 1)
     cert = extract_certificate(trace)
     assert cert.level == 1 and verify_certificate(trace.product(), cert).ok
 
@@ -225,21 +219,22 @@ def test_run_dynamic_row_exhaustion_diagnostic():
 def test_dynamic_row_choice_rule_per_branch():
     scheme = SizeScheme((1, 1), 20, 5, 2)
     trace = run_dynamic(Graph.path(4), 5, scheme)
-    q = trace.q
-    for node in trace.nodes():
-        if node.pivot is None:
+    q, table = trace.q, trace.nodes
+    for i, p in enumerate(table.pivot):
+        if p is None:
             continue
         # recompute the rule at block boundaries: here every step starts a block
-        used = node.rows_used[: node.rows_used.index(node.block_row)]
-        res = _residual_set(trace, node)
+        block_row, rows_used = table.block_row[i], table.rows_used[i]
+        used = rows_used[: rows_used.index(block_row)]
+        res = _residual_set(trace, i)
         counts = {r: sum(1 for pv in res if pv.row == r) for r in range(1, q + 1)}
         unused = [r for r in range(1, q + 1) if r not in used]
         best = max(counts[r] for r in unused)
-        assert counts[node.block_row] == best
-        assert node.block_row == min(r for r in unused if counts[r] == best)
-        pivot = _pair(trace, node.pivot)
-        assert pivot.row == node.block_row
-        assert pivot.base == min(pv.base for pv in res if pv.row == node.block_row)
+        assert counts[block_row] == best
+        assert block_row == min(r for r in unused if counts[r] == best)
+        pivot = _pair(trace, p)
+        assert pivot.row == block_row
+        assert pivot.base == min(pv.base for pv in res if pv.row == block_row)
 
 
 def test_trace_json_round_trips():
@@ -252,15 +247,16 @@ def test_trace_json_round_trips():
         assert again.to_json() == text
         G, q = trace.graph, trace.q
         # the JSON form holds each label as its (base, row) pair
-        for node, node_obj in zip(trace.nodes(), json.loads(text)["nodes"], strict=True):
-            assert node_obj["pivot"] == (None if node.pivot is None else list(_pair(trace, node.pivot)))
-            children = list(zip(node.arm_children, node_obj["children"], strict=True))
-            if node.link_child is not None:
-                children.append((node.link_child, node_obj["link"]))
-            for child, child_obj in children:
-                if child.w is not None:
-                    assert child_obj["w"] == list(_pair(trace, child.w))
-                s, obj = child.squid, child_obj["squid"]
+        for i, node_obj in zip(range(len(trace.nodes.level)), json.loads(text)["nodes"], strict=True):
+            p = trace.nodes.pivot[i]
+            assert node_obj["pivot"] == (None if p is None else list(_pair(trace, p)))
+            children = trace.children(i)
+            objs = node_obj["children"] + ([] if node_obj["link"] is None else [node_obj["link"]])
+            for (w, s, node), child_obj in zip(children, objs, strict=True):
+                assert child_obj["node"] == node
+                if w is not None:
+                    assert child_obj["w"] == list(_pair(trace, w))
+                obj = child_obj["squid"]
                 vertices = product_vertices(G, q, s.mask)
                 assert obj["arms"] == [list(pv) for pv in squid_arms(s, G, q)]
                 assert obj["hearts"] == [list(pv) for pv in squid_hearts(s)]
@@ -425,6 +421,91 @@ def test_trace_writer_matches_the_tree_reference_property(inputs):
     assert RemovalTrace.from_json(text).to_json() == text
 
 
+def _outcome(call, write):
+    """write(call()), or the type, message and used count of its error."""
+    try:
+        result = call()
+    except (SquidError, BudgetExceeded) as exc:
+        return type(exc), str(exc), getattr(exc, "used", None)
+    return write(result)
+
+
+@st.composite
+def _removal_inputs(draw):
+    """A graph on at most 7 vertices and 8 edges with arbitrary labels, and
+    a df1 run (either mode, q from the threshold, or 1, to 2 above it) or a
+    dynamic run with a scheme run_dynamic accepts, with a trace node cap
+    and an extraction budget (None: the default), as (G, q, mode or scheme,
+    nodes, budget)."""
+    how = draw(st.sampled_from(["walk", "distance", "dynamic"]))
+    dynamic = how == "dynamic"
+    size = draw(st.integers(2 if dynamic else 0, 7))
+    labels = draw(st.lists(st.integers(0, 30), unique=True, min_size=size, max_size=size))
+    pairs = list(itertools.combinations(sorted(labels), 2))
+    edges = st.lists(st.sampled_from(pairs), unique=True, min_size=dynamic, max_size=size + 1)
+    edges = draw(edges) if pairs else []
+    G = Graph(labels, edges)
+    nodes = draw(st.integers(1, 100)) if draw(st.booleans()) else 1500
+    budget = draw(st.integers(1, 700)) if draw(st.booleans()) else None
+    if not dynamic:
+        return G, max(df1_threshold(G, how) + draw(st.integers(0, 2)), 1), how, nodes, budget
+    delta, q = G.max_degree(), draw(st.integers(1, 8))
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=min(q, 3))))
+    n = G.n * q - draw(st.integers(0, G.n - 1))
+    assume(sum(sizes) <= G.n and validate_scheme(sizes, n, q, delta).ok)
+    return G, q, SizeScheme(sizes, n, q, delta), nodes, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_removal_inputs())
+def test_node_table_matches_the_record_engine(inputs):
+    # the table writes the record engine's text and extracts its
+    # certificate, and a budget stops both at the same node or memo entry
+    G, q, how, nodes, budget = inputs
+    if isinstance(how, SizeScheme):
+        table, record = run_dynamic, oracles.record_run_dynamic
+    else:
+        table, record = run_df1, oracles.record_run_df1
+    want = _outcome(lambda: record(G, q, how, nodes=nodes), lambda trace: trace)
+    if type(want) is tuple:
+        assert _outcome(lambda: table(G, q, how, nodes=nodes), RemovalTrace.to_json) == want
+        return
+    got = table(G, q, how, nodes=nodes)
+    assert got.to_json() == oracles.trace_to_json(want)
+    assert _outcome(lambda: extract_certificate(got, budget), certificate_to_json) == _outcome(
+        lambda: oracles.record_extract_certificate(want, budget), certificate_to_json
+    )
+
+
+def _pinned_runs(df1, dynamic):
+    """The removals of TRACES run by df1 and dynamic, each under a trace node cap."""
+    return {
+        "C5xK7": lambda nodes: df1(Graph.cycle(5), 7, nodes=nodes),
+        "C6xK7-relabel1": lambda nodes: df1(_relabeled_cycle(6, 1), 7, nodes=nodes),
+        "C6xK7-relabel2": lambda nodes: df1(_relabeled_cycle(6, 2), 7, nodes=nodes),
+        "P4xK5-dynamic": lambda nodes: dynamic(Graph.path(4), 5, SizeScheme((1, 1), 20, 5, 2), nodes=nodes),
+    }
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_pinned_removals_match_the_record_engine(name):
+    run = _pinned_runs(run_df1, run_dynamic)[name]
+    record = _pinned_runs(oracles.record_run_df1, oracles.record_run_dynamic)[name]
+    got, want = run(None), record(None)
+    assert got.to_json() == oracles.trace_to_json(want)
+    count = len(got.nodes.level)
+    for nodes in (1, count // 2, count - 1):
+        stop = _outcome(lambda: record(nodes), oracles.trace_to_json)
+        assert stop[:2] == (BudgetExceeded, f"removal budget exceeded ({nodes + 1} > {nodes} trace nodes)")
+        assert _outcome(lambda: run(nodes), RemovalTrace.to_json) == stop
+    # the df1 products have 140 and 168 edges, so each number here stops
+    # their extraction at a memo entry; P4 x K5's needs fewer than its 55 edges
+    for budget in (200, 300, 400, None):
+        assert _outcome(lambda: extract_certificate(got, budget), certificate_to_json) == _outcome(
+            lambda: oracles.record_extract_certificate(want, budget), certificate_to_json
+        )
+
+
 @pytest.mark.parametrize("name", TRACES)
 def test_extraction_matches_graph_space_oracle(name):
     trace = TRACES[name]()
@@ -497,7 +578,7 @@ def test_removal_budget_counts_trace_nodes(search):
     # the budget bounds the product's edges too: 520 for K5 x K13 and 55 for
     # P4 x K5, below the 896 and 65 trace nodes
     trace = search(None)
-    nodes = len(trace.nodes())  # one per memo key, none shared by identity alone
+    nodes = len(trace.nodes.level)  # one per (residual, depth, block rows)
     assert search(nodes).to_json() == trace.to_json()
     with pytest.raises(BudgetExceeded) as exc:
         search(nodes - 1)
@@ -520,15 +601,17 @@ def test_extraction_budget_counts_memo_entries(monkeypatch):
     # and one per lift; a residual with at least its level in components is
     # a leaf, and its children are not visited
     P = product_graph(Graph.cycle(5), 7)
-    visited, stack = set(), [trace.root]
+    table = trace.nodes
+    visited, stack = set(), [0]
     while stack:
-        node = stack.pop()
-        H = induced_subgraph(P, [v for v in P.vertices if node.residual_mask >> v & 1])
-        if (node.residual_mask, node.level) in visited or oracles.component_count(H) >= node.level:
+        i = stack.pop()
+        key = (table.residual[i], table.level[i])
+        H = induced_subgraph(P, [v for v in P.vertices if key[0] >> v & 1])
+        if key in visited or oracles.component_count(H) >= key[1]:
             continue
-        visited.add((node.residual_mask, node.level))
-        stack += [ch.node for ch in node.arm_children] + [node.link_child.node]
-    assert 0 < len(visited) < len({(n.residual_mask, n.level) for n in trace.nodes()})
+        visited.add(key)
+        stack += [node for _, _, node in trace.children(i)]
+    assert 0 < len(visited) < len(set(zip(table.residual, table.level)))
     entries = len(builders[0].memo)
     assert visited < builders[0].memo.keys()
     assert certificate_to_json(extract_certificate(trace, entries)) == text
