@@ -107,24 +107,28 @@ def json_field(owner: dict, key: str, where: str = ""):
 def json_int(value, what: str) -> int:
     """value if it is a JSON integer; floats, strings and bools raise ValueError."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {quoted(value)}")
     return value
 
 
 def json_ints(value, what: str) -> tuple[int, ...]:
     """The entries of a JSON list of integers, as a tuple."""
     if type(value) is not list:
-        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+        raise ValueError(f"{what} must be a list of integers, got {quoted(value)}")
     for v in value:
         if type(v) is not int:
             json_int(v, f"{what} entry")  # raises, naming the entry
     return tuple(value)
 
 
-def quoted(text: str) -> str:
-    """User text as an error quotes it: its repr, or past 40 characters the
-    repr of the first 40 and the length of the whole."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+def quoted(value) -> str:
+    """User text or a JSON value as an error quotes it: its repr, or past
+    40 characters the repr of the first 40 and the length of the whole.
+    A value other than text is cut by the characters of its repr."""
+    if type(value) is not str:
+        text = repr(value)
+        return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+    return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
 
 
 def int_token(token: str, lineno: int, domain_error: type[ValueError], what: str) -> int:

@@ -35,7 +35,8 @@ stored: a squid is what its child removed from the residual, and _squids
 derives its kind, rows and witness when the trace is written or asked for
 its children.  Extraction walks the table on graphs.run's explicit stack.
 The search is the only model of a removal step: a trace is read by
-rerunning the removal its header names and comparing texts.
+rerunning the removal its header names and comparing texts a node row at
+a time: the writer's layout as it stands, any other parsed once.
 
 In memory a product vertex is its label index(base)*q + (row-1), and a
 squid or residual is a mask over those labels.  The (base, row) pairs
@@ -60,6 +61,7 @@ from .errors import (
     json_int,
     json_ints,
     json_type,
+    quoted,
     read_json,
 )
 from .graphs import Graph, check_product_size, distance_two_set, mask_labels, product_with_complete, run
@@ -263,38 +265,23 @@ class RemovalTrace(NamedTuple):
         return "".join(itertools.chain((head,), self._node_rows(), (tail,)))  # one copy of the text
 
     @classmethod
-    def from_obj(cls, obj: dict, budget: Optional[int] = None) -> "RemovalTrace":
-        """The removal obj's header names, rerun, if obj is exactly its JSON form.
+    def from_json(cls, text: str, budget: Optional[int] = None) -> "RemovalTrace":
+        """The removal text's header names, rerun, if text is exactly its JSON form.
 
         run_df1 and run_dynamic are deterministic, so the header (graph, q,
         kind, and mode or scheme) fixes every node.  The rerun runs under
         budget (the product's edges, checked first, and the trace nodes).
-        Unless obj's canonical JSON is its to_json, SquidError names the
-        first header key or node that differs, and each field there with
-        both of its values.
-        """
-        trace = _rerun(_header(obj), len(obj["nodes"]), budget)
-        _check_rerun(trace, obj)
-        return trace
-
-    @classmethod
-    def from_json(cls, text: str, budget: Optional[int] = None) -> "RemovalTrace":
-        """from_obj of the value of text.
-
         Text in the writer's canonical layout is read with no JSON tree
-        (_read_canonical): it is accepted if it is the rerun's to_json,
-        trailing whitespace aside.  Any other text, in another layout or
-        failing there for any reason, is parsed whole, its node tree freed
-        for the rerun and parsed again for the comparison, so its errors
-        are from_obj's.
+        (_read_canonical), trailing whitespace aside.  Any other text, or
+        text refused there, is parsed once and compared in one row pass
+        (_check_rerun), whose SquidError names the first header key or node
+        that differs and each field there with both of its values.
         """
         trace = _read_canonical(text, budget)
         if trace is None:
             obj = read_json(text, "trace", SquidError)
-            header, count = _header(obj), len(obj["nodes"])
-            del obj  # the node tree is freed before the rerun
-            trace = _rerun(header, count, budget)
-            _check_rerun(trace, read_json(text, "trace", SquidError))
+            trace = _rerun(_header(obj), len(obj["nodes"]), budget)
+            _check_rerun(trace, obj)
         return trace
 
 
@@ -318,16 +305,16 @@ def _header(obj) -> tuple[Graph, int, str, str, Optional[schemes.SizeScheme]]:
         edges = [json_ints(e, "graph edge") for e in edges]
         for e in edges:
             if len(e) != 2:
-                raise ValueError(f"graph edge must be a pair of vertices, got {list(e)}")
+                raise ValueError(f"graph edge must be a pair of vertices, got {quoted(list(e))}")
         G = Graph(json_ints(json_field(graph, "vertices", " in graph"), "graph vertices"), edges)
         q = json_int(json_field(obj, "q"), "q")
         json_int(json_field(obj, "m"), "m")
         kind = json_field(obj, "kind")
         if kind not in ("df1", "dynamic"):
-            raise ValueError(f"trace kind must be 'df1' or 'dynamic', got {kind!r}")
+            raise ValueError(f"trace kind must be 'df1' or 'dynamic', got {quoted(kind)}")
         mode = obj.get("mode", "walk")
         if mode not in ("walk", "distance"):
-            raise ValueError(f"trace mode must be 'walk' or 'distance', got {mode!r}")
+            raise ValueError(f"trace mode must be 'walk' or 'distance', got {quoted(mode)}")
         nodes = json_field(obj, "nodes")
         if type(nodes) is not list:
             raise ValueError(f"nodes must be a list, got {json_type(nodes)}")
@@ -388,19 +375,24 @@ def _read_canonical(text: str, budget: Optional[int]) -> Optional[RemovalTrace]:
         trace = _rerun(header, text.count('"id":', start, end), budget)
     except (ValueError, RuntimeError):  # RuntimeError: BudgetExceeded, RecursionError
         return None
-    return trace if _writes(trace, text) else None
+    return trace if _first_difference(trace, text) is None else None
 
 
-def _writes(trace: RemovalTrace, text: str) -> bool:
-    """Whether text is trace.to_json(), trailing whitespace aside, compared
-    a node row at a time so that the rerun's text is never built whole."""
+def _first_difference(trace: RemovalTrace, text: str) -> Optional[tuple[int, str]]:
+    """Where text first differs from trace.to_json(), trailing whitespace
+    aside, compared a node row at a time so that the rerun's text is never
+    built whole: None where it does not, else the rerun's part that text
+    lacks, as (-1, head) before the node rows, (i, row) at node row i, and
+    (n, tail) past the last of its n rows."""
     head, tail = trace._head_and_tail()
-    pos = len(head) if text.startswith(head) else -1
-    for row in trace._node_rows():
-        if pos < 0 or not text.startswith(row, pos):
-            return False
+    pos = 0
+    for i, row in enumerate(itertools.chain((head,), trace._node_rows()), -1):
+        if not text.startswith(row, pos):
+            return i, row
         pos += len(row)
-    return text.startswith(tail, pos) and not text[pos + len(tail) :].strip()
+    if text.startswith(tail, pos) and not text[pos + len(tail) :].strip():
+        return None
+    return i + 1, tail
 
 
 def _removal(kind: str) -> str:
@@ -411,23 +403,25 @@ def _removal(kind: str) -> str:
 def _check_rerun(trace: RemovalTrace, obj) -> None:
     """Raise SquidError at the first header key or node where the
     canonical JSON of obj differs from the text of trace, the rerun of
-    obj's header, which has no more nodes than obj (_rerun)."""
+    obj's header, which has no more nodes than obj (_rerun): a header key
+    first, else the node row that _first_difference finds."""
     try:
-        if _writes(trace, _canonical(obj)):
-            return
+        found = _first_difference(trace, _canonical(obj))
     except (TypeError, ValueError, RecursionError) as exc:  # not JSON, or too deep or long to write
         raise SquidError(f"malformed trace object: {exc}") from None
+    if found is None:
+        return
     removal = _removal(trace.kind)
     head, tail = trace._head_and_tail()
-    found = _differences({**obj, "nodes": []}, json.loads(head + tail))
-    if found:
-        raise SquidError(f"malformed trace object: {'; '.join(found)} ({removal})")
-    nodes = obj["nodes"]
-    for i, row in enumerate(trace._node_rows()):
-        if _canonical(nodes[i]) != row.lstrip(","):
-            found = _differences(nodes[i], json.loads(row.lstrip(","))) if type(nodes[i]) is dict else []
-            raise SquidError(f"node {i}: {'; '.join(found) or 'not a node object'} ({removal})")
-    raise SquidError(f"node {i + 1} is past the last node of {removal}")
+    fields = _differences({**obj, "nodes": []}, json.loads(head + tail))
+    if fields:
+        raise SquidError(f"malformed trace object: {'; '.join(fields)} ({removal})")
+    i, row = found  # with the rerun's header, a node row or past the last
+    if i == len(trace.nodes.level):
+        raise SquidError(f"node {i} is past the last node of {removal}")
+    node = obj["nodes"][i]
+    fields = _differences(node, json.loads(row.lstrip(","))) if type(node) is dict else []
+    raise SquidError(f"node {i}: {'; '.join(fields) or 'not a node object'} ({removal})")
 
 
 _ABSENT = object()  # the value of a key that one of two compared objects lacks

@@ -417,16 +417,16 @@ def _division_budget(budget: Optional[int] = None) -> Budget:
     return Budget(budget, DEFAULT_DIVISION_BUDGET, "division", "trial divisions")
 
 
-def _is_prime(n: int, divisions: Budget) -> bool:
-    if n < 2:
-        return False
+def _smallest_factor(n: int, divisions: Budget) -> int:
+    """The smallest prime factor of n >= 2, by trial division; each trial
+    divisor spends one unit of divisions."""
     f = 2
     while f * f <= n:
         divisions.spend()
         if n % f == 0:
-            return False
+            return f
         f += 1
-    return True
+    return n
 
 
 def is_prime_power(q: int, divisions: Optional[Budget] = None) -> bool:
@@ -437,16 +437,10 @@ def is_prime_power(q: int, divisions: Optional[Budget] = None) -> bool:
     """
     if q < 2:
         return False
-    divisions = divisions or _division_budget()
-    p = 2
-    while p * p <= q:
-        divisions.spend()
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True  # q itself is prime
+    p = _smallest_factor(q, divisions or _division_budget())
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def bertrand_prime(q: int, divisions: Optional[Budget] = None) -> int:
@@ -459,7 +453,7 @@ def bertrand_prime(q: int, divisions: Optional[Budget] = None) -> int:
         raise TverbergError(f"need q >= 2, got {q}")
     divisions = divisions or _division_budget()
     for p in range(q, 1, -1):
-        if _is_prime(p, divisions):
+        if _smallest_factor(p, divisions) == p:
             return p
     raise AssertionError("unreachable")
 

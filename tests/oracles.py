@@ -21,7 +21,9 @@ replaced.  The trace JSON reference is the tree of dicts that
 RemovalTrace.to_obj built for json.dumps, which the library's row writer
 replaced.  The removal reference is the record engine, one Squid,
 TraceChild and TraceNode per squid, child and node, that the library's
-node table replaced.  The complex oracle is the library's earlier complex layer on
+node table replaced.  The whole-parse trace reader is RemovalTrace.from_obj,
+which the library's one-pass comparison of a parsed trace replaced.
+The complex oracle is the library's earlier complex layer on
 sorted label tuples, with a quadratic maximality filter for every complex
 and no connectivity prune in the decomposability search; its independence
 complexes come from every independent set, found by brute force.
@@ -56,6 +58,11 @@ from tvf.squids import (
     Squid,
     SquidError,
     TheoremViolation,
+    _canonical,
+    _differences,
+    _header,
+    _removal,
+    _rerun,
     df1_check,
     df1_threshold,
 )
@@ -1239,6 +1246,58 @@ def record_extract_certificate(trace: RecordTrace, budget=None) -> VdCertificate
         return cert
 
     return builder.known(trace.root.residual_mask, trace.root.level) or run(certify(trace.root))
+
+
+# ---------------------------------------------------------------------------
+# Whole-parse trace reader (reference for the one-pass comparison)
+# ---------------------------------------------------------------------------
+#
+# RemovalTrace.from_obj as it ran before RemovalTrace.from_json compared a
+# parsed trace in one row pass: the rerun's text is compared with the
+# object's canonical JSON, and a refusal walks the rerun's node rows again,
+# one canonical dump per node, to find the node that differs.  It reuses
+# the library's header check, rerun and field differences, so only the
+# comparison is its own; RemovalTrace.from_json must end as it does on
+# every text.
+
+
+def trace_from_obj(obj, budget: Optional[int] = None):
+    """The removal obj's header names, rerun, if obj is exactly its JSON form."""
+    trace = _rerun(_header(obj), len(obj["nodes"]), budget)
+    _trace_check_rerun(trace, obj)
+    return trace
+
+
+def _trace_writes(trace, text: str) -> bool:
+    """Whether text is trace.to_json(), trailing whitespace aside."""
+    head, tail = trace._head_and_tail()
+    pos = len(head) if text.startswith(head) else -1
+    for row in trace._node_rows():
+        if pos < 0 or not text.startswith(row, pos):
+            return False
+        pos += len(row)
+    return text.startswith(tail, pos) and not text[pos + len(tail) :].strip()
+
+
+def _trace_check_rerun(trace, obj) -> None:
+    """SquidError at the first header key or node where obj's canonical
+    JSON differs from the rerun's text."""
+    try:
+        if _trace_writes(trace, _canonical(obj)):
+            return
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise SquidError(f"malformed trace object: {exc}") from None
+    removal = _removal(trace.kind)
+    head, tail = trace._head_and_tail()
+    found = _differences({**obj, "nodes": []}, json.loads(head + tail))
+    if found:
+        raise SquidError(f"malformed trace object: {'; '.join(found)} ({removal})")
+    nodes = obj["nodes"]
+    for i, row in enumerate(trace._node_rows()):
+        if _canonical(nodes[i]) != row.lstrip(","):
+            found = _differences(nodes[i], json.loads(row.lstrip(","))) if type(nodes[i]) is dict else []
+            raise SquidError(f"node {i}: {'; '.join(found) or 'not a node object'} ({removal})")
+    raise SquidError(f"node {i + 1} is past the last node of {removal}")
 
 
 # ---------------------------------------------------------------------------

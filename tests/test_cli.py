@@ -22,7 +22,7 @@ from tvf.graphs import Graph
 from tvf.squids import RemovalTrace, run_df1
 
 from conftest import python_process
-from oracles import format_edgelist, product_graph
+from oracles import format_edgelist, product_graph, trace_from_obj
 
 TWO_K2 = "p 4 2\ne 0 1\ne 2 3\n"
 K2 = "p 2 1\ne 0 1\n"
@@ -516,8 +516,12 @@ def test_trace_node_without_residual_size_is_squid_error(files, capsys):
             '{"graph": {"edges": [[0, 1, 2]], "vertices": [0, 1, 2]}}',
             "graph edge must be a pair of vertices, got [0, 1, 2]",
         ),
+        (
+            json.dumps({"graph": {"edges": [], "vertices": [0]}, "q": "7" * 5000}),
+            f"q must be an integer, got {'7' * 40!r}... (5000 characters)",
+        ),
     ],
-    ids=["integer", "null", "list", "graph-list", "empty-object", "no-edges", "edge-triple"],
+    ids=["integer", "null", "list", "graph-list", "empty-object", "no-edges", "edge-triple", "long-q"],
 )
 def test_trace_header_error_names_the_field(files, capsys, text, error):
     (files / "trace.json").write_text(text)
@@ -726,8 +730,12 @@ def test_reading_a_trace_counts_its_nodes(files, capsys, monkeypatch):
         ("5", "a scheme is a JSON object, got integer"),
         ("{}", "missing key 'sizes'"),
         ('{"sizes": [2, 1], "n": 20, "delta": 2}', "missing key 'q'"),
+        (
+            json.dumps({"sizes": [2, 1], "n": "2" * 5000, "q": 5, "delta": 2}),
+            f"n must be an integer, got {'2' * 40!r}... (5000 characters)",
+        ),
     ],
-    ids=["list", "null", "integer", "empty-object", "no-q"],
+    ids=["list", "null", "integer", "empty-object", "no-q", "long-n"],
 )
 def test_scheme_header_error_names_the_field(files, capsys, text, error):
     (files / "scheme.json").write_text(text)
@@ -1328,15 +1336,15 @@ def _read_outcome(read, text: str):
 
 
 def _full_read(text: str) -> RemovalTrace:
-    """The trace text's whole parse gives."""
-    return RemovalTrace.from_obj(read_json(text, "trace", SquidError))
+    """The trace the whole-parse reference reader gives for text."""
+    return trace_from_obj(read_json(text, "trace", SquidError))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_trace_read_paths_agree(small_traces, data):
     # from_json reads the writer's layout with no JSON tree and parses any
-    # other text whole; on every input it must end as the whole parse does
+    # other text once; on every input it must end as the reference reader does
     texts, _ = small_traces
     text = data.draw(st.sampled_from(texts))
     edit = data.draw(st.sampled_from(["mutate", "insert", "delete", "replace"]))
