@@ -133,7 +133,7 @@ def _env_budget() -> int | None:
     except ValueError:
         value = 0
     if value < 1:
-        raise UsageError(f"TVF_BUDGET must be a positive integer, got {raw!r}")
+        raise UsageError(f"TVF_BUDGET must be a positive integer, got {quoted(raw)}")
     return value
 
 

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import Budget, ComplexError, int_token
+from .errors import Budget, ComplexError, data_lines, int_token
 from .graphs import Graph, bits, mask_labels, run
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -516,10 +516,7 @@ def check_prop_isvd(G: Graph, k: int, budget: Optional[int] = None) -> SkeletonR
 
 def parse_facets(text: str) -> SimplicialComplex:
     facets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         facets.append([int_token(t, lineno, ComplexError, "an integer label") for t in line.split()])
     return SimplicialComplex(facets)
 

@@ -27,6 +27,10 @@ stderr and exits with the code given below.  ``kind`` is one of:
   the OSError raised for a file that cannot be read or written, such as
   ``FileNotFoundError``, ``IsADirectoryError``, ``NotADirectoryError``,
   ``PermissionError`` or ``OSError`` itself.
+
+An error quotes a value from outside the program by one cut, quoted (past
+40 characters, the first 40 and the length), and the three line formats
+skip blank and "#" lines by one rule, data_lines.
 """
 
 import json
@@ -129,6 +133,15 @@ def quoted(value) -> str:
         text = repr(value)
         return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
     return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+
+
+def data_lines(text: str):
+    """The line number and stripped text of each line of a line format
+    (edge list, points, facets) that is neither blank nor a "#" comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def int_token(token: str, lineno: int, domain_error: type[ValueError], what: str) -> int:

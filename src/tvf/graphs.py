@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
-from .errors import Budget, GraphError, int_token, quoted
+from .errors import Budget, GraphError, data_lines, int_token, quoted
 
 # Edges one product G x K_q may have, counted before anything of its size
 # is built.  The masks of a product cost about labels x highest neighbor
@@ -35,7 +35,7 @@ class Graph:
         vset: set[int] = set()
         for v in vertices:
             if not isinstance(v, int) or v < 0:
-                raise GraphError(f"vertex labels must be non-negative integers, got {v!r}")
+                raise GraphError(f"vertex labels must be non-negative integers, got {quoted(v)}")
             if v in vset:
                 raise GraphError(f"duplicate vertex label {v}")
             vset.add(v)
@@ -174,10 +174,7 @@ def parse_edgelist(text: str) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "p":
             if n is not None:

@@ -87,10 +87,6 @@ class Quad(NamedTuple):
             self.D,
         )
 
-    def scale(self, c) -> "Quad":
-        c = Fraction(c)
-        return Quad.make(self.p * c, self.r * c, self.D)
-
     def sign(self) -> int:
         if self.r == 0:
             return (self.p > 0) - (self.p < 0)
@@ -197,6 +193,11 @@ class SchemeBuild(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _block_lhs(prefix: int, s: int, j: int, q: int, delta: int) -> Fraction:
+    """Left side of the scheme inequality for block j of size s after a prefix sum."""
+    return (Fraction(delta, q - j + 1) + 1) * prefix + 2 * delta * s
+
+
 def validate_scheme(sizes: Sequence[int], n: int, q: int, delta: int) -> SchemeCheck:
     """Exact check of both scheme conditions; reports the first violated j."""
     if delta < 1 or q < 1 or n < 1:
@@ -211,11 +212,9 @@ def validate_scheme(sizes: Sequence[int], n: int, q: int, delta: int) -> SchemeC
             return SchemeCheck(False, j, f"block size s_{j}={s} is not positive")
     prefix = 0
     for j, s in enumerate(sizes, start=1):
-        lhs = (Fraction(delta, q - j + 1) + 1) * prefix + 2 * delta * s
+        lhs = _block_lhs(prefix, s, j, q, delta)
         if lhs > n:
-            return SchemeCheck(
-                False, j, f"inequality fails at j={j}: {lhs} > {n}"
-            )
+            return SchemeCheck(False, j, f"inequality fails at j={j}: {lhs} > {n}")
         prefix += s
     return SchemeCheck(True)
 
@@ -273,7 +272,6 @@ def build_scheme(
     n_int = math.floor(budget_exact)
     fractional = budget_exact != n_int
 
-    a = Quad.make(0, 1, D)
     ratio = Quad.make(1, Fraction(-1, 2 * delta), D)  # (2*delta - a) / (2*delta)
     term = Quad.make(Fraction(budget_exact, 2 * delta), 0, D)
     pre_sum = Quad.make(0, 0, D)
@@ -298,12 +296,12 @@ def build_scheme(
     if not check.ok:
         raise InfeasibleScheme(f"rounded scheme fails exact validation: {check.reason}")
     blocks_initial = len(sizes)
-    while sum(sizes) < N and len(sizes) < q:
-        if validate_scheme(sizes + [1], n_int, q, delta).ok:
-            blocks.spend()
-            sizes.append(1)
-        else:
-            break
+    # top up with size-1 blocks; the blocks before each already fit
+    coverage = sum(sizes)
+    while coverage < N and len(sizes) < q and _block_lhs(coverage, 1, len(sizes) + 1, q, delta) <= n_int:
+        blocks.spend()
+        sizes.append(1)
+        coverage += 1
     scheme = SizeScheme(tuple(sizes), n_int, q, delta)
     return SchemeBuild(
         scheme=scheme,
@@ -311,7 +309,7 @@ def build_scheme(
         target=N,
         blocks_initial=blocks_initial,
         blocks_extended=len(sizes) - blocks_initial,
-        coverage=sum(sizes),
+        coverage=coverage,
         pre_rounding_coverage=format_real(float(pre_sum)),
         pre_rounding_covers_target=pre_covers,
         fractional_budget=fractional,

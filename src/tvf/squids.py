@@ -428,14 +428,9 @@ _ABSENT = object()  # the value of a key that one of two compared objects lacks
 
 
 def _differences(got: dict, want: dict) -> list[str]:
-    """Each field where two JSON objects differ, with both of its values,
-    found on an explicit stack that descends into objects and into equally
-    long lists of objects."""
-
-    def show(value) -> str:
-        text = "absent" if value is _ABSENT else repr(value)
-        return text if len(text) <= 80 else text[:77] + "..."
-
+    """Each field where two JSON objects differ, with both of its values
+    (quoted), found on an explicit stack that descends into objects and into
+    equally long lists of objects."""
     found, stack = [], [((), got, want)]
     while stack:
         path, g, w = stack.pop()
@@ -447,11 +442,12 @@ def _differences(got: dict, want: dict) -> list[str]:
         elif type(g) is type(w) is list and len(g) == len(w) and all(type(x) is dict for x in g + w):
             stack += [(path + (i,), g[i], w[i]) for i in reversed(range(len(g)))]
         elif len(path) == 1:
-            found.append(f"{path[0]} is {show(g)}, not {show(w)}")
+            g, w = ("absent" if v is _ABSENT else quoted(v) for v in (g, w))
+            found.append(f"{path[0]} is {g}, not {w}")
         else:
             *owner, key = path
             owner = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in owner)[1:]
-            g, w = (f"no {key}" if v is _ABSENT else f"{key} {show(v)}" for v in (g, w))
+            g, w = (f"no {key}" if v is _ABSENT else f"{key} {quoted(v)}" for v in (g, w))
             found.append(f"{owner} has {g}, not {w}")
     return found
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # Bound as a module, not by name: under the CLI's lazy layers
 # tverberg search then never load schemes.
 from . import schemes
-from .errors import Budget, TverbergError, int_token, past_digit_limit, quoted
+from .errors import Budget, TverbergError, data_lines, int_token, past_digit_limit, quoted
 from .graphs import Graph, bits, induced_subgraph, run
 from .ratlp import solve_equality_feasibility
 
@@ -75,10 +75,7 @@ def parse_points(text: str) -> PointConfiguration:
     (errors.past_digit_limit) is rejected before it is read."""
     points: dict[int, Point] = {}
     dim: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if len(parts) < 2:
             raise TverbergError(f"line {lineno}: expected '<vertex> <coords...>'")

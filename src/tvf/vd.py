@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Union
 
-from .errors import Budget, GraphError, VdError, read_json
+from .errors import Budget, GraphError, VdError, quoted, read_json
 from .graphs import Graph, mask_labels, run
 
 # Memo entries one level decision may make; each costs about 150 bytes.
@@ -645,9 +645,9 @@ def certificate_from_obj(obj) -> VdCertificate:
                 stack.append((body["del"], ("del", where), None))
                 continue
         elif type(o.get("leaf")) is str:
-            got = f"unrecognized leaf kind {o['leaf']!r}"
+            got = f"unrecognized leaf kind {quoted(o['leaf'])}"
         else:
-            got = f"unrecognized certificate object with keys {sorted(o)}"
+            got = f"unrecognized certificate object with keys {quoted(sorted(o))}"
         if type(got) is str:
             raise _malformed(where, got)
         done.append(got)

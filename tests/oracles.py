@@ -22,7 +22,9 @@ RemovalTrace.to_obj built for json.dumps, which the library's row writer
 replaced.  The removal reference is the record engine, one Squid,
 TraceChild and TraceNode per squid, child and node, that the library's
 node table replaced.  The whole-parse trace reader is RemovalTrace.from_obj,
-which the library's one-pass comparison of a parsed trace replaced.
+which the library's one-pass comparison of a parsed trace replaced.  The
+scheme top-up reference revalidates the whole scheme for each size-1 block,
+where the library checks only the block it adds.
 The complex oracle is the library's earlier complex layer on
 sorted label tuples, with a quadratic maximality filter for every complex
 and no connectivity prune in the decomposability search; its independence
@@ -48,9 +50,10 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from tvf.complexes import DEFAULT_FACE_BUDGET, ShellingCheck, VertexDecomposition
-from tvf.errors import Budget, ComplexError
+from tvf.errors import Budget, BudgetExceeded, ComplexError, quoted
 from tvf.graphs import Graph, GraphError, induced_subgraph, mask_labels, product_with_complete, run
 from tvf.ratlp import Feasibility
+from tvf.schemes import DEFAULT_SCHEME_BUDGET, SchemeBuild, build_scheme, validate_scheme
 from tvf.squids import (
     DEFAULT_REMOVAL_BUDGET,
     NodeTable,
@@ -935,9 +938,9 @@ def certificate_from_obj(obj) -> VdCertificate:
             stack.append((body["link"], ("link", where), None))
             stack.append((body["del"], ("del", where), None))
         elif isinstance(leaf, str):
-            raise _malformed(where, f"unrecognized leaf kind {leaf!r}")
+            raise _malformed(where, f"unrecognized leaf kind {quoted(leaf)}")
         else:
-            raise _malformed(where, f"unrecognized certificate object with keys {sorted(o)}")
+            raise _malformed(where, f"unrecognized certificate object with keys {quoted(sorted(o))}")
     if len(done) != 1:
         raise CertificateError("malformed certificate nesting")
     return done[0]
@@ -1298,6 +1301,38 @@ def _trace_check_rerun(trace, obj) -> None:
             found = _differences(nodes[i], json.loads(row.lstrip(","))) if type(nodes[i]) is dict else []
             raise SquidError(f"node {i}: {'; '.join(found) or 'not a node object'} ({removal})")
     raise SquidError(f"node {i + 1} is past the last node of {removal}")
+
+
+# ---------------------------------------------------------------------------
+# Scheme top-up by whole-scheme revalidation
+# ---------------------------------------------------------------------------
+
+
+def build_scheme_revalidating(epsilon, N: int, delta: int, q: int, budget=None) -> SchemeBuild:
+    """build_scheme with the top-up that the library's per-block check replaced.
+
+    The library's initial blocks are topped up with one size-1 block at a
+    time while the whole scheme passes validate_scheme, on a budget that
+    counts the k terms first and then each block, as build_scheme's does.
+    """
+    blocks = Budget(budget, DEFAULT_SCHEME_BUDGET, "scheme", "blocks")
+    try:  # a budget of 0 stops at the k >= 1 terms, once the parameters and the gate pass
+        build_scheme(epsilon, N, delta, q, budget=0)
+    except BudgetExceeded as stop:
+        k = stop.used
+    blocks.spend(k)
+    built = build_scheme(epsilon, N, delta, q, budget=k + q)  # room for any top-up
+    sizes = list(built.scheme.sizes[: built.blocks_initial])
+    while sum(sizes) < N and len(sizes) < q:
+        if not validate_scheme(sizes + [1], built.scheme.n, q, delta).ok:
+            break
+        blocks.spend()
+        sizes.append(1)
+    return built._replace(
+        scheme=built.scheme._replace(sizes=tuple(sizes)),
+        blocks_extended=len(sizes) - built.blocks_initial,
+        coverage=sum(sizes),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -301,13 +301,17 @@ def test_non_integer_facet_label_is_complex_error(files, capsys):
     assert code == 1 and obj["kind"] == "ComplexError" and "line 2" in obj["error"]
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_bad_budget_is_usage_error(files, capsys, monkeypatch, value):
+@pytest.mark.parametrize(
+    "value, shown",
+    [("abc", "'abc'"), ("-1", "'-1'"), ("x" * 5000, f"{'x' * 40!r}... (5000 characters)")],
+    ids=["abc", "-1", "long"],
+)
+def test_bad_budget_is_usage_error(files, capsys, monkeypatch, value, shown):
     monkeypatch.setenv("TVF_BUDGET", value)
     code, out, err = run(capsys, "complex", "betti", "--graph", files / "c5.txt")
     obj = json.loads(err)
-    assert code == 64 and obj["kind"] == "usage" and "TVF_BUDGET" in obj["error"]
-    assert out == ""
+    assert (code, out) == (64, "")
+    assert obj == {"error": f"TVF_BUDGET must be a positive integer, got {shown}", "kind": "usage"}
 
 
 def test_domain_error_exit_1(files, capsys):
@@ -823,8 +827,9 @@ def test_huge_coordinate_is_rejected_before_it_is_read(files, capsys, monkeypatc
     assert all(token not in args for args in read)
 
 
-# Each error that quotes a line or token of user text, on a 5,000-character
-# line: the quote is cut to its first 40 characters and its length.
+# Each error that quotes a line, token or JSON value of user input, at
+# 5,000 characters: the quote is cut to its first 40 characters and its
+# length (a list's, by its repr).
 _LONG = "x" * 5000
 _LONG_NUMBER = "0." + "3" * 4998
 
@@ -848,8 +853,19 @@ _LONG_NUMBER = "0." + "3" * 4998
             f"line 1: coordinate {_LONG_NUMBER[:40]!r}... (4998 characters) is a number past "
             "int()'s digit limit",
         ),
+        (
+            ["vd", "verify", "--graph", "{dir}/e2.txt", "--cert", "{dir}/long.txt"],
+            json.dumps({"leaf": _LONG}),
+            f"certificate path root: unrecognized leaf kind {_LONG[:40]!r}... (5000 characters)",
+        ),
+        (
+            ["vd", "verify", "--graph", "{dir}/e2.txt", "--cert", "{dir}/long.txt"],
+            json.dumps({_LONG: 1}),
+            f"certificate path root: unrecognized certificate object with keys {repr([_LONG])[:40]}... "
+            "(5004 characters)",
+        ),
     ],
-    ids=["edge-list-line", "points-line", "points-digit-limit"],
+    ids=["edge-list-line", "points-line", "points-digit-limit", "certificate-leaf-kind", "certificate-key"],
 )
 def test_long_user_text_is_cut_in_errors(files, capsys, argv, text, error):
     (files / "e2.txt").write_text("p 2 0\n")
@@ -857,6 +873,28 @@ def test_long_user_text_is_cut_in_errors(files, capsys, argv, text, error):
     code, out, err = run(capsys, *(a.format(dir=files) for a in argv))
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == error and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["graph", "info", "--graph", "{dir}/lines.txt"], "GraphError"),
+        (
+            ["tverberg", "search", "--graph", "{dir}/e2.txt", "--points", "{dir}/lines.txt", "--q", "2"],
+            "TverbergError",
+        ),
+        (["complex", "betti", "--facets", "{dir}/lines.txt"], "ComplexError"),
+    ],
+    ids=["edge-list", "points", "facets"],
+)
+def test_line_readers_skip_the_same_lines(files, capsys, argv, kind):
+    # blank, whitespace-only and "#" lines, then a line no reader takes
+    (files / "e2.txt").write_text("p 2 0\n")
+    (files / "lines.txt").write_text("\n  \t\n# a comment\n   # an indented comment\n\r\n0 y\n")
+    code, out, err = run(capsys, *(a.format(dir=files) for a in argv))
+    assert (code, out) == (1, "")
+    obj = json.loads(err)
+    assert obj["kind"] == kind and obj["error"].startswith("line 6: ")
 
 
 def test_long_epsilon_is_cut_in_its_usage_error(files, capsys):

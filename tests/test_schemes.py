@@ -1,10 +1,12 @@
 import decimal
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import oracles
 from tvf.errors import BudgetExceeded
 from tvf.schemes import (
     InfeasibleScheme,
@@ -144,6 +146,28 @@ def test_build_scheme_budget_counts_terms_and_top_up_blocks():
     for budget, used in ((6, 7), (4, 5)):
         with pytest.raises(BudgetExceeded, match=rf"scheme budget exceeded \({used} > {budget} blocks\)"):
             build_scheme(3, 10, 7, 20, budget=budget)
+
+
+def test_top_up_matches_whole_scheme_revalidation():
+    # 640 points: scheme errors, infeasible roundings, budget stops and
+    # top-ups of up to 172 blocks; then small ones, where top-ups often stop
+    # at the inequality and some admit a block at equality
+    def outcome(build, *point):
+        try:
+            return build(*point)
+        except (SchemeError, BudgetExceeded) as exc:
+            return type(exc).__name__, str(exc)
+
+    grid = itertools.product(
+        (3, 1, Fraction(1, 2), 5), (50, 700, 1500, 10**4), (1, 2, 5, 50, 450), (3, 20, 200, 1000), (None, 40)
+    )
+    small = itertools.product((1, 3), range(5, 30), (2, 3, 4), (7, 12, 19), (None,))
+    kinds = set()
+    for point in itertools.chain(grid, small):
+        got = outcome(build_scheme, *point)
+        assert got == outcome(oracles.build_scheme_revalidating, *point), point
+        kinds.add(got[0] if type(got) is tuple else "extended" if got.blocks_extended else "built")
+    assert kinds == {"SchemeError", "InfeasibleScheme", "BudgetExceeded", "extended", "built"}
 
 
 def test_build_scheme_fractional_budget_flag():

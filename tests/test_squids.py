@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -564,10 +565,11 @@ def test_extraction_matches_graph_space_oracle(name):
         ({"body": 5, "hearts": [[5, 1]]}, "body 5, not body 1"),
         ({"witness": None}, "witness None, not witness 0"),
         ({"witness": 1}, "witness 1, not witness 0"),
+        ({"witness": "x" * 5000}, re.escape(f"witness {'x' * 40!r}... (5000 characters), not witness 0 (")),
     ],
     ids=[
         "hearts", "heart-bool", "heart-float", "row-range", "kind-I-rows", "kind-II-rows", "kind", "body",
-        "no-witness", "witness",
+        "no-witness", "witness", "long-witness",
     ],
 )
 def test_trace_from_obj_checks_squid_fields(edit, message):
